@@ -19,11 +19,9 @@
 //! skips cells whose fingerprint already has a journal record, so an
 //! interrupted paper-scale run picks up where it left off. `--jobs N`
 //! overrides the scale's worker-thread default; it controls *trial-level*
-//! parallelism only and composes multiplicatively with the per-trial
-//! inference engine's [`EngineConfig::threads`] (held at the single-threaded
-//! default here), so up to `jobs × engine.threads` threads can be live at
-//! once. The JSONL artifacts are bit-identical for any `--jobs` value and
-//! any engine config.
+//! parallelism, and each trial's inference engine sweeps on its own thread,
+//! so `--jobs` is the number of live worker threads. The JSONL artifacts are
+//! bit-identical for any `--jobs` value and any engine config.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -8,7 +8,6 @@
 //! perf                       # writes BENCH_<rev>.json to the current dir
 //! perf --out perf.json       # explicit output path
 //! perf --repeats 15          # more timing repeats (default 9, median kept)
-//! perf --threads 4           # engine worker threads (default 1 = serial)
 //! perf --sessions 4096       # concurrent serve sessions (default 1024)
 //! perf --scale-sessions 65536 # serve_scale session count (default 32768)
 //! ```
@@ -69,8 +68,8 @@ use navft_core::sweep::json::Json;
 use navft_core::{experiments, Scale};
 use navft_gridworld::GridWorld;
 use navft_nn::{
-    c3f2_scaled, mlp, simd_kernel_name, Element, EngineConfig, HooksFor, I8Network, I8Scratch,
-    I8Tensor, Network, NetworkBase, NoHooks, QNetwork, QScratch, QTensor, Scratch, Tensor,
+    c3f2_scaled, mlp, simd_kernel_name, Element, EngineConfig, I8Network, I8Scratch, I8Tensor,
+    Kernels, Network, NetworkBase, NoHooks, QNetwork, QScratch, QTensor, Scratch, Tensor,
 };
 use navft_qformat::QFormat;
 use navft_rl::{
@@ -90,13 +89,11 @@ const BATCH: usize = 64;
 /// Lockstep episode rounds each serve session plays in the latency section.
 const SERVE_STEPS: usize = 8;
 
-const USAGE: &str =
-    "usage: perf [--out PATH] [--repeats N] [--threads N] [--sessions N] [--scale-sessions N]";
+const USAGE: &str = "usage: perf [--out PATH] [--repeats N] [--sessions N] [--scale-sessions N]";
 
 fn main() -> ExitCode {
     let mut out: Option<String> = None;
     let mut repeats = 9usize;
-    let mut threads = 1usize;
     let mut sessions = 1024usize;
     let mut scale_sessions = 32_768usize;
     let mut argv = std::env::args().skip(1);
@@ -115,13 +112,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 repeats = n;
-            }
-            "--threads" => {
-                let Some(n) = argv.next().as_deref().and_then(parse_jobs) else {
-                    eprintln!("--threads needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                threads = n;
             }
             "--sessions" => {
                 let Some(n) = argv.next().as_deref().and_then(parse_jobs) else {
@@ -150,7 +140,7 @@ fn main() -> ExitCode {
 
     let rev = git_rev();
     let path = out.unwrap_or_else(|| format!("BENCH_{rev}.json"));
-    let snapshot = run_benchmarks(&rev, repeats, threads, sessions, scale_sessions);
+    let snapshot = run_benchmarks(&rev, repeats, sessions, scale_sessions);
     if let Err(error) = std::fs::write(&path, snapshot.render() + "\n") {
         eprintln!("[perf] failed to write {path}: {error}");
         return ExitCode::FAILURE;
@@ -198,25 +188,21 @@ fn bench_backend(
     backend: &str,
     repeats: usize,
     rows_per_pass: usize,
-    threads: usize,
     mut forward: impl FnMut(EngineConfig),
 ) -> Json {
-    let dispatched_config = EngineConfig::default().with_threads(threads);
-    let scalar_config = dispatched_config.with_force_scalar(true);
-    let scalar = median_secs(repeats, || forward(scalar_config));
-    let dispatched = median_secs(repeats, || forward(dispatched_config));
+    let scalar = median_secs(repeats, || forward(EngineConfig { kernels: Kernels::Scalar }));
+    let dispatched = median_secs(repeats, || forward(EngineConfig::default()));
     let scalar_rows = rows_per_pass as f64 / scalar;
     let dispatched_rows = rows_per_pass as f64 / dispatched;
     let speedup = scalar / dispatched;
     eprintln!(
         "[perf] {model}/{backend}: scalar {scalar_rows:.0} rows/s, \
-         {} {dispatched_rows:.0} rows/s ({speedup:.2}x), {threads} thread(s)",
+         {} {dispatched_rows:.0} rows/s ({speedup:.2}x)",
         simd_kernel_name()
     );
     Json::obj([
         ("model", Json::Str(model.to_string())),
         ("backend", Json::Str(backend.to_string())),
-        ("threads", Json::num(threads as f64)),
         ("scalar_rows_per_s", Json::num(scalar_rows)),
         ("dispatched_rows_per_s", Json::num(dispatched_rows)),
         ("dispatched_speedup", Json::num(speedup)),
@@ -232,16 +218,12 @@ fn bench_serve<W>(
     network: NetworkBase<W>,
     world: &GridWorld,
     sessions: usize,
-    threads: usize,
 ) -> Json
 where
     W: EvalElement,
-    NoHooks: HooksFor<W>,
 {
-    let config = ServeConfig::default()
-        .with_max_batch(BATCH)
-        .with_queue_capacity(sessions.max(BATCH))
-        .with_engine(EngineConfig::default().with_threads(threads));
+    let config =
+        ServeConfig::default().with_max_batch(BATCH).with_queue_capacity(sessions.max(BATCH));
     let server = Server::start(network, &[world.num_states()], config);
     let ids: Vec<_> = (0..sessions).map(|_| server.open_clean_session()).collect();
     let mut envs: Vec<GridWorld> = (0..sessions).map(|_| world.clone()).collect();
@@ -261,7 +243,6 @@ where
         ("model", Json::Str(model.to_string())),
         ("backend", Json::Str(backend.to_string())),
         ("sessions", Json::num(sessions as f64)),
-        ("threads", Json::num(threads as f64)),
         ("requests", Json::num(latency.len() as f64)),
         ("p50_us", Json::num(latency.p50())),
         ("p99_us", Json::num(latency.p99())),
@@ -278,14 +259,13 @@ const SCALE_WORKERS: [usize; 4] = [1, 2, 4, 8];
 /// spike) of the bursty generator.
 const SCALE_REQUESTS: usize = 4;
 
-/// One `serve_scale` measurement cell: session/worker/thread counts plus
-/// the arrival regime.
+/// One `serve_scale` measurement cell: session and worker counts plus the
+/// arrival regime.
 struct ScaleCell<'a> {
     model: &'a str,
     backend: &'a str,
     sessions: usize,
     workers: usize,
-    threads: usize,
     /// Zero selects the `saturated` regime; non-zero the `bursty` one.
     mean_think: Duration,
 }
@@ -304,15 +284,13 @@ struct ScaleCell<'a> {
 fn bench_serve_scale<W>(cell: &ScaleCell, network: &NetworkBase<W>, states: usize) -> Json
 where
     W: EvalElement,
-    NoHooks: HooksFor<W>,
 {
-    let &ScaleCell { model, backend, sessions, workers, threads, mean_think } = cell;
+    let &ScaleCell { model, backend, sessions, workers, mean_think } = cell;
     let load = if mean_think.is_zero() { "saturated" } else { "bursty" };
     let config = ServeConfig::default()
         .with_workers(workers)
         .with_max_batch(BATCH)
-        .with_queue_capacity(sessions.max(BATCH))
-        .with_engine(EngineConfig::default().with_threads(threads));
+        .with_queue_capacity(sessions.max(BATCH));
     let server = Server::start(network.clone(), &[states], config);
     let ids: Vec<_> = (0..sessions).map(|_| server.open_clean_session()).collect();
     let bursty = BurstyConfig {
@@ -340,7 +318,6 @@ where
         ("load", Json::Str(load.to_string())),
         ("sessions", Json::num(sessions as f64)),
         ("workers", Json::num(workers as f64)),
-        ("threads", Json::num(threads as f64)),
         ("requests", Json::num(latency.len() as f64)),
         ("retries", Json::num(outcome.retries as f64)),
         ("p50_us", Json::num(latency.p50())),
@@ -367,14 +344,12 @@ fn bench_training(
     i8_target: bool,
     minibatch: usize,
     repeats: usize,
-    threads: usize,
 ) -> Json {
     let states = 100usize;
     let network = mlp(&[states, 32, 4], &mut SmallRng::seed_from_u64(0xD92));
     let config = DqnConfig { batch_size: minibatch, ..DqnConfig::default() };
     let mut agent =
-        DqnAgent::new(network, &[states], EpsilonSchedule::new(1.0, 0.05, 0.99), config)
-            .with_engine_config(EngineConfig::default().with_threads(threads));
+        DqnAgent::new(network, &[states], EpsilonSchedule::new(1.0, 0.05, 0.99), config);
     if i8_target {
         agent = agent.with_i8_target();
     }
@@ -405,7 +380,6 @@ fn bench_training(
         ("model", Json::Str(model.to_string())),
         ("backend", Json::Str(backend.to_string())),
         ("minibatch", Json::num(minibatch as f64)),
-        ("threads", Json::num(threads as f64)),
         ("learn_steps_per_s", Json::num(steps_per_s)),
     ])
 }
@@ -429,14 +403,11 @@ fn bench_rollout<W>(
     world: &GridWorld,
     batch: usize,
     repeats: usize,
-    threads: usize,
 ) -> Json
 where
     W: EvalElement,
     usize: RolloutObs<W>,
-    NoHooks: HooksFor<W>,
 {
-    let config = EngineConfig::default().with_threads(threads);
     let mut steps = 0usize;
     let secs = median_secs(repeats, || {
         let mut venv = DummyVecEnv::from_prototype(world, batch);
@@ -449,7 +420,7 @@ where
             &InferenceFaultMode::None,
             &mut rng,
             |_| NoHooks,
-            config,
+            EngineConfig::default(),
         );
         steps = tapes.iter().map(|tape| tape.rewards.len()).sum();
     });
@@ -459,7 +430,6 @@ where
         ("model", Json::Str(model.to_string())),
         ("backend", Json::Str(backend.to_string())),
         ("batch", Json::num(batch as f64)),
-        ("threads", Json::num(threads as f64)),
         ("episodes", Json::num(ROLLOUT_EPISODES as f64)),
         ("steps_per_s", Json::num(steps_per_s)),
     ])
@@ -514,30 +484,23 @@ fn bench_requantize<E: Element>(
 
 /// Times one smoke-scale figure sweep end to end (training and batched
 /// evaluation included) and returns the campaign JSON row in trials/s.
-fn bench_sweep_trials(figure: &str, repeats: usize, threads: usize) -> Json {
+fn bench_sweep_trials(figure: &str, repeats: usize) -> Json {
     let trials: usize =
         experiments::fig5::sweep(Scale::Smoke).cell_specs().map(|s| s.repetitions()).sum();
     let secs = median_secs(repeats.min(3), || {
-        let _ = experiments::fig5::sweep(Scale::Smoke).collect(threads);
+        let _ = experiments::fig5::sweep(Scale::Smoke).collect(1);
     });
     let trials_per_s = trials as f64 / secs;
     eprintln!("[perf] sweep {figure}@smoke: {trials} trials, {trials_per_s:.1} trials/s");
     Json::obj([
         ("figure", Json::Str(figure.to_string())),
         ("scale", Json::Str("smoke".to_string())),
-        ("threads", Json::num(threads as f64)),
         ("trials", Json::num(trials as f64)),
         ("trials_per_s", Json::num(trials_per_s)),
     ])
 }
 
-fn run_benchmarks(
-    rev: &str,
-    repeats: usize,
-    threads: usize,
-    sessions: usize,
-    scale_sessions: usize,
-) -> Json {
+fn run_benchmarks(rev: &str, repeats: usize, sessions: usize, scale_sessions: usize) -> Json {
     let mut rng = SmallRng::seed_from_u64(0);
     let models: Vec<(&str, Network, Vec<usize>)> = vec![
         ("grid-mlp", mlp(&[100, 32, 4], &mut rng), vec![100]),
@@ -552,29 +515,22 @@ fn run_benchmarks(
             (0..BATCH).map(|_| Tensor::uniform(shape, 1.0, &mut input_rng)).collect();
 
         let mut scratch = Scratch::new();
-        results.push(bench_backend(name, "f32", repeats, BATCH, threads, |config| {
+        results.push(bench_backend(name, "f32", repeats, BATCH, |config| {
             network.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, config);
         }));
 
         let qnet = QNetwork::quantize(network, format);
         let qinputs: Vec<QTensor> = inputs.iter().map(|t| QTensor::quantize(t, format)).collect();
         let mut qscratch = QScratch::new();
-        results.push(bench_backend(
-            name,
-            &format!("{format}"),
-            repeats,
-            BATCH,
-            threads,
-            |config| {
-                qnet.forward_batch_into_cfg(&qinputs, &mut qscratch, &mut NoHooks, config);
-            },
-        ));
+        results.push(bench_backend(name, &format!("{format}"), repeats, BATCH, |config| {
+            qnet.forward_batch_into_cfg(&qinputs, &mut qscratch, &mut NoHooks, config);
+        }));
 
         let inet = I8Network::quantize(network);
         let iinputs: Vec<I8Tensor> =
             inputs.iter().map(|t| I8Tensor::quantize(t, inet.affine())).collect();
         let mut iscratch = I8Scratch::new();
-        results.push(bench_backend(name, "i8", repeats, BATCH, threads, |config| {
+        results.push(bench_backend(name, "i8", repeats, BATCH, |config| {
             inet.forward_batch_into_cfg(&iinputs, &mut iscratch, &mut NoHooks, config);
         }));
     }
@@ -587,8 +543,8 @@ fn run_benchmarks(
     let qpolicy = QNetwork::quantize(&policy, format);
     let ipolicy = I8Network::quantize(&policy);
     let serve = vec![
-        bench_serve("grid-mlp", "f32", policy.clone(), &world, sessions, threads),
-        bench_serve("grid-mlp", &format!("{format}"), qpolicy.clone(), &world, sessions, threads),
+        bench_serve("grid-mlp", "f32", policy.clone(), &world, sessions),
+        bench_serve("grid-mlp", &format!("{format}"), qpolicy.clone(), &world, sessions),
     ];
 
     // Serve-scale section: the sharded daemon at `--scale-sessions`
@@ -603,7 +559,6 @@ fn run_benchmarks(
                 backend: "f32",
                 sessions: scale_sessions,
                 workers,
-                threads,
                 mean_think,
             };
             serve_scale.push(bench_serve_scale(&cell, &policy, states));
@@ -614,15 +569,15 @@ fn run_benchmarks(
     // int8 bootstrap targets at both minibatch sizes.
     let mut training = Vec::new();
     for &minibatch in &TRAIN_MINIBATCHES {
-        training.push(bench_training("grid-mlp", "f32", false, minibatch, repeats, threads));
-        training.push(bench_training("grid-mlp", "i8", true, minibatch, repeats, threads));
+        training.push(bench_training("grid-mlp", "f32", false, minibatch, repeats));
+        training.push(bench_training("grid-mlp", "i8", true, minibatch, repeats));
     }
 
     // Campaign section: vectorized environment rollouts (steps/s per backend
     // and batch width) plus one smoke figure sweep end to end (trials/s).
     let mut campaign = Vec::new();
     for &batch in &ROLLOUT_BATCHES {
-        campaign.push(bench_rollout("grid-mlp", "f32", &policy, &world, batch, repeats, threads));
+        campaign.push(bench_rollout("grid-mlp", "f32", &policy, &world, batch, repeats));
         campaign.push(bench_rollout(
             "grid-mlp",
             &format!("{format}"),
@@ -630,11 +585,10 @@ fn run_benchmarks(
             &world,
             batch,
             repeats,
-            threads,
         ));
-        campaign.push(bench_rollout("grid-mlp", "i8", &ipolicy, &world, batch, repeats, threads));
+        campaign.push(bench_rollout("grid-mlp", "i8", &ipolicy, &world, batch, repeats));
     }
-    campaign.push(bench_sweep_trials("fig5", repeats, threads));
+    campaign.push(bench_sweep_trials("fig5", repeats));
 
     // Requantize epilogue micro-section: accumulator magnitudes spread over
     // the full widened range (random shift of a full-width draw), fixed per
@@ -664,7 +618,6 @@ fn run_benchmarks(
         ("batch", Json::num(BATCH as f64)),
         ("repeats", Json::num(repeats as f64)),
         ("kernel", Json::Str(simd_kernel_name().to_string())),
-        ("engine_threads", Json::num(threads as f64)),
         ("results", Json::Arr(results)),
         ("serve", Json::Arr(serve)),
         ("serve_scale", Json::Arr(serve_scale)),

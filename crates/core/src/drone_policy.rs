@@ -166,7 +166,7 @@ pub fn heuristic_flight_distance(world: &DroneWorld, max_steps: usize, episodes:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use navft_rl::{evaluate_network_vision, InferenceFaultMode};
+    use navft_rl::{evaluate_policy_vision, InferenceFaultMode};
 
     #[test]
     fn heuristic_prefers_to_steer_away_from_the_blocked_side() {
@@ -221,14 +221,8 @@ mod tests {
         let trained = train_drone_policy(&world, &params, 5);
         let mut rng = SmallRng::seed_from_u64(99);
         let mut sim = DroneSim::new(world.clone(), DepthCamera::scaled(), 150);
-        let trained_result = evaluate_network_vision(
-            &mut sim,
-            &trained,
-            3,
-            150,
-            &InferenceFaultMode::None,
-            &mut rng,
-        );
+        let trained_result =
+            evaluate_policy_vision(&mut sim, &trained, 3, 150, &InferenceFaultMode::None, &mut rng);
         assert!(
             trained_result.mean_distance > 5.0,
             "cloned policy flew only {} m",

@@ -101,12 +101,9 @@ impl Scale {
     /// default [`Scale::threads`] applies.
     ///
     /// This count is *trial-level* parallelism: how many campaign trials run
-    /// concurrently. It composes multiplicatively with the per-trial
-    /// inference engine's `EngineConfig::threads`
-    /// ([`crate::sweep::RunOptions::engine`]) — each trial may additionally
-    /// shard its batched rollout sweeps, so up to `jobs × engine.threads`
-    /// threads can be live at once. Neither knob affects results or
-    /// artifacts, only wall-clock.
+    /// concurrently. Each trial's inference engine sweeps on the trial's own
+    /// thread, so `jobs` is also the number of live worker threads. It never
+    /// affects results or artifacts, only wall-clock.
     pub fn threads_or(&self, jobs: Option<usize>) -> usize {
         match jobs {
             Some(n) if n > 0 => n,

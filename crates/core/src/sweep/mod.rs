@@ -183,7 +183,7 @@ impl Sweep {
     /// and must be a deterministic function of the first two (plus captured
     /// immutable state): the [`EngineConfig`] comes from
     /// [`RunOptions::engine`] and only steers *how* forward passes execute
-    /// (batch sharding, kernel tier) — the engine contract keeps results
+    /// (the kernel choice) — the engine contract keeps results
     /// bit-identical at any config, so trials stay thread-count invariant.
     pub fn cell<F>(&mut self, spec: CellSpec, trial: F)
     where
@@ -308,17 +308,16 @@ pub struct RunOptions {
     pub resume: bool,
     /// Emit a progress line to stderr as cells complete.
     pub progress: bool,
-    /// The engine configuration handed to every trial: in-engine batch
-    /// sharding ([`EngineConfig::with_threads`]) composes multiplicatively
-    /// with the scheduler's trial-level `threads`, so total worker count is
-    /// `threads × engine.threads`. Results are bit-identical at any engine
-    /// config (the engine contract), so this never affects artifacts.
+    /// The engine configuration handed to every trial. Engine sweeps run on
+    /// the trial's own thread, so `threads` is the total worker count.
+    /// Results are bit-identical at any engine config (the engine
+    /// contract), so this never affects artifacts.
     pub engine: EngineConfig,
 }
 
 impl RunOptions {
     /// In-memory execution on `threads` workers: no artifacts, no resume,
-    /// no progress output, default (serial, best-kernel) engine config.
+    /// no progress output, default (best-kernel) engine config.
     pub fn new(threads: usize) -> RunOptions {
         RunOptions {
             threads,

@@ -294,9 +294,8 @@ where
 ///
 /// `ctx` is handed to every trial verbatim — the campaign layer treats it as
 /// an opaque `Copy` value. Callers use it to thread configuration that must
-/// compose with trial-level parallelism (e.g. an engine config whose
-/// in-engine batch sharding multiplies with the scheduler's `threads`)
-/// through the scheduler without smuggling it through process-wide state.
+/// reach every trial (e.g. an engine config) through the scheduler without
+/// smuggling it through process-wide state.
 /// Seeding, scheduling and result ordering are exactly those of
 /// [`run_cells`]; `ctx` must not influence trial results (it may only steer
 /// *how* they are computed), or thread-count invariance is lost.

@@ -537,14 +537,14 @@ mod tests {
         assert_eq!(guard.count_anomalies(&qnet), 0);
         // A sign-bit flip on a live word creates a large negative outlier.
         let layer = qnet.parametric_layers()[0];
-        let before = qnet.layer_weights_raw(layer).expect("words")[5];
-        qnet.layer_weights_raw_mut(layer).expect("words")[5] = before ^ (1 << 15);
-        let qnet_words_before = qnet.layer_weights_raw(layer).expect("words").to_vec();
+        let before = qnet.layer_weights(layer).expect("words")[5];
+        qnet.layer_weights_mut(layer).expect("words")[5] = before ^ (1 << 15);
+        let qnet_words_before = qnet.layer_weights(layer).expect("words").to_vec();
         assert_eq!(guard.count_anomalies(&qnet), 1);
         assert_eq!(guard.scrub(&mut qnet), 1);
-        assert_eq!(qnet.layer_weights_raw(layer).expect("words")[5], 0);
+        assert_eq!(qnet.layer_weights(layer).expect("words")[5], 0);
         // Only the anomalous word changed.
-        let after = qnet.layer_weights_raw(layer).expect("words");
+        let after = qnet.layer_weights(layer).expect("words");
         assert_eq!(qnet_words_before.iter().zip(after.iter()).filter(|(a, b)| a != b).count(), 1);
     }
 
@@ -576,11 +576,11 @@ mod tests {
             RangeGuard::from_bounds([(0, -0.5, 0.5)], QFormat::Q3_4, RangeGuardConfig::paper());
         assert_eq!(guard.count_anomalies(&inet), 0);
         // Corrupt one byte far past the widened bound (0.55 → byte 55).
-        inet.layer_weights_raw_mut(0).expect("bytes")[3] = 100;
+        inet.layer_weights_mut(0).expect("bytes")[3] = 100;
         assert!(guard.is_anomalous_in(0, 100i8, &inet.affine()));
         assert_eq!(guard.count_anomalies(&inet), 1);
         assert_eq!(guard.scrub(&mut inet), 1);
-        assert_eq!(inet.layer_weights_raw(0).expect("bytes")[3], 0);
+        assert_eq!(inet.layer_weights(0).expect("bytes")[3], 0);
         assert_eq!(guard.count_anomalies(&inet), 0);
     }
 

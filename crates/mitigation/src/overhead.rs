@@ -53,27 +53,24 @@ pub fn measure_overhead(
     assert!(iterations > 0, "iterations must be non-zero");
     assert!(scrub_interval > 0, "scrub interval must be non-zero");
 
-    // Both variants run on the batched engine's zero-allocation scratch path,
-    // so the measured difference is the mitigation, not allocator noise. Two
-    // warm-up passes take slab growth out of the timed region (the slabs swap
-    // roles per layer sweep, so both reach their high-water mark only on the
-    // second pass when the sweep count is odd).
-    // An explicit engine config keeps the measurement independent of the
-    // deprecated process-wide kernel knobs.
-    let engine = EngineConfig::default();
+    // Both variants run on the batched engine's zero-allocation scratch path
+    // (a batch of one), so the measured difference is the mitigation, not
+    // allocator noise. Two warm-up passes take slab growth out of the timed
+    // region (the slabs swap roles per layer sweep, so both reach their
+    // high-water mark only on the second pass when the sweep count is odd).
+    fn pass(network: &Network, input: &Tensor, scratch: &mut Scratch) {
+        let input = std::hint::black_box(input);
+        network.forward_batch_into_cfg(&[input], scratch, &mut NoHooks, EngineConfig::default());
+        std::hint::black_box(scratch.row(0));
+    }
     let mut scratch = Scratch::new();
-    std::hint::black_box(network.forward_scratch_cfg(input, &mut scratch, &mut NoHooks, engine));
-    std::hint::black_box(network.forward_scratch_cfg(input, &mut scratch, &mut NoHooks, engine));
+    pass(network, input, &mut scratch);
+    pass(network, input, &mut scratch);
 
     // Baseline: plain forward passes.
     let start = Instant::now();
     for _ in 0..iterations {
-        std::hint::black_box(network.forward_scratch_cfg(
-            std::hint::black_box(input),
-            &mut scratch,
-            &mut NoHooks,
-            engine,
-        ));
+        pass(network, input, &mut scratch);
     }
     let baseline = start.elapsed().as_secs_f64() / iterations as f64;
 
@@ -84,12 +81,7 @@ pub fn measure_overhead(
         if i % scrub_interval == 0 {
             guard.scrub(&mut protected_net);
         }
-        std::hint::black_box(protected_net.forward_scratch_cfg(
-            std::hint::black_box(input),
-            &mut scratch,
-            &mut NoHooks,
-            engine,
-        ));
+        pass(&protected_net, input, &mut scratch);
     }
     let protected = start.elapsed().as_secs_f64() / iterations as f64;
 

@@ -1,8 +1,7 @@
 //! The batched layer-sweep engine shared by every numeric backend.
 //!
-//! [`Network::forward_batch_into`](crate::Network::forward_batch_into) (f32)
-//! and [`QNetwork::forward_batch_into`](crate::QNetwork::forward_batch_into)
-//! (raw Q-format words) are the same algorithm: load the batch rows into the
+//! [`NetworkBase::forward_batch_into_cfg`](crate::NetworkBase::forward_batch_into_cfg)
+//! runs the same algorithm on every backend: load the batch rows into the
 //! scratch's front slab, report them to the hooks, then per layer either
 //! transform the front slab in place or sweep every row into the back slab
 //! and swap, reporting each produced row. Keeping that control flow — the
@@ -10,81 +9,53 @@
 //! bit-exactness contracts depend on — in one place means the backends
 //! cannot drift; each backend only supplies its [`Element`] arithmetic.
 //!
-//! Two kernel paths drive the non-in-place layers:
+//! [`EngineConfig::kernels`] picks what drives the non-in-place layers:
 //!
-//! * [`KernelPath::Blocked`] (the default) runs convolutions and linear
+//! * [`Kernels::Dispatched`] (the default) runs convolutions and linear
 //!   layers through the cache-blocked im2row GEMM of [`crate::gemm`] — one
-//!   whole-batch matrix sweep per layer instead of a per-row loop.
-//! * [`KernelPath::Naive`] runs the per-row reference kernels
+//!   whole-batch matrix sweep per layer instead of a per-row loop — offering
+//!   every sweep to the runtime-dispatched SIMD microkernels first.
+//! * [`Kernels::Scalar`] runs the same blocked GEMM on the portable scalar
+//!   register tiles only.
+//! * [`Kernels::Naive`] runs the per-row reference kernels
 //!   ([`LayerBase::forward_naive`]).
 //!
-//! The two are bit-identical on every backend (the GEMM accumulates each
-//! output in the naive kernel's reduction order); the blocked path is simply
-//! faster. Equivalence proptests pin the contract.
+//! All three are bit-identical on every backend (the GEMM accumulates each
+//! output in the naive kernel's reduction order); the dispatched path is
+//! simply fastest. Equivalence proptests pin the contract.
 
 use crate::element::Element;
 use crate::layer::LayerBase;
 use crate::{gemm, LayerKind, Scratch};
 
-/// Below this many MACs per layer sweep a parallel split costs more in
-/// thread spawns than it saves; the engine stays serial.
-const PARALLEL_MIN_MACS: usize = 16_384;
+/// Which kernels the batched engine drives for convolution and linear
+/// sweeps. Every choice produces bit-identical results.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Kernels {
+    /// Blocked im2row GEMM, each sweep offered to the runtime-dispatched
+    /// SIMD microkernels first (the fast default).
+    #[default]
+    Dispatched,
+    /// Blocked im2row GEMM on the portable scalar register tiles, bypassing
+    /// SIMD dispatch — the baseline the dispatch equivalence tests compare
+    /// against.
+    Scalar,
+    /// The per-row naive reference kernels.
+    Naive,
+}
 
-/// An explicit, caller-owned configuration of the batched engine: the
-/// worker-thread count of the in-engine batch sharding and whether the
-/// runtime-dispatched SIMD microkernels are bypassed in favour of the
-/// portable scalar tiles.
+/// An explicit, caller-owned configuration of the batched engine.
 ///
-/// Every `*_cfg` forward entry point (e.g.
-/// [`crate::Network::forward_batch_into_cfg`]) threads one of these through
-/// the whole batched path, so concurrent callers — servers, tests, benches
-/// in one process — cannot observe each other's settings. Neither knob ever
-/// changes results: sharding and SIMD dispatch are bit-identical to the
-/// serial scalar path on every backend.
-///
-/// The non-`_cfg` entry points simply run under [`EngineConfig::default`];
-/// there is no process-wide engine state for concurrent callers to trip
-/// over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`crate::NetworkBase::forward_batch_into_cfg`] threads one of these
+/// through the whole batched path, so concurrent callers — servers, tests,
+/// benches in one process — cannot observe each other's settings. No
+/// setting ever changes results. Batched sweeps always run on the calling
+/// thread; parallelism lives above the engine (campaign trial workers and
+/// serve batcher workers).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads for large batched conv/linear sweeps (min 1 = serial).
-    pub threads: usize,
-    /// Pin the portable scalar GEMM tiles, bypassing SIMD dispatch.
-    pub force_scalar: bool,
-}
-
-impl Default for EngineConfig {
-    /// Serial, SIMD-dispatched: the library default.
-    fn default() -> Self {
-        EngineConfig { threads: 1, force_scalar: false }
-    }
-}
-
-impl EngineConfig {
-    /// Returns the config with the worker-thread count set (clamped to at
-    /// least 1).
-    pub fn with_threads(mut self, threads: usize) -> EngineConfig {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Returns the config with the scalar-kernel pin set.
-    pub fn with_force_scalar(mut self, force: bool) -> EngineConfig {
-        self.force_scalar = force;
-        self
-    }
-}
-
-/// How many threads a sweep of `rows` batch rows à `macs_per_row` MACs
-/// should shard across: 1 unless the config asks for threading and the
-/// sweep is large enough to amortize the spawns.
-fn shard_threads(config: EngineConfig, rows: usize, macs_per_row: usize) -> usize {
-    let configured = config.threads;
-    if configured <= 1 || rows <= 1 || rows.saturating_mul(macs_per_row) < PARALLEL_MIN_MACS {
-        1
-    } else {
-        configured.min(rows)
-    }
+    /// The kernels that drive convolution and linear sweeps.
+    pub kernels: Kernels,
 }
 
 /// A per-row buffer event reported by the batched forward engine.
@@ -105,36 +76,24 @@ pub(crate) enum SweepEvent {
     },
 }
 
-/// Which kernels the engine drives for convolution and linear sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum KernelPath {
-    /// Cache-blocked im2row GEMM (the fast default).
-    Blocked,
-    /// Per-row naive reference kernels.
-    Naive,
-}
-
 /// Runs a batched pass over `layers`, staging activations in `scratch` and
 /// reporting every input/activation row through `notify` in per-row program
 /// order. The outputs are left in the scratch's front slab.
-// One parameter per independent engine concern; bundling them into an ad-hoc
-// struct would just move the argument list behind a constructor.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn forward_batch_engine<'a, E, I, F>(
     layers: &[LayerBase<E>],
     ctx: E::Ctx,
     input_shape: &[usize],
     rows: I,
     scratch: &mut Scratch<E>,
-    path: KernelPath,
-    config: EngineConfig,
+    kernels: Kernels,
     mut notify: F,
 ) where
     E: Element,
     I: ExactSizeIterator<Item = &'a [E]>,
     F: FnMut(SweepEvent, &mut [E]),
 {
-    let simd = !config.force_scalar;
+    let blocked = kernels != Kernels::Naive;
+    let simd = kernels == Kernels::Dispatched;
     scratch.load_rows(input_shape, rows);
     let nrows = scratch.rows();
 
@@ -152,7 +111,7 @@ pub(crate) fn forward_batch_engine<'a, E, I, F>(
         match layer {
             LayerBase::Relu => LayerBase::relu_in_place(scratch.front_mut()),
             LayerBase::Flatten => {}
-            LayerBase::Conv2d(conv) if path == KernelPath::Blocked => {
+            LayerBase::Conv2d(conv) if blocked => {
                 // Pack phase: one im2row patch per batch row × output pixel.
                 let patch = conv.patch_len();
                 let ohw = out_len / conv.out_channels;
@@ -165,105 +124,41 @@ pub(crate) fn forward_batch_engine<'a, E, I, F>(
                 // index arithmetic).
                 let (cols, back) = scratch.cols_and_back(nrows * out_len);
                 let oc = conv.out_channels;
-                let threads = shard_threads(config, nrows, oc * patch * ohw);
-                if threads > 1 {
-                    // Shard contiguous batch-row ranges across scoped
-                    // workers: each thread owns a disjoint slice pair of the
-                    // packed panel and the back slab, and every per-row GEMM
-                    // is the exact sweep the serial loop below runs.
-                    let rows_per = nrows.div_ceil(threads);
-                    std::thread::scope(|scope| {
-                        for (cols_chunk, back_chunk) in cols
-                            .chunks(rows_per * ohw * patch)
-                            .zip(back.chunks_mut(rows_per * out_len))
-                        {
-                            scope.spawn(move || {
-                                for (row_cols, row_out) in cols_chunk
-                                    .chunks(ohw * patch)
-                                    .zip(back_chunk.chunks_mut(out_len))
-                                {
-                                    gemm::gemm_bias(
-                                        ctx,
-                                        simd,
-                                        &conv.weights,
-                                        &conv.bias,
-                                        oc,
-                                        patch,
-                                        row_cols,
-                                        ohw,
-                                        |m, p, v| row_out[m * ohw + p] = v,
-                                    );
-                                }
-                            });
-                        }
-                    });
-                } else {
-                    for b in 0..nrows {
-                        let row_cols = &cols[b * ohw * patch..(b + 1) * ohw * patch];
-                        let row_out = &mut back[b * out_len..(b + 1) * out_len];
-                        gemm::gemm_bias(
-                            ctx,
-                            simd,
-                            &conv.weights,
-                            &conv.bias,
-                            oc,
-                            patch,
-                            row_cols,
-                            ohw,
-                            |m, p, v| row_out[m * ohw + p] = v,
-                        );
-                    }
+                for b in 0..nrows {
+                    let row_cols = &cols[b * ohw * patch..(b + 1) * ohw * patch];
+                    let row_out = &mut back[b * out_len..(b + 1) * out_len];
+                    gemm::gemm_bias(
+                        ctx,
+                        simd,
+                        &conv.weights,
+                        &conv.bias,
+                        oc,
+                        patch,
+                        row_cols,
+                        ohw,
+                        |m, p, v| row_out[m * ohw + p] = v,
+                    );
                 }
                 scratch.swap();
             }
-            LayerBase::Linear(linear) if path == KernelPath::Blocked => {
+            LayerBase::Linear(linear) if blocked => {
                 // The batch rows already are the `[N, K]` panel: GEMM straight
                 // off the front slab, no packing.
                 let (_, front, back) = scratch.slabs_for_sweep(nrows * out_len);
                 let m = linear.out_features;
-                let kdim = linear.in_features;
-                let threads = shard_threads(config, nrows, m * kdim);
-                if threads > 1 {
-                    // Split the `[N, K]` panel by batch-row ranges; each
-                    // worker runs the same GEMM over its sub-panel, writing
-                    // the matching disjoint range of the back slab.
-                    let rows_per = nrows.div_ceil(threads);
-                    let front = &front[..nrows * kdim];
-                    let back = &mut back[..nrows * m];
-                    std::thread::scope(|scope| {
-                        for (front_chunk, back_chunk) in
-                            front.chunks(rows_per * kdim).zip(back.chunks_mut(rows_per * m))
-                        {
-                            scope.spawn(move || {
-                                gemm::gemm_bias(
-                                    ctx,
-                                    simd,
-                                    &linear.weights,
-                                    &linear.bias,
-                                    m,
-                                    kdim,
-                                    front_chunk,
-                                    back_chunk.len() / m,
-                                    |mi, ni, v| back_chunk[ni * m + mi] = v,
-                                );
-                            });
-                        }
-                    });
-                } else {
-                    gemm::gemm_bias(
-                        ctx,
-                        simd,
-                        &linear.weights,
-                        &linear.bias,
-                        m,
-                        kdim,
-                        front,
-                        nrows,
-                        |mi, ni, v| {
-                            back[ni * m + mi] = v;
-                        },
-                    );
-                }
+                gemm::gemm_bias(
+                    ctx,
+                    simd,
+                    &linear.weights,
+                    &linear.bias,
+                    m,
+                    linear.in_features,
+                    front,
+                    nrows,
+                    |mi, ni, v| {
+                        back[ni * m + mi] = v;
+                    },
+                );
                 scratch.swap();
             }
             _ => {

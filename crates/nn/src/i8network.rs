@@ -1,170 +1,33 @@
-//! The `i8` per-tensor affine backend: the byte instantiation of the
-//! generic network stack, plus quantization in and out of it.
+//! The `i8` per-tensor affine backend's network alias and its scale
+//! choice.
 //!
-//! This is the README's "adding a third backend is one `impl Element`"
-//! claim, cashed in: [`I8Network`] is [`NetworkBase`]`<i8>` — the same
-//! generic layers, engine, blocked GEMM and SIMD dispatch as the other
-//! backends, with the [`Element`] impl for `i8` supplying the arithmetic.
-//! One symmetric scale covers the whole network ([`I8Affine`], the
-//! serving-style Int8 scheme of inference runtimes), byte products
-//! accumulate exactly in a widened `i32`, and each output element gets one
-//! rounding, saturating requantize. The live bytes a fault campaign corrupts
-//! (weights, inputs, activations) exist at inference time, so corrupting
-//! them is a single integer operation.
+//! [`I8Network`] is [`NetworkBase`]`<i8>` — the same generic layers, engine,
+//! blocked GEMM and SIMD dispatch as the other backends, with the
+//! [`Element`] impl for `i8` supplying the arithmetic. One symmetric scale
+//! covers the whole network ([`I8Affine`], the serving-style Int8 scheme of
+//! inference runtimes), byte products accumulate exactly in a widened
+//! `i32`, and each output element gets one rounding, saturating requantize.
+//! Compiling, decompiling, bit statistics and display are the generic
+//! quantized-network paths of [`crate::QuantizedElement`]; only the choice
+//! of the scale lives here.
 //!
 //! [`Element`]: crate::Element
 
-use std::fmt;
-
-use navft_qformat::{bitstats::BitStats, QFormat};
-
 use crate::element::I8Affine;
-use crate::layer::{Conv2dBase, LayerBase, LinearBase};
 use crate::network::NetworkBase;
-use crate::{Conv2d, I8Tensor, Layer, LayerKind, Linear, Network, Scratch};
-
-/// The bit width [`BitStats`] attributes to each stored `i8` byte: any
-/// 8-bit [`QFormat`] works, since only the word width matters for bit
-/// population counts.
-const I8_BIT_FORMAT: QFormat = QFormat::Q3_4;
+use crate::{Network, Scratch};
 
 /// Activation storage for the `i8` backend: a [`Scratch`] over affine bytes.
 pub type I8Scratch = Scratch<i8>;
-
-/// Observer/mutator hooks invoked during an `i8` affine forward pass.
-///
-/// The byte counterpart of [`ForwardHooks`](crate::ForwardHooks) and
-/// [`QForwardHooks`](crate::QForwardHooks): the same call sequence and
-/// batch-row semantics, but over the live byte buffers, so fault injection
-/// and instrumentation touch the stored representation directly.
-pub trait I8ForwardHooks {
-    /// Called on the input byte buffer before the first layer.
-    fn on_input(&mut self, words: &mut [i8]) {
-        let _ = words;
-    }
-
-    /// Called on the byte buffer produced by layer `layer_index`.
-    fn on_activation(&mut self, layer_index: usize, kind: LayerKind, words: &mut [i8]) {
-        let _ = (layer_index, kind, words);
-    }
-
-    /// Called on batch row `batch_row` of the input before the first layer
-    /// of a batched pass. Defaults to [`I8ForwardHooks::on_input`].
-    fn on_batch_input(&mut self, batch_row: usize, words: &mut [i8]) {
-        let _ = batch_row;
-        self.on_input(words);
-    }
-
-    /// Called on batch row `batch_row` of the byte buffer produced by layer
-    /// `layer_index` during a batched pass. Defaults to
-    /// [`I8ForwardHooks::on_activation`].
-    fn on_batch_activation(
-        &mut self,
-        batch_row: usize,
-        layer_index: usize,
-        kind: LayerKind,
-        words: &mut [i8],
-    ) {
-        let _ = batch_row;
-        self.on_activation(layer_index, kind, words);
-    }
-}
-
-/// [`NoHooks`](crate::NoHooks) serves every backend: the fault-free pass.
-impl I8ForwardHooks for crate::NoHooks {}
-
-/// Routes byte hooks into the generic forward paths (the `i8` side of the
-/// [`crate::HooksFor`] bridge).
-impl<H: I8ForwardHooks + ?Sized> crate::HooksFor<i8> for H {
-    fn input(&mut self, words: &mut [i8]) {
-        self.on_input(words);
-    }
-
-    fn activation(&mut self, layer_index: usize, kind: LayerKind, words: &mut [i8]) {
-        self.on_activation(layer_index, kind, words);
-    }
-
-    fn batch_input(&mut self, batch_row: usize, words: &mut [i8]) {
-        self.on_batch_input(batch_row, words);
-    }
-
-    fn batch_activation(
-        &mut self,
-        batch_row: usize,
-        layer_index: usize,
-        kind: LayerKind,
-        words: &mut [i8],
-    ) {
-        self.on_batch_activation(batch_row, layer_index, kind, words);
-    }
-}
-
-/// A 2-D convolution over affine bytes (valid padding) — the `i8`
-/// instantiation of the generic [`Conv2dBase`].
-pub type I8Conv2d = Conv2dBase<i8>;
-
-impl I8Conv2d {
-    /// Quantizes an `f32` convolution's parameters onto `affine`'s grid.
-    pub fn quantize(conv: &Conv2d, affine: I8Affine) -> I8Conv2d {
-        I8Conv2d {
-            in_channels: conv.in_channels,
-            out_channels: conv.out_channels,
-            kernel: conv.kernel,
-            stride: conv.stride,
-            weights: quantize_bytes(&conv.weights, affine),
-            bias: quantize_bytes(&conv.bias, affine),
-        }
-    }
-}
-
-/// A fully-connected layer `y = W x + b` over affine bytes — the `i8`
-/// instantiation of the generic [`LinearBase`].
-pub type I8Linear = LinearBase<i8>;
-
-impl I8Linear {
-    /// Quantizes an `f32` linear layer's parameters onto `affine`'s grid.
-    pub fn quantize(linear: &Linear, affine: I8Affine) -> I8Linear {
-        I8Linear {
-            in_features: linear.in_features,
-            out_features: linear.out_features,
-            weights: quantize_bytes(&linear.weights, affine),
-            bias: quantize_bytes(&linear.bias, affine),
-        }
-    }
-}
-
-/// A layer of the `i8` backend — the `i8` instantiation of the generic
-/// [`LayerBase`].
-pub type I8Layer = LayerBase<i8>;
-
-impl I8Layer {
-    /// The layer's live byte weight buffer, if it has parameters (the `i8`
-    /// spelling of the generic [`LayerBase::weights`]).
-    pub fn weights_raw(&self) -> Option<&[i8]> {
-        self.weights()
-    }
-
-    /// The layer's live byte weight buffer, mutably — the bytes weight-fault
-    /// injection flips in place.
-    pub fn weights_raw_mut(&mut self) -> Option<&mut Vec<i8>> {
-        self.weights_mut()
-    }
-
-    /// The layer's byte bias buffer, if it has parameters.
-    pub fn biases_raw(&self) -> Option<&[i8]> {
-        self.biases()
-    }
-}
 
 /// A feed-forward network executing natively on `i8` affine bytes — the
 /// byte instantiation of the generic [`NetworkBase`].
 ///
 /// An `I8Network` is the Int8 compilation of a [`Network`]: same topology,
 /// one per-network symmetric scale chosen from the parameters' maximum
-/// magnitude, every buffer stored as live bytes, and every forward pass —
-/// single-sample, scratch and batched — runs in integer arithmetic with one
-/// requantize per output element through the same generic engine as the
-/// other backends.
+/// magnitude, every buffer stored as live bytes, and every forward pass
+/// runs in integer arithmetic with one requantize per output element
+/// through the same generic engine as the other backends.
 ///
 /// # Examples
 ///
@@ -194,56 +57,7 @@ impl I8Network {
                 }
             }
         }
-        Self::quantize_with(network, I8Affine::from_max_abs(max_abs))
-    }
-
-    /// Compiles `network` onto an explicit affine grid (when the scale is
-    /// calibrated externally).
-    pub fn quantize_with(network: &Network, affine: I8Affine) -> I8Network {
-        let layers = network
-            .layers()
-            .iter()
-            .map(|layer| match layer {
-                Layer::Conv2d(conv) => I8Layer::Conv2d(I8Conv2d::quantize(conv, affine)),
-                Layer::MaxPool2d(pool) => I8Layer::MaxPool2d(*pool),
-                Layer::Relu => I8Layer::Relu,
-                Layer::Flatten => I8Layer::Flatten,
-                Layer::Linear(linear) => I8Layer::Linear(I8Linear::quantize(linear, affine)),
-            })
-            .collect();
-        NetworkBase::from_parts(layers, affine)
-    }
-
-    /// Decompiles back into an `f32` [`Network`] whose parameters sit
-    /// exactly on this affine's grid (no activation format: the affine
-    /// datapath has no binary-point [`QFormat`] to simulate).
-    pub fn dequantize(&self) -> Network {
-        let affine = self.affine();
-        let deq = |words: &[i8]| words.iter().map(|&w| affine.dequantize(w)).collect();
-        let layers = self
-            .layers()
-            .iter()
-            .map(|layer| match layer {
-                I8Layer::Conv2d(conv) => Layer::Conv2d(Conv2d {
-                    in_channels: conv.in_channels,
-                    out_channels: conv.out_channels,
-                    kernel: conv.kernel,
-                    stride: conv.stride,
-                    weights: deq(&conv.weights),
-                    bias: deq(&conv.bias),
-                }),
-                I8Layer::MaxPool2d(pool) => Layer::MaxPool2d(*pool),
-                I8Layer::Relu => Layer::Relu,
-                I8Layer::Flatten => Layer::Flatten,
-                I8Layer::Linear(linear) => Layer::Linear(Linear {
-                    in_features: linear.in_features,
-                    out_features: linear.out_features,
-                    weights: deq(&linear.weights),
-                    bias: deq(&linear.bias),
-                }),
-            })
-            .collect();
-        Network::new(layers)
+        I8Network::quantize_with(network, I8Affine::from_max_abs(max_abs))
     }
 
     /// The affine every buffer of this network is stored in.
@@ -255,74 +69,13 @@ impl I8Network {
     pub fn scale(&self) -> f32 {
         self.affine().scale
     }
-
-    /// The live byte weight buffer of layer `index`, if that layer has one
-    /// (the `i8` spelling of the generic [`NetworkBase::layer_weights`]).
-    pub fn layer_weights_raw(&self, index: usize) -> Option<&[i8]> {
-        self.layer_weights(index)
-    }
-
-    /// The live byte weight buffer of layer `index`, mutably — the bytes
-    /// the fault layer corrupts in place.
-    pub fn layer_weights_raw_mut(&mut self, index: usize) -> Option<&mut Vec<i8>> {
-        self.layer_weights_mut(index)
-    }
-
-    /// Bit-population statistics over the network's parameter bytes and —
-    /// when `calibration` inputs are given — every activation buffer (input
-    /// included) produced by forwarding them, 8 bits per stored word. The
-    /// `i8` counterpart of [`QNetwork::bit_stats`](crate::QNetwork::bit_stats)
-    /// behind the data-type experiment's zero/one-bit-ratio report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a calibration input's affine differs from the network's.
-    pub fn bit_stats(&self, calibration: &[I8Tensor], scratch: &mut I8Scratch) -> BitStats {
-        struct StatsHook {
-            stats: BitStats,
-        }
-        impl I8ForwardHooks for StatsHook {
-            fn on_input(&mut self, words: &mut [i8]) {
-                self.stats.extend_raw(words.iter().map(|&w| i32::from(w)), I8_BIT_FORMAT);
-            }
-            fn on_activation(&mut self, _i: usize, _k: LayerKind, words: &mut [i8]) {
-                self.stats.extend_raw(words.iter().map(|&w| i32::from(w)), I8_BIT_FORMAT);
-            }
-        }
-        let mut hook = StatsHook { stats: BitStats::new() };
-        for layer in self.layers() {
-            for buffer in [layer.weights_raw(), layer.biases_raw()].into_iter().flatten() {
-                hook.stats.extend_raw(buffer.iter().map(|&w| i32::from(w)), I8_BIT_FORMAT);
-            }
-        }
-        for input in calibration {
-            let _ = self.forward_scratch(input, scratch, &mut hook);
-        }
-        hook.stats
-    }
-}
-
-impl fmt::Display for I8Network {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "I8Network[")?;
-        for (i, layer) in self.layers().iter().enumerate() {
-            if i > 0 {
-                write!(f, " -> ")?;
-            }
-            write!(f, "{}", layer.kind())?;
-        }
-        write!(f, "] ({} weights at scale {})", self.weight_count(), self.scale())
-    }
-}
-
-fn quantize_bytes(values: &[f32], affine: I8Affine) -> Vec<i8> {
-    values.iter().map(|&v| affine.quantize(v)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NoHooks, Tensor};
+    use crate::engine::{EngineConfig, Kernels};
+    use crate::{ForwardHooks, I8Tensor, LayerKind, NoHooks, Tensor};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -363,7 +116,7 @@ mod tests {
         let extreme = i8net
             .layers()
             .iter()
-            .flat_map(|l| [l.weights_raw(), l.biases_raw()])
+            .flat_map(|l| [l.weights(), l.biases()])
             .flatten()
             .flat_map(|buf| buf.iter().map(|&b| i32::from(b).abs()))
             .max()
@@ -378,8 +131,8 @@ mod tests {
         let again = I8Network::quantize_with(&float, i8net.affine());
         for index in i8net.parametric_layers() {
             assert_eq!(
-                i8net.layer_weights_raw(index),
-                again.layer_weights_raw(index),
+                i8net.layer_weights(index),
+                again.layer_weights(index),
                 "layer {index} bytes must survive the round trip"
             );
         }
@@ -398,9 +151,9 @@ mod tests {
             })
             .collect();
         let mut scratch = I8Scratch::new();
-        let batched = i8net.forward_batch(&inputs, &mut scratch);
-        for (input, out) in inputs.iter().zip(batched.iter()) {
-            assert_eq!(out.words(), i8net.forward(input).words());
+        i8net.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, EngineConfig::default());
+        for (b, input) in inputs.iter().enumerate() {
+            assert_eq!(scratch.row(b), i8net.forward(input).words());
         }
     }
 
@@ -413,9 +166,10 @@ mod tests {
             .map(|_| I8Tensor::quantize(&Tensor::uniform(&[3], 1.0, &mut rng), affine))
             .collect();
         let mut blocked = I8Scratch::new();
-        i8net.forward_batch_into(&inputs, &mut blocked, &mut NoHooks);
+        i8net.forward_batch_into_cfg(&inputs, &mut blocked, &mut NoHooks, EngineConfig::default());
         let mut naive = I8Scratch::new();
-        i8net.forward_batch_naive_into(&inputs, &mut naive, &mut NoHooks);
+        let naive_cfg = EngineConfig { kernels: Kernels::Naive };
+        i8net.forward_batch_into_cfg(&inputs, &mut naive, &mut NoHooks, naive_cfg);
         for b in 0..inputs.len() {
             assert_eq!(blocked.row(b), naive.row(b), "row {b} diverged");
         }
@@ -424,7 +178,7 @@ mod tests {
     #[test]
     fn hooks_can_corrupt_live_bytes() {
         struct ZeroFirstActivation;
-        impl I8ForwardHooks for ZeroFirstActivation {
+        impl ForwardHooks<i8> for ZeroFirstActivation {
             fn on_activation(&mut self, layer: usize, _k: LayerKind, words: &mut [i8]) {
                 if layer == 0 {
                     words.iter_mut().for_each(|w| *w = 0);
@@ -439,7 +193,7 @@ mod tests {
         // lifted into the accumulator and requantized once.
         let ctx = i8net.affine();
         let expected: Vec<i8> = i8net.layers()[2]
-            .biases_raw()
+            .biases()
             .expect("fc2 bias")
             .iter()
             .map(|&b| <i8 as crate::Element>::finish(<i8 as crate::Element>::acc_init(b, ctx), ctx))
@@ -453,10 +207,11 @@ mod tests {
         let i8net = tiny_i8net(7);
         let inputs = vec![I8Tensor::quantize(&Tensor::full(&[3], 0.5), i8net.affine()); 4];
         let mut scratch = I8Scratch::new();
-        i8net.forward_batch_into(&inputs, &mut scratch, &mut NoHooks);
+        let config = EngineConfig::default();
+        i8net.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, config);
         let warm = scratch.grow_events();
         for _ in 0..20 {
-            i8net.forward_batch_into(&inputs, &mut scratch, &mut NoHooks);
+            i8net.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, config);
         }
         assert_eq!(scratch.grow_events(), warm, "warm i8 passes must not allocate");
     }
@@ -467,7 +222,7 @@ mod tests {
         let mut scratch = I8Scratch::new();
         let weights_only = i8net.bit_stats(&[], &mut scratch);
         let param_words: usize = i8net.weight_count()
-            + i8net.layers().iter().filter_map(|l| l.biases_raw().map(<[i8]>::len)).sum::<usize>();
+            + i8net.layers().iter().filter_map(|l| l.biases().map(<[i8]>::len)).sum::<usize>();
         assert_eq!(weights_only.total_bits(), (param_words * 8) as u64);
         let input = I8Tensor::quantize(&Tensor::full(&[3], 0.5), i8net.affine());
         let with_acts = i8net.bit_stats(std::slice::from_ref(&input), &mut scratch);

@@ -495,6 +495,32 @@ impl<E: Element> LayerBase<E> {
     pub fn is_parametric(&self) -> bool {
         self.weights().is_some()
     }
+
+    /// The same layer on another backend, every weight and bias mapped
+    /// through `f` — the single compile/decompile path between a trained
+    /// `f32` network and its stored-word instantiations.
+    pub(crate) fn map_params<T: Element>(&self, f: impl Fn(E) -> T) -> LayerBase<T> {
+        let map = |values: &[E]| values.iter().map(|&v| f(v)).collect();
+        match self {
+            LayerBase::Conv2d(conv) => LayerBase::Conv2d(Conv2dBase {
+                in_channels: conv.in_channels,
+                out_channels: conv.out_channels,
+                kernel: conv.kernel,
+                stride: conv.stride,
+                weights: map(&conv.weights),
+                bias: map(&conv.bias),
+            }),
+            LayerBase::MaxPool2d(pool) => LayerBase::MaxPool2d(*pool),
+            LayerBase::Relu => LayerBase::Relu,
+            LayerBase::Flatten => LayerBase::Flatten,
+            LayerBase::Linear(linear) => LayerBase::Linear(LinearBase {
+                in_features: linear.in_features,
+                out_features: linear.out_features,
+                weights: map(&linear.weights),
+                bias: map(&linear.bias),
+            }),
+        }
+    }
 }
 
 impl Layer {

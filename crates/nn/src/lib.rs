@@ -17,8 +17,7 @@
 //! * [`models`] — the Grid World MLP ([`mlp`]) and the paper's C3F2 drone
 //!   policy topology ([`C3f2Config`], Fig. 6b).
 //! * [`Scratch`] — a reusable, double-buffered activation arena behind the
-//!   batched inference engine ([`Network::forward_batch`] /
-//!   [`Network::forward_batch_into`] / [`Network::forward_scratch`]),
+//!   batched inference engine ([`NetworkBase::forward_batch_into_cfg`]),
 //!   generic over the element type so every backend shares it.
 //!
 //! # One generic core, three numeric backends
@@ -39,10 +38,22 @@
 //!
 //! There is exactly **one** convolution kernel, one fully-connected kernel,
 //! one pooling kernel, one argmax and one batched engine in the crate; the
-//! backends cannot drift because they are the same code. The hook traits
-//! ([`ForwardHooks`] over `f32` values, [`QForwardHooks`] over live raw
-//! words) feed the generic paths through the [`HooksFor`] bridge, so hooks
-//! written against either trait run unchanged on every forward path.
+//! backends cannot drift because they are the same code. There is also one
+//! hook trait, [`ForwardHooks`]`<E>`, over whichever buffers the backend
+//! stores (`f32` values, live raw words, live bytes; [`HooksFor`] is the
+//! same trait under the name generic bounds spell), and one quantized-network
+//! path ([`QuantizedElement`]) that compiles a trained network into either
+//! integer backend, decompiles it, and counts its bits.
+//!
+//! The forward surface is four entry points, one per concern:
+//!
+//! * [`NetworkBase::forward`] / [`NetworkBase::forward_with`] — the
+//!   single-sample pass on the naive kernels, the serial reference oracle
+//!   every equivalence suite compares against;
+//! * [`NetworkBase::forward_batch_into_cfg`] — the batched, zero-allocation
+//!   engine (a single-sample scratch pass is row 0 of a batch of one);
+//! * [`Network::forward_traced_into`] — the traced pass training
+//!   back-propagates through.
 //!
 //! Per backend:
 //!
@@ -84,8 +95,8 @@
 //!
 //! Fault-injection campaigns replay millions of forward passes, so the hot
 //! path must not allocate. Every layer exposes a buffer-to-buffer kernel,
-//! and [`Network::forward_batch_into`] evaluates B inputs per layer sweep
-//! against a [`Scratch`] whose activation slabs are reused across calls:
+//! and [`NetworkBase::forward_batch_into_cfg`] evaluates B inputs per layer
+//! sweep against a [`Scratch`] whose activation slabs are reused across calls:
 //! once warm, a pass performs **zero** heap allocations
 //! ([`Scratch::grow_events`] stays flat). Convolution and linear sweeps run
 //! a cache-blocked im2row GEMM (module `gemm`): the whole batch becomes one
@@ -93,31 +104,25 @@
 //! output element still accumulating in the naive kernel's reduction order —
 //! so batched, GEMM-accelerated passes stay **bit-identical** to per-sample
 //! naive passes on every backend (enforced by the equivalence suites and the
-//! crate's proptests; [`Network::forward_batch_naive_into`] keeps the
-//! reference path callable for comparison and benchmarking).
+//! crate's proptests; [`Kernels::Naive`] keeps the reference path callable
+//! for comparison and benchmarking).
 //!
-//! Two further accelerations sit behind the same contract:
+//! Runtime-dispatched **SIMD microkernels** (module [`simd`]) sit behind
+//! the same contract: every GEMM sweep is first offered to an explicit
+//! `std::arch` kernel — AVX2 or the x86-64 SSE2 baseline, selected per CPU
+//! at runtime — and falls back to the portable scalar register tiles
+//! elsewhere. The kernels reproduce the scalar accumulation chains bit for
+//! bit (`f32` vectorizes across output columns with explicit multiply +
+//! add, never FMA; the integer backends reduce across `k`, which is exact)
+//! ([`simd_kernel_name`] reports the active tier).
 //!
-//! * **Runtime-dispatched SIMD microkernels** (module [`simd`]): every GEMM
-//!   sweep is first offered to an explicit `std::arch` kernel — AVX2 or the
-//!   x86-64 SSE2 baseline, selected per CPU at runtime — and falls back to
-//!   the portable scalar register tiles elsewhere. The kernels reproduce the
-//!   scalar accumulation chains bit for bit (`f32` vectorizes across output
-//!   columns with explicit multiply + add, never FMA; the integer backends
-//!   reduce across `k`, which is exact), and
-//!   [`EngineConfig::with_force_scalar`] pins the scalar path for tests and
-//!   baselines ([`simd_kernel_name`] reports the active tier).
-//! * **In-engine batch sharding** ([`EngineConfig::with_threads`]): large
-//!   batched conv/linear sweeps shard across scoped worker threads by
-//!   contiguous batch-row ranges inside the engine — disjoint writeback,
-//!   unchanged accumulation chains, hooks still on the calling thread in
-//!   per-row program order — so results are bit-identical at any thread
-//!   count.
-//!
-//! Both knobs live in an explicit, caller-owned [`EngineConfig`] threaded
-//! through the `*_cfg` forward entry points; the non-`_cfg` entry points
-//! run under [`EngineConfig::default`] (serial, SIMD-dispatched). There is
-//! no process-wide engine state.
+//! The engine's one knob is [`EngineConfig::kernels`], an explicit,
+//! caller-owned choice of [`Kernels::Dispatched`] (the default),
+//! [`Kernels::Scalar`] (the scalar tiles only) or [`Kernels::Naive`] (the
+//! per-row reference kernels); every choice is bit-identical, and there is
+//! no process-wide engine state. Sweeps run on the calling thread:
+//! parallelism lives above the engine, in campaign trial workers and serve
+//! batcher workers.
 //!
 //! Hooks map onto batches per row: [`ForwardHooks::on_batch_input`] and
 //! [`ForwardHooks::on_batch_activation`] receive `(batch_row, layer,
@@ -161,18 +166,19 @@ mod scratch;
 mod tensor;
 
 pub use element::{Element, I8Affine};
-pub use engine::EngineConfig;
-pub use i8network::{I8Conv2d, I8ForwardHooks, I8Layer, I8Linear, I8Network, I8Scratch};
+pub use engine::{EngineConfig, Kernels};
+pub use i8network::{I8Network, I8Scratch};
 pub use i8tensor::I8Tensor;
 pub use layer::{Conv2d, Linear};
 pub use layer::{Layer, LayerBase, LayerKind};
 pub use models::{c3f2, c3f2_scaled, mlp, parametric_layer_names, C3f2Config};
 pub use network::{
-    DynRowHooks, ForwardHooks, ForwardTrace, HooksFor, Network, NetworkBase, NoHooks, PerRowHooks,
-    RangeRecorder,
+    DynRowHooks, ForwardHooks, ForwardHooks as HooksFor, ForwardTrace, Network, NetworkBase,
+    NoHooks, PerRowHooks, RangeRecorder,
 };
 pub use qnetwork::{
-    network_bit_stats, QConv2d, QForwardHooks, QLayer, QLinear, QNetwork, QScratch,
+    network_bit_stats, I8Conv2d, I8Layer, I8Linear, QConv2d, QLayer, QLinear, QNetwork, QScratch,
+    QuantizedElement,
 };
 pub use qtensor::QTensor;
 pub use scratch::Scratch;

@@ -8,49 +8,51 @@
 //! once; backend-specific surface (training, quantization, raw-word access)
 //! lives in per-alias `impl` blocks.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::ops::Range;
 
 use navft_qformat::QFormat;
 
 use crate::element::Element;
-use crate::engine::{EngineConfig, KernelPath, SweepEvent};
+use crate::engine::{EngineConfig, SweepEvent};
 use crate::tensor::TensorBase;
 use crate::{Layer, LayerBase, LayerKind, Scratch, Tensor};
 
-/// Observer/mutator hooks invoked during an `f32` forward pass.
+/// Observer/mutator hooks invoked during a forward pass, over the live
+/// buffers of the network's element type `E` (`f32` values, raw Q-format
+/// words or `i8` affine bytes).
 ///
 /// Hooks are how dynamic fault injection (transient faults in activations,
 /// §3.3) and range instrumentation (the inference mitigation of §5.2) attach
-/// to the network without the network knowing about fault models.
+/// to the network without the network knowing about fault models. On the
+/// integer backends they see the stored words themselves, so fault injection
+/// and instrumentation touch the representation that exists at inference
+/// time.
 ///
 /// # Batched passes
 ///
-/// [`Network::forward_batch_with`] evaluates B inputs per layer sweep and
-/// reports each row through the `on_batch_*` methods, whose defaults forward
-/// to the per-sample methods with the row index dropped. A hook written for
-/// single-sample inference therefore keeps working unchanged on the batched
-/// path; hooks that need per-row behaviour (e.g. an independently seeded
-/// fault injector per episode) override the batch methods or wrap one hook
-/// per row in [`PerRowHooks`].
-///
-/// The quantized counterpart over live raw words is
-/// [`QForwardHooks`](crate::QForwardHooks); both feed the generic forward
-/// paths through the [`HooksFor`] bridge.
-pub trait ForwardHooks {
+/// [`NetworkBase::forward_batch_into_cfg`] evaluates B inputs per layer
+/// sweep and reports each row through the `on_batch_*` methods, whose
+/// defaults forward to the per-sample methods with the row index dropped. A
+/// hook written for single-sample inference therefore keeps working
+/// unchanged on the batched path; hooks that need per-row behaviour (e.g. an
+/// independently seeded fault injector per episode) override the batch
+/// methods or wrap one hook per row in [`PerRowHooks`] / [`DynRowHooks`].
+pub trait ForwardHooks<E: Element = f32> {
     /// Called on the input feature map before the first layer.
-    fn on_input(&mut self, values: &mut [f32]) {
+    fn on_input(&mut self, values: &mut [E]) {
         let _ = values;
     }
 
     /// Called on the activation buffer produced by layer `layer_index`.
-    fn on_activation(&mut self, layer_index: usize, kind: LayerKind, values: &mut [f32]) {
+    fn on_activation(&mut self, layer_index: usize, kind: LayerKind, values: &mut [E]) {
         let _ = (layer_index, kind, values);
     }
 
     /// Called on batch row `batch_row` of the input before the first layer
     /// of a batched pass. Defaults to [`ForwardHooks::on_input`].
-    fn on_batch_input(&mut self, batch_row: usize, values: &mut [f32]) {
+    fn on_batch_input(&mut self, batch_row: usize, values: &mut [E]) {
         let _ = batch_row;
         self.on_input(values);
     }
@@ -63,58 +65,10 @@ pub trait ForwardHooks {
         batch_row: usize,
         layer_index: usize,
         kind: LayerKind,
-        values: &mut [f32],
+        values: &mut [E],
     ) {
         let _ = batch_row;
         self.on_activation(layer_index, kind, values);
-    }
-}
-
-/// The bridge between an element type and its hook trait: the generic
-/// forward paths are written once against `HooksFor<E>`, and blanket
-/// implementations route `E = f32` to [`ForwardHooks`] and `E = i32` to
-/// [`QForwardHooks`](crate::QForwardHooks). Existing hook types therefore
-/// work unchanged on the generic engine.
-pub trait HooksFor<E: Element> {
-    /// Reports the input buffer of a single-sample pass.
-    fn input(&mut self, values: &mut [E]);
-    /// Reports layer `layer_index`'s activation buffer of a single-sample
-    /// pass.
-    fn activation(&mut self, layer_index: usize, kind: LayerKind, values: &mut [E]);
-    /// Reports batch row `batch_row` of the input of a batched pass.
-    fn batch_input(&mut self, batch_row: usize, values: &mut [E]);
-    /// Reports batch row `batch_row` of layer `layer_index`'s activation
-    /// buffer of a batched pass.
-    fn batch_activation(
-        &mut self,
-        batch_row: usize,
-        layer_index: usize,
-        kind: LayerKind,
-        values: &mut [E],
-    );
-}
-
-impl<H: ForwardHooks + ?Sized> HooksFor<f32> for H {
-    fn input(&mut self, values: &mut [f32]) {
-        self.on_input(values);
-    }
-
-    fn activation(&mut self, layer_index: usize, kind: LayerKind, values: &mut [f32]) {
-        self.on_activation(layer_index, kind, values);
-    }
-
-    fn batch_input(&mut self, batch_row: usize, values: &mut [f32]) {
-        self.on_batch_input(batch_row, values);
-    }
-
-    fn batch_activation(
-        &mut self,
-        batch_row: usize,
-        layer_index: usize,
-        kind: LayerKind,
-        values: &mut [f32],
-    ) {
-        self.on_batch_activation(batch_row, layer_index, kind, values);
     }
 }
 
@@ -122,17 +76,17 @@ impl<H: ForwardHooks + ?Sized> HooksFor<f32> for H {
 ///
 /// This is the bit-exactness bridge between batched and per-sample
 /// inference under *stateful* hooks: row `b` of
-/// [`Network::forward_batch_with`] sees exactly the call sequence that a
-/// standalone [`Network::forward_with`] using `hooks[b]` would see, so a
-/// per-episode fault injector seeded per row corrupts identically on either
-/// path. On the per-sample methods (a non-batched pass) the adapter behaves
-/// as row 0.
+/// [`NetworkBase::forward_batch_into_cfg`] sees exactly the call sequence
+/// that a standalone [`NetworkBase::forward_with`] using `hooks[b]` would
+/// see, so a per-episode fault injector seeded per row corrupts identically
+/// on either path. On the per-sample methods (a non-batched pass) the
+/// adapter behaves as row 0.
 #[derive(Debug, Clone)]
 pub struct PerRowHooks<H> {
     hooks: Vec<H>,
 }
 
-impl<H: ForwardHooks> PerRowHooks<H> {
+impl<H> PerRowHooks<H> {
     /// Wraps one hook per batch row.
     pub fn new(hooks: Vec<H>) -> PerRowHooks<H> {
         PerRowHooks { hooks }
@@ -154,20 +108,20 @@ impl<H: ForwardHooks> PerRowHooks<H> {
     }
 }
 
-impl<H: ForwardHooks> ForwardHooks for PerRowHooks<H> {
-    fn on_input(&mut self, values: &mut [f32]) {
+impl<E: Element, H: ForwardHooks<E>> ForwardHooks<E> for PerRowHooks<H> {
+    fn on_input(&mut self, values: &mut [E]) {
         if let Some(hook) = self.hooks.first_mut() {
             hook.on_input(values);
         }
     }
 
-    fn on_activation(&mut self, layer_index: usize, kind: LayerKind, values: &mut [f32]) {
+    fn on_activation(&mut self, layer_index: usize, kind: LayerKind, values: &mut [E]) {
         if let Some(hook) = self.hooks.first_mut() {
             hook.on_activation(layer_index, kind, values);
         }
     }
 
-    fn on_batch_input(&mut self, batch_row: usize, values: &mut [f32]) {
+    fn on_batch_input(&mut self, batch_row: usize, values: &mut [E]) {
         assert!(batch_row < self.hooks.len(), "PerRowHooks holds no hook for row {batch_row}");
         self.hooks[batch_row].on_input(values);
     }
@@ -177,7 +131,7 @@ impl<H: ForwardHooks> ForwardHooks for PerRowHooks<H> {
         batch_row: usize,
         layer_index: usize,
         kind: LayerKind,
-        values: &mut [f32],
+        values: &mut [E],
     ) {
         assert!(batch_row < self.hooks.len(), "PerRowHooks holds no hook for row {batch_row}");
         self.hooks[batch_row].on_activation(layer_index, kind, values);
@@ -185,10 +139,11 @@ impl<H: ForwardHooks> ForwardHooks for PerRowHooks<H> {
 }
 
 /// Routes each batch row of a batched forward pass to its own dynamically
-/// dispatched hook — the backend-generic counterpart of [`PerRowHooks`].
+/// dispatched hook — the borrowed, heterogeneous counterpart of
+/// [`PerRowHooks`].
 ///
-/// Where [`PerRowHooks`] owns a homogeneous `Vec<H>` of `f32` hooks, this
-/// adapter borrows one `&mut dyn HooksFor<E>` per row, so callers that hold
+/// Where [`PerRowHooks`] owns a homogeneous `Vec<H>`, this adapter borrows
+/// one `&mut dyn ForwardHooks<E>` per row, so callers that hold
 /// heterogeneous boxed hooks keyed by some external identity — a serving
 /// daemon's per-session fault/scrub state, coalesced into one batch in
 /// arrival order — can run them through a single batched sweep. The
@@ -202,12 +157,12 @@ impl<H: ForwardHooks> ForwardHooks for PerRowHooks<H> {
 ///
 /// The batch methods panic if the pass has more rows than hooks.
 pub struct DynRowHooks<'a, E: Element> {
-    rows: Vec<&'a mut dyn HooksFor<E>>,
+    rows: Vec<&'a mut dyn ForwardHooks<E>>,
 }
 
 impl<'a, E: Element> DynRowHooks<'a, E> {
     /// Wraps one borrowed hook per batch row, in batch-row order.
-    pub fn new(rows: Vec<&'a mut dyn HooksFor<E>>) -> DynRowHooks<'a, E> {
+    pub fn new(rows: Vec<&'a mut dyn ForwardHooks<E>>) -> DynRowHooks<'a, E> {
         DynRowHooks { rows }
     }
 
@@ -222,25 +177,25 @@ impl<'a, E: Element> DynRowHooks<'a, E> {
     }
 }
 
-impl<E: Element> HooksFor<E> for DynRowHooks<'_, E> {
-    fn input(&mut self, values: &mut [E]) {
+impl<E: Element> ForwardHooks<E> for DynRowHooks<'_, E> {
+    fn on_input(&mut self, values: &mut [E]) {
         if let Some(hook) = self.rows.first_mut() {
-            hook.input(values);
+            hook.on_input(values);
         }
     }
 
-    fn activation(&mut self, layer_index: usize, kind: LayerKind, values: &mut [E]) {
+    fn on_activation(&mut self, layer_index: usize, kind: LayerKind, values: &mut [E]) {
         if let Some(hook) = self.rows.first_mut() {
-            hook.activation(layer_index, kind, values);
+            hook.on_activation(layer_index, kind, values);
         }
     }
 
-    fn batch_input(&mut self, batch_row: usize, values: &mut [E]) {
+    fn on_batch_input(&mut self, batch_row: usize, values: &mut [E]) {
         assert!(batch_row < self.rows.len(), "DynRowHooks holds no hook for row {batch_row}");
-        self.rows[batch_row].input(values);
+        self.rows[batch_row].on_input(values);
     }
 
-    fn batch_activation(
+    fn on_batch_activation(
         &mut self,
         batch_row: usize,
         layer_index: usize,
@@ -248,15 +203,15 @@ impl<E: Element> HooksFor<E> for DynRowHooks<'_, E> {
         values: &mut [E],
     ) {
         assert!(batch_row < self.rows.len(), "DynRowHooks holds no hook for row {batch_row}");
-        self.rows[batch_row].activation(layer_index, kind, values);
+        self.rows[batch_row].on_activation(layer_index, kind, values);
     }
 }
 
-/// A no-op hook set: the fault-free forward pass (either backend).
+/// A no-op hook set: the fault-free forward pass (every backend).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoHooks;
 
-impl ForwardHooks for NoHooks {}
+impl<E: Element> ForwardHooks<E> for NoHooks {}
 
 /// Records the observed value range of every activation buffer.
 ///
@@ -331,10 +286,10 @@ impl ForwardTrace {
 /// buffers).
 ///
 /// Use the aliases: [`Network`] for the `f32` backend,
-/// [`QNetwork`](crate::QNetwork) for the native fixed-point backend. Both
-/// run every forward pass — single-sample, scratch and batched — through the
-/// same generic code and the same blocked-GEMM engine; only the per-element
-/// arithmetic differs.
+/// [`QNetwork`](crate::QNetwork) for the native fixed-point backend and
+/// [`I8Network`](crate::I8Network) for the `i8` affine backend. All three
+/// run every forward pass through the same generic code and the same
+/// blocked-GEMM engine; only the per-element arithmetic differs.
 ///
 /// # Examples
 ///
@@ -468,21 +423,21 @@ impl<E: Element> NetworkBase<E> {
     }
 
     /// Runs a forward pass with no hooks.
-    pub fn forward(&self, input: &TensorBase<E>) -> TensorBase<E>
-    where
-        NoHooks: HooksFor<E>,
-    {
+    pub fn forward(&self, input: &TensorBase<E>) -> TensorBase<E> {
         self.forward_with(input, &mut NoHooks)
     }
 
-    /// Runs a forward pass, invoking `hooks` on the input buffer and on every
-    /// layer's activation buffer.
+    /// Runs a single-sample forward pass on the naive reference kernels,
+    /// invoking `hooks` on the input buffer and on every layer's activation
+    /// buffer. This is the serial oracle the batched engine is pinned
+    /// against: every equivalence suite compares
+    /// [`NetworkBase::forward_batch_into_cfg`] rows to it bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if the input cannot feed this network (a raw-word input in a
     /// different format).
-    pub fn forward_with<H: HooksFor<E> + ?Sized>(
+    pub fn forward_with<H: ForwardHooks<E> + ?Sized>(
         &self,
         input: &TensorBase<E>,
         hooks: &mut H,
@@ -492,7 +447,7 @@ impl<E: Element> NetworkBase<E> {
         let mut shape = input.shape().to_vec();
         let mut next_shape = Vec::with_capacity(4);
         let mut current = input.data().to_vec();
-        hooks.input(&mut current);
+        hooks.on_input(&mut current);
         for (i, layer) in self.layers.iter().enumerate() {
             layer.output_shape(&shape, &mut next_shape);
             if layer.is_in_place() {
@@ -506,170 +461,61 @@ impl<E: Element> NetworkBase<E> {
             }
             std::mem::swap(&mut shape, &mut next_shape);
             E::quantize_activations(&mut current, &self.meta);
-            hooks.activation(i, layer.kind(), &mut current);
+            hooks.on_activation(i, layer.kind(), &mut current);
         }
         let meta = E::tensor_meta(&self.meta);
         let data = current.into_iter().map(|v| v.sanitize(&meta)).collect();
         TensorBase::from_parts(shape, data, meta)
     }
 
-    /// Runs a batched forward pass: all `inputs` advance through the network
-    /// one layer sweep at a time, with activations staged in `scratch`'s
-    /// preallocated slabs. Returns one output tensor per input, in order.
+    /// The batched engine: all `inputs` advance through the network one
+    /// layer sweep at a time, with activations staged in `scratch`'s
+    /// preallocated slabs, and the outputs are left in `scratch`, readable
+    /// via [`Scratch::row`] until the next pass. Steady-state calls perform
+    /// no heap allocation at all ([`Scratch::grow_events`] stays flat once
+    /// the slabs are warm). A single-sample pass is row 0 of a batch of one.
     ///
-    /// Batched and per-sample passes are bit-identical: row `b` of the result
-    /// equals `self.forward(&inputs[b])` exactly (see the equivalence test
-    /// suites), even though the batched path runs the blocked GEMM kernels.
-    pub fn forward_batch(
-        &self,
-        inputs: &[TensorBase<E>],
-        scratch: &mut Scratch<E>,
-    ) -> Vec<TensorBase<E>>
-    where
-        NoHooks: HooksFor<E>,
-    {
-        self.forward_batch_with(inputs, scratch, &mut NoHooks)
-    }
-
-    /// Like [`NetworkBase::forward_batch`], with hooks: each batch row is
-    /// reported through the hook's batch methods in per-row program order, so
-    /// single-sample hooks and [`RangeRecorder`] work unchanged and
-    /// [`PerRowHooks`] reproduces per-sample fault injection bit-exactly.
-    pub fn forward_batch_with<H: HooksFor<E> + ?Sized>(
-        &self,
-        inputs: &[TensorBase<E>],
-        scratch: &mut Scratch<E>,
-        hooks: &mut H,
-    ) -> Vec<TensorBase<E>> {
-        self.forward_batch_into(inputs, scratch, hooks);
-        let meta = E::tensor_meta(&self.meta);
-        (0..scratch.rows())
-            .map(|b| {
-                let data = scratch.row(b).iter().map(|v| v.sanitize(&meta)).collect();
-                TensorBase::from_parts(scratch.row_shape().to_vec(), data, meta)
-            })
-            .collect()
-    }
-
-    /// The zero-allocation core of the batched engine: runs the pass and
-    /// leaves the outputs in `scratch`, readable via [`Scratch::row`] until
-    /// the next pass. Steady-state calls perform no heap allocation at all
-    /// ([`Scratch::grow_events`] stays flat once the slabs are warm).
+    /// `inputs` may hold owned tensors or references (`&[Tensor]` or
+    /// `&[&Tensor]`), so callers that stage rows in per-row buffers — a
+    /// rollout's per-environment tensors, a serving daemon's pooled request
+    /// buffers — need not gather them into a contiguous `Vec` first.
     ///
-    /// Convolution and linear sweeps run the cache-blocked im2row GEMM path;
-    /// [`NetworkBase::forward_batch_naive_into`] drives the same engine with
-    /// the naive per-row kernels and is bit-identical (the GEMM accumulates
-    /// every output in the naive kernels' reduction order).
+    /// Each batch row is reported through the hook's batch methods in
+    /// per-row program order, so single-sample hooks and [`RangeRecorder`]
+    /// work unchanged and [`PerRowHooks`] reproduces per-sample fault
+    /// injection bit-exactly. Row `b` of the result equals
+    /// `self.forward_with(&inputs[b], ..)` exactly under every
+    /// [`EngineConfig`] (see the equivalence test suites), even though the
+    /// default kernels run the blocked, SIMD-dispatched GEMM.
     ///
     /// An empty `inputs` slice is a no-op on every backend: the scratch
     /// resets to zero rows, no kernel runs and no hook fires — a batcher
     /// flushing an empty queue costs nothing.
     ///
-    /// Engine settings (worker threads, scalar-kernel pin) come from the
-    /// process-wide compat knobs; [`NetworkBase::forward_batch_into_cfg`]
-    /// takes an explicit [`EngineConfig`] instead.
-    ///
     /// # Panics
     ///
     /// Panics if the inputs do not share one shape or an input cannot feed
     /// this network.
-    pub fn forward_batch_into<H: HooksFor<E> + ?Sized>(
+    pub fn forward_batch_into_cfg<H, R>(
         &self,
-        inputs: &[TensorBase<E>],
+        inputs: &[R],
         scratch: &mut Scratch<E>,
         hooks: &mut H,
-    ) {
-        self.run_batch(inputs, scratch, hooks, KernelPath::Blocked, EngineConfig::default());
-    }
-
-    /// [`NetworkBase::forward_batch_into`] with an explicit, caller-owned
-    /// [`EngineConfig`] — what engine users that want in-engine batch
-    /// sharding or a scalar-kernel pin should call. Results are
-    /// bit-identical under any config.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inputs do not share one shape or an input cannot feed
-    /// this network.
-    pub fn forward_batch_into_cfg<H: HooksFor<E> + ?Sized>(
-        &self,
-        inputs: &[TensorBase<E>],
-        scratch: &mut Scratch<E>,
-        hooks: &mut H,
-        config: EngineConfig,
-    ) {
-        self.run_batch(inputs, scratch, hooks, KernelPath::Blocked, config);
-    }
-
-    /// [`NetworkBase::forward_batch_into`] on the naive per-row reference
-    /// kernels instead of the blocked GEMM — the baseline the equivalence
-    /// proptests and the `gemm_forward` bench compare against. An empty
-    /// `inputs` slice is a no-op, exactly as on the blocked path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inputs do not share one shape or an input cannot feed
-    /// this network.
-    pub fn forward_batch_naive_into<H: HooksFor<E> + ?Sized>(
-        &self,
-        inputs: &[TensorBase<E>],
-        scratch: &mut Scratch<E>,
-        hooks: &mut H,
-    ) {
-        self.run_batch(inputs, scratch, hooks, KernelPath::Naive, EngineConfig::default());
-    }
-
-    /// [`NetworkBase::forward_batch_naive_into`] with an explicit
-    /// [`EngineConfig`] (the scalar-pin knob is irrelevant here — the naive
-    /// kernels never dispatch SIMD — but the thread count applies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inputs do not share one shape or an input cannot feed
-    /// this network.
-    pub fn forward_batch_naive_into_cfg<H: HooksFor<E> + ?Sized>(
-        &self,
-        inputs: &[TensorBase<E>],
-        scratch: &mut Scratch<E>,
-        hooks: &mut H,
-        config: EngineConfig,
-    ) {
-        self.run_batch(inputs, scratch, hooks, KernelPath::Naive, config);
-    }
-
-    fn run_batch<H: HooksFor<E> + ?Sized>(
-        &self,
-        inputs: &[TensorBase<E>],
-        scratch: &mut Scratch<E>,
-        hooks: &mut H,
-        path: KernelPath,
-        config: EngineConfig,
-    ) {
-        self.run_batch_refs(inputs.iter(), scratch, hooks, path, config);
-    }
-
-    fn run_batch_refs<'t, H, I>(
-        &self,
-        inputs: I,
-        scratch: &mut Scratch<E>,
-        hooks: &mut H,
-        path: KernelPath,
         config: EngineConfig,
     ) where
-        H: HooksFor<E> + ?Sized,
-        I: ExactSizeIterator<Item = &'t TensorBase<E>> + Clone,
+        H: ForwardHooks<E> + ?Sized,
+        R: Borrow<TensorBase<E>>,
     {
-        let mut shapes = inputs.clone();
-        let Some(first) = shapes.next() else {
+        let Some(first) = inputs.first() else {
             // An empty flush is a no-op on every backend and every kernel
-            // path: reset the scratch to zero rows so stale rows from a
+            // choice: reset the scratch to zero rows so stale rows from a
             // previous pass are not readable as this pass's outputs.
             scratch.load_rows(&[0], std::iter::empty());
             return;
         };
-        let input_shape = first.shape();
-        E::check_input(first.meta(), &self.meta);
-        for input in shapes {
+        let input_shape = first.borrow().shape();
+        for input in inputs {
+            let input = input.borrow();
             assert_eq!(input.shape(), input_shape, "all batch inputs must share one shape");
             E::check_input(input.meta(), &self.meta);
         }
@@ -678,69 +524,17 @@ impl<E: Element> NetworkBase<E> {
             &self.layers,
             E::kernel_ctx(&meta),
             input_shape,
-            inputs.map(|t| t.data()),
+            inputs.iter().map(|t| t.borrow().data()),
             scratch,
-            path,
-            config,
+            config.kernels,
             |event, row| match event {
-                SweepEvent::Input { row: b } => hooks.batch_input(b, row),
+                SweepEvent::Input { row: b } => hooks.on_batch_input(b, row),
                 SweepEvent::Activation { row: b, layer, kind } => {
                     E::quantize_activations(row, &meta);
-                    hooks.batch_activation(b, layer, kind, row);
+                    hooks.on_batch_activation(b, layer, kind, row);
                 }
             },
         );
-    }
-
-    /// [`NetworkBase::forward_batch_into_cfg`] over a slice of tensor
-    /// *references* — the gather-free entry point for callers that stage
-    /// batch rows in per-row buffers (a rollout's per-environment staging
-    /// tensors, a serving daemon's pooled request buffers) and would
-    /// otherwise have to copy or move them into a contiguous `Vec` first.
-    /// Bit-identical to the owned-slice entry point for the same rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inputs do not share one shape or an input cannot feed
-    /// this network.
-    pub fn forward_batch_rows_into_cfg<H: HooksFor<E> + ?Sized>(
-        &self,
-        inputs: &[&TensorBase<E>],
-        scratch: &mut Scratch<E>,
-        hooks: &mut H,
-        config: EngineConfig,
-    ) {
-        self.run_batch_refs(inputs.iter().copied(), scratch, hooks, KernelPath::Blocked, config);
-    }
-
-    /// Runs a single-sample forward pass through `scratch` without allocating
-    /// the output tensor: the returned slice borrows the scratch's front slab
-    /// and stays valid until the next pass. This is the hot path for episode
-    /// loops (evaluation, ε-greedy action selection) that only need an
-    /// `argmax` over the Q-values.
-    pub fn forward_scratch<'s, H: HooksFor<E> + ?Sized>(
-        &self,
-        input: &TensorBase<E>,
-        scratch: &'s mut Scratch<E>,
-        hooks: &mut H,
-    ) -> &'s [E] {
-        self.forward_batch_into(std::slice::from_ref(input), scratch, hooks);
-        scratch.row(0)
-    }
-
-    /// [`NetworkBase::forward_scratch`] with an explicit, caller-owned
-    /// [`EngineConfig`] instead of the process-wide compat knobs — the
-    /// single-sample twin of [`NetworkBase::forward_batch_into_cfg`].
-    /// Results are bit-identical under any config.
-    pub fn forward_scratch_cfg<'s, H: HooksFor<E> + ?Sized>(
-        &self,
-        input: &TensorBase<E>,
-        scratch: &'s mut Scratch<E>,
-        hooks: &mut H,
-        config: EngineConfig,
-    ) -> &'s [E] {
-        self.forward_batch_into_cfg(std::slice::from_ref(input), scratch, hooks, config);
-        scratch.row(0)
     }
 }
 
@@ -821,16 +615,9 @@ impl Network {
         crate::QNetwork::quantize(self, format)
     }
 
-    /// Runs a forward pass recording every intermediate activation (used by
-    /// [`Network::backward_tail`]).
-    pub fn forward_traced(&self, input: &Tensor) -> ForwardTrace {
-        let mut trace = ForwardTrace::new();
-        self.forward_traced_into(input, &mut trace);
-        trace
-    }
-
     /// Runs a forward pass recording every intermediate activation into a
-    /// reusable `trace`, overwriting the recorded tensors in place. After the
+    /// reusable `trace` (the input of [`Network::backward_tail`]),
+    /// overwriting the recorded tensors in place. After the
     /// first call with a given topology, subsequent calls reuse every
     /// activation buffer (no per-layer allocations), which is what makes
     /// replay-heavy DQN training cheap.
@@ -954,6 +741,7 @@ impl fmt::Display for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Kernels;
     use crate::layer::Linear;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -961,6 +749,17 @@ mod tests {
     fn tiny_mlp(seed: u64) -> Network {
         let mut rng = SmallRng::seed_from_u64(seed);
         crate::mlp(&[3, 8, 2], &mut rng)
+    }
+
+    /// One batched pass under the default config, returning the output rows.
+    fn batch_rows<H: ForwardHooks + ?Sized>(
+        net: &Network,
+        inputs: &[Tensor],
+        hooks: &mut H,
+    ) -> Vec<Vec<f32>> {
+        let mut scratch = Scratch::new();
+        net.forward_batch_into_cfg(inputs, &mut scratch, hooks, EngineConfig::default());
+        (0..scratch.rows()).map(|b| scratch.row(b).to_vec()).collect()
     }
 
     #[test]
@@ -1078,8 +877,9 @@ mod tests {
             out.data().iter().zip(target.iter()).map(|(o, t)| (o - t).powi(2)).sum()
         };
         let before = loss(&net);
+        let mut trace = ForwardTrace::new();
         for _ in 0..200 {
-            let trace = net.forward_traced(&x);
+            net.forward_traced_into(&x, &mut trace);
             let out = trace.output().data().to_vec();
             let grad: Vec<f32> =
                 out.iter().zip(target.iter()).map(|(o, t)| 2.0 * (o - t)).collect();
@@ -1097,7 +897,8 @@ mod tests {
         let last_linear = net.parametric_layers()[1];
         let frozen_before = net.layer_weights(first_linear).expect("weights").to_vec();
         let x = Tensor::from_vec(&[3], vec![0.5, -0.5, 1.0]);
-        let trace = net.forward_traced(&x);
+        let mut trace = ForwardTrace::new();
+        net.forward_traced_into(&x, &mut trace);
         let grad = vec![1.0f32; 2];
         let updated = net.backward_tail(&trace, &grad, 0.1, last_linear);
         assert_eq!(updated, 1);
@@ -1117,7 +918,8 @@ mod tests {
             Layer::Linear(Linear::new(2, 2, &mut rng)),
         ]);
         let x = Tensor::full(&[1, 2, 2], 0.5);
-        let trace = net.forward_traced(&x);
+        let mut trace = ForwardTrace::new();
+        net.forward_traced_into(&x, &mut trace);
         let updated = net.backward_tail(&trace, &[0.5, -0.5], 0.1, 0);
         assert_eq!(updated, 1);
         assert_eq!(net.layer_weights(0).expect("conv weights"), conv_weights.as_slice());
@@ -1129,11 +931,10 @@ mod tests {
         let inputs: Vec<Tensor> = (0..5)
             .map(|i| Tensor::from_vec(&[3], vec![i as f32 * 0.3 - 0.5, 0.25, -0.1 * i as f32]))
             .collect();
-        let mut scratch = Scratch::new();
-        let batched = net.forward_batch(&inputs, &mut scratch);
+        let batched = batch_rows(&net, &inputs, &mut NoHooks);
         assert_eq!(batched.len(), inputs.len());
         for (input, out) in inputs.iter().zip(batched.iter()) {
-            assert_eq!(out.data(), net.forward(input).data());
+            assert_eq!(out.as_slice(), net.forward(input).data());
         }
     }
 
@@ -1142,9 +943,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(12);
         let net = crate::mlp(&[2, 3, 2], &mut rng).with_activation_format(QFormat::Q3_4);
         let inputs = vec![Tensor::from_vec(&[2], vec![0.33, 0.77])];
-        let mut scratch = Scratch::new();
-        let batched = net.forward_batch(&inputs, &mut scratch);
-        assert_eq!(batched[0].data(), net.forward(&inputs[0]).data());
+        let batched = batch_rows(&net, &inputs, &mut NoHooks);
+        assert_eq!(batched[0].as_slice(), net.forward(&inputs[0]).data());
     }
 
     #[test]
@@ -1152,10 +952,11 @@ mod tests {
         let net = tiny_mlp(13);
         let inputs = vec![Tensor::full(&[3], 0.5); 4];
         let mut scratch = Scratch::new();
-        net.forward_batch_into(&inputs, &mut scratch, &mut NoHooks);
+        let config = EngineConfig::default();
+        net.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, config);
         let warm = scratch.grow_events();
         for _ in 0..20 {
-            net.forward_batch_into(&inputs, &mut scratch, &mut NoHooks);
+            net.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, config);
         }
         assert_eq!(scratch.grow_events(), warm, "warm passes must not allocate");
     }
@@ -1166,9 +967,10 @@ mod tests {
         let net = crate::mlp(&[9, 17, 5, 3], &mut rng);
         let inputs: Vec<Tensor> = (0..7).map(|_| Tensor::uniform(&[9], 1.0, &mut rng)).collect();
         let mut blocked = Scratch::new();
-        net.forward_batch_into(&inputs, &mut blocked, &mut NoHooks);
+        net.forward_batch_into_cfg(&inputs, &mut blocked, &mut NoHooks, EngineConfig::default());
         let mut naive = Scratch::new();
-        net.forward_batch_naive_into(&inputs, &mut naive, &mut NoHooks);
+        let naive_cfg = EngineConfig { kernels: Kernels::Naive };
+        net.forward_batch_into_cfg(&inputs, &mut naive, &mut NoHooks, naive_cfg);
         for b in 0..inputs.len() {
             assert_eq!(blocked.row(b), naive.row(b), "row {b} diverged");
         }
@@ -1179,8 +981,9 @@ mod tests {
         let net = tiny_mlp(14);
         let input = Tensor::from_vec(&[3], vec![0.2, -0.4, 0.6]);
         let mut scratch = Scratch::new();
-        let out = net.forward_scratch(&input, &mut scratch, &mut NoHooks).to_vec();
-        assert_eq!(out, net.forward(&input).into_data());
+        let config = EngineConfig::default();
+        net.forward_batch_into_cfg(&[&input], &mut scratch, &mut NoHooks, config);
+        assert_eq!(scratch.row(0), net.forward(&input).data());
     }
 
     #[test]
@@ -1188,15 +991,13 @@ mod tests {
     fn forward_batch_rejects_mixed_input_shapes() {
         let net = tiny_mlp(15);
         let inputs = vec![Tensor::zeros(&[3]), Tensor::zeros(&[4])];
-        let mut scratch = Scratch::new();
-        let _ = net.forward_batch(&inputs, &mut scratch);
+        let _ = batch_rows(&net, &inputs, &mut NoHooks);
     }
 
     #[test]
     fn forward_batch_with_empty_inputs_returns_empty() {
         let net = tiny_mlp(16);
-        let mut scratch = Scratch::new();
-        assert!(net.forward_batch(&[], &mut scratch).is_empty());
+        assert!(batch_rows(&net, &[], &mut NoHooks).is_empty());
     }
 
     #[test]
@@ -1221,9 +1022,8 @@ mod tests {
         }
         let net = tiny_mlp(17);
         let inputs = vec![Tensor::zeros(&[3]); 2];
-        let mut scratch = Scratch::new();
         let mut log = CallLog::default();
-        net.forward_batch_with(&inputs, &mut scratch, &mut log);
+        batch_rows(&net, &inputs, &mut log);
         // Input hooks first (rows in order), then per layer all rows in order.
         let mut expected = vec![(0, None), (1, None)];
         for layer in 0..net.num_layers() {
@@ -1245,13 +1045,12 @@ mod tests {
         }
         let net = tiny_mlp(18);
         let inputs = vec![Tensor::zeros(&[3]); 3];
-        let mut scratch = Scratch::new();
         let mut per_row = PerRowHooks::new(vec![AddRowTag(0.0), AddRowTag(0.5), AddRowTag(1.0)]);
-        let batched = net.forward_batch_with(&inputs, &mut scratch, &mut per_row);
+        let batched = batch_rows(&net, &inputs, &mut per_row);
         for (b, tag) in [0.0f32, 0.5, 1.0].iter().enumerate() {
             let mut hook = AddRowTag(*tag);
             let serial = net.forward_with(&inputs[b], &mut hook);
-            assert_eq!(batched[b].data(), serial.data(), "row {b} diverged");
+            assert_eq!(batched[b].as_slice(), serial.data(), "row {b} diverged");
         }
         assert_eq!(per_row.hooks().len(), 3);
     }
@@ -1263,14 +1062,16 @@ mod tests {
         let b = Tensor::from_vec(&[3], vec![-0.2, 0.4, 0.1]);
         let mut trace = ForwardTrace::new();
         net.forward_traced_into(&a, &mut trace);
-        let fresh = net.forward_traced(&a);
+        let mut fresh = ForwardTrace::new();
+        net.forward_traced_into(&a, &mut fresh);
         assert_eq!(trace.values.len(), fresh.values.len());
         for (reused, one_shot) in trace.values.iter().zip(fresh.values.iter()) {
             assert_eq!(reused.data(), one_shot.data());
         }
+        assert_eq!(trace.output().data(), net.forward(&a).data());
         // Refill with a different input: previous values are fully replaced.
         net.forward_traced_into(&b, &mut trace);
-        assert_eq!(trace.output().data(), net.forward_traced(&b).output().data());
+        assert_eq!(trace.output().data(), net.forward(&b).data());
     }
 
     #[test]

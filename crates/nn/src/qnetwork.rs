@@ -1,163 +1,205 @@
-//! The native fixed-point backend: the raw-word instantiation of the
-//! generic network stack, plus quantization in and out of it.
+//! The quantized backends: the compile and decompile path between a trained
+//! `f32` network and its stored-word instantiations, written once for both
+//! integer backends.
 //!
 //! The `f32` backend *simulates* a fixed-point datapath by requantizing
-//! activations after every layer; this module *is* the fixed-point datapath.
-//! [`QNetwork`] is [`NetworkBase`]`<i32>` — the same generic layers, engine
-//! and blocked GEMM as the float backend, with the [`Element`] impl for
-//! `i32` supplying the arithmetic: a widened `i64` accumulator and one
-//! saturating, round-to-nearest requantize per output element — exactly an
-//! integer MAC array. The live buffers a fault campaign corrupts (weights,
-//! inputs, activations) therefore exist as Q-format words at inference time,
-//! and corrupting them is a single integer operation.
+//! activations after every layer; the integer backends *are* the datapath.
+//! [`QNetwork`] is [`NetworkBase`]`<i32>` (raw two's-complement Q-format
+//! words) and [`I8Network`](crate::I8Network) is [`NetworkBase`]`<i8>`
+//! (per-network symmetric affine bytes) — the same generic layers, engine
+//! and blocked GEMM as the float backend, with the [`Element`] impls
+//! supplying the arithmetic: a widened accumulator and one saturating,
+//! round-to-nearest requantize per output element — exactly an integer MAC
+//! array. The live buffers a fault campaign corrupts (weights, inputs,
+//! activations) therefore exist as stored words at inference time, and
+//! corrupting them is a single integer operation.
 //!
-//! [`Element`]: crate::Element
+//! What differs between the two integer backends at compile time — how an
+//! `f32` parameter snaps onto the grid, which activation format the float
+//! simulation runs, how wide a stored word is — is the
+//! [`QuantizedElement`] trait; everything else here is one generic body.
 
 use std::fmt;
 
 use navft_qformat::{bitstats::BitStats, QFormat, QValue};
 
+use crate::element::{Element, I8Affine};
+use crate::engine::EngineConfig;
 use crate::layer::{Conv2dBase, LayerBase, LinearBase};
-use crate::network::NetworkBase;
-use crate::{Conv2d, Layer, LayerKind, Linear, Network, QTensor, Scratch};
+use crate::network::{ForwardHooks, NetworkBase};
+use crate::tensor::TensorBase;
+use crate::{LayerKind, Network, QTensor, Scratch};
 
 /// Activation storage for the native fixed-point backend: a [`Scratch`] over
 /// raw Q-format words.
 pub type QScratch = Scratch<i32>;
 
-/// Observer/mutator hooks invoked during a native fixed-point forward pass.
-///
-/// The quantized counterpart of [`ForwardHooks`](crate::ForwardHooks): the
-/// same call sequence and
-/// batch-row semantics, but over the live raw-word buffers, so fault
-/// injection and instrumentation touch the stored representation directly.
-pub trait QForwardHooks {
-    /// Called on the input word buffer before the first layer.
-    fn on_input(&mut self, words: &mut [i32]) {
-        let _ = words;
-    }
-
-    /// Called on the word buffer produced by layer `layer_index`.
-    fn on_activation(&mut self, layer_index: usize, kind: LayerKind, words: &mut [i32]) {
-        let _ = (layer_index, kind, words);
-    }
-
-    /// Called on batch row `batch_row` of the input before the first layer
-    /// of a batched pass. Defaults to [`QForwardHooks::on_input`].
-    fn on_batch_input(&mut self, batch_row: usize, words: &mut [i32]) {
-        let _ = batch_row;
-        self.on_input(words);
-    }
-
-    /// Called on batch row `batch_row` of the word buffer produced by layer
-    /// `layer_index` during a batched pass. Defaults to
-    /// [`QForwardHooks::on_activation`].
-    fn on_batch_activation(
-        &mut self,
-        batch_row: usize,
-        layer_index: usize,
-        kind: LayerKind,
-        words: &mut [i32],
-    ) {
-        let _ = batch_row;
-        self.on_activation(layer_index, kind, words);
-    }
-}
-
-/// [`NoHooks`](crate::NoHooks) serves both backends: the fault-free native
-/// pass.
-impl QForwardHooks for crate::NoHooks {}
-
-/// Routes raw-word hooks into the generic forward paths (the `i32` side of
-/// the [`crate::HooksFor`] bridge).
-impl<H: QForwardHooks + ?Sized> crate::HooksFor<i32> for H {
-    fn input(&mut self, words: &mut [i32]) {
-        self.on_input(words);
-    }
-
-    fn activation(&mut self, layer_index: usize, kind: LayerKind, words: &mut [i32]) {
-        self.on_activation(layer_index, kind, words);
-    }
-
-    fn batch_input(&mut self, batch_row: usize, words: &mut [i32]) {
-        self.on_batch_input(batch_row, words);
-    }
-
-    fn batch_activation(
-        &mut self,
-        batch_row: usize,
-        layer_index: usize,
-        kind: LayerKind,
-        words: &mut [i32],
-    ) {
-        self.on_batch_activation(batch_row, layer_index, kind, words);
-    }
-}
-
 /// A 2-D convolution over raw Q-format words (valid padding) — the `i32`
 /// instantiation of the generic [`Conv2dBase`].
-///
-/// Weights and biases are stored as raw two's-complement words in the
-/// network's format; the shared kernel accumulates word products in a
-/// widened `i64` accumulator (products carry `2 × frac_bits` fractional
-/// bits) and performs one saturating requantize per output element.
 pub type QConv2d = Conv2dBase<i32>;
-
-impl QConv2d {
-    /// Quantizes an `f32` convolution's parameters into `format`.
-    pub fn quantize(conv: &Conv2d, format: QFormat) -> QConv2d {
-        QConv2d {
-            in_channels: conv.in_channels,
-            out_channels: conv.out_channels,
-            kernel: conv.kernel,
-            stride: conv.stride,
-            weights: quantize_raw(&conv.weights, format),
-            bias: quantize_raw(&conv.bias, format),
-        }
-    }
-}
 
 /// A fully-connected layer `y = W x + b` over raw Q-format words — the
 /// `i32` instantiation of the generic [`LinearBase`].
 pub type QLinear = LinearBase<i32>;
 
-impl QLinear {
-    /// Quantizes an `f32` linear layer's parameters into `format`.
-    pub fn quantize(linear: &Linear, format: QFormat) -> QLinear {
-        QLinear {
-            in_features: linear.in_features,
-            out_features: linear.out_features,
-            weights: quantize_raw(&linear.weights, format),
-            bias: quantize_raw(&linear.bias, format),
-        }
+/// A layer of the native fixed-point backend — the `i32` instantiation of
+/// the generic [`LayerBase`].
+pub type QLayer = LayerBase<i32>;
+
+/// A 2-D convolution over affine bytes (valid padding) — the `i8`
+/// instantiation of the generic [`Conv2dBase`].
+pub type I8Conv2d = Conv2dBase<i8>;
+
+/// A fully-connected layer `y = W x + b` over affine bytes — the `i8`
+/// instantiation of the generic [`LinearBase`].
+pub type I8Linear = LinearBase<i8>;
+
+/// A layer of the `i8` backend — the `i8` instantiation of the generic
+/// [`LayerBase`].
+pub type I8Layer = LayerBase<i8>;
+
+/// A stored-word element a trained `f32` network compiles into: the
+/// per-backend facts the generic quantize, dequantize, bit-statistics and
+/// display paths need on top of [`Element`].
+pub trait QuantizedElement: Element + Into<i32> {
+    /// The network type's display name.
+    const NETWORK_NAME: &'static str;
+
+    /// Snaps one `f32` parameter onto the network's grid, saturating at the
+    /// word's extremes.
+    fn quantize_value(value: f32, net: &Self::NetMeta) -> Self;
+
+    /// The activation format the `f32` simulation of a network runs with
+    /// (`None` when the backend has no binary-point format to simulate).
+    fn simulation_format(net: &Self::NetMeta) -> Option<QFormat>;
+
+    /// A format as wide as one stored word, which is all bit-population
+    /// statistics need.
+    fn bit_format(net: &Self::NetMeta) -> QFormat;
+
+    /// Writes the network metadata's part of the display string.
+    fn fmt_meta(net: &Self::NetMeta, f: &mut fmt::Formatter<'_>) -> fmt::Result;
+}
+
+impl QuantizedElement for i32 {
+    const NETWORK_NAME: &'static str = "QNetwork";
+
+    fn quantize_value(value: f32, net: &QFormat) -> i32 {
+        QValue::quantize(value, *net).raw()
+    }
+
+    fn simulation_format(net: &QFormat) -> Option<QFormat> {
+        Some(*net)
+    }
+
+    fn bit_format(net: &QFormat) -> QFormat {
+        *net
+    }
+
+    fn fmt_meta(net: &QFormat, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "in {net}")
     }
 }
 
-/// A layer of the native fixed-point backend — the `i32` instantiation of
-/// the generic [`LayerBase`].
-///
-/// Mirrors [`Layer`] shape-for-shape because it *is* the same enum:
-/// parametric layers carry raw-word parameters, pooling reuses the
-/// order-only [`MaxPool2d`](crate::layer::MaxPool2d), and ReLU/flatten are
-/// in-place integer transforms.
-pub type QLayer = LayerBase<i32>;
+impl QuantizedElement for i8 {
+    const NETWORK_NAME: &'static str = "I8Network";
 
-impl QLayer {
-    /// The layer's raw weight buffer, if it has parameters (the raw-word
-    /// spelling of the generic [`LayerBase::weights`]).
-    pub fn weights_raw(&self) -> Option<&[i32]> {
-        self.weights()
+    fn quantize_value(value: f32, net: &I8Affine) -> i8 {
+        net.quantize(value)
     }
 
-    /// The layer's raw weight buffer, mutably — the live words weight-fault
-    /// injection flips in place.
-    pub fn weights_raw_mut(&mut self) -> Option<&mut Vec<i32>> {
-        self.weights_mut()
+    fn simulation_format(_net: &I8Affine) -> Option<QFormat> {
+        None
     }
 
-    /// The layer's raw bias buffer, if it has parameters.
-    pub fn biases_raw(&self) -> Option<&[i32]> {
-        self.biases()
+    fn bit_format(_net: &I8Affine) -> QFormat {
+        // Any 8-bit format: only the word width matters for bit counts.
+        QFormat::Q3_4
+    }
+
+    fn fmt_meta(net: &I8Affine, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "at scale {}", net.scale)
+    }
+}
+
+impl<E: QuantizedElement> NetworkBase<E> {
+    /// Compiles `network` onto an explicit grid (post-training quantization
+    /// of weights and biases): a [`QFormat`] for [`QNetwork`], an
+    /// [`I8Affine`] for [`I8Network`](crate::I8Network).
+    pub fn quantize_with(network: &Network, meta: E::NetMeta) -> NetworkBase<E> {
+        let layers = network
+            .layers()
+            .iter()
+            .map(|layer| layer.map_params(|v| E::quantize_value(v, &meta)))
+            .collect();
+        NetworkBase::from_parts(layers, meta)
+    }
+
+    /// Decompiles back into an `f32` [`Network`] whose parameters sit exactly
+    /// on this network's grid — with the activation format set where the
+    /// backend has one — the float *simulation* the equivalence suites
+    /// compare against.
+    pub fn dequantize(&self) -> Network {
+        let meta = *self.net_meta();
+        let layers =
+            self.layers().iter().map(|layer| layer.map_params(|w| w.value_to_f32(&meta))).collect();
+        let network = Network::new(layers);
+        match E::simulation_format(&meta) {
+            Some(format) => network.with_activation_format(format),
+            None => network,
+        }
+    }
+
+    /// Bit-population statistics over the network's parameter words and —
+    /// when `calibration` inputs are given — every activation buffer (input
+    /// included) produced by forwarding them. One call sweeps the whole
+    /// fault surface, feeding the per-format zero/one-bit-ratio report of
+    /// the data-type experiment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a calibration input's metadata differs from the network's.
+    pub fn bit_stats(&self, calibration: &[TensorBase<E>], scratch: &mut Scratch<E>) -> BitStats {
+        struct StatsHook {
+            stats: BitStats,
+            format: QFormat,
+        }
+        impl StatsHook {
+            fn count<E: QuantizedElement>(&mut self, words: &[E]) {
+                self.stats.extend_raw(words.iter().map(|&w| w.into()), self.format);
+            }
+        }
+        impl<E: QuantizedElement> ForwardHooks<E> for StatsHook {
+            fn on_input(&mut self, words: &mut [E]) {
+                self.count(words);
+            }
+            fn on_activation(&mut self, _i: usize, _k: LayerKind, words: &mut [E]) {
+                self.count(words);
+            }
+        }
+        let mut hook = StatsHook { stats: BitStats::new(), format: E::bit_format(self.net_meta()) };
+        for layer in self.layers() {
+            for buffer in [layer.weights(), layer.biases()].into_iter().flatten() {
+                hook.count(buffer);
+            }
+        }
+        self.forward_batch_into_cfg(calibration, scratch, &mut hook, EngineConfig::default());
+        hook.stats
+    }
+}
+
+impl<E: QuantizedElement> fmt::Display for NetworkBase<E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}[", E::NETWORK_NAME)?;
+        for (i, layer) in self.layers().iter().enumerate() {
+            if i > 0 {
+                write!(f, " -> ")?;
+            }
+            write!(f, "{}", layer.kind())?;
+        }
+        write!(f, "] ({} weights ", self.weight_count())?;
+        E::fmt_meta(self.net_meta(), f)?;
+        write!(f, ")")
     }
 }
 
@@ -166,11 +208,10 @@ impl QLayer {
 ///
 /// A `QNetwork` is the fixed-point compilation of a [`Network`]: same
 /// topology, parameters snapped to the format and stored as raw
-/// two's-complement words, and every forward pass — single-sample, scratch
-/// and batched — runs in integer arithmetic end to end through the same
-/// generic engine as the float backend. Activations are raw words too, so
-/// the paper's fault model corrupts the buffers that actually exist at
-/// inference time.
+/// two's-complement words, and every forward pass runs in integer
+/// arithmetic end to end through the same generic engine as the float
+/// backend. Activations are raw words too, so the paper's fault model
+/// corrupts the buffers that actually exist at inference time.
 ///
 /// # Examples
 ///
@@ -192,118 +233,12 @@ impl QNetwork {
     /// Compiles `network` into a native fixed-point network in `format`
     /// (post-training quantization of weights and biases).
     pub fn quantize(network: &Network, format: QFormat) -> QNetwork {
-        let layers = network
-            .layers()
-            .iter()
-            .map(|layer| match layer {
-                Layer::Conv2d(conv) => QLayer::Conv2d(QConv2d::quantize(conv, format)),
-                Layer::MaxPool2d(pool) => QLayer::MaxPool2d(*pool),
-                Layer::Relu => QLayer::Relu,
-                Layer::Flatten => QLayer::Flatten,
-                Layer::Linear(linear) => QLayer::Linear(QLinear::quantize(linear, format)),
-            })
-            .collect();
-        NetworkBase::from_parts(layers, format)
-    }
-
-    /// Decompiles back into an `f32` [`Network`] whose parameters sit exactly
-    /// on this format's grid and whose activation format is set — the float
-    /// *simulation* of this network, used by the equivalence suite.
-    pub fn dequantize(&self) -> Network {
-        let format = self.format();
-        let resolution = format.resolution();
-        let deq = |words: &[i32]| words.iter().map(|&w| w as f32 * resolution).collect();
-        let layers = self
-            .layers()
-            .iter()
-            .map(|layer| match layer {
-                QLayer::Conv2d(conv) => Layer::Conv2d(Conv2d {
-                    in_channels: conv.in_channels,
-                    out_channels: conv.out_channels,
-                    kernel: conv.kernel,
-                    stride: conv.stride,
-                    weights: deq(&conv.weights),
-                    bias: deq(&conv.bias),
-                }),
-                QLayer::MaxPool2d(pool) => Layer::MaxPool2d(*pool),
-                QLayer::Relu => Layer::Relu,
-                QLayer::Flatten => Layer::Flatten,
-                QLayer::Linear(linear) => Layer::Linear(Linear {
-                    in_features: linear.in_features,
-                    out_features: linear.out_features,
-                    weights: deq(&linear.weights),
-                    bias: deq(&linear.bias),
-                }),
-            })
-            .collect();
-        Network::new(layers).with_activation_format(format)
+        QNetwork::quantize_with(network, format)
     }
 
     /// The format every buffer of this network is stored in.
     pub fn format(&self) -> QFormat {
         *self.net_meta()
-    }
-
-    /// The raw weight buffer of layer `index`, if that layer has one (the
-    /// raw-word spelling of the generic [`NetworkBase::layer_weights`]).
-    pub fn layer_weights_raw(&self, index: usize) -> Option<&[i32]> {
-        self.layer_weights(index)
-    }
-
-    /// The raw weight buffer of layer `index`, mutably — the live words the
-    /// fault layer corrupts in place.
-    pub fn layer_weights_raw_mut(&mut self, index: usize) -> Option<&mut Vec<i32>> {
-        self.layer_weights_mut(index)
-    }
-
-    /// Bit-population statistics over the network's parameter words and —
-    /// when `calibration` inputs are given — every activation buffer (input
-    /// included) produced by forwarding them. One call sweeps the whole
-    /// fault surface, feeding the per-format zero/one-bit-ratio report of
-    /// the data-type experiment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a calibration input's format differs from the network's.
-    pub fn bit_stats(&self, calibration: &[QTensor], scratch: &mut QScratch) -> BitStats {
-        struct StatsHook {
-            stats: BitStats,
-            format: QFormat,
-        }
-        impl QForwardHooks for StatsHook {
-            fn on_input(&mut self, words: &mut [i32]) {
-                self.stats.extend_raw(words.iter().copied(), self.format);
-            }
-            fn on_activation(&mut self, _i: usize, _k: LayerKind, words: &mut [i32]) {
-                self.stats.extend_raw(words.iter().copied(), self.format);
-            }
-        }
-        let mut hook = StatsHook { stats: BitStats::new(), format: self.format() };
-        for layer in self.layers() {
-            if let Some(w) = layer.weights_raw() {
-                hook.stats.extend_raw(w.iter().copied(), self.format());
-            }
-            if let Some(b) = layer.biases_raw() {
-                hook.stats.extend_raw(b.iter().copied(), self.format());
-            }
-        }
-        for input in calibration {
-            let _ = self.forward_scratch(input, scratch, &mut hook);
-        }
-        hook.stats
-    }
-}
-
-impl fmt::Display for QNetwork {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "QNetwork[")?;
-        for (i, layer) in self.layers().iter().enumerate() {
-            if i > 0 {
-                write!(f, " -> ")?;
-            }
-            write!(f, "{}", layer.kind())?;
-        }
-        write!(f, "] ({} weights in {})", self.weight_count(), self.format())
     }
 }
 
@@ -314,7 +249,7 @@ impl fmt::Display for QNetwork {
 ///
 /// This is the network-level [`BitStats`] sweep behind the zero/one
 /// bit-ratio analysis of the data-type experiment; the native equivalent for
-/// an already-quantized network is [`QNetwork::bit_stats`].
+/// an already-quantized network is [`NetworkBase::bit_stats`].
 pub fn network_bit_stats(
     network: &Network,
     format: QFormat,
@@ -326,13 +261,10 @@ pub fn network_bit_stats(
     qnet.bit_stats(&inputs, &mut scratch)
 }
 
-fn quantize_raw(values: &[f32], format: QFormat) -> Vec<i32> {
-    values.iter().map(|&v| QValue::quantize(v, format).raw()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Kernels;
     use crate::{NoHooks, Tensor};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -385,9 +317,9 @@ mod tests {
             })
             .collect();
         let mut scratch = QScratch::new();
-        let batched = qnet.forward_batch(&inputs, &mut scratch);
-        for (input, out) in inputs.iter().zip(batched.iter()) {
-            assert_eq!(out.words(), qnet.forward(input).words());
+        qnet.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, EngineConfig::default());
+        for (b, input) in inputs.iter().enumerate() {
+            assert_eq!(scratch.row(b), qnet.forward(input).words());
         }
     }
 
@@ -396,10 +328,11 @@ mod tests {
         let qnet = tiny_qnet(3, QFormat::Q3_4);
         let inputs = vec![QTensor::quantize(&Tensor::full(&[3], 0.5), QFormat::Q3_4); 4];
         let mut scratch = QScratch::new();
-        qnet.forward_batch_into(&inputs, &mut scratch, &mut NoHooks);
+        let config = EngineConfig::default();
+        qnet.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, config);
         let warm = scratch.grow_events();
         for _ in 0..20 {
-            qnet.forward_batch_into(&inputs, &mut scratch, &mut NoHooks);
+            qnet.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, config);
         }
         assert_eq!(scratch.grow_events(), warm, "warm native passes must not allocate");
     }
@@ -407,7 +340,7 @@ mod tests {
     #[test]
     fn hooks_can_corrupt_live_words() {
         struct ZeroFirstActivation;
-        impl QForwardHooks for ZeroFirstActivation {
+        impl ForwardHooks<i32> for ZeroFirstActivation {
             fn on_activation(&mut self, layer: usize, _k: LayerKind, words: &mut [i32]) {
                 if layer == 0 {
                     words.iter_mut().for_each(|w| *w = 0);
@@ -420,7 +353,7 @@ mod tests {
         let clean = qnet.forward(&input);
         let hooked = qnet.forward_with(&input, &mut ZeroFirstActivation);
         // Zeroing the first linear layer's output leaves only fc2's bias.
-        let bias = qnet.layers()[2].biases_raw().expect("fc2 bias");
+        let bias = qnet.layers()[2].biases().expect("fc2 bias");
         assert_eq!(hooked.words(), bias);
         assert_ne!(clean.words(), hooked.words());
     }
@@ -436,7 +369,7 @@ mod tests {
     fn weight_ranges_are_dequantized_extrema() {
         let qnet = tiny_qnet(5, QFormat::Q3_4);
         for (layer, lo, hi) in qnet.weight_ranges() {
-            let words = qnet.layer_weights_raw(layer).expect("weights");
+            let words = qnet.layer_weights(layer).expect("weights");
             let min = *words.iter().min().expect("non-empty") as f32 * 0.0625;
             let max = *words.iter().max().expect("non-empty") as f32 * 0.0625;
             assert_eq!((lo, hi), (min, max));
@@ -450,7 +383,7 @@ mod tests {
         let mut scratch = QScratch::new();
         let weights_only = qnet.bit_stats(&[], &mut scratch);
         let param_words: usize = qnet.weight_count()
-            + qnet.layers().iter().filter_map(|l| l.biases_raw().map(<[i32]>::len)).sum::<usize>();
+            + qnet.layers().iter().filter_map(|l| l.biases().map(<[i32]>::len)).sum::<usize>();
         assert_eq!(weights_only.total_bits(), (param_words * 8) as u64);
         let input = QTensor::quantize(&Tensor::full(&[3], 0.5), format);
         let with_acts = qnet.bit_stats(std::slice::from_ref(&input), &mut scratch);
@@ -496,9 +429,10 @@ mod tests {
             .map(|_| QTensor::quantize(&Tensor::uniform(&[3], 1.0, &mut rng), format))
             .collect();
         let mut blocked = QScratch::new();
-        qnet.forward_batch_into(&inputs, &mut blocked, &mut NoHooks);
+        qnet.forward_batch_into_cfg(&inputs, &mut blocked, &mut NoHooks, EngineConfig::default());
         let mut naive = QScratch::new();
-        qnet.forward_batch_naive_into(&inputs, &mut naive, &mut NoHooks);
+        let naive_cfg = EngineConfig { kernels: Kernels::Naive };
+        qnet.forward_batch_into_cfg(&inputs, &mut naive, &mut NoHooks, naive_cfg);
         for b in 0..inputs.len() {
             assert_eq!(blocked.row(b), naive.row(b), "row {b} diverged");
         }

@@ -3,21 +3,21 @@
 //! Fault-injection campaigns replay millions of forward passes; allocating a
 //! fresh [`Tensor`](crate::Tensor) per layer per pass dominates their cost.
 //! [`Scratch`] owns two activation slabs (front/back) sized `batch ×
-//! activation`, which [`Network::forward_batch_into`] ping-pongs between per
-//! layer sweep. Once the slabs have grown to the widest layer of a network,
+//! activation`, which [`NetworkBase::forward_batch_into_cfg`] ping-pongs
+//! between per layer sweep. Once the slabs have grown to the widest layer of a network,
 //! subsequent passes of the same (or any smaller) topology perform **zero
 //! heap allocations** — [`Scratch::grow_events`] makes that guarantee
 //! observable in tests and benches.
 //!
-//! The arena is generic over its element type so both numeric backends share
-//! it: the `f32` backend uses the default `Scratch` (`Scratch<f32>`), the
-//! native fixed-point backend stages raw Q-format words in a
-//! [`QScratch`](crate::QScratch) (`Scratch<i32>`) through
-//! [`QNetwork::forward_batch_into`](crate::QNetwork::forward_batch_into).
-//! A third slab holds the im2row panel of the blocked GEMM convolution
-//! path; it obeys the same grow-once, reuse-forever contract.
+//! The arena is generic over its element type so every numeric backend
+//! shares it: the `f32` backend uses the default `Scratch` (`Scratch<f32>`),
+//! the native fixed-point backend stages raw Q-format words in a
+//! [`QScratch`](crate::QScratch) (`Scratch<i32>`) and the `i8` backend
+//! bytes in an [`I8Scratch`](crate::I8Scratch). A third slab holds the
+//! im2row panel of the blocked GEMM convolution path; it obeys the same
+//! grow-once, reuse-forever contract.
 //!
-//! [`Network::forward_batch_into`]: crate::Network::forward_batch_into
+//! [`NetworkBase::forward_batch_into_cfg`]: crate::NetworkBase::forward_batch_into_cfg
 
 /// Preallocated activation storage reused across batched forward passes.
 ///
@@ -33,17 +33,19 @@
 /// # Examples
 ///
 /// ```
-/// use navft_nn::{mlp, Scratch, Tensor};
+/// use navft_nn::{mlp, EngineConfig, NoHooks, Scratch, Tensor};
 /// use rand::{rngs::SmallRng, SeedableRng};
 ///
 /// let mut rng = SmallRng::seed_from_u64(0);
 /// let net = mlp(&[4, 8, 2], &mut rng);
 /// let mut scratch = Scratch::new();
 /// let inputs = vec![Tensor::zeros(&[4]); 3];
-/// let outputs = net.forward_batch(&inputs, &mut scratch);
-/// assert_eq!(outputs.len(), 3);
+/// let config = EngineConfig::default();
+/// net.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, config);
+/// assert_eq!(scratch.rows(), 3);
+/// assert_eq!(scratch.row(2).len(), 2);
 /// let warm = scratch.grow_events();
-/// let _ = net.forward_batch(&inputs, &mut scratch);
+/// net.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, config);
 /// assert_eq!(scratch.grow_events(), warm, "steady state allocates nothing");
 /// ```
 #[derive(Debug, Clone, Default)]

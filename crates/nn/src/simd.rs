@@ -4,7 +4,7 @@
 //! The GEMM module's `gemm_bias` first offers every sweep to the backend's
 //! [`Element::gemm_simd`](crate::Element::gemm_simd) hook, which lands here;
 //! when no kernel fits the running CPU — or the caller pins scalar
-//! execution via [`EngineConfig::with_force_scalar`] — the portable scalar
+//! execution via [`Kernels::Scalar`] — the portable scalar
 //! register tiles run instead. Every kernel honours the crate's
 //! bit-exactness contract:
 //!
@@ -49,14 +49,14 @@
 #[allow(unused_imports)]
 use crate::element::I8Affine;
 #[allow(unused_imports)]
-use crate::engine::EngineConfig;
+use crate::engine::Kernels;
 #[allow(unused_imports)]
 use navft_qformat::QFormat;
 
 /// The kernel tier runtime dispatch selects on this CPU right now:
 /// `"avx2"`, `"sse2"`, or `"scalar"` when no tier fits (non-x86-64
-/// targets). Callers that pin [`EngineConfig::with_force_scalar`] run the
-/// scalar tiles regardless of the reported tier.
+/// targets). Callers that pin [`Kernels::Scalar`] run the scalar tiles
+/// regardless of the reported tier.
 pub fn simd_kernel_name() -> &'static str {
     best_tier_name()
 }

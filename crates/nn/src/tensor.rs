@@ -256,8 +256,8 @@ impl Tensor {
 /// first; 0 for an empty or single-element buffer).
 ///
 /// This is [`TensorBase::argmax`] for borrowed slices — the form the
-/// zero-allocation inference paths ([`crate::Network::forward_scratch`] and
-/// [`crate::QNetwork::forward_scratch`]) hand out. It is generic over the
+/// zero-allocation batched engine hands out through [`crate::Scratch::row`].
+/// It is generic over the
 /// element type because greedy action selection over raw Q-format words is
 /// the same comparison as over dequantized `f32` values (dequantization is
 /// monotonic in the raw word).

@@ -1,10 +1,10 @@
 //! Property tests for the batched inference engine: for *arbitrary* layer
-//! stacks and inputs, `forward_batch` must agree bit-for-bit with the
+//! stacks and inputs, `forward_batch_into_cfg` must agree bit-for-bit with the
 //! per-sample `forward`, and a reused [`Scratch`] must never leak state from
 //! a previous batch into a later one.
 
 use navft_nn::layer::{Conv2d, Linear, MaxPool2d};
-use navft_nn::{mlp, Layer, Network, NoHooks, Scratch, Tensor};
+use navft_nn::{mlp, EngineConfig, Layer, Network, NoHooks, Scratch, Tensor};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -49,6 +49,12 @@ fn random_inputs(shape: &[usize], batch: usize, seed: u64) -> Vec<Tensor> {
     (0..batch).map(|_| Tensor::uniform(shape, 2.0, &mut rng)).collect()
 }
 
+/// One default-config batched pass through `scratch`, returning the rows.
+fn batch_rows(net: &Network, inputs: &[Tensor], scratch: &mut Scratch) -> Vec<Vec<f32>> {
+    net.forward_batch_into_cfg(inputs, scratch, &mut NoHooks, EngineConfig::default());
+    (0..scratch.rows()).map(|b| scratch.row(b).to_vec()).collect()
+}
+
 proptest! {
     #[test]
     fn arbitrary_mlp_batched_equals_serial(
@@ -59,9 +65,9 @@ proptest! {
         let (net, input_len) = arbitrary_mlp(net_seed);
         let inputs = random_inputs(&[input_len], batch, input_seed);
         let mut scratch = Scratch::new();
-        let batched = net.forward_batch(&inputs, &mut scratch);
+        let batched = batch_rows(&net, &inputs, &mut scratch);
         for (input, out) in inputs.iter().zip(batched.iter()) {
-            prop_assert_eq!(out.data(), net.forward(input).data());
+            prop_assert_eq!(out.as_slice(), net.forward(input).data());
         }
     }
 
@@ -74,10 +80,10 @@ proptest! {
         let (net, shape) = arbitrary_conv_net(net_seed);
         let inputs = random_inputs(&shape, batch, input_seed);
         let mut scratch = Scratch::new();
-        let batched = net.forward_batch(&inputs, &mut scratch);
+        let batched = batch_rows(&net, &inputs, &mut scratch);
         for (input, out) in inputs.iter().zip(batched.iter()) {
-            prop_assert_eq!(out.shape(), net.forward(input).shape());
-            prop_assert_eq!(out.data(), net.forward(input).data());
+            prop_assert_eq!(scratch.row_shape(), net.forward(input).shape());
+            prop_assert_eq!(out.as_slice(), net.forward(input).data());
         }
     }
 
@@ -93,7 +99,7 @@ proptest! {
         let (wild_net, input_len) = arbitrary_mlp(wild_seed);
         let wild_inputs = random_inputs(&[input_len], wild_batch, wild_seed ^ 0xF00D);
         let mut scratch = Scratch::new();
-        let _ = wild_net.forward_batch(&wild_inputs, &mut scratch);
+        let _ = batch_rows(&wild_net, &wild_inputs, &mut scratch);
 
         // ...then run an all-zeros batch through an identity network. Any
         // residue from the previous batch reaching the compute or the output
@@ -105,7 +111,7 @@ proptest! {
         }
         let sentinel_net = Network::new(vec![Layer::Linear(identity), Layer::Relu]);
         let zeros = vec![Tensor::zeros(&[width]); sentinel_batch];
-        sentinel_net.forward_batch_into(&zeros, &mut scratch, &mut NoHooks);
+        let _ = batch_rows(&sentinel_net, &zeros, &mut scratch);
         prop_assert_eq!(scratch.rows(), sentinel_batch);
         for b in 0..sentinel_batch {
             prop_assert!(
@@ -116,10 +122,8 @@ proptest! {
 
         // And a reused scratch must agree with a fresh one on real data.
         let probe_inputs = random_inputs(&[input_len], sentinel_batch, wild_seed ^ 0xBEEF);
-        let reused = wild_net.forward_batch(&probe_inputs, &mut scratch);
-        let fresh = wild_net.forward_batch(&probe_inputs, &mut Scratch::new());
-        for (a, b) in reused.iter().zip(fresh.iter()) {
-            prop_assert_eq!(a.data(), b.data());
-        }
+        let reused = batch_rows(&wild_net, &probe_inputs, &mut scratch);
+        let fresh = batch_rows(&wild_net, &probe_inputs, &mut Scratch::new());
+        prop_assert_eq!(reused, fresh);
     }
 }

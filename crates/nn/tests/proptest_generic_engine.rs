@@ -11,8 +11,8 @@
 
 use navft_nn::layer::{Conv2d, Linear, MaxPool2d};
 use navft_nn::{
-    mlp, I8Network, I8Scratch, I8Tensor, Layer, Network, NoHooks, QNetwork, QScratch, QTensor,
-    Scratch, Tensor,
+    mlp, Element, EngineConfig, I8Network, I8Scratch, I8Tensor, Kernels, Layer, Network,
+    NetworkBase, NoHooks, QNetwork, QScratch, QTensor, Scratch, Tensor, TensorBase,
 };
 use navft_qformat::{QFormat, QValue};
 use proptest::prelude::*;
@@ -54,9 +54,22 @@ fn arbitrary_conv_net(seed: u64) -> (Network, Vec<usize>) {
     (Network::new(layers), vec![channels, size, size])
 }
 
+/// The default blocked, SIMD-dispatched kernels.
+const DISPATCHED: EngineConfig = EngineConfig { kernels: Kernels::Dispatched };
+
+/// The naive per-row reference kernels.
+const NAIVE: EngineConfig = EngineConfig { kernels: Kernels::Naive };
+
 fn batch_inputs(shape: &[usize], batch: usize, seed: u64) -> Vec<Tensor> {
     let mut rng = SmallRng::seed_from_u64(seed);
     (0..batch).map(|_| Tensor::uniform(shape, 1.0, &mut rng)).collect()
+}
+
+/// One default-config batched pass, returning the output rows.
+fn batch_rows<E: Element>(net: &NetworkBase<E>, inputs: &[TensorBase<E>]) -> Vec<Vec<E>> {
+    let mut scratch = Scratch::new();
+    net.forward_batch_into_cfg(inputs, &mut scratch, &mut NoHooks, DISPATCHED);
+    (0..scratch.rows()).map(|b| scratch.row(b).to_vec()).collect()
 }
 
 proptest! {
@@ -66,12 +79,11 @@ proptest! {
     fn generic_engine_is_bit_identical_to_per_sample_f32_kernels(seed in 0u64..48) {
         let (net, in_shape) = arbitrary_conv_net(seed);
         let inputs = batch_inputs(&in_shape, 5, seed ^ 0xF0);
-        let mut scratch = Scratch::new();
-        let batched = net.forward_batch(&inputs, &mut scratch);
+        let batched = batch_rows(&net, &inputs);
         for (input, out) in inputs.iter().zip(batched.iter()) {
             // `Network::forward` runs the naive per-layer kernels — the
             // pre-refactor loop bodies.
-            prop_assert_eq!(out.data(), net.forward(input).data());
+            prop_assert_eq!(out.as_slice(), net.forward(input).data());
         }
     }
 
@@ -83,9 +95,9 @@ proptest! {
         for &batch in &BATCHES {
             let inputs = batch_inputs(&in_shape, batch, seed ^ batch as u64);
             let mut blocked = Scratch::new();
-            net.forward_batch_into(&inputs, &mut blocked, &mut NoHooks);
+            net.forward_batch_into_cfg(&inputs, &mut blocked, &mut NoHooks, DISPATCHED);
             let mut naive = Scratch::new();
-            net.forward_batch_naive_into(&inputs, &mut naive, &mut NoHooks);
+            net.forward_batch_into_cfg(&inputs, &mut naive, &mut NoHooks, NAIVE);
             for b in 0..batch {
                 prop_assert_eq!(blocked.row(b), naive.row(b), "batch {} row {}", batch, b);
             }
@@ -105,9 +117,9 @@ proptest! {
                 .map(|t| QTensor::quantize(t, format))
                 .collect();
             let mut blocked = QScratch::new();
-            qnet.forward_batch_into(&qinputs, &mut blocked, &mut NoHooks);
+            qnet.forward_batch_into_cfg(&qinputs, &mut blocked, &mut NoHooks, DISPATCHED);
             let mut naive = QScratch::new();
-            qnet.forward_batch_naive_into(&qinputs, &mut naive, &mut NoHooks);
+            qnet.forward_batch_into_cfg(&qinputs, &mut naive, &mut NoHooks, NAIVE);
             for b in 0..batch {
                 prop_assert_eq!(blocked.row(b), naive.row(b), "batch {} row {}", batch, b);
             }
@@ -126,9 +138,9 @@ proptest! {
                 .map(|t| I8Tensor::quantize(t, inet.affine()))
                 .collect();
             let mut blocked = I8Scratch::new();
-            inet.forward_batch_into(&iinputs, &mut blocked, &mut NoHooks);
+            inet.forward_batch_into_cfg(&iinputs, &mut blocked, &mut NoHooks, DISPATCHED);
             let mut naive = I8Scratch::new();
-            inet.forward_batch_naive_into(&iinputs, &mut naive, &mut NoHooks);
+            inet.forward_batch_into_cfg(&iinputs, &mut naive, &mut NoHooks, NAIVE);
             for b in 0..batch {
                 prop_assert_eq!(blocked.row(b), naive.row(b), "batch {} row {}", batch, b);
             }
@@ -167,14 +179,12 @@ proptest! {
             .collect();
         let qinputs: Vec<QTensor> =
             inputs.iter().map(|t| QTensor::quantize(t, format)).collect();
-        let mut fscratch = Scratch::new();
-        let f32_rows = reference.forward_batch(&inputs, &mut fscratch);
-        let mut qscratch = QScratch::new();
-        let q_rows = qnet.forward_batch(&qinputs, &mut qscratch);
+        let f32_rows = batch_rows(&reference, &inputs);
+        let q_rows = batch_rows(&qnet, &qinputs);
         for (frow, qrow) in f32_rows.iter().zip(q_rows.iter()) {
             let f32_raw: Vec<i32> =
-                frow.data().iter().map(|&v| QValue::quantize(v, format).raw()).collect();
-            prop_assert_eq!(f32_raw.as_slice(), qrow.words());
+                frow.iter().map(|&v| QValue::quantize(v, format).raw()).collect();
+            prop_assert_eq!(&f32_raw, qrow);
         }
     }
 
@@ -188,9 +198,9 @@ proptest! {
         let net = mlp(&sizes, &mut rng);
         let inputs = batch_inputs(&[sizes[0]], batch, seed ^ 0xAB);
         let mut blocked = Scratch::new();
-        net.forward_batch_into(&inputs, &mut blocked, &mut NoHooks);
+        net.forward_batch_into_cfg(&inputs, &mut blocked, &mut NoHooks, DISPATCHED);
         let mut naive = Scratch::new();
-        net.forward_batch_naive_into(&inputs, &mut naive, &mut NoHooks);
+        net.forward_batch_into_cfg(&inputs, &mut naive, &mut NoHooks, NAIVE);
         for (b, input) in inputs.iter().enumerate() {
             prop_assert_eq!(blocked.row(b), naive.row(b));
             prop_assert_eq!(blocked.row(b), net.forward(input).data());
@@ -200,9 +210,9 @@ proptest! {
         let qinputs: Vec<QTensor> =
             inputs.iter().map(|t| QTensor::quantize(t, format)).collect();
         let mut qblocked = QScratch::new();
-        qnet.forward_batch_into(&qinputs, &mut qblocked, &mut NoHooks);
+        qnet.forward_batch_into_cfg(&qinputs, &mut qblocked, &mut NoHooks, DISPATCHED);
         let mut qnaive = QScratch::new();
-        qnet.forward_batch_naive_into(&qinputs, &mut qnaive, &mut NoHooks);
+        qnet.forward_batch_into_cfg(&qinputs, &mut qnaive, &mut NoHooks, NAIVE);
         for (b, qinput) in qinputs.iter().enumerate() {
             prop_assert_eq!(qblocked.row(b), qnaive.row(b));
             prop_assert_eq!(qblocked.row(b), qnet.forward(qinput).words());

@@ -6,7 +6,7 @@
 //! must agree *exactly*.
 
 use navft_nn::layer::{Conv2d, Linear, MaxPool2d};
-use navft_nn::{mlp, Layer, Network, QNetwork, QScratch, QTensor, Tensor};
+use navft_nn::{mlp, EngineConfig, Layer, Network, NoHooks, QNetwork, QScratch, QTensor, Tensor};
 use navft_qformat::{QFormat, QValue};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -144,9 +144,9 @@ proptest! {
             .map(|_| QTensor::quantize(&Tensor::uniform(&in_shape, 1.0, &mut rng), format))
             .collect();
         let mut scratch = QScratch::new();
-        let batched = qnet.forward_batch(&inputs, &mut scratch);
-        for (input, out) in inputs.iter().zip(batched.iter()) {
-            prop_assert_eq!(out.words(), qnet.forward(input).words());
+        qnet.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, EngineConfig::default());
+        for (b, input) in inputs.iter().enumerate() {
+            prop_assert_eq!(scratch.row(b), qnet.forward(input).words());
         }
     }
 
@@ -163,10 +163,12 @@ proptest! {
         let input_a = QTensor::quantize(&Tensor::uniform(&[len_a], 1.0, &mut rng), format);
         let input_b = QTensor::quantize(&Tensor::uniform(&[len_b], 1.0, &mut rng), format);
         let mut scratch = QScratch::new();
-        let first = qa.forward_batch(std::slice::from_ref(&input_a), &mut scratch);
-        let _ = qb.forward_batch(std::slice::from_ref(&input_b), &mut scratch);
-        let again = qa.forward_batch(std::slice::from_ref(&input_a), &mut scratch);
-        prop_assert_eq!(first[0].words(), again[0].words());
+        let config = EngineConfig::default();
+        qa.forward_batch_into_cfg(&[&input_a], &mut scratch, &mut NoHooks, config);
+        let first = scratch.row(0).to_vec();
+        qb.forward_batch_into_cfg(&[&input_b], &mut scratch, &mut NoHooks, config);
+        qa.forward_batch_into_cfg(&[&input_a], &mut scratch, &mut NoHooks, config);
+        prop_assert_eq!(first.as_slice(), scratch.row(0));
     }
 
     #[test]

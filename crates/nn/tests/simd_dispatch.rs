@@ -1,19 +1,15 @@
-//! Integration tests for the runtime kernel dispatch and the in-engine
-//! batch sharding:
+//! Integration tests for the runtime kernel dispatch: the dispatched
+//! (best-available SIMD) kernels are **bit-identical** to the portable
+//! scalar tiles ([`Kernels::Scalar`]) on all three backends, at batch sizes
+//! covering the panel remainder paths, under fault-widened words, and in the
+//! vectorized requantize epilogues.
 //!
-//! * the dispatched (best-available SIMD) kernels are **bit-identical** to
-//!   the forced portable scalar tiles on all three backends, at batch sizes
-//!   covering the panel remainder paths;
-//! * the threaded engine produces the same bytes at 1, 2 and 8 worker
-//!   threads (deterministic row-range writeback).
-//!
-//! Both knobs are carried by an explicit per-call [`EngineConfig`], so the
-//! tests need no process-global serialization; one final test pins that the
-//! deprecated process-wide compat shims still route into the same engine.
+//! The kernel choice is carried by an explicit per-call [`EngineConfig`], so
+//! the tests need no process-global serialization.
 
 use navft_nn::{
     c3f2_scaled, mlp, simd_kernel_name, Element, EngineConfig, I8Affine, I8Network, I8Scratch,
-    I8Tensor, NoHooks, QNetwork, QScratch, QTensor, Scratch, Tensor,
+    I8Tensor, Kernels, NoHooks, QNetwork, QScratch, QTensor, Scratch, Tensor,
 };
 use navft_qformat::QFormat;
 use rand::rngs::SmallRng;
@@ -36,7 +32,7 @@ fn inputs(shape: &[usize], batch: usize, seed: u64) -> Vec<Tensor> {
 
 #[test]
 fn dispatched_kernels_match_forced_scalar_bit_for_bit_on_all_backends() {
-    let scalar_cfg = EngineConfig::default().with_force_scalar(true);
+    let scalar_cfg = EngineConfig { kernels: Kernels::Scalar };
     let simd_cfg = EngineConfig::default();
     for (name, net, shape) in models(0x51D) {
         let qnet = QNetwork::quantize(&net, QFormat::Q4_11);
@@ -83,60 +79,6 @@ fn dispatched_kernels_match_forced_scalar_bit_for_bit_on_all_backends() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn threaded_engine_is_bit_identical_at_1_2_and_8_threads() {
-    for (name, net, shape) in models(0x7831) {
-        let qnet = QNetwork::quantize(&net, QFormat::Q7_8);
-        let inet = I8Network::quantize(&net);
-        let batch_f32 = inputs(&shape, 16, 0xC0FE);
-        let batch_q: Vec<QTensor> =
-            batch_f32.iter().map(|t| QTensor::quantize(t, QFormat::Q7_8)).collect();
-        let batch_i8: Vec<I8Tensor> =
-            batch_f32.iter().map(|t| I8Tensor::quantize(t, inet.affine())).collect();
-
-        let serial = EngineConfig::default();
-        let mut base_f32 = Scratch::new();
-        net.forward_batch_into_cfg(&batch_f32, &mut base_f32, &mut NoHooks, serial);
-        let mut base_q = QScratch::new();
-        qnet.forward_batch_into_cfg(&batch_q, &mut base_q, &mut NoHooks, serial);
-        let mut base_i8 = I8Scratch::new();
-        inet.forward_batch_into_cfg(&batch_i8, &mut base_i8, &mut NoHooks, serial);
-
-        for threads in [2, 8] {
-            let config = EngineConfig::default().with_threads(threads);
-            assert_eq!(config.threads, threads);
-            let mut t_f32 = Scratch::new();
-            net.forward_batch_into_cfg(&batch_f32, &mut t_f32, &mut NoHooks, config);
-            let mut t_q = QScratch::new();
-            qnet.forward_batch_into_cfg(&batch_q, &mut t_q, &mut NoHooks, config);
-            let mut t_i8 = I8Scratch::new();
-            inet.forward_batch_into_cfg(&batch_i8, &mut t_i8, &mut NoHooks, config);
-            for b in 0..batch_f32.len() {
-                assert_eq!(base_f32.row(b), t_f32.row(b), "{name} f32 threads {threads} row {b}");
-                assert_eq!(base_q.row(b), t_q.row(b), "{name} q7.8 threads {threads} row {b}");
-                assert_eq!(base_i8.row(b), t_i8.row(b), "{name} i8 threads {threads} row {b}");
-            }
-        }
-    }
-}
-
-#[test]
-fn threading_composes_with_forced_scalar_kernels() {
-    let mut rng = SmallRng::seed_from_u64(0x5CA1);
-    let net = mlp(&[64, 48, 8], &mut rng);
-    let batch = inputs(&[64], 32, 0xD15B);
-
-    let mut reference = Scratch::new();
-    net.forward_batch_into_cfg(&batch, &mut reference, &mut NoHooks, EngineConfig::default());
-
-    let combined_cfg = EngineConfig::default().with_threads(8).with_force_scalar(true);
-    let mut combined = Scratch::new();
-    net.forward_batch_into_cfg(&batch, &mut combined, &mut NoHooks, combined_cfg);
-    for b in 0..batch.len() {
-        assert_eq!(reference.row(b), combined.row(b), "row {b}");
     }
 }
 
@@ -232,7 +174,7 @@ mod finish_tile_epilogue {
 /// total width exceeds 16 (the widened-lane kernel, no narrowing at all).
 #[test]
 fn q_madd_kernel_fallbacks_stay_bit_identical_under_fault_widened_words() {
-    let scalar_cfg = EngineConfig::default().with_force_scalar(true);
+    let scalar_cfg = EngineConfig { kernels: Kernels::Scalar };
     let simd_cfg = EngineConfig::default();
     let mut rng = SmallRng::seed_from_u64(0xFA17);
     let net = mlp(&[100, 32, 4], &mut rng);
@@ -265,22 +207,19 @@ fn q_madd_kernel_fallbacks_stay_bit_identical_under_fault_widened_words() {
     }
 }
 
-/// The non-`_cfg` entry points run under the default engine config: a plain
-/// `forward_batch_into` pass is bit-identical to the explicit
-/// `EngineConfig::default()` pass.
+/// The plain single-sample entry point — the serial oracle on the naive
+/// kernels — agrees bit for bit with every row of a default-config batched
+/// pass.
 #[test]
 fn plain_entry_points_match_default_config() {
     let mut rng = SmallRng::seed_from_u64(0xC0DE);
     let net = mlp(&[48, 32, 4], &mut rng);
     let batch = inputs(&[48], 16, 0xFACE);
 
-    let mut expected = Scratch::new();
-    net.forward_batch_into_cfg(&batch, &mut expected, &mut NoHooks, EngineConfig::default());
+    let mut batched = Scratch::new();
+    net.forward_batch_into_cfg(&batch, &mut batched, &mut NoHooks, EngineConfig::default());
 
-    let mut plain = Scratch::new();
-    net.forward_batch_into(&batch, &mut plain, &mut NoHooks);
-
-    for b in 0..batch.len() {
-        assert_eq!(expected.row(b), plain.row(b), "row {b}");
+    for (b, input) in batch.iter().enumerate() {
+        assert_eq!(batched.row(b), net.forward(input).data(), "row {b}");
     }
 }

@@ -72,10 +72,6 @@ pub struct DqnAgent {
     online: Network,
     target: Network,
     config: DqnConfig,
-    // The engine settings every internal forward pass runs under. Explicit
-    // and per-agent, so agents never observe the deprecated process-wide
-    // kernel knobs.
-    engine: EngineConfig,
     /// The exploration schedule (public so the training-time mitigation can
     /// adjust it).
     pub epsilon: EpsilonSchedule,
@@ -114,7 +110,6 @@ impl DqnAgent {
             target,
             replay: ReplayBuffer::new(config.replay_capacity),
             config,
-            engine: EngineConfig::default(),
             epsilon,
             input_shape: input_shape.to_vec(),
             episodes_since_sync: 0,
@@ -133,20 +128,6 @@ impl DqnAgent {
     /// The agent's configuration.
     pub fn config(&self) -> DqnConfig {
         self.config
-    }
-
-    /// Replaces the [`EngineConfig`] the agent's internal forward passes run
-    /// under (thread count, scalar-kernel pin). Defaults to
-    /// [`EngineConfig::default`]; results are bit-identical under any
-    /// config, only throughput changes.
-    pub fn with_engine_config(mut self, engine: EngineConfig) -> DqnAgent {
-        self.engine = engine;
-        self
-    }
-
-    /// The engine settings the agent's internal forward passes run under.
-    pub fn engine_config(&self) -> EngineConfig {
-        self.engine
     }
 
     /// Switches the bootstrap targets onto an **int8 affine snapshot** of
@@ -212,7 +193,13 @@ impl DqnAgent {
     /// [`Scratch`] — the zero-allocation form of [`DqnAgent::greedy_action`]
     /// used by episode loops.
     pub fn greedy_action_scratch(&self, state: &Tensor, scratch: &mut Scratch) -> usize {
-        argmax(self.online.forward_scratch_cfg(state, scratch, &mut NoHooks, self.engine))
+        self.online.forward_batch_into_cfg(
+            &[state],
+            scratch,
+            &mut NoHooks,
+            EngineConfig::default(),
+        );
+        argmax(scratch.row(0))
     }
 
     /// Chooses an action ε-greedily.
@@ -342,7 +329,7 @@ impl DqnAgent {
                 &self.i8_next_batch,
                 &mut self.i8_scratch,
                 &mut NoHooks,
-                self.engine,
+                EngineConfig::default(),
             );
             let affine = i8net.affine();
             let actions = self.i8_scratch.row_len();
@@ -364,7 +351,7 @@ impl DqnAgent {
                 &self.next_batch,
                 &mut self.scratch,
                 &mut NoHooks,
-                self.engine,
+                EngineConfig::default(),
             );
             let actions = self.scratch.row_len();
             self.target_q.clear();
@@ -386,13 +373,13 @@ impl DqnAgent {
                     // removes the duplicate next-state pass the serial code
                     // paid per transition.
                     self.state_buf.assign(&self.input_shape, &transition.next_state);
-                    let best = argmax(self.online.forward_scratch_cfg(
-                        &self.state_buf,
+                    self.online.forward_batch_into_cfg(
+                        &[&self.state_buf],
                         &mut self.scratch,
                         &mut NoHooks,
-                        self.engine,
-                    ));
-                    target_row[best]
+                        EngineConfig::default(),
+                    );
+                    target_row[argmax(self.scratch.row(0))]
                 } else {
                     target_row.iter().copied().fold(f32::NEG_INFINITY, f32::max)
                 };

@@ -17,16 +17,13 @@
 //! [`corrupt_policy_weights`] run the `f32` backend and the native raw-word
 //! backend through the *same* episode loops, with the [`EvalElement`] glue
 //! supplying what differs (how observations encode into the policy's storage
-//! type). The historical per-backend names (`evaluate_network_*`,
-//! `evaluate_qnetwork_*`, `corrupt_network_weights`,
-//! `corrupt_qnetwork_weights`) remain as thin wrappers.
+//! type). [`corrupt_network_weights`] remains as the `f32` spelling of
+//! [`corrupt_policy_weights`].
 
 use rand::Rng;
 
 use navft_fault::{Injector, StoredWord};
-use navft_nn::{
-    argmax, Element, EngineConfig, ForwardHooks, HooksFor, NetworkBase, NoHooks, Scratch,
-};
+use navft_nn::{argmax, Element, EngineConfig, ForwardHooks, NetworkBase, NoHooks, Scratch};
 use navft_nn::{Network, QNetwork, TensorBase};
 
 use crate::{one_hot_into, DiscreteEnvironment, EvalResult, QTable, VisionEnvironment};
@@ -247,16 +244,8 @@ pub fn corrupt_policy_weights<W: EvalElement>(
     corrupted
 }
 
-/// [`corrupt_policy_weights`] for the `f32` backend (kept as a thin wrapper
-/// so existing drivers don't churn).
+/// [`corrupt_policy_weights`] for the `f32` backend.
 pub fn corrupt_network_weights(network: &Network, fault: &InferenceFaultMode) -> Network {
-    corrupt_policy_weights(network, fault)
-}
-
-/// [`corrupt_policy_weights`] for the native fixed-point backend: every
-/// fault is a single integer operation on a live word, with no dequantize
-/// round trip.
-pub fn corrupt_qnetwork_weights(network: &QNetwork, fault: &InferenceFaultMode) -> QNetwork {
     corrupt_policy_weights(network, fault)
 }
 
@@ -279,13 +268,12 @@ where
     W: EvalElement,
     E: DiscreteEnvironment,
     R: Rng + ?Sized,
-    NoHooks: HooksFor<W>,
 {
     let corrupted = corrupt_policy_weights(network, fault);
     let num_states = env.num_states();
 
-    // Serial reference path: one row per pass under an explicit default
-    // engine config (never the deprecated process-wide kernel knobs).
+    // Serial reference path: one row per pass under the default engine
+    // config.
     let engine = EngineConfig::default();
     let mut scratch = Scratch::new();
     let mut encoded = W::input_buffer(&[num_states], network);
@@ -298,8 +286,8 @@ where
         for step in 0..max_steps {
             let active = if fault.faulty_at(step, onset) { &corrupted } else { network };
             W::one_hot(state, &mut encoded);
-            let action =
-                argmax(active.forward_scratch_cfg(&encoded, &mut scratch, &mut NoHooks, engine));
+            active.forward_batch_into_cfg(&[&encoded], &mut scratch, &mut NoHooks, engine);
+            let action = argmax(scratch.row(0));
             let transition = env.step(action);
             total_reward += f64::from(transition.reward);
             state = transition.next_state;
@@ -334,7 +322,6 @@ where
     W: EvalElement,
     E: VisionEnvironment,
     R: Rng + ?Sized,
-    NoHooks: HooksFor<W>,
 {
     evaluate_policy_vision_hooked(env, network, episodes, max_steps, fault, rng, |_| NoHooks)
 }
@@ -357,7 +344,7 @@ where
     W: EvalElement,
     E: VisionEnvironment,
     R: Rng + ?Sized,
-    H: HooksFor<W>,
+    H: ForwardHooks<W>,
     F: FnMut(usize) -> H,
 {
     let corrupted = corrupt_policy_weights(network, fault);
@@ -378,8 +365,8 @@ where
         for step in 0..max_steps {
             let active = if fault.faulty_at(step, onset) { &corrupted } else { network };
             let input = W::encode(&observation, &mut encoded);
-            let action =
-                argmax(active.forward_scratch_cfg(input, &mut scratch, &mut hooks, engine));
+            active.forward_batch_into_cfg(&[input], &mut scratch, &mut hooks, engine);
+            let action = argmax(scratch.row(0));
             let transition = env.step(action);
             total_reward += f64::from(transition.reward);
             total_distance += f64::from(transition.distance);
@@ -415,7 +402,7 @@ pub fn trace_policy_discrete<W, E, H>(
 where
     W: EvalElement,
     E: DiscreteEnvironment,
-    H: HooksFor<W>,
+    H: ForwardHooks<W>,
 {
     let engine = EngineConfig::default();
     let mut scratch = Scratch::new();
@@ -424,7 +411,8 @@ where
     let mut state = env.reset();
     for _ in 0..max_steps {
         W::one_hot(state, &mut encoded);
-        let action = argmax(network.forward_scratch_cfg(&encoded, &mut scratch, hooks, engine));
+        network.forward_batch_into_cfg(&[&encoded], &mut scratch, hooks, engine);
+        let action = argmax(scratch.row(0));
         trace.push(action);
         let transition = env.step(action);
         state = transition.next_state;
@@ -447,7 +435,7 @@ pub fn trace_policy_vision<W, E, H>(
 where
     W: EvalElement,
     E: VisionEnvironment,
-    H: HooksFor<W>,
+    H: ForwardHooks<W>,
 {
     let engine = EngineConfig::default();
     let mut scratch = Scratch::new();
@@ -456,7 +444,8 @@ where
     let mut observation = env.reset();
     for _ in 0..max_steps {
         let input = W::encode(&observation, &mut encoded);
-        let action = argmax(network.forward_scratch_cfg(input, &mut scratch, hooks, engine));
+        network.forward_batch_into_cfg(&[input], &mut scratch, hooks, engine);
+        let action = argmax(scratch.row(0));
         trace.push(action);
         let transition = env.step(action);
         observation = transition.observation;
@@ -465,98 +454,6 @@ where
         }
     }
     trace
-}
-
-/// [`evaluate_policy_discrete`] for the `f32` backend (thin wrapper).
-pub fn evaluate_network_discrete<E, R>(
-    env: &mut E,
-    network: &Network,
-    episodes: usize,
-    max_steps: usize,
-    fault: &InferenceFaultMode,
-    rng: &mut R,
-) -> EvalResult
-where
-    E: DiscreteEnvironment,
-    R: Rng + ?Sized,
-{
-    evaluate_policy_discrete(env, network, episodes, max_steps, fault, rng)
-}
-
-/// [`evaluate_policy_vision`] for the `f32` backend (thin wrapper).
-pub fn evaluate_network_vision<E, R>(
-    env: &mut E,
-    network: &Network,
-    episodes: usize,
-    max_steps: usize,
-    fault: &InferenceFaultMode,
-    rng: &mut R,
-) -> EvalResult
-where
-    E: VisionEnvironment,
-    R: Rng + ?Sized,
-{
-    evaluate_policy_vision(env, network, episodes, max_steps, fault, rng)
-}
-
-/// [`evaluate_policy_vision_hooked`] for the `f32` backend with
-/// [`ForwardHooks`] (thin wrapper).
-pub fn evaluate_network_vision_hooked<E, R, H, F>(
-    env: &mut E,
-    network: &Network,
-    episodes: usize,
-    max_steps: usize,
-    fault: &InferenceFaultMode,
-    rng: &mut R,
-    make_hooks: F,
-) -> EvalResult
-where
-    E: VisionEnvironment,
-    R: Rng + ?Sized,
-    H: ForwardHooks,
-    F: FnMut(usize) -> H,
-{
-    evaluate_policy_vision_hooked(env, network, episodes, max_steps, fault, rng, make_hooks)
-}
-
-/// [`evaluate_policy_discrete`] for the native fixed-point backend (thin
-/// wrapper): every forward pass runs in integer arithmetic in the network's
-/// [`QFormat`] and greedy actions come from an argmax over raw Q-value
-/// words.
-///
-/// [`QFormat`]: navft_qformat::QFormat
-pub fn evaluate_qnetwork_discrete<E, R>(
-    env: &mut E,
-    network: &QNetwork,
-    episodes: usize,
-    max_steps: usize,
-    fault: &InferenceFaultMode,
-    rng: &mut R,
-) -> EvalResult
-where
-    E: DiscreteEnvironment,
-    R: Rng + ?Sized,
-{
-    evaluate_policy_discrete(env, network, episodes, max_steps, fault, rng)
-}
-
-/// [`evaluate_policy_vision`] for the native fixed-point backend (thin
-/// wrapper): each observation is quantized once into the policy's format
-/// (the input buffer the accelerator stores) and the whole pass runs on raw
-/// words.
-pub fn evaluate_qnetwork_vision<E, R>(
-    env: &mut E,
-    network: &QNetwork,
-    episodes: usize,
-    max_steps: usize,
-    fault: &InferenceFaultMode,
-    rng: &mut R,
-) -> EvalResult
-where
-    E: VisionEnvironment,
-    R: Rng + ?Sized,
-{
-    evaluate_policy_vision(env, network, episodes, max_steps, fault, rng)
 }
 
 #[cfg(test)]
@@ -687,7 +584,7 @@ mod tests {
             .expect("weights")
             .copy_from_slice(&[1.0, 1.0, 1.0, -1.0, -1.0, -1.0]);
         let result =
-            evaluate_network_discrete(&mut env, &net, 20, 10, &InferenceFaultMode::None, &mut rng);
+            evaluate_policy_discrete(&mut env, &net, 20, 10, &InferenceFaultMode::None, &mut rng);
         assert_eq!(result.success_rate, 1.0);
     }
 
@@ -729,7 +626,7 @@ mod tests {
             &[1.0; 4].iter().chain([-1.0f32; 4].iter()).copied().collect::<Vec<f32>>(),
         );
         let result =
-            evaluate_network_vision(&mut env, &net, 4, 10, &InferenceFaultMode::None, &mut rng);
+            evaluate_policy_vision(&mut env, &net, 4, 10, &InferenceFaultMode::None, &mut rng);
         assert_eq!(result.mean_distance, 5.0);
         assert_eq!(result.episodes, 4);
     }
@@ -751,8 +648,8 @@ mod tests {
             &[1.0; 4].iter().chain([-1.0f32; 4].iter()).copied().collect::<Vec<f32>>(),
         );
         let clean =
-            evaluate_network_vision(&mut env, &net, 4, 10, &InferenceFaultMode::None, &mut rng);
-        let corrupted = evaluate_network_vision_hooked(
+            evaluate_policy_vision(&mut env, &net, 4, 10, &InferenceFaultMode::None, &mut rng);
+        let corrupted = evaluate_policy_vision_hooked(
             &mut env,
             &net,
             4,
@@ -773,7 +670,7 @@ mod tests {
             .copy_from_slice(&[1.0, 1.0, 1.0, -1.0, -1.0, -1.0]);
         let qnet = net.to_quantized(QFormat::Q3_4);
         let mut env = Line { position: 1 };
-        let result = evaluate_qnetwork_discrete(
+        let result = evaluate_policy_discrete(
             &mut env,
             &qnet,
             20,
@@ -818,8 +715,8 @@ mod tests {
         let layers = inet.parametric_layers();
         let span = inet.weight_span(layers[1]);
         assert!(span.contains(&13));
-        let before = inet.layer_weights_raw(layers[1]).expect("bytes");
-        let after = corrupted.layer_weights_raw(layers[1]).expect("bytes");
+        let before = inet.layer_weights(layers[1]).expect("bytes");
+        let after = corrupted.layer_weights(layers[1]).expect("bytes");
         let local = 13 - span.start;
         assert_eq!(after[local], before[local] ^ (1 << 3));
         assert_eq!(
@@ -828,8 +725,8 @@ mod tests {
             "exactly one live byte changes"
         );
         assert_eq!(
-            inet.layer_weights_raw(layers[0]).expect("bytes"),
-            corrupted.layer_weights_raw(layers[0]).expect("bytes")
+            inet.layer_weights(layers[0]).expect("bytes"),
+            corrupted.layer_weights(layers[0]).expect("bytes")
         );
     }
 
@@ -843,7 +740,7 @@ mod tests {
         );
         let qnet = net.to_quantized(QFormat::Q4_11);
         let result =
-            evaluate_qnetwork_vision(&mut env, &qnet, 4, 10, &InferenceFaultMode::None, &mut rng);
+            evaluate_policy_vision(&mut env, &qnet, 4, 10, &InferenceFaultMode::None, &mut rng);
         assert_eq!(result.mean_distance, 5.0);
         assert_eq!(result.episodes, 4);
     }
@@ -858,13 +755,13 @@ mod tests {
         let injector =
             Injector::new(FaultTarget::new(FaultSite::WeightBuffer), QFormat::Q4_11, map);
         let corrupted =
-            corrupt_qnetwork_weights(&qnet, &InferenceFaultMode::TransientWholeEpisode(injector));
+            corrupt_policy_weights(&qnet, &InferenceFaultMode::TransientWholeEpisode(injector));
         // Word 13 lives in the second linear layer (span 12..20).
         let layers = qnet.parametric_layers();
         let span = qnet.weight_span(layers[1]);
         assert!(span.contains(&13));
-        let before = qnet.layer_weights_raw(layers[1]).expect("words");
-        let after = corrupted.layer_weights_raw(layers[1]).expect("words");
+        let before = qnet.layer_weights(layers[1]).expect("words");
+        let after = corrupted.layer_weights(layers[1]).expect("words");
         let local = 13 - span.start;
         assert_eq!(after[local], ((before[local] ^ (1 << 3)) << 16) >> 16);
         assert_eq!(
@@ -874,8 +771,8 @@ mod tests {
         );
         // The other layer is untouched.
         assert_eq!(
-            qnet.layer_weights_raw(layers[0]).expect("words"),
-            corrupted.layer_weights_raw(layers[0]).expect("words")
+            qnet.layer_weights(layers[0]).expect("words"),
+            corrupted.layer_weights(layers[0]).expect("words")
         );
     }
 

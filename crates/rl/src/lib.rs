@@ -90,10 +90,8 @@ pub use env::{
     VisionTransition,
 };
 pub use eval::{
-    corrupt_network_weights, corrupt_policy_weights, corrupt_qnetwork_weights,
-    evaluate_network_discrete, evaluate_network_vision, evaluate_network_vision_hooked,
-    evaluate_policy_discrete, evaluate_policy_vision, evaluate_policy_vision_hooked,
-    evaluate_qnetwork_discrete, evaluate_qnetwork_vision, evaluate_tabular, trace_policy_discrete,
+    corrupt_network_weights, corrupt_policy_weights, evaluate_policy_discrete,
+    evaluate_policy_vision, evaluate_policy_vision_hooked, evaluate_tabular, trace_policy_discrete,
     trace_policy_vision, EvalElement, InferenceFaultMode,
 };
 pub use exploration::EpsilonSchedule;

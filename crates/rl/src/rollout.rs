@@ -2,15 +2,15 @@
 //! [`VecEnv`] in lockstep with **one** batched forward sweep per tick.
 //!
 //! The serial evaluators in [`crate::eval`] run one forward pass per
-//! decision step — correct, but the engine's blocked GEMM, SIMD
-//! microkernels and batch sharding all pay off with width. [`rollout`]
+//! decision step — correct, but the engine's blocked GEMM and SIMD
+//! microkernels pay off with width. [`rollout`]
 //! keeps B episode rows in flight, **quantizing on ingest**: every
 //! observation is encoded into its row's backend-native staging buffer the
 //! moment it arrives (at reset and after each step), so integer backends
 //! pay the f32 → word conversion exactly once per observation and never
 //! inside the forward sweep. Each tick gathers the active rows' staged
 //! buffers by reference into a single
-//! [`NetworkBase::forward_batch_rows_into_cfg`] sweep and steps every
+//! [`NetworkBase::forward_batch_into_cfg`] sweep and steps every
 //! row's environment with its argmax action. Finished rows are immediately
 //! reassigned to the next pending episode (auto-reset) until no episodes
 //! remain, after which the batch drains raggedly.
@@ -38,7 +38,7 @@
 
 use rand::Rng;
 
-use navft_nn::{argmax, DynRowHooks, EngineConfig, HooksFor, NetworkBase, NoHooks, Scratch};
+use navft_nn::{argmax, DynRowHooks, EngineConfig, ForwardHooks, NetworkBase, NoHooks, Scratch};
 use navft_nn::{Tensor, TensorBase};
 
 use crate::eval::{corrupt_policy_weights, EvalElement, InferenceFaultMode};
@@ -114,7 +114,7 @@ where
     V: VecEnv,
     V::Obs: RolloutObs<W>,
     R: Rng + ?Sized,
-    H: HooksFor<W>,
+    H: ForwardHooks<W>,
     F: FnMut(usize) -> H,
 {
     if episodes == 0 {
@@ -182,8 +182,8 @@ where
         let mut faulty_rows: Vec<usize> = Vec::new();
         let mut clean_inputs: Vec<&TensorBase<W>> = Vec::new();
         let mut faulty_inputs: Vec<&TensorBase<W>> = Vec::new();
-        let mut clean_hooks: Vec<&mut dyn HooksFor<W>> = Vec::new();
-        let mut faulty_hooks: Vec<&mut dyn HooksFor<W>> = Vec::new();
+        let mut clean_hooks: Vec<&mut dyn ForwardHooks<W>> = Vec::new();
+        let mut faulty_hooks: Vec<&mut dyn ForwardHooks<W>> = Vec::new();
         for ((row, slot), buf) in rows.iter_mut().enumerate().zip(staged.iter()) {
             let Some(state) = slot.as_mut() else { continue };
             if fault.faulty_at(state.step, state.onset) {
@@ -201,14 +201,14 @@ where
         // scratch before the second sweep reuses it.
         if !clean_rows.is_empty() {
             let mut hooks = DynRowHooks::new(clean_hooks);
-            network.forward_batch_rows_into_cfg(&clean_inputs, &mut scratch, &mut hooks, config);
+            network.forward_batch_into_cfg(&clean_inputs, &mut scratch, &mut hooks, config);
             for (k, &row) in clean_rows.iter().enumerate() {
                 actions[row] = argmax(scratch.row(k));
             }
         }
         if !faulty_rows.is_empty() {
             let mut hooks = DynRowHooks::new(faulty_hooks);
-            corrupted.forward_batch_rows_into_cfg(&faulty_inputs, &mut scratch, &mut hooks, config);
+            corrupted.forward_batch_into_cfg(&faulty_inputs, &mut scratch, &mut hooks, config);
             for (k, &row) in faulty_rows.iter().enumerate() {
                 actions[row] = argmax(scratch.row(k));
             }
@@ -297,7 +297,6 @@ where
     V: VecEnv,
     V::Obs: RolloutObs<W>,
     R: Rng + ?Sized,
-    NoHooks: HooksFor<W>,
 {
     let tapes = rollout(venv, network, episodes, max_steps, fault, rng, |_| NoHooks, config);
     fold_discrete(&tapes, episodes)
@@ -318,7 +317,6 @@ where
     V: VecEnv,
     V::Obs: RolloutObs<W>,
     R: Rng + ?Sized,
-    NoHooks: HooksFor<W>,
 {
     evaluate_policy_vision_hooked_batched(
         venv,
@@ -352,7 +350,7 @@ where
     V: VecEnv,
     V::Obs: RolloutObs<W>,
     R: Rng + ?Sized,
-    H: HooksFor<W>,
+    H: ForwardHooks<W>,
     F: FnMut(usize) -> H,
 {
     let tapes = rollout(venv, network, episodes, max_steps, fault, rng, make_hooks, config);

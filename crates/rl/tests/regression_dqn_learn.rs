@@ -1,7 +1,7 @@
 //! Pins the exact weight trajectory of [`DqnAgent::learn`].
 //!
 //! The learning step was rewritten to batch its bootstrap forward passes
-//! through `Network::forward_batch` and to reuse preallocated scratch
+//! through the batched engine and to reuse preallocated scratch
 //! buffers. That rewrite must be a pure restructuring: a seeded training
 //! run has to produce *bit-identical* weights before and after it. The
 //! digests below were captured from the pre-batching implementation; any

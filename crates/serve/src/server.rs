@@ -8,7 +8,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use navft_nn::{argmax, DynRowHooks, Element, EngineConfig, HooksFor, NetworkBase, NoHooks};
+use navft_nn::{argmax, DynRowHooks, Element, EngineConfig, ForwardHooks, NetworkBase, NoHooks};
 use navft_nn::{Scratch, TensorBase};
 use navft_rl::EvalElement;
 
@@ -29,22 +29,17 @@ pub struct ServeConfig {
     /// How long a batcher waits for more requests after the oldest pending
     /// one before flushing a partial batch.
     pub flush_after: Duration,
-    /// Engine configuration of the batched sweeps (threads, kernel choice) —
-    /// explicit, so concurrent servers and tests in one process cannot
-    /// observe each other's settings.
-    pub engine: EngineConfig,
 }
 
 impl Default for ServeConfig {
-    /// One worker, batches of up to 64 rows, a 256-request queue, a 200 µs
-    /// flush deadline, the default (serial, SIMD-dispatched) engine.
+    /// One worker, batches of up to 64 rows, a 256-request queue and a
+    /// 200 µs flush deadline.
     fn default() -> Self {
         ServeConfig {
             workers: 1,
             max_batch: 64,
             queue_capacity: 256,
             flush_after: Duration::from_micros(200),
-            engine: EngineConfig::default(),
         }
     }
 }
@@ -73,12 +68,6 @@ impl ServeConfig {
     /// Returns the config with the partial-batch flush deadline set.
     pub fn with_flush_after(mut self, flush_after: Duration) -> ServeConfig {
         self.flush_after = flush_after;
-        self
-    }
-
-    /// Returns the config with the engine configuration set.
-    pub fn with_engine(mut self, engine: EngineConfig) -> ServeConfig {
-        self.engine = engine;
         self
     }
 }
@@ -183,7 +172,7 @@ type ReplySender<W> = mpsc::Sender<Result<Decision<W>, ServeError>>;
 struct SessionState<W: Element> {
     /// The session's forward hooks. `None` only while the batcher borrows
     /// them for a sweep (the slot's `in_flight` flag is set for that span).
-    hooks: Option<Box<dyn HooksFor<W> + Send>>,
+    hooks: Option<Box<dyn ForwardHooks<W> + Send>>,
     in_flight: bool,
 }
 
@@ -357,7 +346,7 @@ impl<W: Element> Server<W> {
     /// scrub) every forward pass this session's requests ride in — the
     /// per-tenant fault-injection and mitigation surface. The session is
     /// pinned to a shard here and stays on it until closed.
-    pub fn open_session(&self, hooks: Box<dyn HooksFor<W> + Send>) -> SessionId {
+    pub fn open_session(&self, hooks: Box<dyn ForwardHooks<W> + Send>) -> SessionId {
         let workers = self.shared.config.workers;
         let ordinal = self.shared.next_ordinal.fetch_add(1, Ordering::Relaxed);
         let shard_index = shard_of(ordinal, workers);
@@ -368,10 +357,7 @@ impl<W: Element> Server<W> {
     }
 
     /// Opens a session with no hooks (a clean tenant).
-    pub fn open_clean_session(&self) -> SessionId
-    where
-        NoHooks: HooksFor<W>,
-    {
+    pub fn open_clean_session(&self) -> SessionId {
         self.open_session(Box::new(NoHooks))
     }
 
@@ -698,7 +684,7 @@ fn process_batch<W: Element>(
     // hookless.
     let mut inputs: Vec<TensorBase<W>> = Vec::with_capacity(batch.len());
     let mut rows: Vec<(SessionId, ReplySender<W>)> = Vec::with_capacity(batch.len());
-    let mut hooks: Vec<Box<dyn HooksFor<W> + Send>> = Vec::with_capacity(batch.len());
+    let mut hooks: Vec<Box<dyn ForwardHooks<W> + Send>> = Vec::with_capacity(batch.len());
     {
         let mut registry = shard.registry.lock().expect("registry lock");
         for request in batch {
@@ -724,14 +710,14 @@ fn process_batch<W: Element>(
     let mut decisions: Vec<Decision<W>> = Vec::with_capacity(inputs.len());
     if !inputs.is_empty() {
         {
-            let row_refs: Vec<&mut dyn HooksFor<W>> =
-                hooks.iter_mut().map(|hook| &mut **hook as &mut dyn HooksFor<W>).collect();
+            let row_refs: Vec<&mut dyn ForwardHooks<W>> =
+                hooks.iter_mut().map(|hook| &mut **hook as &mut dyn ForwardHooks<W>).collect();
             let mut per_row = DynRowHooks::new(row_refs);
             shared.network.forward_batch_into_cfg(
                 &inputs,
                 scratch,
                 &mut per_row,
-                shared.config.engine,
+                EngineConfig::default(),
             );
         }
         for row in 0..rows.len() {

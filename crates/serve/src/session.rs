@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use navft_fault::{FaultSpec, StoredWord};
 use navft_mitigation::{GuardedElement, RangeGuard};
-use navft_nn::{Element, ForwardHooks, I8ForwardHooks, LayerKind, QForwardHooks};
+use navft_nn::{Element, ForwardHooks, LayerKind};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -19,8 +19,9 @@ use rand::SeedableRng;
 /// session's RNG only advances when its *own* requests are served, so fault
 /// streams are deterministic per session regardless of how requests from
 /// different sessions coalesce. The same type plugs directly into the
-/// library-only forward paths (it implements each backend's hook trait), so
-/// served and library episodes can share bit-identical hook state.
+/// library-only forward paths (it implements the hook trait on every
+/// backend), so served and library episodes can share bit-identical hook
+/// state.
 ///
 /// The type is generic over the policy's storage element; construct it with
 /// the served network's `net_meta()` so `i8` scrubbing sees the affine
@@ -72,47 +73,17 @@ impl<W: Element> SessionHook<W> {
     }
 }
 
-impl<W: Element + StoredWord + GuardedElement> SessionHook<W> {
-    fn strike_input(&mut self, values: &mut [W]) {
+impl<W: Element + StoredWord + GuardedElement> ForwardHooks<W> for SessionHook<W> {
+    fn on_input(&mut self, values: &mut [W]) {
         if let Some(spec) = self.faults {
             self.struck += spec.strike(values, &mut self.rng);
         }
     }
 
-    fn scrub_activation(&mut self, layer_index: usize, values: &mut [W]) {
+    fn on_activation(&mut self, layer_index: usize, _kind: LayerKind, values: &mut [W]) {
         if let Some(guard) = &self.guard {
             self.scrubbed += guard.scrub_buffer(layer_index, values, &self.meta);
         }
-    }
-}
-
-impl ForwardHooks for SessionHook<f32> {
-    fn on_input(&mut self, values: &mut [f32]) {
-        self.strike_input(values);
-    }
-
-    fn on_activation(&mut self, layer_index: usize, _kind: LayerKind, values: &mut [f32]) {
-        self.scrub_activation(layer_index, values);
-    }
-}
-
-impl QForwardHooks for SessionHook<i32> {
-    fn on_input(&mut self, words: &mut [i32]) {
-        self.strike_input(words);
-    }
-
-    fn on_activation(&mut self, layer_index: usize, _kind: LayerKind, words: &mut [i32]) {
-        self.scrub_activation(layer_index, words);
-    }
-}
-
-impl I8ForwardHooks for SessionHook<i8> {
-    fn on_input(&mut self, words: &mut [i8]) {
-        self.strike_input(words);
-    }
-
-    fn on_activation(&mut self, layer_index: usize, _kind: LayerKind, words: &mut [i8]) {
-        self.scrub_activation(layer_index, words);
     }
 }
 
@@ -121,7 +92,6 @@ mod tests {
     use super::*;
     use navft_fault::FaultKind;
     use navft_mitigation::RangeGuardConfig;
-    use navft_nn::HooksFor;
     use navft_qformat::QFormat;
 
     #[test]
@@ -132,7 +102,7 @@ mod tests {
             let mut rows = Vec::new();
             for _ in 0..4 {
                 let mut values = vec![0.5f32; 32];
-                HooksFor::<f32>::input(&mut hook, &mut values);
+                ForwardHooks::<f32>::on_input(&mut hook, &mut values);
                 rows.push(values);
             }
             (rows, hook.struck())
@@ -150,12 +120,12 @@ mod tests {
         ));
         let mut hook: SessionHook<f32> = SessionHook::new(None, 0).with_guard(guard);
         let mut values = vec![0.5f32, 40.0, -40.0];
-        HooksFor::<f32>::activation(&mut hook, 0, LayerKind::Linear, &mut values);
+        ForwardHooks::<f32>::on_activation(&mut hook, 0, LayerKind::Linear, &mut values);
         assert_eq!(values, vec![0.5, 0.0, 0.0]);
         assert_eq!(hook.scrubbed(), 2);
         // Layer 1 has no bounds: untouched.
         let mut values = vec![40.0f32];
-        HooksFor::<f32>::activation(&mut hook, 1, LayerKind::Linear, &mut values);
+        ForwardHooks::<f32>::on_activation(&mut hook, 1, LayerKind::Linear, &mut values);
         assert_eq!(values, vec![40.0]);
     }
 
@@ -163,13 +133,13 @@ mod tests {
     fn clean_hook_is_a_no_op_on_every_backend() {
         let mut f = SessionHook::<f32>::new(None, 0);
         let mut values = vec![0.25f32; 8];
-        HooksFor::<f32>::input(&mut f, &mut values);
-        HooksFor::<f32>::activation(&mut f, 0, LayerKind::Relu, &mut values);
+        ForwardHooks::<f32>::on_input(&mut f, &mut values);
+        ForwardHooks::<f32>::on_activation(&mut f, 0, LayerKind::Relu, &mut values);
         assert_eq!(values, vec![0.25; 8]);
 
         let mut q = SessionHook::<i32>::new(QFormat::Q4_11, 0);
         let mut words = vec![77i32; 8];
-        HooksFor::<i32>::input(&mut q, &mut words);
+        ForwardHooks::<i32>::on_input(&mut q, &mut words);
         assert_eq!(words, vec![77; 8]);
         assert_eq!(q.struck() + q.scrubbed(), 0);
     }

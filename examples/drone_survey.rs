@@ -13,7 +13,7 @@ use navft_core::{BufferFaultHook, HookPersistence, HookTarget, Scale};
 use navft_dronesim::{DepthCamera, DroneSim, DroneWorld};
 use navft_fault::{BitFault, FaultKind, FaultMap, FaultSite, FaultTarget, Injector};
 use navft_qformat::QFormat;
-use navft_rl::{evaluate_network_vision, evaluate_network_vision_hooked, InferenceFaultMode};
+use navft_rl::{evaluate_policy_vision, evaluate_policy_vision_hooked, InferenceFaultMode};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -25,7 +25,7 @@ fn main() {
     let mut rng = SmallRng::seed_from_u64(7);
     let mut sim = DroneSim::new(world.clone(), DepthCamera::scaled(), params.max_steps);
 
-    let clean = evaluate_network_vision(
+    let clean = evaluate_policy_vision(
         &mut sim,
         &policy,
         params.eval_episodes,
@@ -46,7 +46,7 @@ fn main() {
         FaultKind::BitFlip,
         &mut rng,
     );
-    let weights = evaluate_network_vision(
+    let weights = evaluate_policy_vision(
         &mut sim,
         &policy,
         params.eval_episodes,
@@ -61,7 +61,7 @@ fn main() {
         ("activations (transient)", HookTarget::Activations, HookPersistence::Transient),
         ("activations (permanent)", HookTarget::Activations, HookPersistence::Permanent),
     ] {
-        let result = evaluate_network_vision_hooked(
+        let result = evaluate_policy_vision_hooked(
             &mut sim,
             &policy,
             params.eval_episodes,
@@ -97,7 +97,7 @@ fn main() {
             QFormat::Q4_11,
             shifted,
         );
-        let result = evaluate_network_vision(
+        let result = evaluate_policy_vision(
             &mut sim,
             &policy,
             params.eval_episodes,

@@ -13,7 +13,7 @@ use navft_fault::{FaultKind, FaultSite, FaultTarget, Injector};
 use navft_mitigation::{measure_overhead, RangeGuard, RangeGuardConfig};
 use navft_nn::Tensor;
 use navft_qformat::QFormat;
-use navft_rl::{corrupt_network_weights, evaluate_network_vision, InferenceFaultMode};
+use navft_rl::{corrupt_network_weights, evaluate_policy_vision, InferenceFaultMode};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -46,7 +46,7 @@ fn main() {
             let mut scrubbed = corrupted.clone();
             guard.scrub(&mut scrubbed);
             let mut sim = DroneSim::new(world.clone(), DepthCamera::scaled(), params.max_steps);
-            unprotected += evaluate_network_vision(
+            unprotected += evaluate_policy_vision(
                 &mut sim,
                 &corrupted,
                 params.eval_episodes,
@@ -55,7 +55,7 @@ fn main() {
                 &mut rng,
             )
             .mean_distance;
-            protected += evaluate_network_vision(
+            protected += evaluate_policy_vision(
                 &mut sim,
                 &scrubbed,
                 params.eval_episodes,

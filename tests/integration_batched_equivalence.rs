@@ -1,5 +1,5 @@
-//! Batched-inference equivalence suite: `Network::forward_batch` must be
-//! **bit-exact** against per-sample `Network::forward` for every model in
+//! Batched-inference equivalence suite: `Network::forward_batch_into_cfg`
+//! must be **bit-exact** against per-sample `Network::forward` for every model in
 //! `nn::models`, with and without fault-injection hooks and range
 //! instrumentation attached, across batch sizes {0, 1, 2, 7, 64}.
 //!
@@ -10,7 +10,10 @@
 
 use navft_core::{BufferFaultHook, HookPersistence, HookTarget};
 use navft_fault::FaultKind;
-use navft_nn::{mlp, C3f2Config, Network, NoHooks, PerRowHooks, RangeRecorder, Scratch, Tensor};
+use navft_nn::{
+    mlp, C3f2Config, EngineConfig, ForwardHooks, Network, NoHooks, PerRowHooks, RangeRecorder,
+    Scratch, Tensor,
+};
 use navft_qformat::QFormat;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -53,6 +56,17 @@ fn batch_inputs(shape: &[usize], batch: usize, seed: u64) -> Vec<Tensor> {
     (0..batch).map(|_| Tensor::uniform(shape, 1.0, &mut rng)).collect()
 }
 
+/// One default-config batched pass through `scratch`, returning the rows.
+fn batch_rows<H: ForwardHooks>(
+    net: &Network,
+    inputs: &[Tensor],
+    scratch: &mut Scratch,
+    hooks: &mut H,
+) -> Vec<Vec<f32>> {
+    net.forward_batch_into_cfg(inputs, scratch, hooks, EngineConfig::default());
+    (0..scratch.rows()).map(|b| scratch.row(b).to_vec()).collect()
+}
+
 #[test]
 fn forward_batch_is_bit_exact_for_every_model_without_hooks() {
     // One scratch across every model and batch size: reuse across topologies
@@ -61,13 +75,13 @@ fn forward_batch_is_bit_exact_for_every_model_without_hooks() {
     for (name, net, shape, batches) in models() {
         for &batch in batches {
             let inputs = batch_inputs(&shape, batch, 0x5EED ^ batch as u64);
-            let batched = net.forward_batch(&inputs, &mut scratch);
+            let batched = batch_rows(&net, &inputs, &mut scratch, &mut NoHooks);
             assert_eq!(batched.len(), batch);
             for (b, (input, out)) in inputs.iter().zip(batched.iter()).enumerate() {
                 let serial = net.forward(input);
-                assert_eq!(out.shape(), serial.shape(), "{name} x{batch} row {b} shape");
+                assert_eq!(scratch.row_shape(), serial.shape(), "{name} x{batch} row {b} shape");
                 assert_eq!(
-                    out.data(),
+                    out.as_slice(),
                     serial.data(),
                     "{name} x{batch} row {b} diverged from per-sample forward"
                 );
@@ -85,12 +99,13 @@ fn an_empty_flush_is_a_no_op_that_leaves_the_scratch_reusable() {
     let net = mlp(&[12, 16, 3], &mut rng);
     let mut scratch = Scratch::new();
     let inputs = batch_inputs(&[12], 3, 0xE1);
-    let expected = net.forward_batch(&inputs, &mut scratch);
+    let expected = batch_rows(&net, &inputs, &mut scratch, &mut NoHooks);
 
-    assert!(net.forward_batch(&[], &mut scratch).is_empty(), "empty flush returns no rows");
-    let after_empty = net.forward_batch(&inputs, &mut scratch);
+    let empty = batch_rows(&net, &[], &mut scratch, &mut NoHooks);
+    assert!(empty.is_empty(), "empty flush returns no rows");
+    let after_empty = batch_rows(&net, &inputs, &mut scratch, &mut NoHooks);
     for (b, (fresh, again)) in expected.iter().zip(after_empty.iter()).enumerate() {
-        assert_eq!(fresh.data(), again.data(), "row {b} changed after an empty flush");
+        assert_eq!(fresh, again, "row {b} changed after an empty flush");
     }
 }
 
@@ -102,13 +117,13 @@ fn forward_batch_is_bit_exact_under_a_shared_range_recorder() {
             let inputs = batch_inputs(&shape, batch, 0xACE ^ batch as u64);
 
             let mut batched_recorder = RangeRecorder::new();
-            let batched = net.forward_batch_with(&inputs, &mut scratch, &mut batched_recorder);
+            let batched = batch_rows(&net, &inputs, &mut scratch, &mut batched_recorder);
 
             let mut serial_recorder = RangeRecorder::new();
             for (b, input) in inputs.iter().enumerate() {
                 let serial = net.forward_with(input, &mut serial_recorder);
                 assert_eq!(
-                    batched[b].data(),
+                    batched[b].as_slice(),
                     serial.data(),
                     "{name} x{batch} row {b} diverged under RangeRecorder"
                 );
@@ -145,7 +160,7 @@ fn forward_batch_is_bit_exact_under_per_row_fault_injection_hooks() {
                 let mut per_row = PerRowHooks::new(
                     (0..batch).map(|b| fault_hook(seed_of(b), target, persistence)).collect(),
                 );
-                let batched = net.forward_batch_with(&inputs, &mut scratch, &mut per_row);
+                let batched = batch_rows(&net, &inputs, &mut scratch, &mut per_row);
 
                 let mut total_injected = 0usize;
                 for (b, input) in inputs.iter().enumerate() {
@@ -153,7 +168,7 @@ fn forward_batch_is_bit_exact_under_per_row_fault_injection_hooks() {
                     let serial = net.forward_with(input, &mut hook);
                     total_injected += hook.faults_injected();
                     assert_eq!(
-                        batched[b].data(),
+                        batched[b].as_slice(),
                         serial.data(),
                         "{name} x{batch} row {b} diverged under {target:?}/{persistence:?} faults"
                     );
@@ -179,12 +194,12 @@ fn permanent_shared_fault_hook_is_bit_exact_between_batched_and_serial() {
 
     let mut scratch = Scratch::new();
     let mut batched_hook = fault_hook(42, HookTarget::Activations, HookPersistence::Permanent);
-    let batched = net.forward_batch_with(&inputs, &mut scratch, &mut batched_hook);
+    let batched = batch_rows(&net, &inputs, &mut scratch, &mut batched_hook);
 
     let mut serial_hook = fault_hook(42, HookTarget::Activations, HookPersistence::Permanent);
     for (b, input) in inputs.iter().enumerate() {
         let serial = net.forward_with(input, &mut serial_hook);
-        assert_eq!(batched[b].data(), serial.data(), "row {b} diverged under shared hook");
+        assert_eq!(batched[b].as_slice(), serial.data(), "row {b} diverged under shared hook");
     }
     assert!(batched_hook.faults_injected() > 0);
 }
@@ -193,9 +208,14 @@ fn permanent_shared_fault_hook_is_bit_exact_between_batched_and_serial() {
 fn forward_scratch_matches_forward_for_every_model() {
     let mut scratch = Scratch::new();
     for (name, net, shape, _) in models() {
-        let input = batch_inputs(&shape, 1, 0xF00D).pop().expect("one input");
-        let via_scratch = net.forward_scratch(&input, &mut scratch, &mut NoHooks).to_vec();
-        assert_eq!(via_scratch, net.forward(&input).into_data(), "{name} scratch path diverged");
+        // A single-sample scratch pass is row 0 of a batch of one.
+        let input = batch_inputs(&shape, 1, 0xF00D);
+        let via_scratch = batch_rows(&net, &input, &mut scratch, &mut NoHooks);
+        assert_eq!(
+            via_scratch[0],
+            net.forward(&input[0]).into_data(),
+            "{name} scratch path diverged"
+        );
     }
 }
 
@@ -211,12 +231,13 @@ fn steady_state_campaign_loop_performs_no_scratch_growth() {
     // with an odd number of sweeps both slabs reach their high-water mark
     // only on the second pass.
     let inputs = batch_inputs(&shape, 4, 0xE90);
-    net.forward_batch_into(&inputs, &mut scratch, &mut NoHooks);
-    net.forward_batch_into(&inputs, &mut scratch, &mut NoHooks);
+    let config = EngineConfig::default();
+    net.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, config);
+    net.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, config);
     let warm = scratch.grow_events();
     for episode in 0..25 {
         let inputs = batch_inputs(&shape, 4, episode);
-        net.forward_batch_into(&inputs, &mut scratch, &mut NoHooks);
+        net.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, config);
     }
     assert_eq!(scratch.grow_events(), warm, "campaign steady state must not allocate");
 }

@@ -5,7 +5,7 @@ use navft_dronesim::{ActionSpace, DepthCamera, DroneSim, DroneWorld};
 use navft_fault::{FaultKind, FaultSite, FaultTarget, Injector};
 use navft_nn::{C3f2Config, Tensor};
 use navft_qformat::QFormat;
-use navft_rl::{evaluate_network_vision, InferenceFaultMode, VisionEnvironment};
+use navft_rl::{evaluate_policy_vision, InferenceFaultMode, VisionEnvironment};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -38,7 +38,7 @@ fn heavy_weight_corruption_degrades_flight_distance() {
     );
     let mut sim = DroneSim::new(DroneWorld::indoor_long(), DepthCamera::scaled(), 60);
     let clean =
-        evaluate_network_vision(&mut sim, &policy, 3, 60, &InferenceFaultMode::None, &mut rng);
+        evaluate_policy_vision(&mut sim, &policy, 3, 60, &InferenceFaultMode::None, &mut rng);
     let injector = Injector::sample(
         FaultTarget::new(FaultSite::WeightBuffer),
         policy.weight_count(),
@@ -47,7 +47,7 @@ fn heavy_weight_corruption_degrades_flight_distance() {
         FaultKind::StuckAt1,
         &mut rng,
     );
-    let corrupted = evaluate_network_vision(
+    let corrupted = evaluate_policy_vision(
         &mut sim,
         &policy,
         3,

@@ -22,13 +22,12 @@
 
 use navft_fault::{FaultKind, FaultSite, FaultTarget, Injector};
 use navft_nn::{
-    mlp, C3f2Config, ForwardHooks, I8Network, I8Scratch, I8Tensor, LayerKind, Network,
-    QForwardHooks, QNetwork, QScratch, QTensor, Tensor,
+    mlp, C3f2Config, Element, EngineConfig, ForwardHooks, I8Network, I8Scratch, I8Tensor,
+    LayerKind, Network, NetworkBase, NoHooks, QNetwork, QScratch, QTensor, Scratch, Tensor,
+    TensorBase,
 };
 use navft_qformat::QFormat;
-use navft_rl::{
-    corrupt_network_weights, corrupt_policy_weights, corrupt_qnetwork_weights, InferenceFaultMode,
-};
+use navft_rl::{corrupt_network_weights, corrupt_policy_weights, InferenceFaultMode};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -52,6 +51,16 @@ fn models(seed: u64) -> Vec<(&'static str, Network, Tensor)> {
     ]
 }
 
+/// One default-config batched pass through `scratch`, returning the rows.
+fn batch_rows<E: Element>(
+    net: &NetworkBase<E>,
+    inputs: &[TensorBase<E>],
+    scratch: &mut Scratch<E>,
+) -> Vec<Vec<E>> {
+    net.forward_batch_into_cfg(inputs, scratch, &mut NoHooks, EngineConfig::default());
+    (0..scratch.rows()).map(|b| scratch.row(b).to_vec()).collect()
+}
+
 #[derive(Default)]
 struct CaptureF32 {
     layers: Vec<Vec<f32>>,
@@ -68,7 +77,7 @@ struct CaptureRaw {
     layers: Vec<Vec<i32>>,
 }
 
-impl QForwardHooks for CaptureRaw {
+impl ForwardHooks<i32> for CaptureRaw {
     fn on_activation(&mut self, _i: usize, _k: LayerKind, words: &mut [i32]) {
         self.layers.push(words.to_vec());
     }
@@ -136,11 +145,11 @@ fn batched_native_engine_is_bit_identical_to_serial() {
                     })
                     .collect();
                 let mut scratch = QScratch::new();
-                let batched = qnet.forward_batch(&inputs, &mut scratch);
+                let batched = batch_rows(&qnet, &inputs, &mut scratch);
                 assert_eq!(batched.len(), batch, "{name}/{format} batch {batch} row count");
                 for (b, (qin, out)) in inputs.iter().zip(batched.iter()).enumerate() {
                     assert_eq!(
-                        out.words(),
+                        out.as_slice(),
                         qnet.forward(qin).words(),
                         "{name}/{format} batch {batch} row {b} diverged"
                     );
@@ -164,22 +173,22 @@ fn empty_native_flushes_are_no_ops_that_leave_the_scratches_reusable() {
     let qinputs: Vec<QTensor> =
         inputs.iter().map(|t| QTensor::quantize(t, QFormat::Q4_11)).collect();
     let mut qscratch = QScratch::new();
-    let expected = qnet.forward_batch(&qinputs, &mut qscratch);
-    assert!(qnet.forward_batch(&[], &mut qscratch).is_empty(), "empty native flush");
-    let after = qnet.forward_batch(&qinputs, &mut qscratch);
+    let expected = batch_rows(&qnet, &qinputs, &mut qscratch);
+    assert!(batch_rows(&qnet, &[], &mut qscratch).is_empty(), "empty native flush");
+    let after = batch_rows(&qnet, &qinputs, &mut qscratch);
     for (b, (fresh, again)) in expected.iter().zip(after.iter()).enumerate() {
-        assert_eq!(fresh.words(), again.words(), "native row {b} changed after an empty flush");
+        assert_eq!(fresh, again, "native row {b} changed after an empty flush");
     }
 
     let inet = I8Network::quantize(&network);
     let iinputs: Vec<I8Tensor> =
         inputs.iter().map(|t| I8Tensor::quantize(t, inet.affine())).collect();
     let mut iscratch = I8Scratch::new();
-    let expected = inet.forward_batch(&iinputs, &mut iscratch);
-    assert!(inet.forward_batch(&[], &mut iscratch).is_empty(), "empty i8 flush");
-    let after = inet.forward_batch(&iinputs, &mut iscratch);
+    let expected = batch_rows(&inet, &iinputs, &mut iscratch);
+    assert!(batch_rows(&inet, &[], &mut iscratch).is_empty(), "empty i8 flush");
+    let after = batch_rows(&inet, &iinputs, &mut iscratch);
     for (b, (fresh, again)) in expected.iter().zip(after.iter()).enumerate() {
-        assert_eq!(fresh.words(), again.words(), "i8 row {b} changed after an empty flush");
+        assert_eq!(fresh, again, "i8 row {b} changed after an empty flush");
     }
 }
 
@@ -201,11 +210,11 @@ fn i8_native_passes_are_bit_deterministic_and_batched_equals_serial() {
                 })
                 .collect();
             let mut scratch = I8Scratch::new();
-            let batched = inet.forward_batch(&inputs, &mut scratch);
+            let batched = batch_rows(&inet, &inputs, &mut scratch);
             assert_eq!(batched.len(), batch, "{name}/i8 batch {batch} row count");
             for (b, (iin, out)) in inputs.iter().zip(batched.iter()).enumerate() {
                 assert_eq!(
-                    out.words(),
+                    out.as_slice(),
                     inet.forward(iin).words(),
                     "{name}/i8 batch {batch} row {b} diverged"
                 );
@@ -237,7 +246,7 @@ fn i8_fault_injection_flips_live_bytes_in_place() {
     let corrupted = corrupt_policy_weights(&inet, &mode);
     let mut expected_flat: Vec<i8> = Vec::new();
     for layer in inet.parametric_layers() {
-        expected_flat.extend_from_slice(inet.layer_weights_raw(layer).expect("bytes"));
+        expected_flat.extend_from_slice(inet.layer_weights(layer).expect("bytes"));
     }
     for fault in injector.map().faults() {
         let byte = &mut expected_flat[fault.word];
@@ -245,7 +254,7 @@ fn i8_fault_injection_flips_live_bytes_in_place() {
     }
     let mut corrupted_flat: Vec<i8> = Vec::new();
     for layer in corrupted.parametric_layers() {
-        corrupted_flat.extend_from_slice(corrupted.layer_weights_raw(layer).expect("bytes"));
+        corrupted_flat.extend_from_slice(corrupted.layer_weights(layer).expect("bytes"));
     }
     assert_eq!(corrupted_flat, expected_flat, "i8: live bytes must flip in place");
 
@@ -263,8 +272,8 @@ fn i8_dequantize_round_trips_onto_the_affine_grid() {
     let requantized = I8Network::quantize_with(&recovered, inet.affine());
     for layer in inet.parametric_layers() {
         assert_eq!(
-            inet.layer_weights_raw(layer).expect("bytes"),
-            requantized.layer_weights_raw(layer).expect("bytes"),
+            inet.layer_weights(layer).expect("bytes"),
+            requantized.layer_weights(layer).expect("bytes"),
             "dequantize → requantize must be the identity on stored bytes"
         );
     }
@@ -289,11 +298,11 @@ fn fault_injection_corrupts_live_words_and_agrees_with_the_f32_backend() {
 
         // Native corruption: each fault is one integer operation on a live
         // word — the before/after buffers differ exactly at the XORed bits.
-        let corrupted_q = corrupt_qnetwork_weights(&qnet, &mode);
+        let corrupted_q = corrupt_policy_weights(&qnet, &mode);
         let word_width = u32::from(format.total_bits());
         let mut expected_flat: Vec<i32> = Vec::new();
         for layer in qnet.parametric_layers() {
-            expected_flat.extend_from_slice(qnet.layer_weights_raw(layer).expect("words"));
+            expected_flat.extend_from_slice(qnet.layer_weights(layer).expect("words"));
         }
         for fault in injector.map().faults() {
             let word = &mut expected_flat[fault.word];
@@ -302,7 +311,7 @@ fn fault_injection_corrupts_live_words_and_agrees_with_the_f32_backend() {
         }
         let mut corrupted_flat: Vec<i32> = Vec::new();
         for layer in corrupted_q.parametric_layers() {
-            corrupted_flat.extend_from_slice(corrupted_q.layer_weights_raw(layer).expect("words"));
+            corrupted_flat.extend_from_slice(corrupted_q.layer_weights(layer).expect("words"));
         }
         assert_eq!(corrupted_flat, expected_flat, "{format}: live words must flip in place");
 

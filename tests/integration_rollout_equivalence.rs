@@ -14,7 +14,9 @@ use navft_core::{BufferFaultHook, HookPersistence, HookTarget};
 use navft_dronesim::{DepthCamera, DroneSim, DroneWorld};
 use navft_fault::{FaultKind, FaultSite, FaultTarget, Injector};
 use navft_gridworld::{GridWorld, ObstacleDensity};
-use navft_nn::{mlp, C3f2Config, EngineConfig, I8Network, Network, QNetwork, RangeRecorder};
+use navft_nn::{
+    mlp, C3f2Config, EngineConfig, I8Network, Kernels, Network, QNetwork, RangeRecorder,
+};
 use navft_qformat::QFormat;
 use navft_rl::{
     evaluate_policy_discrete, evaluate_policy_discrete_batched, evaluate_policy_vision,
@@ -173,8 +175,8 @@ fn discrete_rollouts_match_serial_bit_for_bit_on_all_three_backends() {
 
 #[test]
 fn discrete_rollouts_are_config_invariant_at_any_batch_width() {
-    // Sharded multi-threaded engines and forced-scalar kernels must not move
-    // a single bit of the rollout results either.
+    // The scalar tiles and the naive reference kernels must not move a
+    // single bit of the rollout results either.
     let world = GridWorld::with_density(ObstacleDensity::Middle);
     let mut rng = SmallRng::seed_from_u64(0xC0F);
     let network = mlp(&[world.num_states(), 32, world.num_actions()], &mut rng);
@@ -190,11 +192,9 @@ fn discrete_rollouts_are_config_invariant_at_any_batch_width() {
             EngineConfig::default(),
         )
     };
-    for config in [
-        EngineConfig::default().with_threads(4),
-        EngineConfig::default().with_force_scalar(true),
-        EngineConfig::default().with_threads(3).with_force_scalar(true),
-    ] {
+    for config in
+        [EngineConfig { kernels: Kernels::Scalar }, EngineConfig { kernels: Kernels::Naive }]
+    {
         for batch in BATCHES {
             let mut venv = DummyVecEnv::from_prototype(&world, batch);
             let got = evaluate_policy_discrete_batched(

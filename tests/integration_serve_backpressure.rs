@@ -31,7 +31,6 @@ fn obs(v: f32) -> navft_nn::Tensor {
 fn sessions_on_shard<W>(server: &Server<W>, shard: usize, count: usize) -> Vec<SessionId>
 where
     W: navft_rl::EvalElement,
-    navft_nn::NoHooks: navft_nn::HooksFor<W>,
 {
     let mut pinned = Vec::with_capacity(count);
     let mut opened = 0usize;

@@ -18,7 +18,7 @@
 
 use navft_fault::{FaultKind, FaultSpec};
 use navft_gridworld::GridWorld;
-use navft_nn::{mlp, HooksFor, QNetwork};
+use navft_nn::{mlp, ForwardHooks, QNetwork};
 use navft_qformat::QFormat;
 use navft_rl::{trace_policy_discrete, DiscreteEnvironment, EvalElement};
 use navft_serve::{drive_discrete_episodes, LatencyWindow, ServeConfig, Server, SessionHook};
@@ -55,7 +55,7 @@ fn world() -> GridWorld {
 fn assert_served_traces_match_library<W>(backend: &str, network: navft_nn::NetworkBase<W>)
 where
     W: EvalElement,
-    SessionHook<W>: HooksFor<W>,
+    SessionHook<W>: ForwardHooks<W>,
 {
     let world = world();
     let meta = *network.net_meta();
