@@ -534,18 +534,6 @@ impl Layer {
             Layer::Linear(linear) => linear.forward(input),
         }
     }
-
-    /// Runs the layer on a flat buffer, writing the output into the
-    /// caller-provided `out` buffer (no allocation). `Relu` and `Flatten`
-    /// degrade to a copy here; the batched engine applies them in place
-    /// instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes are invalid or `out` has the wrong length.
-    pub fn forward_into(&self, data: &[f32], in_shape: &[usize], out: &mut [f32]) {
-        self.forward_naive(data, in_shape, out, ());
-    }
 }
 
 #[cfg(test)]

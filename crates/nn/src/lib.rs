@@ -124,6 +124,23 @@
 //! parallelism lives above the engine, in campaign trial workers and serve
 //! batcher workers.
 //!
+//! # The training path
+//!
+//! [`Network::forward_traced_into`] records every activation of one sample
+//! for back-propagation. It runs its linear and convolution layers on the
+//! same blocked, SIMD-dispatched GEMM at a batch of one (convolutions through
+//! im2row, with the panel kept inside the [`ForwardTrace`]), so a warm
+//! traced pass allocates nothing and stays bit-identical to the naive
+//! kernels. Single-column sweeps like this one, and the 1–7 row remainders
+//! of any `f32` sweep, run as 8-row tiles of independent accumulators.
+//! [`Network::backward_tail`] computes only the gradients an update
+//! consumes: it stops at the first frozen layer, skips the input gradient of
+//! a linear layer no trainable linear layer below will read (the 100×32 input
+//! gradient of the Grid World MLP's first layer, for instance), and updates
+//! each weight row in one pass the compiler vectorizes — with the per-element
+//! multiply-then-add of a plain loop, so the updated weights are bit for bit
+//! the same (pinned against that loop by `tests/proptest_backward.rs`).
+//!
 //! Hooks map onto batches per row: [`ForwardHooks::on_batch_input`] and
 //! [`ForwardHooks::on_batch_activation`] receive `(batch_row, layer,
 //! values)` in per-row program order and default to the single-sample

@@ -9,6 +9,7 @@
 //! lives in per-alias `impl` blocks.
 
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
 
@@ -17,7 +18,7 @@ use navft_qformat::QFormat;
 use crate::element::Element;
 use crate::engine::{EngineConfig, SweepEvent};
 use crate::tensor::TensorBase;
-use crate::{Layer, LayerBase, LayerKind, Scratch, Tensor};
+use crate::{gemm, Layer, LayerBase, LayerKind, Scratch, Tensor};
 
 /// Observer/mutator hooks invoked during a forward pass, over the live
 /// buffers of the network's element type `E` (`f32` values, raw Q-format
@@ -254,11 +255,14 @@ impl ForwardHooks for RangeRecorder {
 ///
 /// A trace can be reused across passes through
 /// [`Network::forward_traced_into`], which overwrites the recorded tensors in
-/// place instead of reallocating them.
+/// place instead of reallocating them. The trace also owns the im2row panel
+/// its convolutions are packed into, so a warm traced pass allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardTrace {
     /// `values[0]` is the input; `values[i + 1]` is the output of layer `i`.
     pub values: Vec<Tensor>,
+    /// The im2row staging panel of the traced convolution sweeps.
+    cols: Vec<f32>,
 }
 
 impl ForwardTrace {
@@ -275,6 +279,14 @@ impl ForwardTrace {
     pub fn output(&self) -> &Tensor {
         self.values.last().expect("trace always holds the input")
     }
+}
+
+thread_local! {
+    /// The back-propagation workspace of [`Network::backward_tail`]: the
+    /// gradient at the current layer's output and the input gradient being
+    /// accumulated below it. Reused across calls, so a warm learning step
+    /// allocates nothing.
+    static GRADS: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// A feed-forward network: an ordered stack of layers plus the backend's
@@ -617,18 +629,25 @@ impl Network {
 
     /// Runs a forward pass recording every intermediate activation into a
     /// reusable `trace` (the input of [`Network::backward_tail`]),
-    /// overwriting the recorded tensors in place. After the
-    /// first call with a given topology, subsequent calls reuse every
-    /// activation buffer (no per-layer allocations), which is what makes
+    /// overwriting the recorded tensors in place. After the first call with
+    /// a given topology, subsequent calls reuse every activation buffer and
+    /// the trace's im2row panel (no allocation), which is what makes
     /// replay-heavy DQN training cheap.
+    ///
+    /// Linear and convolution layers run on the batched engine's blocked,
+    /// SIMD-dispatched GEMM (a convolution through its im2row packing) at a
+    /// batch of one, so every recorded value is bit-identical to the naive
+    /// kernels by the GEMM contract. Unlike the inference passes, the trace
+    /// records unquantized activations even when the network simulates a
+    /// fixed-point datapath.
     pub fn forward_traced_into(&self, input: &Tensor, trace: &mut ForwardTrace) {
-        if trace.values.len() != self.layers.len() + 1 {
-            trace.values.resize(self.layers.len() + 1, Tensor::zeros(&[1]));
+        let ForwardTrace { values, cols } = trace;
+        if values.len() != self.layers.len() + 1 {
+            values.resize(self.layers.len() + 1, Tensor::zeros(&[1]));
         }
-        trace.values[0].assign(input.shape(), input.data());
-        let mut shape = Vec::with_capacity(4);
+        values[0].assign(input.shape(), input.data());
         for (i, layer) in self.layers.iter().enumerate() {
-            let (head, tail) = trace.values.split_at_mut(i + 1);
+            let (head, tail) = values.split_at_mut(i + 1);
             let previous = &head[i];
             let current = &mut tail[0];
             match layer {
@@ -639,10 +658,45 @@ impl Network {
                 Layer::Flatten => {
                     current.assign(&[previous.len()], previous.data());
                 }
-                _ => {
-                    layer.output_shape(previous.shape(), &mut shape);
-                    current.resize_to(&shape);
-                    layer.forward_into(previous.data(), previous.shape(), current.data_mut());
+                Layer::MaxPool2d(pool) => {
+                    current.resize_to(&pool.output_shape(previous.shape()));
+                    pool.forward_into(previous.data(), previous.shape(), current.data_mut());
+                }
+                Layer::Linear(linear) => {
+                    assert_eq!(previous.len(), linear.in_features, "linear input length mismatch");
+                    current.resize_to(&[linear.out_features]);
+                    let out = current.data_mut();
+                    gemm::gemm_bias(
+                        (),
+                        true,
+                        &linear.weights,
+                        &linear.bias,
+                        linear.out_features,
+                        linear.in_features,
+                        previous.data(),
+                        1,
+                        |m, _, v| out[m] = v,
+                    );
+                }
+                Layer::Conv2d(conv) => {
+                    let out_shape = conv.output_shape(previous.shape());
+                    let [oc, oh, ow] = out_shape;
+                    let (ohw, patch) = (oh * ow, conv.patch_len());
+                    cols.resize(ohw * patch, 0.0);
+                    gemm::pack_im2row(conv, previous.data(), 1, previous.shape(), cols);
+                    current.resize_to(&out_shape);
+                    let out = current.data_mut();
+                    gemm::gemm_bias(
+                        (),
+                        true,
+                        &conv.weights,
+                        &conv.bias,
+                        oc,
+                        patch,
+                        cols,
+                        ohw,
+                        |m, p, v| out[m * ohw + p] = v,
+                    );
                 }
             }
         }
@@ -657,6 +711,16 @@ impl Network {
     /// layers are linear/ReLU) and the drone policy's transfer-learning
     /// fine-tuning, which retrains only the last two fully-connected layers
     /// while the convolutional feature extractor stays frozen.
+    ///
+    /// Only the gradients an update consumes are computed: the walk stops
+    /// at the first layer below `trainable_from` (or at a convolution or
+    /// pooling layer), and a linear layer's input gradient is accumulated
+    /// only when a trainable linear layer below it will read it. Each weight
+    /// row is updated in one pass over the row, the input and the input
+    /// gradient, which the compiler vectorizes; every element still sees the
+    /// same multiply-then-add sequence, in the same order, as a
+    /// straightforward per-element loop, so the updated weights are bit for
+    /// bit those of that loop. The gradient buffers are reused across calls.
     ///
     /// Returns the number of parametric layers that were updated.
     ///
@@ -677,51 +741,69 @@ impl Network {
             "trace does not match network topology"
         );
         assert_eq!(output_grad.len(), trace.output().len(), "output gradient length mismatch");
-        let mut grad = output_grad.to_vec();
-        let mut updated = 0;
-        for index in (0..self.layers.len()).rev() {
-            let input = &trace.values[index];
-            match &mut self.layers[index] {
-                Layer::Linear(linear) => {
-                    let x = input.data();
-                    let mut input_grad = vec![0.0f32; linear.in_features];
-                    for (o, &g) in grad.iter().enumerate().take(linear.out_features) {
-                        let row_start = o * linear.in_features;
-                        if index >= trainable_from {
-                            linear.bias[o] -= lr * g;
+        GRADS.with(|grads| {
+            let (grad, input_grad) = &mut *grads.borrow_mut();
+            grad.clear();
+            grad.extend_from_slice(output_grad);
+            let mut updated = 0;
+            for index in (trainable_from..self.layers.len()).rev() {
+                let input = trace.values[index].data();
+                let (below, rest) = self.layers.split_at_mut(index);
+                match &mut rest[0] {
+                    Layer::Linear(linear) => {
+                        assert_eq!(input.len(), linear.in_features, "trace does not match layer");
+                        // The input gradient is read only by a trainable
+                        // linear layer reached through ReLU/Flatten layers.
+                        let consumed = below[trainable_from..]
+                            .iter()
+                            .rev()
+                            .find(|layer| !layer.is_in_place())
+                            .is_some_and(|layer| matches!(layer, Layer::Linear(_)));
+                        if consumed {
+                            input_grad.clear();
+                            input_grad.resize(linear.in_features, 0.0);
                         }
-                        for j in 0..linear.in_features {
-                            input_grad[j] += linear.weights[row_start + j] * g;
-                            if index >= trainable_from {
-                                linear.weights[row_start + j] -= lr * g * x[j];
+                        let rows = linear.weights.chunks_exact_mut(linear.in_features);
+                        for ((row, bias), &g) in rows.zip(linear.bias.iter_mut()).zip(grad.iter()) {
+                            let step = lr * g;
+                            *bias -= step;
+                            if consumed {
+                                for ((w, &x), ig) in
+                                    row.iter_mut().zip(input).zip(input_grad.iter_mut())
+                                {
+                                    *ig += *w * g;
+                                    *w -= step * x;
+                                }
+                            } else {
+                                for (w, &x) in row.iter_mut().zip(input) {
+                                    *w -= step * x;
+                                }
+                            }
+                        }
+                        updated += 1;
+                        if !consumed {
+                            break;
+                        }
+                        std::mem::swap(grad, input_grad);
+                    }
+                    Layer::Relu => {
+                        for (g, &x) in grad.iter_mut().zip(input) {
+                            if x <= 0.0 {
+                                *g = 0.0;
                             }
                         }
                     }
-                    if index >= trainable_from {
-                        updated += 1;
+                    Layer::Flatten => {
+                        // Shape-only change: the gradient passes through unchanged.
                     }
-                    grad = input_grad;
-                }
-                Layer::Relu => {
-                    for (g, &x) in grad.iter_mut().zip(input.data().iter()) {
-                        if x <= 0.0 {
-                            *g = 0.0;
-                        }
+                    Layer::Conv2d(_) | Layer::MaxPool2d(_) => {
+                        // The frozen feature extractor: stop back-propagation here.
+                        break;
                     }
                 }
-                Layer::Flatten => {
-                    // Shape-only change: the gradient passes through unchanged.
-                }
-                Layer::Conv2d(_) | Layer::MaxPool2d(_) => {
-                    // The frozen feature extractor: stop back-propagation here.
-                    break;
-                }
             }
-            if index == 0 {
-                break;
-            }
-        }
-        updated
+            updated
+        })
     }
 }
 

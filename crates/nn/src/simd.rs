@@ -13,8 +13,11 @@
 //!   multiply + add (never FMA, whose fused rounding would diverge from the
 //!   scalar chain), so lane `j` reproduces the scalar accumulator bit for
 //!   bit. AVX2 runs 8 columns across 4 row-blocked accumulator registers;
-//!   the x86-64 SSE2 baseline runs 4 columns. Remainder columns run the
-//!   scalar chain (f32 summation order is load-bearing).
+//!   the x86-64 SSE2 baseline runs 4 columns, also in 4-row blocks; AVX2
+//!   runs a 4–7 column remainder's first four columns on the 4-lane kernel.
+//!   The last `< 4` columns run the scalar chain (f32 summation order is
+//!   load-bearing) as 8-row tiles of independent accumulators, so batches
+//!   of one row are no longer bound by one add's latency per product.
 //! * **`i32` (Q-format) and `i8` (affine)** also vectorize full column
 //!   blocks lane-per-column, each lane fed in ascending `k` order — the
 //!   scalar chain verbatim. Bytes run 16 `i32` lanes with `madd_epi16`
@@ -304,8 +307,13 @@ mod x86 {
         }
     }
 
-    /// The scalar per-output chains for the `< NR` remainder columns — the
-    /// same accumulation the tile path's edge case performs.
+    /// The `< NR` remainder columns: per column, blocks of 8 rows run as
+    /// 8 independent scalar accumulators (then 4, 2 and 1 for the rows
+    /// left over), each fed `bias + Σ_k b·a` in ascending `k` order — the
+    /// same per-output chain the tile path's edge case performs, so the
+    /// results are bit-identical, but the rows no longer wait on one
+    /// another's add latency. This is the whole sweep for batches of 1–7
+    /// rows (ε-greedy acts, traced training passes, small minibatches).
     #[allow(clippy::too_many_arguments)]
     fn scalar_columns<F: FnMut(usize, usize, f32)>(
         a: &[f32],
@@ -319,14 +327,48 @@ mod x86 {
     ) {
         for j in from..n {
             let col = &b[j * k..(j + 1) * k];
-            for i in 0..m {
-                let row = &a[i * k..(i + 1) * k];
-                let mut acc = bias[i];
-                for (av, bv) in row.iter().zip(col.iter()) {
-                    acc += bv * av;
-                }
-                write(i, j, acc);
+            let mut i = 0;
+            while i + 8 <= m {
+                row_tile::<8, F>(a, bias, k, col, i, j, write);
+                i += 8;
             }
+            if m - i >= 4 {
+                row_tile::<4, F>(a, bias, k, col, i, j, write);
+                i += 4;
+            }
+            if m - i >= 2 {
+                row_tile::<2, F>(a, bias, k, col, i, j, write);
+                i += 2;
+            }
+            if m > i {
+                row_tile::<1, F>(a, bias, k, col, i, j, write);
+            }
+        }
+    }
+
+    /// Rows `i0..i0 + R` of remainder column `j`: `R` independent
+    /// accumulators, each `acc += b·a` in ascending `k` order.
+    fn row_tile<const R: usize, F: FnMut(usize, usize, f32)>(
+        a: &[f32],
+        bias: &[f32],
+        k: usize,
+        col: &[f32],
+        i0: usize,
+        j: usize,
+        write: &mut F,
+    ) {
+        // Every slice is cut to exactly `k` so the loop runs check-free.
+        let col = &col[..k];
+        let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k..][..k]);
+        let mut acc: [f32; R] = std::array::from_fn(|r| bias[i0 + r]);
+        for kk in 0..k {
+            let bv = col[kk];
+            for r in 0..R {
+                acc[r] += bv * rows[r][kk];
+            }
+        }
+        for (r, &v) in acc.iter().enumerate() {
+            write(i0 + r, j, v);
         }
     }
 
@@ -352,6 +394,15 @@ mod x86 {
                 // exactly k × 8 packed floats.
                 unsafe { rows_avx2(a, bias, m, k, &bt[..k * NR], n0, write) };
                 n0 += NR;
+            }
+            // A remainder of 4–7 columns (a minibatch of 4, say) runs its
+            // first four on the 4-lane kernel.
+            if n - n0 >= 4 {
+                pack_columns(&mut bt[..k * 4], b, n0, k, 4);
+                // SAFETY: SSE/SSE2 are part of the x86-64 baseline; the
+                // panel slice holds exactly k × 4 packed floats.
+                unsafe { rows_sse2(a, bias, m, k, &bt[..k * 4], n0, write) };
+                n0 += 4;
             }
             scalar_columns(a, bias, m, k, b, n0, n, write);
         });
@@ -449,7 +500,30 @@ mod x86 {
         write: &mut F,
     ) {
         debug_assert_eq!(bt.len(), k * 4);
-        for i in 0..m {
+        // 4-row blocks, as in `rows_avx2`: independent accumulator registers
+        // share each panel load, each lane still the scalar chain.
+        const MR: usize = 4;
+        let mut i = 0;
+        while i + MR <= m {
+            let rows: [&[f32]; MR] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+            let mut acc: [__m128; MR] = std::array::from_fn(|r| _mm_set1_ps(bias[i + r]));
+            #[allow(clippy::needless_range_loop)] // kk indexes `bt` and all MR rows
+            for kk in 0..k {
+                let bv = _mm_loadu_ps(bt.as_ptr().add(kk * 4));
+                for r in 0..MR {
+                    acc[r] = _mm_add_ps(acc[r], _mm_mul_ps(_mm_set1_ps(rows[r][kk]), bv));
+                }
+            }
+            for (r, &reg) in acc.iter().enumerate() {
+                let mut lanes = [0.0f32; 4];
+                _mm_storeu_ps(lanes.as_mut_ptr(), reg);
+                for (j, &v) in lanes.iter().enumerate() {
+                    write(i + r, n0 + j, v);
+                }
+            }
+            i += MR;
+        }
+        while i < m {
             let row = &a[i * k..(i + 1) * k];
             let mut acc: __m128 = _mm_set1_ps(bias[i]);
             for (kk, &av) in row.iter().enumerate() {
@@ -461,6 +535,7 @@ mod x86 {
             for (j, &v) in lanes.iter().enumerate() {
                 write(i, n0 + j, v);
             }
+            i += 1;
         }
     }
 

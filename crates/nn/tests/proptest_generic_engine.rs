@@ -194,7 +194,7 @@ proptest! {
     fn mlp_paths_agree_on_both_backends(seed in 0u64..32, batch in 1usize..9) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let sizes =
-            [1 + rng.gen_range(0usize..12), 1 + rng.gen_range(0usize..12), 1 + rng.gen_range(0usize..6)];
+            [1 + rng.gen_range(0usize..12), 1 + rng.gen_range(0usize..24), 1 + rng.gen_range(0usize..6)];
         let net = mlp(&sizes, &mut rng);
         let inputs = batch_inputs(&[sizes[0]], batch, seed ^ 0xAB);
         let mut blocked = Scratch::new();

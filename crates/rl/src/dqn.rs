@@ -5,7 +5,7 @@ use navft_nn::{
     Tensor,
 };
 
-use crate::{EpsilonSchedule, EvalElement, ReplayBuffer, Transition};
+use crate::{EpsilonSchedule, EvalElement, ReplayBuffer};
 
 /// Hyper-parameters of the (Double) DQN agent.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,9 +78,11 @@ pub struct DqnAgent {
     replay: ReplayBuffer,
     input_shape: Vec<usize>,
     episodes_since_sync: usize,
-    // Preallocated learning-step workspace: the batched bootstrap sweep and
-    // the per-transition traced pass reuse these across learn() calls, so a
-    // warm learning step performs no per-transition heap allocation.
+    // Preallocated learning-step workspace: the sampled slot indices, the
+    // batched bootstrap sweep and the per-transition traced pass reuse these
+    // across learn() calls, so a warm learning step performs no heap
+    // allocation.
+    batch: Vec<usize>,
     scratch: Scratch,
     trace: ForwardTrace,
     next_batch: Vec<Tensor>,
@@ -113,6 +115,7 @@ impl DqnAgent {
             epsilon,
             input_shape: input_shape.to_vec(),
             episodes_since_sync: 0,
+            batch: Vec::new(),
             scratch: Scratch::new(),
             trace: ForwardTrace::new(),
             next_batch: Vec::new(),
@@ -274,6 +277,11 @@ impl DqnAgent {
     }
 
     /// Stores a transition in the replay buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either observation's length differs from the element count
+    /// of [`DqnAgent::input_shape`].
     pub fn observe(
         &mut self,
         state: &Tensor,
@@ -282,47 +290,53 @@ impl DqnAgent {
         next_state: &Tensor,
         terminal: bool,
     ) {
-        self.replay.push(Transition {
-            state: state.data().to_vec(),
-            action,
-            reward,
-            next_state: next_state.data().to_vec(),
-            terminal,
-        });
+        let expected: usize = self.input_shape.iter().product();
+        assert!(
+            state.len() == expected && next_state.len() == expected,
+            "DqnAgent::observe: observations must have {expected} elements (input shape {:?}), \
+             got state {} and next state {}",
+            self.input_shape,
+            state.len(),
+            next_state.len()
+        );
+        self.replay.push(state.data(), action, reward, next_state.data(), terminal);
     }
 
     /// Runs one mini-batch SGD learning step; a no-op until the replay buffer
     /// holds at least one batch.
     ///
-    /// The bootstrap targets are computed with **one batched sweep** of the
-    /// target network over the whole minibatch of next states (the target is
-    /// frozen for the duration of a learning step, so this is bit-identical
-    /// to the per-transition passes it replaced — pinned by the golden-digest
-    /// regression test). Under [`DqnAgent::with_i8_target`] that sweep runs
-    /// on the int8 snapshot instead, dequantizing each output row. With
-    /// Double DQN the online network's action selection still runs per
-    /// transition, because the online weights evolve within the loop; it
-    /// reuses the agent's scratch instead of allocating.
+    /// The minibatch is a list of sampled replay slots; each observation is
+    /// decoded straight from the replay buffer into the tensor that stages
+    /// it. The bootstrap targets are computed with **one batched sweep** of
+    /// the target network over the whole minibatch of next states (the
+    /// target is frozen for the duration of a learning step, so this is
+    /// bit-identical to the per-transition passes it replaced — pinned by
+    /// the golden-digest regression test). Under
+    /// [`DqnAgent::with_i8_target`] that sweep runs on the int8 snapshot
+    /// instead, dequantizing each output row. With Double DQN the online
+    /// network's action selection still runs per transition, because the
+    /// online weights evolve within the loop; it reuses the agent's scratch
+    /// instead of allocating.
     pub fn learn<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         if self.replay.len() < self.config.batch_size {
             return;
         }
-        let batch: Vec<Transition> =
-            self.replay.sample(self.config.batch_size, rng).into_iter().cloned().collect();
+        self.replay.sample_indices(self.config.batch_size, rng, &mut self.batch);
         let lr = self.config.learning_rate / self.config.batch_size as f32;
+        self.state_buf.resize_to(&self.input_shape);
 
         // Batched bootstrap: target Q-values of every next state in one
         // layer-sweeping pass through the preallocated scratch — on the int8
         // target snapshot when enabled, the f32 target network otherwise.
-        let rows = batch.len();
+        let rows = self.batch.len();
         let actions = if let Some(i8net) = self.i8_target.as_ref() {
             while self.i8_next_batch.len() < rows {
                 self.i8_next_batch
                     .push(<i8 as EvalElement>::input_buffer(&self.input_shape, i8net));
             }
             self.i8_next_batch.truncate(rows);
-            for (slot, transition) in self.i8_next_batch.iter_mut().zip(batch.iter()) {
-                self.state_buf.assign(&self.input_shape, &transition.next_state);
+            for (slot, &index) in self.i8_next_batch.iter_mut().zip(self.batch.iter()) {
+                self.replay.decode_next_state(index, self.state_buf.data_mut());
                 <i8 as EvalElement>::encode_into(&self.state_buf, slot);
             }
             i8net.forward_batch_into_cfg(
@@ -344,8 +358,9 @@ impl DqnAgent {
                 self.next_batch.push(Tensor::zeros(&[1]));
             }
             self.next_batch.truncate(rows);
-            for (slot, transition) in self.next_batch.iter_mut().zip(batch.iter()) {
-                slot.assign(&self.input_shape, &transition.next_state);
+            for (slot, &index) in self.next_batch.iter_mut().zip(self.batch.iter()) {
+                slot.resize_to(&self.input_shape);
+                self.replay.decode_next_state(index, slot.data_mut());
             }
             self.target.forward_batch_into_cfg(
                 &self.next_batch,
@@ -361,9 +376,10 @@ impl DqnAgent {
             actions
         };
 
-        for (row, transition) in batch.iter().enumerate() {
-            let target_value = if transition.terminal {
-                transition.reward
+        for (row, &index) in self.batch.iter().enumerate() {
+            let (action, reward) = (self.replay.action(index), self.replay.reward(index));
+            let target_value = if self.replay.terminal(index) {
+                reward
             } else {
                 let target_row = &self.target_q[row * actions..(row + 1) * actions];
                 let bootstrap = if self.config.double_dqn {
@@ -372,7 +388,7 @@ impl DqnAgent {
                     // target's evaluation was batched above, which also
                     // removes the duplicate next-state pass the serial code
                     // paid per transition.
-                    self.state_buf.assign(&self.input_shape, &transition.next_state);
+                    self.replay.decode_next_state(index, self.state_buf.data_mut());
                     self.online.forward_batch_into_cfg(
                         &[&self.state_buf],
                         &mut self.scratch,
@@ -383,15 +399,15 @@ impl DqnAgent {
                 } else {
                     target_row.iter().copied().fold(f32::NEG_INFINITY, f32::max)
                 };
-                transition.reward + self.config.gamma * bootstrap
+                reward + self.config.gamma * bootstrap
             };
-            self.state_buf.assign(&self.input_shape, &transition.state);
+            self.replay.decode_state(index, self.state_buf.data_mut());
             self.online.forward_traced_into(&self.state_buf, &mut self.trace);
             let output = self.trace.output().data();
-            let error = (output[transition.action] - target_value).clamp(-1.0, 1.0);
+            let error = (output[action] - target_value).clamp(-1.0, 1.0);
             self.grad.clear();
             self.grad.resize(output.len(), 0.0);
-            self.grad[transition.action] = 2.0 * error;
+            self.grad[action] = 2.0 * error;
             self.online.backward_tail(&self.trace, &self.grad, lr, self.config.trainable_from);
         }
     }
@@ -499,6 +515,14 @@ mod tests {
         let s = Tensor::zeros(&[4]);
         a.observe(&s, 0, 1.0, &s, false);
         assert_eq!(a.replay().len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "observations must have 4 elements")]
+    fn observe_rejects_observations_of_the_wrong_length() {
+        let mut a = agent(3);
+        let s = Tensor::zeros(&[4]);
+        a.observe(&s, 0, 1.0, &Tensor::zeros(&[5]), false);
     }
 
     #[test]

@@ -126,17 +126,17 @@ impl FaultPlan {
         network: &mut NetworkBase<E>,
         enforce_only: bool,
     ) {
-        let spans: Vec<(usize, std::ops::Range<usize>)> =
-            network.parametric_layers().into_iter().map(|i| (i, network.weight_span(i))).collect();
-        for (layer, span) in spans {
-            if let Some(weights) = network.layer_weights_mut(layer) {
-                if enforce_only {
-                    injector.enforce_span(span.start, weights);
-                } else {
-                    injector.corrupt_span(span.start, weights);
-                }
+        // Each weight buffer starts where the previous one ended in the
+        // concatenated view (see `NetworkBase::weight_span`).
+        let mut start = 0;
+        network.for_each_weight_buffer(|_, weights| {
+            if enforce_only {
+                injector.enforce_span(start, weights);
+            } else {
+                injector.corrupt_span(start, weights);
             }
-        }
+            start += weights.len();
+        });
     }
 }
 

@@ -8,7 +8,13 @@
 //!   the `navft-gridworld` and `navft-dronesim` crates.
 //! * Policies — a quantized [`QTable`] with tabular Q-learning
 //!   ([`TabularAgent`]) and a (Double) DQN agent ([`DqnAgent`]) over
-//!   `navft-nn` networks with experience replay ([`ReplayBuffer`]).
+//!   `navft-nn` networks with experience replay ([`ReplayBuffer`]). The
+//!   buffer is struct-of-arrays: actions, rewards and terminal flags in
+//!   parallel columns, and both observations of a transition in one
+//!   lossless encoding that elides runs of `+0.0` (a one-hot Grid World
+//!   state is three words). A learning step samples slot indices into a
+//!   reused vector and decodes each observation straight into the tensor
+//!   that stages it, so a warm [`DqnAgent::learn`] allocates nothing.
 //! * Exploration — the decaying ε-greedy [`EpsilonSchedule`], deliberately
 //!   adjustable at run time because the training-time mitigation of §5.1
 //!   steers it.
@@ -97,7 +103,7 @@ pub use eval::{
 pub use exploration::EpsilonSchedule;
 pub use faultplan::FaultPlan;
 pub use metrics::{EpisodeOutcome, EvalResult, TrainingTrace};
-pub use replay::{ReplayBuffer, Transition};
+pub use replay::ReplayBuffer;
 pub use rollout::{
     evaluate_policy_discrete_batched, evaluate_policy_vision_batched,
     evaluate_policy_vision_hooked_batched, rollout, EpisodeTape, RolloutObs,

@@ -239,9 +239,10 @@ where
         rows.push(Some(start(venv, agent, &mut next_episode, row)));
     }
     let mut live = width;
+    let mut active: Vec<usize> = Vec::with_capacity(width);
 
     while live > 0 {
-        let mut active: Vec<usize> = Vec::new();
+        active.clear();
         for (row, slot) in rows.iter().enumerate() {
             if let Some(slot) = slot {
                 one_hot_into(slot.state, num_states, &mut states[active.len()]);
