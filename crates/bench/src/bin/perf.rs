@@ -40,15 +40,13 @@
 //! [`Element::finish_tile`] — the vectorized requantize that folds widened
 //! accumulators back into storable words.
 //!
-//! A fifth, `serve_scale` section stresses the **sharded** daemon at
-//! `--scale-sessions` concurrent sessions (default 32 768) for each worker
-//! count in {1, 2, 4, 8}, under two open-loop regimes driven by the bursty
-//! load generator: `saturated` (zero think time — every session re-arrives
-//! the instant its response lands, measuring aggregate capacity in rows/s)
-//! and `bursty` (Poisson-ish think times with ramp and spike phases,
-//! measuring the coordinated-omission-aware p50/p99/p99.9 tail). Single-core
-//! hosts serialize the shard batchers, so the worker sweep measures sharding
-//! overhead there rather than speedup; multi-core hosts see the scaling.
+//! A fifth, `serve_scale` section stresses the daemon's one batcher at
+//! `--scale-sessions` concurrent sessions (default 32 768) under two
+//! open-loop regimes driven by the bursty load generator: `saturated` (zero
+//! think time — every session re-arrives the instant its response lands,
+//! measuring capacity in rows/s) and `bursty` (Poisson-ish think times with
+//! ramp and spike phases, measuring the coordinated-omission-aware
+//! p50/p99/p99.9 tail).
 //!
 //! A sixth, `training` section times the DQN learning loop itself: `learn`
 //! steps per second on the Grid World MLP at minibatch 32 and 128, once with
@@ -251,26 +249,22 @@ where
     ])
 }
 
-/// Sharded worker counts the `serve_scale` section sweeps.
-const SCALE_WORKERS: [usize; 4] = [1, 2, 4, 8];
-
 /// Open-loop requests each session issues per `serve_scale` regime. Four is
 /// the minimum that exercises all three arrival phases (ramp, steady,
 /// spike) of the bursty generator.
 const SCALE_REQUESTS: usize = 4;
 
-/// One `serve_scale` measurement cell: session and worker counts plus the
-/// arrival regime.
+/// One `serve_scale` measurement cell: the session count plus the arrival
+/// regime.
 struct ScaleCell<'a> {
     model: &'a str,
     backend: &'a str,
     sessions: usize,
-    workers: usize,
     /// Zero selects the `saturated` regime; non-zero the `bursty` one.
     mean_think: Duration,
 }
 
-/// Drives the sharded daemon with one [`ScaleCell`]'s worth of concurrent
+/// Drives the daemon with one [`ScaleCell`]'s worth of concurrent
 /// open-loop sessions and returns the JSON row.
 ///
 /// `mean_think == 0` is the `saturated` regime: every session's next
@@ -285,12 +279,10 @@ fn bench_serve_scale<W>(cell: &ScaleCell, network: &NetworkBase<W>, states: usiz
 where
     W: EvalElement,
 {
-    let &ScaleCell { model, backend, sessions, workers, mean_think } = cell;
+    let &ScaleCell { model, backend, sessions, mean_think } = cell;
     let load = if mean_think.is_zero() { "saturated" } else { "bursty" };
-    let config = ServeConfig::default()
-        .with_workers(workers)
-        .with_max_batch(BATCH)
-        .with_queue_capacity(sessions.max(BATCH));
+    let config =
+        ServeConfig::default().with_max_batch(BATCH).with_queue_capacity(sessions.max(BATCH));
     let server = Server::start(network.clone(), &[states], config);
     let ids: Vec<_> = (0..sessions).map(|_| server.open_clean_session()).collect();
     let bursty = BurstyConfig {
@@ -305,7 +297,7 @@ where
     let secs = outcome.elapsed.as_secs_f64();
     let rows_per_s = if secs > 0.0 { outcome.rows as f64 / secs } else { f64::NAN };
     eprintln!(
-        "[perf] serve_scale {model}/{backend} {load}: {sessions} sessions x {workers} worker(s), \
+        "[perf] serve_scale {model}/{backend} {load}: {sessions} sessions, \
          p50 {:.0}us, p99 {:.0}us, p99.9 {:.0}us, {rows_per_s:.0} rows/s, {} retries",
         latency.p50(),
         latency.p99(),
@@ -317,7 +309,6 @@ where
         ("backend", Json::Str(backend.to_string())),
         ("load", Json::Str(load.to_string())),
         ("sessions", Json::num(sessions as f64)),
-        ("workers", Json::num(workers as f64)),
         ("requests", Json::num(latency.len() as f64)),
         ("retries", Json::num(outcome.retries as f64)),
         ("p50_us", Json::num(latency.p50())),
@@ -547,23 +538,22 @@ fn run_benchmarks(rev: &str, repeats: usize, sessions: usize, scale_sessions: us
         bench_serve("grid-mlp", &format!("{format}"), qpolicy.clone(), &world, sessions),
     ];
 
-    // Serve-scale section: the sharded daemon at `--scale-sessions`
-    // concurrent open-loop sessions, per worker count, in the saturated
-    // (capacity) and bursty (tail latency) regimes.
+    // Serve-scale section: the daemon at `--scale-sessions` concurrent
+    // open-loop sessions, in the saturated (capacity) and bursty (tail
+    // latency) regimes.
     let states = world.num_states();
-    let mut serve_scale = Vec::new();
-    for &workers in &SCALE_WORKERS {
-        for mean_think in [Duration::ZERO, Duration::from_millis(100)] {
+    let serve_scale: Vec<Json> = [Duration::ZERO, Duration::from_millis(100)]
+        .into_iter()
+        .map(|mean_think| {
             let cell = ScaleCell {
                 model: "grid-mlp",
                 backend: "f32",
                 sessions: scale_sessions,
-                workers,
                 mean_think,
             };
-            serve_scale.push(bench_serve_scale(&cell, &policy, states));
-        }
-    }
+            bench_serve_scale(&cell, &policy, states)
+        })
+        .collect();
 
     // Training section: DQN `learn` steps/s on the Grid World MLP, f32 and
     // int8 bootstrap targets at both minibatch sizes.

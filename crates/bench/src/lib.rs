@@ -80,8 +80,8 @@ pub struct GateSpec {
 /// * `results` — the batched GEMM forward path, per `(model, backend)`;
 /// * `serve` — the dynamic batcher's served-row throughput, per
 ///   `(model, backend, sessions)`;
-/// * `serve_scale` — the sharded daemon under ≥32k open-loop sessions, per
-///   `(model, backend, load, sessions, workers)`;
+/// * `serve_scale` — the daemon under ≥32k open-loop sessions, per
+///   `(model, backend, load, sessions)`;
 /// * `training` — DQN `learn` steps/s, per `(model, backend, minibatch)`;
 /// * `campaign` — gated twice: rollout rows per `(model, backend, batch)`
 ///   on `steps_per_s` and figure rows per `figure` on `trials_per_s`. Rows
@@ -102,7 +102,7 @@ pub const GATED: &[GateSpec] = &[
     },
     GateSpec {
         section: "serve_scale",
-        key_fields: &["model", "backend", "load", "sessions", "workers"],
+        key_fields: &["model", "backend", "load", "sessions"],
         metric: "rows_per_s",
     },
     GateSpec {
@@ -417,23 +417,23 @@ mod tests {
     fn serve_scale_and_training_rows_are_gated() {
         let base = snapshot(
             r#"{"serve_scale":[{"model":"m","backend":"f32","load":"saturated","sessions":32768,
-                                "workers":4,"rows_per_s":1000.0}],
+                                "rows_per_s":1000.0}],
                 "training":[{"model":"m","backend":"i8","minibatch":128,"learn_steps_per_s":800.0}]}"#,
         );
         assert_eq!(perf_regressions(&base, &base, 0.10), Vec::<String>::new());
 
         let slow = snapshot(
             r#"{"serve_scale":[{"model":"m","backend":"f32","load":"saturated","sessions":32768,
-                                "workers":4,"rows_per_s":500.0}],
+                                "rows_per_s":500.0}],
                 "training":[{"model":"m","backend":"i8","minibatch":128,"learn_steps_per_s":300.0}]}"#,
         );
         let failures = perf_regressions(&base, &slow, 0.10);
         assert_eq!(failures.len(), 2, "{failures:?}");
-        assert!(failures[0].contains("serve_scale m/f32/saturated/32768/4"), "{failures:?}");
+        assert!(failures[0].contains("serve_scale m/f32/saturated/32768"), "{failures:?}");
         assert!(failures[1].contains("training m/i8/128"), "{failures:?}");
         assert!(failures[1].contains("learn_steps_per_s"), "{failures:?}");
 
-        // A worker count dropped from the sweep is a missing row, not a pass.
+        // A regime dropped from the sweep is a missing row, not a pass.
         let dropped = snapshot(r#"{"serve_scale":[],"training":[]}"#);
         let failures = perf_regressions(&base, &dropped, 0.10);
         assert_eq!(failures.len(), 2, "{failures:?}");

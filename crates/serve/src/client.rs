@@ -236,9 +236,9 @@ fn phase_multiplier(done: usize, total: usize, spike_factor: f64) -> f64 {
 /// flight, or that hit [`ServeError::Busy`] backpressure, keep their
 /// original schedule anchor — the extra wait is charged to that request's
 /// latency. The driver never blocks on a single ticket (tickets resolve via
-/// [`Ticket::poll`]), so one slow shard cannot stall arrivals bound for the
-/// others. The returned outcome's `traces` are empty: this driver measures
-/// load behaviour, the lockstep episode drivers pin determinism.
+/// [`Ticket::poll`]), so one slow request cannot stall arrivals due for
+/// other sessions. The returned outcome's `traces` are empty: this driver
+/// measures load behaviour, the lockstep episode drivers pin determinism.
 ///
 /// # Panics
 ///
@@ -398,6 +398,7 @@ fn submit_obs_with_backoff<W: EvalElement>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::within_timeout;
     use crate::{ServeConfig, SessionHook};
     use navft_dronesim::DroneSim;
     use navft_gridworld::GridWorld;
@@ -409,72 +410,77 @@ mod tests {
 
     #[test]
     fn gridworld_load_generator_matches_the_library_traces() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let world = GridWorld::random(6, 0.2, &mut rng);
-        let states = world.num_states();
-        let policy = mlp(&[states, 24, 4], &mut SmallRng::seed_from_u64(4));
+        within_timeout(|| {
+            let mut rng = SmallRng::seed_from_u64(3);
+            let world = GridWorld::random(6, 0.2, &mut rng);
+            let states = world.num_states();
+            let policy = mlp(&[states, 24, 4], &mut SmallRng::seed_from_u64(4));
 
-        // Library reference: one greedy episode per environment copy.
-        let expected: Vec<Vec<usize>> = (0..5)
-            .map(|_| {
-                let mut env = world.clone();
-                trace_policy_discrete(&mut env, &policy, 30, &mut navft_nn::NoHooks)
-            })
-            .collect();
+            // Library reference: one greedy episode per environment copy.
+            let expected: Vec<Vec<usize>> = (0..5)
+                .map(|_| {
+                    let mut env = world.clone();
+                    trace_policy_discrete(&mut env, &policy, 30, &mut navft_nn::NoHooks)
+                })
+                .collect();
 
-        let config =
-            ServeConfig::default().with_max_batch(3).with_flush_after(Duration::from_millis(1));
-        let server = Server::start(policy, &[states], config);
-        let sessions: Vec<_> = (0..5)
-            .map(|i| server.open_session(Box::new(SessionHook::<f32>::new(None, i))))
-            .collect();
-        let mut envs: Vec<GridWorld> = (0..5).map(|_| world.clone()).collect();
-        let mut latency = LatencyWindow::new();
-        let outcome = drive_discrete_episodes(&server, &sessions, &mut envs, 30, &mut latency);
+            let config =
+                ServeConfig::default().with_max_batch(3).with_flush_after(Duration::from_millis(1));
+            let server = Server::start(policy, &[states], config);
+            let sessions: Vec<_> = (0..5)
+                .map(|i| server.open_session(Box::new(SessionHook::<f32>::new(None, i))))
+                .collect();
+            let mut envs: Vec<GridWorld> = (0..5).map(|_| world.clone()).collect();
+            let mut latency = LatencyWindow::new();
+            let outcome = drive_discrete_episodes(&server, &sessions, &mut envs, 30, &mut latency);
 
-        assert_eq!(outcome.traces, expected, "served traces must match the library path");
-        assert_eq!(latency.len(), outcome.rows);
-        assert!(outcome.rows >= 5, "each session took at least one step");
-        assert!(server.stats().max_rows_per_batch > 1, "requests coalesced");
+            assert_eq!(outcome.traces, expected, "served traces must match the library path");
+            assert_eq!(latency.len(), outcome.rows);
+            assert!(outcome.rows >= 5, "each session took at least one step");
+            assert!(server.stats().max_rows_per_batch > 1, "requests coalesced");
+        });
     }
 
     #[test]
     fn bursty_driver_serves_every_scheduled_request() {
-        let states = 6;
-        let policy = mlp(&[states, 16, 4], &mut SmallRng::seed_from_u64(9));
-        let config = ServeConfig::default()
-            .with_workers(2)
-            .with_max_batch(8)
-            .with_flush_after(Duration::from_micros(100));
-        let server = Server::start(policy, &[states], config);
-        let sessions: Vec<_> = (0..16).map(|_| server.open_clean_session()).collect();
-        let bursty = BurstyConfig {
-            requests_per_session: 5,
-            mean_think: Duration::from_micros(100),
-            spike_factor: 4.0,
-            seed: 17,
-        };
-        let mut latency = LatencyWindow::new();
-        let outcome = drive_bursty_load(&server, &sessions, states, &bursty, &mut latency);
-        // Open-loop accounting: every scheduled request resolved, none lost.
-        assert_eq!(outcome.rows, 16 * 5);
-        assert_eq!(latency.len(), outcome.rows);
-        assert!(latency.p999() >= latency.p50(), "percentiles are ordered");
-        server.shutdown();
+        within_timeout(|| {
+            let states = 6;
+            let policy = mlp(&[states, 16, 4], &mut SmallRng::seed_from_u64(9));
+            let config = ServeConfig::default()
+                .with_max_batch(8)
+                .with_flush_after(Duration::from_micros(100));
+            let server = Server::start(policy, &[states], config);
+            let sessions: Vec<_> = (0..16).map(|_| server.open_clean_session()).collect();
+            let bursty = BurstyConfig {
+                requests_per_session: 5,
+                mean_think: Duration::from_micros(100),
+                spike_factor: 4.0,
+                seed: 17,
+            };
+            let mut latency = LatencyWindow::new();
+            let outcome = drive_bursty_load(&server, &sessions, states, &bursty, &mut latency);
+            // Open-loop accounting: every scheduled request resolved, none lost.
+            assert_eq!(outcome.rows, 16 * 5);
+            assert_eq!(latency.len(), outcome.rows);
+            assert!(latency.p999() >= latency.p50(), "percentiles are ordered");
+            server.shutdown();
+        });
     }
 
     #[test]
     fn drone_load_generator_serves_vision_episodes() {
-        let policy = c3f2_scaled(&mut SmallRng::seed_from_u64(5));
-        let config =
-            ServeConfig::default().with_max_batch(2).with_flush_after(Duration::from_millis(1));
-        let server = Server::start(policy, &[1, 31, 31], config);
-        let sessions: Vec<_> = (0..2).map(|_| server.open_clean_session()).collect();
-        let mut envs = vec![DroneSim::indoor_long(), DroneSim::indoor_long()];
-        let mut latency = LatencyWindow::new();
-        let outcome = drive_vision_episodes(&server, &sessions, &mut envs, 4, &mut latency);
-        assert_eq!(outcome.traces.len(), 2);
-        assert!(outcome.rows > 0);
-        assert_eq!(latency.len(), outcome.rows);
+        within_timeout(|| {
+            let policy = c3f2_scaled(&mut SmallRng::seed_from_u64(5));
+            let config =
+                ServeConfig::default().with_max_batch(2).with_flush_after(Duration::from_millis(1));
+            let server = Server::start(policy, &[1, 31, 31], config);
+            let sessions: Vec<_> = (0..2).map(|_| server.open_clean_session()).collect();
+            let mut envs = vec![DroneSim::indoor_long(), DroneSim::indoor_long()];
+            let mut latency = LatencyWindow::new();
+            let outcome = drive_vision_episodes(&server, &sessions, &mut envs, 4, &mut latency);
+            assert_eq!(outcome.traces.len(), 2);
+            assert!(outcome.rows > 0);
+            assert_eq!(latency.len(), outcome.rows);
+        });
     }
 }

@@ -4,38 +4,38 @@
 //! episode; the north star is serving those policies to many concurrent
 //! users. This crate is that serving layer:
 //!
-//! * [`Server`] owns one policy of any numeric backend and
-//!   [`ServeConfig::workers`] **shards**: each shard is an independent
-//!   service domain with its own session registry, bounded request queue,
-//!   dynamic-batcher worker thread, scratch arena and ingest buffer pool.
-//!   A session is pinned to one shard when opened (stable session-id hash)
-//!   and never migrates, so a session's trace depends only on its own
-//!   request order — per-session determinism is preserved by construction
-//!   at any worker count.
+//! * [`Server`] owns one policy of any numeric backend, one session table,
+//!   one bounded request queue and one ingest buffer pool, all behind **one
+//!   lock**, and **one dynamic-batcher thread** with its scratch arena. A
+//!   session's trace depends only on its own request order, so per-session
+//!   determinism holds by construction. To use more cores, run several
+//!   servers.
 //! * Each open session carries its own forward hooks (fault injection,
 //!   range-guard scrubbing — see [`SessionHook`]) and at most one in-flight
 //!   request.
-//! * A **dynamic batcher per shard** coalesces pending [`Server::submit`]
-//!   requests — up to [`ServeConfig::max_batch`], or whatever arrived
-//!   within [`ServeConfig::flush_after`] of the oldest pending request —
-//!   into one zero-alloc `forward_batch_into_cfg` sweep. Per-session hooks
-//!   are routed to their batch row through [`navft_nn::DynRowHooks`], so a
-//!   served request observes the *exact* hook call sequence of a
-//!   single-sample library forward: action traces are bit-identical to the
-//!   library-only path under any coalescing schedule × worker count.
-//! * A **bounded queue per shard** provides backpressure: beyond
-//!   [`ServeConfig::queue_capacity`] pending requests on a session's
-//!   shard, [`Server::submit`] rejects with [`ServeError::Busy`] and hands
-//!   the input back for a retry ([`Server::act`] retries internally).
-//!   Dropping or shutting the server down drains every shard's queued
-//!   requests before joining all workers.
+//! * The **dynamic batcher** coalesces pending [`Server::submit`] requests
+//!   — up to [`ServeConfig::max_batch`], or whatever arrived within
+//!   [`ServeConfig::flush_after`] of the oldest pending request — into one
+//!   zero-alloc `forward_batch_into_cfg` sweep. Per-session hooks are routed
+//!   to their batch row through [`navft_nn::DynRowHooks`], so a served
+//!   request observes the *exact* hook call sequence of a single-sample
+//!   library forward: action traces are bit-identical to the library-only
+//!   path under any coalescing schedule.
+//! * The **bounded queue** provides backpressure: beyond
+//!   [`ServeConfig::queue_capacity`] pending requests, [`Server::submit`]
+//!   rejects with [`ServeError::Busy`] and hands the input back for a retry
+//!   ([`Server::act`] retries internally). Dropping or shutting the server
+//!   down drains the queued requests before joining the batcher. If a
+//!   session hook panics, the batcher fails the server closed: every queued
+//!   and in-sweep ticket resolves `Err(ServeError::ShuttingDown)` and later
+//!   submissions are refused the same way, so no caller hangs.
 //! * **Quantize-on-ingest** entry points ([`Server::submit_obs`],
 //!   [`Server::submit_one_hot`] and their blocking [`Server::act_obs`] /
 //!   [`Server::act_one_hot`] forms) encode `f32` observations into the
 //!   served backend's storage representation exactly once at enqueue, into
-//!   shard-pooled buffers recycled from served requests — integer backends
-//!   never round-trip through `f32` on the hot path, and steady-state
-//!   ingest performs no allocation.
+//!   pooled buffers recycled from served requests — integer backends never
+//!   round-trip through `f32` on the hot path, and steady-state ingest
+//!   performs no allocation.
 //!
 //! [`client`] ships the lockstep grid-world and drone episode drivers the
 //! determinism suite uses, plus a bursty open-loop generator
@@ -76,3 +76,30 @@ pub use client::{
 pub use metrics::LatencyWindow;
 pub use server::{Decision, ServeConfig, ServeError, ServeStats, Server, SessionId, Ticket};
 pub use session::SessionHook;
+
+#[cfg(test)]
+mod testing {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Upper bound on one serve unit test's run time.
+    const TIMEOUT: Duration = Duration::from_secs(60);
+
+    /// Runs `test` on a helper thread and fails if it has not finished
+    /// within [`TIMEOUT`], so a hung serve path fails the suite instead of
+    /// stalling it. A panic inside `test` is re-raised here.
+    pub(crate) fn within_timeout(test: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            test();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(TIMEOUT) {
+            Ok(()) => {}
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(runner.join().expect_err("the test thread panicked"))
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("test still running after {TIMEOUT:?}"),
+        }
+    }
+}

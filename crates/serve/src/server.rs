@@ -1,10 +1,9 @@
-//! The serving daemon: sharded session registries, bounded per-shard request
-//! queues, and one dynamic-batcher worker per shard.
+//! The serving daemon: one session table and one bounded request queue
+//! behind one lock, served by one dynamic-batcher thread.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -12,54 +11,35 @@ use navft_nn::{argmax, DynRowHooks, Element, EngineConfig, ForwardHooks, Network
 use navft_nn::{Scratch, TensorBase};
 use navft_rl::EvalElement;
 
-/// Configuration of a [`Server`]'s shard layout, dynamic batchers and queues.
+/// Configuration of a [`Server`]'s dynamic batcher and request queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Number of sharded batcher workers. Sessions are pinned to one shard
-    /// at open (stable session-id hash) and never migrate, so each shard is
-    /// an independent service domain: its own bounded queue, batcher thread,
-    /// scratch arena and ingest pool.
-    pub workers: usize,
-    /// Largest number of requests coalesced into one engine sweep (per
-    /// shard).
+    /// Largest number of requests coalesced into one engine sweep.
     pub max_batch: usize,
-    /// Per-shard pending-request bound beyond which [`Server::submit`]
-    /// rejects with [`ServeError::Busy`].
+    /// Pending-request bound beyond which [`Server::submit`] rejects with
+    /// [`ServeError::Busy`].
     pub queue_capacity: usize,
-    /// How long a batcher waits for more requests after the oldest pending
-    /// one before flushing a partial batch.
+    /// How long the batcher waits for more requests after the oldest
+    /// pending one before flushing a partial batch.
     pub flush_after: Duration,
 }
 
 impl Default for ServeConfig {
-    /// One worker, batches of up to 64 rows, a 256-request queue and a
-    /// 200 µs flush deadline.
+    /// Batches of up to 64 rows, a 256-request queue and a 200 µs flush
+    /// deadline.
     fn default() -> Self {
-        ServeConfig {
-            workers: 1,
-            max_batch: 64,
-            queue_capacity: 256,
-            flush_after: Duration::from_micros(200),
-        }
+        ServeConfig { max_batch: 64, queue_capacity: 256, flush_after: Duration::from_micros(200) }
     }
 }
 
 impl ServeConfig {
-    /// Returns the config with the sharded worker count set (clamped to
-    /// ≥ 1).
-    pub fn with_workers(mut self, workers: usize) -> ServeConfig {
-        self.workers = workers.max(1);
-        self
-    }
-
     /// Returns the config with the coalescing bound set (clamped to ≥ 1).
     pub fn with_max_batch(mut self, max_batch: usize) -> ServeConfig {
         self.max_batch = max_batch.max(1);
         self
     }
 
-    /// Returns the config with the per-shard queue bound set (clamped to
-    /// ≥ 1).
+    /// Returns the config with the queue bound set (clamped to ≥ 1).
     pub fn with_queue_capacity(mut self, capacity: usize) -> ServeConfig {
         self.queue_capacity = capacity.max(1);
         self
@@ -75,9 +55,10 @@ impl ServeConfig {
 /// Why the server declined a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeError {
-    /// The session's shard queue is full — back off and retry.
+    /// The request queue is full — back off and retry.
     Busy,
-    /// The server is draining towards shutdown; no new requests.
+    /// The server is draining towards shutdown (or its batcher died); no
+    /// new requests.
     ShuttingDown,
     /// The session does not exist (never opened, or already closed).
     UnknownSession,
@@ -112,12 +93,9 @@ pub struct Decision<W: Element> {
     pub values: Vec<W>,
 }
 
-/// Handle to an open session of a [`Server`].
-///
-/// The id encodes the session's shard (`id % workers`) and its slot within
-/// that shard's registry (`id / workers`); a session stays on its shard for
-/// its whole lifetime, which is what makes per-session traces independent of
-/// every other shard's traffic.
+/// Handle to an open session of a [`Server`]: the index of the session's
+/// slot in the server's session table. A closed session's slot (and so its
+/// id) is reused by a later open.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SessionId(usize);
 
@@ -141,8 +119,9 @@ impl<W: Element> Ticket<W> {
 
     /// Checks for the decision without blocking: `None` while the request is
     /// still queued or sweeping, `Some(result)` exactly once when it has
-    /// resolved (a later [`Ticket::wait`] would then block forever — the
-    /// reply is consumed here).
+    /// resolved. The reply is consumed here: the batcher drops its sender
+    /// after replying, so a later [`Ticket::wait`] (or poll) returns
+    /// `Err(ServeError::ShuttingDown)`.
     pub fn poll(&self) -> Option<Result<Decision<W>, ServeError>> {
         match self.rx.try_recv() {
             Ok(result) => Some(result),
@@ -152,27 +131,29 @@ impl<W: Element> Ticket<W> {
     }
 }
 
-/// Counters of a server's lifetime activity (see [`Server::stats`]),
-/// aggregated across all shards.
+/// Counters of a server's lifetime activity (see [`Server::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeStats {
     /// Requests served (batch rows swept through the engine).
     pub rows: usize,
-    /// Engine sweeps run (batches flushed), across all shards.
+    /// Engine sweeps run (batches flushed).
     pub batches: usize,
     /// Submissions rejected with [`ServeError::Busy`].
     pub rejected: usize,
-    /// Largest batch coalesced so far on any shard.
+    /// Largest batch coalesced so far.
     pub max_rows_per_batch: usize,
 }
 
 /// The channel half a batcher sweep answers a request on.
 type ReplySender<W> = mpsc::Sender<Result<Decision<W>, ServeError>>;
 
+/// A session's forward hooks; every request of the session runs under them.
+type SessionHooks<W> = Box<dyn ForwardHooks<W> + Send>;
+
 struct SessionState<W: Element> {
     /// The session's forward hooks. `None` only while the batcher borrows
     /// them for a sweep (the slot's `in_flight` flag is set for that span).
-    hooks: Option<Box<dyn ForwardHooks<W> + Send>>,
+    hooks: Option<SessionHooks<W>>,
     in_flight: bool,
 }
 
@@ -182,66 +163,31 @@ struct Request<W: Element> {
     reply: ReplySender<W>,
 }
 
-struct QueueState<W: Element> {
+/// Everything the submitters and the batcher share, guarded by one lock.
+struct State<W: Element> {
+    /// Session slots, indexed by [`SessionId`].
+    slots: Vec<Option<SessionState<W>>>,
+    /// Closed slots, reused by the next open so opening stays O(1) however
+    /// many sessions came and went (the scale bench opens 32k+).
+    free: Vec<usize>,
     pending: VecDeque<Request<W>>,
     /// When the oldest pending request was enqueued — the flush deadline's
     /// anchor. `None` while the queue is empty.
     oldest: Option<Instant>,
     shutdown: bool,
-}
-
-/// A shard's session slots plus the free-list of closed ones, so opening a
-/// session is O(1) even after hundreds of thousands of opens (the scale
-/// bench opens 32k+) — no linear scan for a free slot.
-struct Registry<W: Element> {
-    slots: Vec<Option<SessionState<W>>>,
-    free: Vec<usize>,
-}
-
-impl<W: Element> Registry<W> {
-    fn open(&mut self, state: SessionState<W>) -> usize {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot] = Some(state);
-                slot
-            }
-            None => {
-                self.slots.push(Some(state));
-                self.slots.len() - 1
-            }
-        }
-    }
-}
-
-/// One independent service domain: a shard owns its session registry, its
-/// bounded queue, its ingest pool and the condvar its batcher worker sleeps
-/// on. Nothing here is shared between shards, so enqueue/dequeue contention
-/// and engine sweeps parallelize across workers.
-struct Shard<W: Element> {
-    registry: Mutex<Registry<W>>,
-    queue: Mutex<QueueState<W>>,
     /// Recycled input buffers for the quantize-on-ingest entry points
     /// ([`Server::submit_obs`] and friends): served requests return their
     /// tensors here, so steady-state ingest allocates nothing. Bounded by
-    /// `queue_capacity` — the most inputs this shard can have in flight.
-    pool: Mutex<Vec<TensorBase<W>>>,
-    wake: Condvar,
-    /// Rows served by this shard alone (see [`Server::shard_rows`]).
-    rows: AtomicUsize,
+    /// `queue_capacity` — the most inputs the server can have in flight.
+    pool: Vec<TensorBase<W>>,
+    stats: ServeStats,
 }
 
-impl<W: Element> Shard<W> {
-    fn new() -> Shard<W> {
-        Shard {
-            registry: Mutex::new(Registry { slots: Vec::new(), free: Vec::new() }),
-            queue: Mutex::new(QueueState {
-                pending: VecDeque::new(),
-                oldest: None,
-                shutdown: false,
-            }),
-            pool: Mutex::new(Vec::new()),
-            wake: Condvar::new(),
-            rows: AtomicUsize::new(0),
+impl<W: Element> State<W> {
+    /// Returns `input` to the ingest pool unless the pool is full.
+    fn recycle(&mut self, input: TensorBase<W>, capacity: usize) {
+        if self.pool.len() < capacity {
+            self.pool.push(input);
         }
     }
 }
@@ -250,71 +196,99 @@ struct Shared<W: Element> {
     network: NetworkBase<W>,
     input_shape: Vec<usize>,
     config: ServeConfig,
-    shards: Vec<Shard<W>>,
-    /// Monotonic session-open counter; its hash picks the opening session's
-    /// shard.
-    next_ordinal: AtomicUsize,
-    rows: AtomicUsize,
-    batches: AtomicUsize,
-    rejected: AtomicUsize,
-    max_rows_per_batch: AtomicUsize,
+    state: Mutex<State<W>>,
+    /// Wakes the batcher on every submission and on shutdown.
+    wake: Condvar,
 }
 
-/// The stable shard assignment: FNV-1a over the session-open ordinal,
-/// reduced modulo the worker count. Hash-based (rather than round-robin
-/// modulo alone) so the spread does not correlate with any open-order
-/// pattern in the client.
-fn shard_of(ordinal: usize, workers: usize) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in (ordinal as u64).to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+impl<W: Element> Shared<W> {
+    /// Locks the server state. Hooks run outside the lock, so only a bug
+    /// in a critical section can poison it.
+    fn lock(&self) -> MutexGuard<'_, State<W>> {
+        self.state.lock().expect("server state lock poisoned")
     }
-    (hash % workers as u64) as usize
+
+    /// [`Shared::lock`] for the drop paths, which must not panic: a
+    /// poisoned state is still good enough to mark shut down.
+    fn lock_for_drop(&self) -> MutexGuard<'_, State<W>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The one critical section of a submission: checks the session,
+    /// shutdown and the queue bound, then marks the session in flight and
+    /// queues the request. A refused input is handed back.
+    fn enqueue(
+        &self,
+        state: &mut State<W>,
+        session: SessionId,
+        input: TensorBase<W>,
+    ) -> Result<Ticket<W>, (ServeError, TensorBase<W>)> {
+        let error = match state.slots.get_mut(session.0) {
+            None | Some(None) => ServeError::UnknownSession,
+            Some(Some(_)) if state.shutdown => ServeError::ShuttingDown,
+            Some(Some(slot)) if slot.in_flight => ServeError::InFlight,
+            Some(Some(_)) if state.pending.len() >= self.config.queue_capacity => {
+                state.stats.rejected += 1;
+                ServeError::Busy
+            }
+            Some(Some(slot)) => {
+                slot.in_flight = true;
+                if state.pending.is_empty() {
+                    state.oldest = Some(Instant::now());
+                }
+                let (reply, rx) = mpsc::channel();
+                state.pending.push_back(Request { session, input, reply });
+                self.wake.notify_one();
+                return Ok(Ticket { rx });
+            }
+        };
+        Err((error, input))
+    }
 }
 
-/// A policy-serving daemon: one policy, many sessions, N sharded
-/// dynamic-batcher worker threads coalescing concurrent requests into
-/// batched engine sweeps.
+/// A policy-serving daemon: one policy, many sessions, and one
+/// dynamic-batcher thread coalescing concurrent requests into batched
+/// engine sweeps.
 ///
-/// Sessions are pinned to a shard when opened and never migrate, so a
-/// session's episode trace depends only on its own request order — never on
-/// which other sessions exist or how traffic interleaves across shards. See
-/// the [crate docs](crate) for the architecture. Dropping the server drains
-/// every shard's queued requests, then joins all workers.
+/// All server state — the session table, the bounded queue, the ingest
+/// buffer pool and the counters — sits behind one lock. A session's episode
+/// trace depends only on its own request order, never on which other
+/// sessions exist or how their requests coalesce. See the
+/// [crate docs](crate) for the architecture. To use more cores, run several
+/// servers. Dropping the server drains the queued requests, then joins the
+/// batcher.
 pub struct Server<W: Element> {
     shared: Arc<Shared<W>>,
-    workers: Vec<JoinHandle<()>>,
+    batcher: Option<JoinHandle<()>>,
 }
 
 impl<W: Element> Server<W> {
     /// Starts a server for `network`, whose sessions submit observations of
-    /// `input_shape`, and spawns `config.workers` batcher workers.
+    /// `input_shape`, and spawns its batcher thread.
     pub fn start(network: NetworkBase<W>, input_shape: &[usize], config: ServeConfig) -> Server<W> {
-        assert!(config.workers >= 1, "workers must be at least 1");
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
         assert!(config.queue_capacity >= 1, "queue_capacity must be at least 1");
         let shared = Arc::new(Shared {
             network,
             input_shape: input_shape.to_vec(),
             config,
-            shards: (0..config.workers).map(|_| Shard::new()).collect(),
-            next_ordinal: AtomicUsize::new(0),
-            rows: AtomicUsize::new(0),
-            batches: AtomicUsize::new(0),
-            rejected: AtomicUsize::new(0),
-            max_rows_per_batch: AtomicUsize::new(0),
+            state: Mutex::new(State {
+                slots: Vec::new(),
+                free: Vec::new(),
+                pending: VecDeque::new(),
+                oldest: None,
+                shutdown: false,
+                pool: Vec::new(),
+                stats: ServeStats::default(),
+            }),
+            wake: Condvar::new(),
         });
-        let workers = (0..config.workers)
-            .map(|shard| {
-                let worker_shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("navft-serve-batcher-{shard}"))
-                    .spawn(move || worker_loop(worker_shared, shard))
-                    .expect("spawn batcher worker")
-            })
-            .collect();
-        Server { shared, workers }
+        let worker_shared = Arc::clone(&shared);
+        let batcher = std::thread::Builder::new()
+            .name("navft-serve-batcher".to_string())
+            .spawn(move || worker_loop(&worker_shared))
+            .expect("spawn batcher");
+        Server { shared, batcher: Some(batcher) }
     }
 
     /// The served policy.
@@ -327,33 +301,23 @@ impl<W: Element> Server<W> {
         &self.shared.input_shape
     }
 
-    /// The number of sharded batcher workers.
-    pub fn workers(&self) -> usize {
-        self.shared.config.workers
-    }
-
-    /// The shard a session is pinned to (stable for the session's lifetime).
-    pub fn session_shard(&self, session: SessionId) -> usize {
-        session.0 % self.shared.config.workers
-    }
-
-    fn shard_slot(&self, session: SessionId) -> (&Shard<W>, usize) {
-        let workers = self.shared.config.workers;
-        (&self.shared.shards[session.0 % workers], session.0 / workers)
-    }
-
     /// Opens a session carrying `hooks`, which observe (and may corrupt or
     /// scrub) every forward pass this session's requests ride in — the
-    /// per-tenant fault-injection and mitigation surface. The session is
-    /// pinned to a shard here and stays on it until closed.
+    /// per-tenant fault-injection and mitigation surface.
     pub fn open_session(&self, hooks: Box<dyn ForwardHooks<W> + Send>) -> SessionId {
-        let workers = self.shared.config.workers;
-        let ordinal = self.shared.next_ordinal.fetch_add(1, Ordering::Relaxed);
-        let shard_index = shard_of(ordinal, workers);
-        let shard = &self.shared.shards[shard_index];
-        let mut registry = shard.registry.lock().expect("registry lock");
-        let slot = registry.open(SessionState { hooks: Some(hooks), in_flight: false });
-        SessionId(slot * workers + shard_index)
+        let session = SessionState { hooks: Some(hooks), in_flight: false };
+        let mut state = self.shared.lock();
+        let slot = match state.free.pop() {
+            Some(slot) => {
+                state.slots[slot] = Some(session);
+                slot
+            }
+            None => {
+                state.slots.push(Some(session));
+                state.slots.len() - 1
+            }
+        };
+        SessionId(slot)
     }
 
     /// Opens a session with no hooks (a clean tenant).
@@ -364,36 +328,26 @@ impl<W: Element> Server<W> {
     /// Closes a session. Fails with [`ServeError::InFlight`] while the
     /// session has an unserved request.
     pub fn close_session(&self, session: SessionId) -> Result<(), ServeError> {
-        let (shard, slot) = self.shard_slot(session);
-        let mut registry = shard.registry.lock().expect("registry lock");
-        match registry.slots.get_mut(slot) {
-            Some(entry) => match entry {
-                Some(state) if state.in_flight => Err(ServeError::InFlight),
-                Some(_) => {
-                    *entry = None;
-                    registry.free.push(slot);
-                    Ok(())
-                }
-                None => Err(ServeError::UnknownSession),
-            },
-            None => Err(ServeError::UnknownSession),
+        let mut state = self.shared.lock();
+        match state.slots.get(session.0) {
+            Some(Some(slot)) if slot.in_flight => Err(ServeError::InFlight),
+            Some(Some(_)) => {
+                state.slots[session.0] = None;
+                state.free.push(session.0);
+                Ok(())
+            }
+            _ => Err(ServeError::UnknownSession),
         }
     }
 
-    /// Number of currently open sessions, across all shards.
+    /// Number of currently open sessions.
     pub fn session_count(&self) -> usize {
-        self.shared
-            .shards
-            .iter()
-            .map(|shard| {
-                shard.registry.lock().expect("registry lock").slots.iter().flatten().count()
-            })
-            .sum()
+        let state = self.shared.lock();
+        state.slots.len() - state.free.len()
     }
 
-    /// Enqueues one observation for `session` on its shard's queue and
-    /// returns a [`Ticket`] that resolves when the shard's batcher serves
-    /// it.
+    /// Enqueues one observation for `session` and returns a [`Ticket`] that
+    /// resolves when the batcher serves it.
     ///
     /// On rejection the observation is handed back alongside the error, so a
     /// [`ServeError::Busy`] caller can retry without re-building it. Each
@@ -406,126 +360,100 @@ impl<W: Element> Server<W> {
         if input.shape() != self.shared.input_shape.as_slice() {
             return Err((ServeError::BadShape, input));
         }
-        let (shard, slot) = self.shard_slot(session);
-        {
-            let mut registry = shard.registry.lock().expect("registry lock");
-            match registry.slots.get_mut(slot).and_then(|entry| entry.as_mut()) {
-                None => return Err((ServeError::UnknownSession, input)),
-                Some(state) if state.in_flight => return Err((ServeError::InFlight, input)),
-                Some(state) => state.in_flight = true,
-            }
-        }
-        let (reply, rx) = mpsc::channel();
-        let mut queue = shard.queue.lock().expect("queue lock");
-        if queue.shutdown {
-            drop(queue);
-            self.clear_in_flight(session);
-            return Err((ServeError::ShuttingDown, input));
-        }
-        if queue.pending.len() >= self.shared.config.queue_capacity {
-            drop(queue);
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            self.clear_in_flight(session);
-            return Err((ServeError::Busy, input));
-        }
-        if queue.pending.is_empty() {
-            queue.oldest = Some(Instant::now());
-        }
-        queue.pending.push_back(Request { session, input, reply });
-        shard.wake.notify_one();
-        drop(queue);
-        Ok(Ticket { rx })
+        let mut state = self.shared.lock();
+        self.shared.enqueue(&mut state, session, input)
     }
 
     /// Submits one observation and blocks for the decision, retrying
-    /// (with a scheduler yield) while the shard's queue is full.
+    /// (with a scheduler yield) while the queue is full.
     pub fn act(&self, session: SessionId, input: TensorBase<W>) -> Result<Decision<W>, ServeError> {
-        let mut input = input;
-        loop {
-            match self.submit(session, input) {
-                Ok(ticket) => return ticket.wait(),
-                Err((ServeError::Busy, returned)) => {
-                    input = returned;
-                    std::thread::yield_now();
-                }
-                Err((error, _)) => return Err(error),
-            }
+        if input.shape() != self.shared.input_shape.as_slice() {
+            return Err(ServeError::BadShape);
         }
+        self.act_staged(session, input)
     }
 
-    /// Number of requests waiting in the queues right now, across all
-    /// shards.
+    /// Number of requests waiting in the queue right now.
     pub fn pending(&self) -> usize {
-        self.shared
-            .shards
-            .iter()
-            .map(|shard| shard.queue.lock().expect("queue lock").pending.len())
-            .sum()
+        self.shared.lock().pending.len()
     }
 
-    /// Lifetime activity counters, aggregated across shards.
+    /// Lifetime activity counters.
     pub fn stats(&self) -> ServeStats {
-        ServeStats {
-            rows: self.shared.rows.load(Ordering::Relaxed),
-            batches: self.shared.batches.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            max_rows_per_batch: self.shared.max_rows_per_batch.load(Ordering::Relaxed),
-        }
+        self.shared.lock().stats
     }
 
-    /// Rows served by each shard (index = shard = worker). The skew
-    /// diagnostics: a uniform session mix serves roughly `rows / workers`
-    /// per entry, while adversarial pinning shows up as one hot entry.
-    pub fn shard_rows(&self) -> Vec<usize> {
-        self.shared.shards.iter().map(|shard| shard.rows.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Stops accepting new requests, drains every shard's queued requests,
-    /// and joins all workers. (Dropping the server does the same.)
+    /// Stops accepting new requests, drains the queued requests, and joins
+    /// the batcher. (Dropping the server does the same.)
     pub fn shutdown(mut self) {
         self.stop();
     }
 
-    fn clear_in_flight(&self, session: SessionId) {
-        let (shard, slot) = self.shard_slot(session);
-        let mut registry = shard.registry.lock().expect("registry lock");
-        if let Some(Some(state)) = registry.slots.get_mut(slot).map(|entry| entry.as_mut()) {
-            state.in_flight = false;
+    fn stop(&mut self) {
+        self.shared.lock_for_drop().shutdown = true;
+        self.shared.wake.notify_all();
+        if let Some(batcher) = self.batcher.take() {
+            // A batcher that died of a panicking hook has already failed
+            // the server closed; there is nothing left to drain.
+            let _ = batcher.join();
         }
     }
 
-    fn stop(&mut self) {
-        for shard in &self.shared.shards {
-            let mut queue = shard.queue.lock().expect("queue lock");
-            queue.shutdown = true;
-            drop(queue);
-            shard.wake.notify_all();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+    /// Submits a shape-checked input and blocks for the decision, retrying
+    /// while the queue is full. A refused input returns to the ingest pool.
+    fn act_staged(
+        &self,
+        session: SessionId,
+        input: TensorBase<W>,
+    ) -> Result<Decision<W>, ServeError> {
+        let mut input = input;
+        loop {
+            let mut state = self.shared.lock();
+            match self.shared.enqueue(&mut state, session, input) {
+                Ok(ticket) => {
+                    drop(state);
+                    return ticket.wait();
+                }
+                Err((ServeError::Busy, returned)) => {
+                    drop(state);
+                    input = returned;
+                    std::thread::yield_now();
+                }
+                Err((error, returned)) => {
+                    state.recycle(returned, self.shared.config.queue_capacity);
+                    return Err(error);
+                }
+            }
         }
     }
 }
 
 impl<W: EvalElement> Server<W> {
-    /// Pops a recycled input buffer from `shard`'s pool, or allocates one on
-    /// a cold pool.
-    fn ingest_buffer(&self, shard: &Shard<W>) -> TensorBase<W> {
-        let recycled = shard.pool.lock().expect("pool lock").pop();
+    /// Pops a recycled input buffer from the ingest pool, or allocates one
+    /// on a cold pool.
+    fn ingest_buffer(&self) -> TensorBase<W> {
+        let recycled = self.shared.lock().pool.pop();
         recycled.unwrap_or_else(|| W::input_buffer(&self.shared.input_shape, &self.shared.network))
     }
 
-    fn recycle(&self, shard: &Shard<W>, input: TensorBase<W>) {
-        let mut pool = shard.pool.lock().expect("pool lock");
-        if pool.len() < self.shared.config.queue_capacity {
-            pool.push(input);
-        }
+    /// [`Server::submit`] for a pooled ingest buffer: a refused buffer goes
+    /// back to the pool in the same critical section.
+    fn submit_staged(
+        &self,
+        session: SessionId,
+        input: TensorBase<W>,
+    ) -> Result<Ticket<W>, ServeError> {
+        let mut state = self.shared.lock();
+        self.shared.enqueue(&mut state, session, input).map_err(|(error, returned)| {
+            state.recycle(returned, self.shared.config.queue_capacity);
+            error
+        })
     }
 
     /// Enqueues an `f32` observation for `session`, quantizing it into the
     /// backend's storage representation **once, here at ingest** — the
     /// batcher sweep then reads the staged words directly. Buffers come
-    /// from (and return to) the session's shard pool, so the steady state
+    /// from (and return to) the server's ingest pool, so the steady state
     /// neither allocates nor re-encodes.
     pub fn submit_obs(
         &self,
@@ -535,16 +463,9 @@ impl<W: EvalElement> Server<W> {
         if observation.shape() != self.shared.input_shape.as_slice() {
             return Err(ServeError::BadShape);
         }
-        let (shard, _) = self.shard_slot(session);
-        let mut input = self.ingest_buffer(shard);
+        let mut input = self.ingest_buffer();
         W::encode_into(observation, &mut input);
-        match self.submit(session, input) {
-            Ok(ticket) => Ok(ticket),
-            Err((error, returned)) => {
-                self.recycle(shard, returned);
-                Err(error)
-            }
-        }
+        self.submit_staged(session, input)
     }
 
     /// Enqueues a one-hot observation of `state` for `session`, written
@@ -555,20 +476,8 @@ impl<W: EvalElement> Server<W> {
         session: SessionId,
         state: usize,
     ) -> Result<Ticket<W>, ServeError> {
-        let (shard, _) = self.shard_slot(session);
-        let mut input = self.ingest_buffer(shard);
-        if state >= input.len() {
-            self.recycle(shard, input);
-            return Err(ServeError::BadShape);
-        }
-        W::one_hot(state, &mut input);
-        match self.submit(session, input) {
-            Ok(ticket) => Ok(ticket),
-            Err((error, returned)) => {
-                self.recycle(shard, returned);
-                Err(error)
-            }
-        }
+        let input = self.one_hot_input(state)?;
+        self.submit_staged(session, input)
     }
 
     /// [`Server::submit_obs`] + blocking wait, retrying (with a scheduler
@@ -582,8 +491,7 @@ impl<W: EvalElement> Server<W> {
         if observation.shape() != self.shared.input_shape.as_slice() {
             return Err(ServeError::BadShape);
         }
-        let (shard, _) = self.shard_slot(session);
-        let mut input = self.ingest_buffer(shard);
+        let mut input = self.ingest_buffer();
         W::encode_into(observation, &mut input);
         self.act_staged(session, input)
     }
@@ -591,36 +499,19 @@ impl<W: EvalElement> Server<W> {
     /// [`Server::submit_one_hot`] + blocking wait, retrying while the queue
     /// is full.
     pub fn act_one_hot(&self, session: SessionId, state: usize) -> Result<Decision<W>, ServeError> {
-        let (shard, _) = self.shard_slot(session);
-        let mut input = self.ingest_buffer(shard);
-        if state >= input.len() {
-            self.recycle(shard, input);
-            return Err(ServeError::BadShape);
-        }
-        W::one_hot(state, &mut input);
+        let input = self.one_hot_input(state)?;
         self.act_staged(session, input)
     }
 
-    fn act_staged(
-        &self,
-        session: SessionId,
-        input: TensorBase<W>,
-    ) -> Result<Decision<W>, ServeError> {
-        let mut input = input;
-        loop {
-            match self.submit(session, input) {
-                Ok(ticket) => return ticket.wait(),
-                Err((ServeError::Busy, returned)) => {
-                    input = returned;
-                    std::thread::yield_now();
-                }
-                Err((error, returned)) => {
-                    let (shard, _) = self.shard_slot(session);
-                    self.recycle(shard, returned);
-                    return Err(error);
-                }
-            }
+    /// A pooled buffer holding the one-hot encoding of `state`.
+    fn one_hot_input(&self, state: usize) -> Result<TensorBase<W>, ServeError> {
+        let mut input = self.ingest_buffer();
+        if state >= input.len() {
+            self.shared.lock().recycle(input, self.shared.config.queue_capacity);
+            return Err(ServeError::BadShape);
         }
+        W::one_hot(state, &mut input);
+        Ok(input)
     }
 }
 
@@ -630,133 +521,132 @@ impl<W: Element> Drop for Server<W> {
     }
 }
 
-/// One shard's batcher worker: wait for a full batch or a flush deadline on
-/// the shard's own queue, drain up to `max_batch` requests, sweep them
-/// through the engine against the shard-private scratch, reply per row.
-fn worker_loop<W: Element>(shared: Arc<Shared<W>>, shard_index: usize) {
-    let shard = &shared.shards[shard_index];
-    let mut scratch = Scratch::new();
-    loop {
-        let batch: Vec<Request<W>> = {
-            let mut queue = shard.queue.lock().expect("queue lock");
-            loop {
-                let full = queue.pending.len() >= shared.config.max_batch;
-                // On shutdown, flush whatever is queued (graceful drain)
-                // and exit once the queue is empty.
-                if full || (queue.shutdown && !queue.pending.is_empty()) {
-                    break;
-                }
-                if queue.shutdown {
-                    return;
-                }
-                if queue.pending.is_empty() {
-                    queue = shard.wake.wait(queue).expect("queue lock");
-                    continue;
-                }
-                let waited = queue.oldest.map(|t| t.elapsed()).unwrap_or(Duration::ZERO);
-                if waited >= shared.config.flush_after {
-                    break;
-                }
-                let remaining = shared.config.flush_after - waited;
-                let (guard, _) = shard.wake.wait_timeout(queue, remaining).expect("queue lock");
-                queue = guard;
-            }
-            let take = queue.pending.len().min(shared.config.max_batch);
-            let batch: Vec<Request<W>> = queue.pending.drain(..take).collect();
-            queue.oldest = if queue.pending.is_empty() { None } else { Some(Instant::now()) };
-            batch
-        };
-        process_batch(&shared, shard, &mut scratch, batch);
+/// The requests of one engine sweep, row by row, with their sessions'
+/// hooks. Its vectors are reused across sweeps.
+struct Batch<W: Element> {
+    inputs: Vec<TensorBase<W>>,
+    hooks: Vec<SessionHooks<W>>,
+    replies: Vec<(SessionId, ReplySender<W>)>,
+}
+
+/// Fails the server closed when the batcher exits. After a normal drain
+/// this changes nothing; when a panicking session hook unwinds the batcher,
+/// it marks the server shut down, so later submissions are refused, and
+/// drops the queued requests, whose tickets then resolve
+/// `Err(ServeError::ShuttingDown)` instead of waiting forever.
+struct FailClosed<'a, W: Element>(&'a Shared<W>);
+
+impl<W: Element> Drop for FailClosed<'_, W> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock_for_drop();
+        state.shutdown = true;
+        state.pending.clear();
+        state.oldest = None;
+        // Nothing can be in flight without a batcher; a session whose hooks
+        // died with the sweep can still be closed.
+        for session in state.slots.iter_mut().flatten() {
+            session.in_flight = false;
+        }
     }
 }
 
-fn process_batch<W: Element>(
-    shared: &Shared<W>,
-    shard: &Shard<W>,
-    scratch: &mut Scratch<W>,
-    batch: Vec<Request<W>>,
-) {
-    let workers = shared.config.workers;
-    // Take each session's hook box out of the shard registry for the sweep;
-    // the in-flight flag (set at submit) keeps the slot reserved meanwhile,
-    // so no aliasing is possible. A session can only vanish here if the
-    // registry raced a close — refuse its request rather than serving it
-    // hookless.
-    let mut inputs: Vec<TensorBase<W>> = Vec::with_capacity(batch.len());
-    let mut rows: Vec<(SessionId, ReplySender<W>)> = Vec::with_capacity(batch.len());
-    let mut hooks: Vec<Box<dyn ForwardHooks<W> + Send>> = Vec::with_capacity(batch.len());
-    {
-        let mut registry = shard.registry.lock().expect("registry lock");
-        for request in batch {
-            let slot = request.session.0 / workers;
-            let taken = registry
-                .slots
-                .get_mut(slot)
-                .and_then(|entry| entry.as_mut())
-                .and_then(|state| state.hooks.take());
-            match taken {
-                Some(hook) => {
-                    inputs.push(request.input);
-                    rows.push((request.session, request.reply));
-                    hooks.push(hook);
-                }
-                None => {
-                    let _ = request.reply.send(Err(ServeError::UnknownSession));
-                }
-            }
-        }
+/// The batcher: wait for a full batch or a flush deadline, take up to
+/// `max_batch` requests, sweep them through the engine, reply per row.
+fn worker_loop<W: Element>(shared: &Shared<W>) {
+    let mut scratch = Scratch::new();
+    let mut batch = Batch { inputs: Vec::new(), hooks: Vec::new(), replies: Vec::new() };
+    // Declared after `batch`, so an unwinding sweep drops it first: the
+    // server is already shut down by the time the reply senders held in
+    // `batch` drop and wake their callers.
+    let _fail_closed = FailClosed(shared);
+    while take_batch(shared, &mut batch) {
+        serve_batch(shared, &mut scratch, &mut batch);
     }
+}
 
-    let mut decisions: Vec<Decision<W>> = Vec::with_capacity(inputs.len());
-    if !inputs.is_empty() {
-        {
-            let row_refs: Vec<&mut dyn ForwardHooks<W>> =
-                hooks.iter_mut().map(|hook| &mut **hook as &mut dyn ForwardHooks<W>).collect();
-            let mut per_row = DynRowHooks::new(row_refs);
-            shared.network.forward_batch_into_cfg(
-                &inputs,
-                scratch,
-                &mut per_row,
-                EngineConfig::default(),
-            );
+/// Waits until a batch is due, then moves up to `max_batch` pending
+/// requests into `batch` and takes their sessions' hooks, in one critical
+/// section. Returns `false` once the server is shut down and drained.
+fn take_batch<W: Element>(shared: &Shared<W>, batch: &mut Batch<W>) -> bool {
+    let config = &shared.config;
+    let mut state = shared.lock();
+    loop {
+        let full = state.pending.len() >= config.max_batch;
+        // On shutdown, flush whatever is queued (graceful drain) and exit
+        // once the queue is empty.
+        if full || (state.shutdown && !state.pending.is_empty()) {
+            break;
         }
-        for row in 0..rows.len() {
+        if state.shutdown {
+            return false;
+        }
+        if state.pending.is_empty() {
+            state = shared.wake.wait(state).expect("server state lock poisoned");
+            continue;
+        }
+        let waited = state.oldest.map_or(Duration::ZERO, |t| t.elapsed());
+        if waited >= config.flush_after {
+            break;
+        }
+        let timeout = config.flush_after - waited;
+        state = shared.wake.wait_timeout(state, timeout).expect("server state lock poisoned").0;
+    }
+    let take = state.pending.len().min(config.max_batch);
+    let State { slots, pending, oldest, .. } = &mut *state;
+    // The in-flight flag set at submit keeps each slot open and its hooks
+    // in place until the sweep returns them.
+    for request in pending.drain(..take) {
+        let hooks = slots[request.session.0]
+            .as_mut()
+            .and_then(|session| session.hooks.take())
+            .expect("an in-flight session keeps its slot and hooks");
+        batch.inputs.push(request.input);
+        batch.hooks.push(hooks);
+        batch.replies.push((request.session, request.reply));
+    }
+    *oldest = if pending.is_empty() { None } else { Some(Instant::now()) };
+    true
+}
+
+/// Sweeps `batch` through the engine with each row under its session's
+/// hooks, then settles the batch and replies.
+fn serve_batch<W: Element>(shared: &Shared<W>, scratch: &mut Scratch<W>, batch: &mut Batch<W>) {
+    let rows = batch.inputs.len();
+    let row_hooks: Vec<&mut dyn ForwardHooks<W>> =
+        batch.hooks.iter_mut().map(|hook| &mut **hook as &mut dyn ForwardHooks<W>).collect();
+    shared.network.forward_batch_into_cfg(
+        &batch.inputs,
+        scratch,
+        &mut DynRowHooks::new(row_hooks),
+        EngineConfig::default(),
+    );
+    let decisions: Vec<Decision<W>> = (0..rows)
+        .map(|row| {
             let values = scratch.row(row);
-            decisions.push(Decision { action: argmax(values), values: values.to_vec() });
-        }
-        shard.rows.fetch_add(inputs.len(), Ordering::Relaxed);
-        shared.rows.fetch_add(inputs.len(), Ordering::Relaxed);
-        shared.batches.fetch_add(1, Ordering::Relaxed);
-        shared.max_rows_per_batch.fetch_max(inputs.len(), Ordering::Relaxed);
-    }
+            Decision { action: argmax(values), values: values.to_vec() }
+        })
+        .collect();
 
-    // Recycle the served input tensors so the shard's ingest entry points
-    // can reuse them instead of allocating. Bounded by the queue capacity —
-    // the most buffers this shard can ever have in flight concurrently.
+    // Return the hooks, release the in-flight slots, recycle the inputs
+    // into the ingest pool and count the sweep *before* replying: once a
+    // client sees its decision it may immediately resubmit, so its slot
+    // must already be free by then.
     {
-        let mut pool = shard.pool.lock().expect("pool lock");
-        for input in inputs {
-            if pool.len() >= shared.config.queue_capacity {
-                break;
-            }
-            pool.push(input);
+        let mut state = shared.lock();
+        let state = &mut *state;
+        for ((session, _), hooks) in batch.replies.iter().zip(batch.hooks.drain(..)) {
+            let slot =
+                state.slots[session.0].as_mut().expect("an in-flight session keeps its slot");
+            slot.hooks = Some(hooks);
+            slot.in_flight = false;
         }
+        let room = shared.config.queue_capacity.saturating_sub(state.pool.len());
+        state.pool.extend(batch.inputs.drain(..).take(room));
+        state.stats.rows += rows;
+        state.stats.batches += 1;
+        state.stats.max_rows_per_batch = state.stats.max_rows_per_batch.max(rows);
     }
-
-    // Return the hook boxes and release the per-session in-flight slots
-    // *before* replying: once a client sees its decision it may immediately
-    // resubmit, so the slot must already be free by then.
-    {
-        let mut registry = shard.registry.lock().expect("registry lock");
-        for ((session, _), hook) in rows.iter().zip(hooks) {
-            let slot = session.0 / workers;
-            if let Some(Some(state)) = registry.slots.get_mut(slot).map(|entry| entry.as_mut()) {
-                state.hooks = Some(hook);
-                state.in_flight = false;
-            }
-        }
-    }
-    for ((_, reply), decision) in rows.into_iter().zip(decisions) {
+    for ((_, reply), decision) in batch.replies.drain(..).zip(decisions) {
         let _ = reply.send(Ok(decision));
     }
 }
@@ -764,6 +654,7 @@ fn process_batch<W: Element>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::within_timeout;
     use navft_nn::{mlp, Tensor};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -779,164 +670,149 @@ mod tests {
 
     #[test]
     fn served_decision_matches_the_library_forward() {
-        let net = policy();
-        let expected = net.forward(&obs(0.3)).argmax();
-        let server = Server::start(net, &[4], ServeConfig::default());
-        let session = server.open_clean_session();
-        let decision = server.act(session, obs(0.3)).expect("decision");
-        assert_eq!(decision.action, expected);
-        assert_eq!(decision.values.len(), 3);
+        within_timeout(|| {
+            let net = policy();
+            let expected = net.forward(&obs(0.3)).argmax();
+            let server = Server::start(net, &[4], ServeConfig::default());
+            let session = server.open_clean_session();
+            let decision = server.act(session, obs(0.3)).expect("decision");
+            assert_eq!(decision.action, expected);
+            assert_eq!(decision.values.len(), 3);
+        });
     }
 
     #[test]
     fn unknown_sessions_bad_shapes_and_double_submits_are_refused() {
-        let server = Server::start(policy(), &[4], ServeConfig::default());
-        let (err, _) = server.submit(SessionId(3), obs(0.0)).expect_err("no session");
-        assert_eq!(err, ServeError::UnknownSession);
+        within_timeout(|| {
+            let server = Server::start(policy(), &[4], ServeConfig::default());
+            let (err, _) = server.submit(SessionId(3), obs(0.0)).expect_err("no session");
+            assert_eq!(err, ServeError::UnknownSession);
 
-        let session = server.open_clean_session();
-        let (err, _) = server.submit(session, Tensor::full(&[5], 0.0)).expect_err("wrong shape");
-        assert_eq!(err, ServeError::BadShape);
+            let session = server.open_clean_session();
+            let (err, _) =
+                server.submit(session, Tensor::full(&[5], 0.0)).expect_err("wrong shape");
+            assert_eq!(err, ServeError::BadShape);
 
-        // Stall the batcher with a long flush deadline so the first request
-        // stays in flight while the second arrives.
-        let server = Server::start(
-            policy(),
-            &[4],
-            ServeConfig::default().with_flush_after(Duration::from_secs(5)),
-        );
-        let session = server.open_clean_session();
-        let ticket = server.submit(session, obs(0.1)).expect("first submit");
-        let (err, _) = server.submit(session, obs(0.2)).expect_err("in flight");
-        assert_eq!(err, ServeError::InFlight);
-        assert_eq!(server.close_session(session).expect_err("busy"), ServeError::InFlight);
-        drop(server); // graceful drain resolves the ticket
-        assert!(ticket.wait().is_ok());
+            // Stall the batcher with a long flush deadline so the first
+            // request stays in flight while the second arrives.
+            let server = Server::start(
+                policy(),
+                &[4],
+                ServeConfig::default().with_flush_after(Duration::from_secs(5)),
+            );
+            let session = server.open_clean_session();
+            let ticket = server.submit(session, obs(0.1)).expect("first submit");
+            let (err, _) = server.submit(session, obs(0.2)).expect_err("in flight");
+            assert_eq!(err, ServeError::InFlight);
+            assert_eq!(server.close_session(session).expect_err("busy"), ServeError::InFlight);
+            drop(server); // graceful drain resolves the ticket
+            assert!(ticket.wait().is_ok());
+        });
     }
 
     #[test]
     fn full_queue_rejects_with_busy_and_drains_on_shutdown() {
-        let config = ServeConfig::default()
-            .with_max_batch(64)
-            .with_queue_capacity(2)
-            .with_flush_after(Duration::from_secs(5));
-        let server = Server::start(policy(), &[4], config);
-        let a = server.open_clean_session();
-        let b = server.open_clean_session();
-        let c = server.open_clean_session();
-        let ta = server.submit(a, obs(0.1)).expect("first");
-        let tb = server.submit(b, obs(0.2)).expect("second");
-        let (err, returned) = server.submit(c, obs(0.3)).expect_err("queue full");
-        assert_eq!(err, ServeError::Busy);
-        assert_eq!(returned.data(), obs(0.3).data(), "rejected input is handed back");
-        assert_eq!(server.stats().rejected, 1);
-        // The rejected session is immediately usable again after drain.
-        server.shutdown();
-        assert!(ta.wait().is_ok());
-        assert!(tb.wait().is_ok());
+        within_timeout(|| {
+            let config = ServeConfig::default()
+                .with_max_batch(64)
+                .with_queue_capacity(2)
+                .with_flush_after(Duration::from_secs(5));
+            let server = Server::start(policy(), &[4], config);
+            let a = server.open_clean_session();
+            let b = server.open_clean_session();
+            let c = server.open_clean_session();
+            let ta = server.submit(a, obs(0.1)).expect("first");
+            let tb = server.submit(b, obs(0.2)).expect("second");
+            let (err, returned) = server.submit(c, obs(0.3)).expect_err("queue full");
+            assert_eq!(err, ServeError::Busy);
+            assert_eq!(returned.data(), obs(0.3).data(), "rejected input is handed back");
+            assert_eq!(server.stats().rejected, 1);
+            // The rejected session is immediately usable again after drain.
+            server.shutdown();
+            assert!(ta.wait().is_ok());
+            assert!(tb.wait().is_ok());
+        });
     }
 
     #[test]
     fn batcher_coalesces_full_batches_immediately() {
-        let config = ServeConfig::default()
-            .with_max_batch(4)
-            .with_queue_capacity(64)
-            .with_flush_after(Duration::from_secs(5));
-        let net = policy();
-        let expected: Vec<usize> =
-            (0..8).map(|i| net.forward(&obs(i as f32 * 0.1)).argmax()).collect();
-        let server = Server::start(net, &[4], config);
-        let sessions: Vec<SessionId> = (0..8).map(|_| server.open_clean_session()).collect();
-        // 8 pending requests with a 5 s deadline: only full batches of 4 can
-        // have flushed them.
-        let tickets: Vec<Ticket<f32>> = sessions
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| server.submit(s, obs(i as f32 * 0.1)).expect("submit"))
-            .collect();
-        for (ticket, want) in tickets.into_iter().zip(expected) {
-            assert_eq!(ticket.wait().expect("decision").action, want);
-        }
-        let stats = server.stats();
-        assert_eq!(stats.rows, 8);
-        assert_eq!(stats.max_rows_per_batch, 4);
-        assert_eq!(stats.batches, 2);
+        within_timeout(|| {
+            let config = ServeConfig::default()
+                .with_max_batch(4)
+                .with_queue_capacity(64)
+                .with_flush_after(Duration::from_secs(5));
+            let net = policy();
+            let expected: Vec<usize> =
+                (0..8).map(|i| net.forward(&obs(i as f32 * 0.1)).argmax()).collect();
+            let server = Server::start(net, &[4], config);
+            let sessions: Vec<SessionId> = (0..8).map(|_| server.open_clean_session()).collect();
+            // 8 pending requests with a 5 s deadline: only full batches of 4
+            // can have flushed them.
+            let tickets: Vec<Ticket<f32>> = sessions
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| server.submit(s, obs(i as f32 * 0.1)).expect("submit"))
+                .collect();
+            for (ticket, want) in tickets.into_iter().zip(expected) {
+                assert_eq!(ticket.wait().expect("decision").action, want);
+            }
+            let stats = server.stats();
+            assert_eq!(stats.rows, 8);
+            assert_eq!(stats.max_rows_per_batch, 4);
+            assert_eq!(stats.batches, 2);
+        });
     }
 
     #[test]
     fn partial_batches_flush_after_the_deadline() {
-        let config =
-            ServeConfig::default().with_max_batch(64).with_flush_after(Duration::from_millis(1));
-        let server = Server::start(policy(), &[4], config);
-        let session = server.open_clean_session();
-        let decision = server.act(session, obs(0.4)).expect("decision");
-        assert_eq!(decision.values.len(), 3);
-        assert_eq!(server.stats().max_rows_per_batch, 1);
+        within_timeout(|| {
+            let config = ServeConfig::default()
+                .with_max_batch(64)
+                .with_flush_after(Duration::from_millis(1));
+            let server = Server::start(policy(), &[4], config);
+            let session = server.open_clean_session();
+            let decision = server.act(session, obs(0.4)).expect("decision");
+            assert_eq!(decision.values.len(), 3);
+            assert_eq!(server.stats().max_rows_per_batch, 1);
+        });
     }
 
     #[test]
     fn sessions_reuse_freed_slots() {
-        let server = Server::start(policy(), &[4], ServeConfig::default());
-        let a = server.open_clean_session();
-        let _b = server.open_clean_session();
-        server.close_session(a).expect("close");
-        assert_eq!(server.session_count(), 1);
-        let c = server.open_clean_session();
-        assert_eq!(c, a, "freed slot is reused");
-        assert_eq!(server.session_count(), 2);
-        assert_eq!(server.close_session(a), Ok(()));
-        assert_eq!(server.close_session(a), Err(ServeError::UnknownSession));
-    }
-
-    #[test]
-    fn sessions_are_pinned_to_shards_and_served_on_them() {
-        let config = ServeConfig::default().with_workers(4);
-        let server = Server::start(policy(), &[4], config);
-        let sessions: Vec<SessionId> = (0..32).map(|_| server.open_clean_session()).collect();
-        assert_eq!(server.workers(), 4);
-        assert_eq!(server.session_count(), 32);
-        // Every shard id is in range and stable across calls.
-        let shards: Vec<usize> = sessions.iter().map(|&s| server.session_shard(s)).collect();
-        assert!(shards.iter().all(|&s| s < 4));
-        for (&session, &shard) in sessions.iter().zip(&shards) {
-            assert_eq!(server.session_shard(session), shard);
-        }
-        // The hash spreads 32 ordinals over more than one shard.
-        let mut counts = [0usize; 4];
-        for &s in &shards {
-            counts[s] += 1;
-        }
-        assert!(counts.iter().filter(|&&c| c > 0).count() > 1, "all on one shard: {counts:?}");
-        // Decisions land regardless of which shard serves them, and the
-        // per-shard row counters account for every request.
-        for (i, &session) in sessions.iter().enumerate() {
-            let decision = server.act(session, obs(i as f32 * 0.05)).expect("decision");
-            assert_eq!(decision.values.len(), 3);
-        }
-        let per_shard = server.shard_rows();
-        assert_eq!(per_shard.iter().sum::<usize>(), 32);
-        assert_eq!(server.stats().rows, 32);
-        for (shard, &rows) in per_shard.iter().enumerate() {
-            assert_eq!(rows, counts[shard], "shard {shard} row count");
-        }
+        within_timeout(|| {
+            let server = Server::start(policy(), &[4], ServeConfig::default());
+            let a = server.open_clean_session();
+            let _b = server.open_clean_session();
+            server.close_session(a).expect("close");
+            assert_eq!(server.session_count(), 1);
+            let c = server.open_clean_session();
+            assert_eq!(c, a, "freed slot is reused");
+            assert_eq!(server.session_count(), 2);
+            assert_eq!(server.close_session(a), Ok(()));
+            assert_eq!(server.close_session(a), Err(ServeError::UnknownSession));
+        });
     }
 
     #[test]
     fn tickets_poll_without_blocking() {
-        let config = ServeConfig::default().with_flush_after(Duration::from_secs(5));
-        let server = Server::start(policy(), &[4], config);
-        let session = server.open_clean_session();
-        let ticket = server.submit(session, obs(0.2)).expect("submit");
-        // The batcher is stalled on the 5 s deadline: poll sees nothing.
-        assert!(ticket.poll().is_none());
-        server.shutdown(); // graceful drain serves the request
-        let polled = loop {
-            if let Some(result) = ticket.poll() {
-                break result;
-            }
-            std::thread::yield_now();
-        };
-        assert!(polled.is_ok());
+        within_timeout(|| {
+            let config = ServeConfig::default().with_flush_after(Duration::from_secs(5));
+            let server = Server::start(policy(), &[4], config);
+            let session = server.open_clean_session();
+            let ticket = server.submit(session, obs(0.2)).expect("submit");
+            // The batcher is stalled on the 5 s deadline: poll sees nothing.
+            assert!(ticket.poll().is_none());
+            server.shutdown(); // graceful drain serves the request
+            let polled = loop {
+                if let Some(result) = ticket.poll() {
+                    break result;
+                }
+                std::thread::yield_now();
+            };
+            assert!(polled.is_ok());
+            // The poll consumed the reply and the batcher dropped its sender.
+            assert_eq!(ticket.wait().expect_err("reply already taken"), ServeError::ShuttingDown);
+        });
     }
 
     #[test]
@@ -944,54 +820,99 @@ mod tests {
         use navft_nn::{QNetwork, QTensor};
         use navft_qformat::QFormat;
 
-        let qnet = QNetwork::quantize(&policy(), QFormat::Q4_11);
-        let expected_action = {
-            let staged = QTensor::quantize(&obs(0.3), QFormat::Q4_11);
-            argmax(qnet.forward(&staged).data())
-        };
-        let server = Server::start(qnet, &[4], ServeConfig::default());
-        let session = server.open_clean_session();
+        within_timeout(|| {
+            let qnet = QNetwork::quantize(&policy(), QFormat::Q4_11);
+            let expected_action = {
+                let staged = QTensor::quantize(&obs(0.3), QFormat::Q4_11);
+                argmax(qnet.forward(&staged).data())
+            };
+            let server = Server::start(qnet, &[4], ServeConfig::default());
+            let session = server.open_clean_session();
 
-        // Quantize-on-ingest serves the same decision as pre-quantized
-        // submission (same encode, relocated to enqueue).
-        let decision = server.act_obs(session, &obs(0.3)).expect("served decision");
-        assert_eq!(decision.action, expected_action);
+            // Quantize-on-ingest serves the same decision as pre-quantized
+            // submission (same encode, relocated to enqueue).
+            let decision = server.act_obs(session, &obs(0.3)).expect("served decision");
+            assert_eq!(decision.action, expected_action);
 
-        // One-hot ingest writes backend-native words directly.
-        let one_hot = server.act_one_hot(session, 2).expect("one-hot decision");
-        let staged = {
-            let mut buf = navft_nn::QTensor::zeros(&[4], QFormat::Q4_11);
-            buf.words_mut()[2] = navft_qformat::QValue::quantize(1.0, QFormat::Q4_11).raw();
-            buf
-        };
-        assert_eq!(one_hot.action, argmax(server.network().forward(&staged).data()));
+            // One-hot ingest writes backend-native words directly.
+            let one_hot = server.act_one_hot(session, 2).expect("one-hot decision");
+            let staged = {
+                let mut buf = navft_nn::QTensor::zeros(&[4], QFormat::Q4_11);
+                buf.words_mut()[2] = navft_qformat::QValue::quantize(1.0, QFormat::Q4_11).raw();
+                buf
+            };
+            assert_eq!(one_hot.action, argmax(server.network().forward(&staged).data()));
 
-        assert_eq!(
-            server.act_obs(session, &obs(0.0).reshape(&[2, 2])).expect_err("shape"),
-            ServeError::BadShape
-        );
-        assert_eq!(
-            server.act_one_hot(session, 4).expect_err("state out of range"),
-            ServeError::BadShape
-        );
-        assert_eq!(
-            server.submit_one_hot(SessionId(9), 0).expect_err("no session"),
-            ServeError::UnknownSession
-        );
+            assert_eq!(
+                server.act_obs(session, &obs(0.0).reshape(&[2, 2])).expect_err("shape"),
+                ServeError::BadShape
+            );
+            assert_eq!(
+                server.act_one_hot(session, 4).expect_err("state out of range"),
+                ServeError::BadShape
+            );
+            assert_eq!(
+                server.submit_one_hot(SessionId(9), 0).expect_err("no session"),
+                ServeError::UnknownSession
+            );
 
-        // Served buffers were recycled into the shard's ingest pool.
-        assert!(!server.shared.shards[0].pool.lock().expect("pool lock").is_empty());
+            // Served buffers were recycled into the ingest pool.
+            assert!(!server.shared.lock().pool.is_empty());
+        });
     }
 
     #[test]
     fn submissions_after_shutdown_are_refused() {
-        let server = Server::start(policy(), &[4], ServeConfig::default());
-        let session = server.open_clean_session();
-        {
-            let mut queue = server.shared.shards[0].queue.lock().expect("queue lock");
-            queue.shutdown = true;
+        within_timeout(|| {
+            let server = Server::start(policy(), &[4], ServeConfig::default());
+            let session = server.open_clean_session();
+            server.shared.lock().shutdown = true;
+            let (err, _) = server.submit(session, obs(0.0)).expect_err("shutting down");
+            assert_eq!(err, ServeError::ShuttingDown);
+        });
+    }
+
+    #[test]
+    fn a_panicking_hook_fails_the_server_closed_instead_of_hanging_callers() {
+        struct PanicOnInput;
+        impl ForwardHooks<f32> for PanicOnInput {
+            fn on_input(&mut self, _values: &mut [f32]) {
+                panic!("injected session hook panic");
+            }
         }
-        let (err, _) = server.submit(session, obs(0.0)).expect_err("shutting down");
-        assert_eq!(err, ServeError::ShuttingDown);
+
+        within_timeout(|| {
+            // Two requests fill a batch and flush at once, so the healthy
+            // request rides in the sweep the faulty hook kills.
+            let config =
+                ServeConfig::default().with_max_batch(2).with_flush_after(Duration::from_secs(5));
+            let server = Server::start(policy(), &[4], config);
+            let healthy = server.open_clean_session();
+            let faulty = server.open_session(Box::new(PanicOnInput));
+            let bystander = server.open_clean_session();
+            let in_flight = server.submit(healthy, obs(0.1)).expect("healthy submit");
+            let doomed = server.submit(faulty, obs(0.2)).expect("faulty submit");
+            // Queued behind the dying sweep, or refused once it has died.
+            let queued = server.submit(bystander, obs(0.3));
+
+            assert_eq!(in_flight.wait().expect_err("sweep died"), ServeError::ShuttingDown);
+            assert_eq!(doomed.wait().expect_err("sweep died"), ServeError::ShuttingDown);
+            match queued {
+                Ok(ticket) => {
+                    assert_eq!(ticket.wait().expect_err("drained"), ServeError::ShuttingDown);
+                }
+                Err((err, _)) => assert_eq!(err, ServeError::ShuttingDown),
+            }
+
+            // The dead batcher takes no new work.
+            let (err, _) = server.submit(healthy, obs(0.4)).expect_err("no batcher");
+            assert_eq!(err, ServeError::ShuttingDown);
+            let refused = server.act(bystander, obs(0.5)).expect_err("no batcher");
+            assert_eq!(refused, ServeError::ShuttingDown);
+            assert_eq!(server.pending(), 0);
+            // Its sessions are no longer in flight, so they can be closed.
+            assert_eq!(server.close_session(healthy), Ok(()));
+            server.shutdown();
+        });
     }
 }
