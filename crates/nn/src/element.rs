@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use navft_qformat::{QFormat, QValue};
+use navft_qformat::{round_half_away, QFormat, QValue};
 
 /// Per-element arithmetic and metadata of one numeric backend.
 ///
@@ -43,11 +43,13 @@ pub trait Element:
 
     /// Register-tile shape `(MR, NR)` of the blocked GEMM path: how many
     /// output rows × panel columns accumulate concurrently. Backends tune it
-    /// to their accumulator width — `f32` accumulators live in vector
-    /// registers (a 4×4 tile fits comfortably), widened `i64` accumulators
-    /// compete for the 16 general-purpose registers (a narrower 2×4 tile
-    /// avoids spills). The GEMM monomorphizes one kernel per supported
-    /// shape — currently `(4, 4)` and `(2, 4)`; any other value falls back
+    /// to their accumulator — `f32` tiles read `NR` contiguous panel
+    /// elements per `k` step, which the compiler turns into one vector load
+    /// feeding vector multiplies (a 4×4 tile), while the integer backends'
+    /// widening multiplies have no baseline x86-64 vector form, so they take
+    /// one panel column against eight weight rows (an 8×1 tile of scalar
+    /// multiplies) instead. The GEMM monomorphizes one kernel per supported
+    /// shape — currently `(4, 4)` and `(8, 1)`; any other value falls back
     /// to the `(4, 4)` kernel. Tiling never changes results: each output's
     /// accumulation order is fixed regardless of the tile shape.
     const GEMM_TILE: (usize, usize) = (4, 4);
@@ -133,8 +135,10 @@ pub trait Element:
     /// used for range instrumentation.
     fn value_to_f32(self, net: &Self::NetMeta) -> f32;
 
-    /// Offers a whole `M × N` GEMM sweep to an explicit SIMD microkernel,
-    /// which writes each output element exactly once through `write`.
+    /// Offers a whole `M × N` GEMM sweep to an explicit SIMD microkernel:
+    /// `c` (`[M, N]` row-major) receives `bias[m] + Σ_k a[m][k] · b[k][n]`
+    /// for every output, with `a` the `[M, K]` weights and `b` the K-major
+    /// `[K, N]` panel (see [`crate::simd`]).
     ///
     /// Returns `false` when the backend has no kernel for the running CPU;
     /// the caller then falls back to the portable scalar register tiles.
@@ -144,13 +148,8 @@ pub trait Element:
     /// tiled-scalar and SIMD paths agree bit for bit. The default
     /// implementation declines, which keeps third-party backends working
     /// without SIMD support.
-    ///
-    /// `write` is a generic bound (not a `dyn` object) so the per-output
-    /// writeback inlines into the kernels exactly as it does into the
-    /// scalar tiles — a virtual call per output element would dominate
-    /// low-arithmetic sweeps.
     #[allow(clippy::too_many_arguments)]
-    fn gemm_simd<F: FnMut(usize, usize, Self)>(
+    fn gemm_simd(
         ctx: Self::Ctx,
         a: &[Self],
         bias: &[Self],
@@ -158,9 +157,9 @@ pub trait Element:
         k: usize,
         b: &[Self],
         n: usize,
-        write: &mut F,
+        c: &mut [Self],
     ) -> bool {
-        let _ = (ctx, a, bias, m, k, b, n, write);
+        let _ = (ctx, a, bias, m, k, b, n, c);
         false
     }
 }
@@ -188,10 +187,16 @@ impl I8Affine {
         I8Affine { scale }
     }
 
-    /// Quantizes a value to the nearest representable byte, saturating at
-    /// the `i8` extremes.
+    /// Quantizes a value to the nearest representable byte (ties away from
+    /// zero), saturating at the `i8` extremes: infinities map to the
+    /// matching extreme and **NaN maps to `0`** — unlike
+    /// [`QValue::quantize`], which sends NaN to the format maximum.
+    #[inline]
     pub fn quantize(self, value: f32) -> i8 {
-        (value / self.scale).round().clamp(-128.0, 127.0) as i8
+        // Clamp first (`round(clamp(x)) == clamp(round(x))`, the bounds
+        // being integral), then round without the libm call. `f32::clamp`
+        // keeps NaN, which `round_half_away` maps to 0.
+        round_half_away((value / self.scale).clamp(-128.0, 127.0)) as i8
     }
 
     /// The value a stored byte represents.
@@ -253,7 +258,7 @@ impl Element for f32 {
         self
     }
 
-    fn gemm_simd<F: FnMut(usize, usize, f32)>(
+    fn gemm_simd(
         _ctx: (),
         a: &[f32],
         bias: &[f32],
@@ -261,9 +266,9 @@ impl Element for f32 {
         k: usize,
         b: &[f32],
         n: usize,
-        write: &mut F,
+        c: &mut [f32],
     ) -> bool {
-        crate::simd::gemm_f32(a, bias, m, k, b, n, write)
+        crate::simd::gemm_f32(a, bias, m, k, b, n, c)
     }
 }
 
@@ -273,7 +278,7 @@ impl Element for i32 {
     type NetMeta = QFormat;
     type Meta = QFormat;
 
-    const GEMM_TILE: (usize, usize) = (2, 4);
+    const GEMM_TILE: (usize, usize) = (8, 1);
 
     #[inline]
     fn kernel_ctx(net: &QFormat) -> QFormat {
@@ -328,7 +333,7 @@ impl Element for i32 {
         self as f32 * net.resolution()
     }
 
-    fn gemm_simd<F: FnMut(usize, usize, i32)>(
+    fn gemm_simd(
         ctx: QFormat,
         a: &[i32],
         bias: &[i32],
@@ -336,14 +341,16 @@ impl Element for i32 {
         k: usize,
         b: &[i32],
         n: usize,
-        write: &mut F,
+        c: &mut [i32],
     ) -> bool {
-        crate::simd::gemm_q(ctx, a, bias, m, k, b, n, write)
+        crate::simd::gemm_q(ctx, a, bias, m, k, b, n, c)
     }
 }
 
 impl Element for i8 {
     type Acc = i32;
+
+    const GEMM_TILE: (usize, usize) = (8, 1);
     type Ctx = I8Affine;
     type NetMeta = I8Affine;
     type Meta = I8Affine;
@@ -404,7 +411,7 @@ impl Element for i8 {
         f32::from(self) * net.scale
     }
 
-    fn gemm_simd<F: FnMut(usize, usize, i8)>(
+    fn gemm_simd(
         ctx: I8Affine,
         a: &[i8],
         bias: &[i8],
@@ -412,9 +419,9 @@ impl Element for i8 {
         k: usize,
         b: &[i8],
         n: usize,
-        write: &mut F,
+        c: &mut [i8],
     ) -> bool {
-        crate::simd::gemm_i8(ctx, a, bias, m, k, b, n, write)
+        crate::simd::gemm_i8(ctx, a, bias, m, k, b, n, c)
     }
 }
 
@@ -475,6 +482,74 @@ mod tests {
         }
         assert_eq!(affine.quantize(10.0), 127, "saturates high");
         assert_eq!(affine.quantize(-10.0), -128, "saturates low");
+    }
+
+    /// The libm formula [`I8Affine::quantize`] used before its rounding was
+    /// made libm-free: the oracle the rewrite is pinned to.
+    fn affine_quantize_reference(affine: I8Affine, value: f32) -> i8 {
+        (value / affine.scale).round().clamp(-128.0, 127.0) as i8
+    }
+
+    /// Calibrated-style scales plus power-of-two ones, which make exact
+    /// `.5` quotients reachable.
+    const AFFINE_SCALES: [f32; 6] = [1.0 / 127.0, 0.007_812_5, 0.05, 1.0 / 3.0, 0.5, 3.7];
+
+    #[test]
+    fn i8_affine_maps_nan_to_zero_and_infinities_to_the_extremes() {
+        for scale in AFFINE_SCALES {
+            let affine = I8Affine { scale };
+            assert_eq!(affine.quantize(f32::NAN), 0, "NaN -> 0 at scale {scale}");
+            assert_eq!(affine.quantize(-f32::NAN), 0, "-NaN -> 0 at scale {scale}");
+            assert_eq!(affine.quantize(f32::INFINITY), 127);
+            assert_eq!(affine.quantize(f32::NEG_INFINITY), -128);
+        }
+    }
+
+    #[test]
+    fn i8_affine_quantize_matches_the_reference_on_ties_and_edges() {
+        for scale in AFFINE_SCALES {
+            let affine = I8Affine { scale };
+            for step in -260i32..=260 {
+                for offset in [0.0f32, 0.5, -0.5, 0.499_999_97, -0.499_999_97] {
+                    let value = (step as f32 + offset) * scale;
+                    for probe in [
+                        value,
+                        f32::from_bits(value.to_bits().wrapping_add(1)),
+                        f32::from_bits(value.to_bits().wrapping_sub(1)),
+                    ] {
+                        assert_eq!(
+                            affine.quantize(probe),
+                            affine_quantize_reference(affine, probe),
+                            "scale {scale} value {probe:e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn i8_affine_quantize_matches_the_reference_formula(
+            bits in 0u32..=u32::MAX,
+            index in 0usize..6,
+        ) {
+            let affine = I8Affine { scale: AFFINE_SCALES[index] };
+            // Any bit pattern, the same pattern squeezed into the subnormal
+            // range, and one scaled into the byte range.
+            let any = f32::from_bits(bits);
+            let subnormal = f32::from_bits(bits & 0x807f_ffff);
+            let in_range = f32::from_bits((bits & 0x807f_ffff) | 0x4200_0000) * affine.scale;
+            for value in [any, subnormal, in_range] {
+                proptest::prop_assert_eq!(
+                    affine.quantize(value),
+                    affine_quantize_reference(affine, value),
+                    "scale {} value {:e}",
+                    affine.scale,
+                    value
+                );
+            }
+        }
     }
 
     #[test]

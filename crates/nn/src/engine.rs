@@ -12,9 +12,10 @@
 //! [`EngineConfig::kernels`] picks what drives the non-in-place layers:
 //!
 //! * [`Kernels::Dispatched`] (the default) runs convolutions and linear
-//!   layers through the cache-blocked im2row GEMM of [`crate::gemm`] — one
-//!   whole-batch matrix sweep per layer instead of a per-row loop — offering
-//!   every sweep to the runtime-dispatched SIMD microkernels first.
+//!   layers through the blocked K-major-panel GEMM of `crate::gemm` — a
+//!   convolution packs a cache-sized chunk of batch rows' patches per sweep,
+//!   a linear layer sweeps the whole batch at once — offering every sweep
+//!   to the runtime-dispatched SIMD microkernels first.
 //! * [`Kernels::Scalar`] runs the same blocked GEMM on the portable scalar
 //!   register tiles only.
 //! * [`Kernels::Naive`] runs the per-row reference kernels
@@ -32,11 +33,11 @@ use crate::{gemm, LayerKind, Scratch};
 /// sweeps. Every choice produces bit-identical results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Kernels {
-    /// Blocked im2row GEMM, each sweep offered to the runtime-dispatched
+    /// Blocked K-major-panel GEMM, each sweep offered to the runtime-dispatched
     /// SIMD microkernels first (the fast default).
     #[default]
     Dispatched,
-    /// Blocked im2row GEMM on the portable scalar register tiles, bypassing
+    /// Blocked K-major-panel GEMM on the portable scalar register tiles, bypassing
     /// SIMD dispatch — the baseline the dispatch equivalence tests compare
     /// against.
     Scalar,
@@ -112,21 +113,27 @@ pub(crate) fn forward_batch_engine<'a, E, I, F>(
             LayerBase::Relu => LayerBase::relu_in_place(scratch.front_mut()),
             LayerBase::Flatten => {}
             LayerBase::Conv2d(conv) if blocked => {
-                // Pack phase: one im2row patch per batch row × output pixel.
-                let patch = conv.patch_len();
-                let ohw = out_len / conv.out_channels;
-                let (in_shape, front, cols) = scratch.pack_slab(nrows * ohw * patch);
-                gemm::pack_im2row(conv, front, nrows, in_shape, cols);
-                // GEMM phase: one blocked sweep per batch row, writing
-                // straight into the row's `[oc, oh, ow]` output layout (the
-                // weight panel is small enough to stay cache-hot across
-                // rows, and the per-row view keeps the write-back free of
-                // index arithmetic).
-                let (cols, back) = scratch.cols_and_back(nrows * out_len);
-                let oc = conv.out_channels;
-                for b in 0..nrows {
-                    let row_cols = &cols[b * ohw * patch..(b + 1) * ohw * patch];
-                    let row_out = &mut back[b * out_len..(b + 1) * out_len];
+                // Pack a chunk of batch rows' patches into the K-major panel
+                // (sized to stay cache-resident), sweep it with one GEMM into
+                // the `[oc, rows · oh·ow]` staging slab, then move each
+                // row's `oh·ow` runs into its `[oc, oh, ow]` output slot.
+                let (oc, patch) = (conv.out_channels, conv.patch_len());
+                let ohw = out_len / oc;
+                let chunk = gemm::conv_chunk_rows::<E>(patch, ohw).min(nrows);
+                let (in_shape, front, cols, stage, back) =
+                    scratch.gemm_slabs(patch * chunk * ohw, oc * chunk * ohw, nrows * out_len);
+                for b0 in (0..nrows).step_by(chunk) {
+                    let rows = chunk.min(nrows - b0);
+                    let n = rows * ohw;
+                    let panel = &mut cols[..patch * n];
+                    gemm::pack_patches(
+                        conv,
+                        &front[b0 * in_len..(b0 + rows) * in_len],
+                        rows,
+                        in_shape,
+                        panel,
+                    );
+                    let result = &mut stage[..oc * n];
                     gemm::gemm_bias(
                         ctx,
                         simd,
@@ -134,31 +141,40 @@ pub(crate) fn forward_batch_engine<'a, E, I, F>(
                         &conv.bias,
                         oc,
                         patch,
-                        row_cols,
-                        ohw,
-                        |m, p, v| row_out[m * ohw + p] = v,
+                        panel,
+                        n,
+                        result,
                     );
+                    let out = &mut back[b0 * out_len..(b0 + rows) * out_len];
+                    gemm::transpose_runs(result, oc, rows, ohw, out);
                 }
                 scratch.swap();
             }
             LayerBase::Linear(linear) if blocked => {
-                // The batch rows already are the `[N, K]` panel: GEMM straight
-                // off the front slab, no packing.
-                let (_, front, back) = scratch.slabs_for_sweep(nrows * out_len);
-                let m = linear.out_features;
-                gemm::gemm_bias(
-                    ctx,
-                    simd,
-                    &linear.weights,
-                    &linear.bias,
-                    m,
-                    linear.in_features,
-                    front,
-                    nrows,
-                    |mi, ni, v| {
-                        back[ni * m + mi] = v;
-                    },
-                );
+                // The `[N, K]` batch rows transpose into the K-major panel
+                // and the `[M, N]` result back into `[N, M]` rows; one row
+                // already is a `[K, 1]` panel and a `[1, M]` result, so a
+                // batch of one sweeps straight from front to back.
+                let (m, k) = (linear.out_features, linear.in_features);
+                let (_, front, cols, stage, back) =
+                    scratch.gemm_slabs(k * nrows, m * nrows, nrows * m);
+                if nrows == 1 {
+                    gemm::gemm_bias(ctx, simd, &linear.weights, &linear.bias, m, k, front, 1, back);
+                } else {
+                    gemm::transpose_runs(front, nrows, k, 1, cols);
+                    gemm::gemm_bias(
+                        ctx,
+                        simd,
+                        &linear.weights,
+                        &linear.bias,
+                        m,
+                        k,
+                        cols,
+                        nrows,
+                        stage,
+                    );
+                    gemm::transpose_runs(stage, m, nrows, 1, back);
+                }
                 scratch.swap();
             }
             _ => {

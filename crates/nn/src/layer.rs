@@ -99,7 +99,8 @@ impl<E: Element> Conv2dBase<E> {
     }
 
     /// The reduction length of one output element: `in_channels × k × k`
-    /// (the K dimension of the im2row GEMM view of this convolution).
+    /// (the K dimension, one patch-panel row each, of the GEMM view of this
+    /// convolution).
     pub(crate) fn patch_len(&self) -> usize {
         self.in_channels * self.kernel * self.kernel
     }
@@ -250,32 +251,71 @@ impl MaxPool2d {
         let (h, w) = (in_shape[1], in_shape[2]);
         assert_eq!(data.len(), c * h * w, "maxpool2d input buffer length mismatch");
         assert_eq!(out.len(), c * oh * ow, "maxpool2d output buffer length mismatch");
+        let s = self.stride;
         for ch in 0..c {
-            let in_base = ch * h * w;
-            let out_base = ch * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = data[in_base + oy * self.stride * w + ox * self.stride];
-                    for ky in 0..self.kernel {
-                        let row = in_base + (oy * self.stride + ky) * w + ox * self.stride;
-                        for kx in 0..self.kernel {
-                            let v = data[row + kx];
-                            // `f32::max` fold semantics: an incomparable
-                            // element (f32 NaN) never wins, and a comparable
-                            // one replaces an incomparable best, so NaNs are
-                            // skipped. For totally ordered types (raw words)
-                            // this reduces to `v > best`.
-                            if v > best
-                                || (best.partial_cmp(&v).is_none() && v.partial_cmp(&v).is_some())
-                            {
-                                best = v;
-                            }
-                        }
+            let plane = &data[ch * h * w..(ch + 1) * h * w];
+            for (oy, best) in out[ch * oh * ow..(ch + 1) * oh * ow].chunks_exact_mut(ow).enumerate()
+            {
+                // Every output of the row starts at its window's first
+                // element, then folds the window in `(ky, kx)` order. The
+                // output pixel loop is innermost, so each fold step is one
+                // data-independent select across the row.
+                let top = &plane[oy * s * w..];
+                zip_strided(best, top, s, |b, v| *b = v);
+                for ky in 0..self.kernel {
+                    for kx in 0..self.kernel {
+                        zip_strided(best, &top[ky * w + kx..], s, |b, v| *b = max_step(*b, v));
                     }
-                    out[out_base + oy * ow + ox] = best;
                 }
             }
         }
+    }
+}
+
+/// Applies `f(&mut out[i], src[i · s])` for every output `i`, four outputs
+/// per bounds check: the strided row walk of patch packing and pooling,
+/// whose runs are only a few elements long.
+#[inline(always)]
+pub(crate) fn zip_strided<T: Copy>(
+    out: &mut [T],
+    src: &[T],
+    s: usize,
+    mut f: impl FnMut(&mut T, T),
+) {
+    let Some(last) = out.len().checked_sub(1) else { return };
+    let src = &src[..last * s + 1];
+    let mut quads = out.chunks_exact_mut(4);
+    let mut i = 0;
+    for quad in &mut quads {
+        let window = &src[i * s..][..3 * s + 1];
+        f(&mut quad[0], window[0]);
+        f(&mut quad[1], window[s]);
+        f(&mut quad[2], window[2 * s]);
+        f(&mut quad[3], window[3 * s]);
+        i += 4;
+    }
+    for o in quads.into_remainder() {
+        f(o, src[i * s]);
+        i += 1;
+    }
+}
+
+/// One step of the max-pool fold with `f32::max` semantics: an incomparable
+/// element (an `f32` NaN) never wins and a comparable one replaces an
+/// incomparable best, so NaNs are skipped; on ties the earlier element
+/// stays (first seen wins, so `-0.0` before `0.0` pools to `-0.0`). For
+/// totally ordered types (raw words, bytes) this reduces to `v > best`.
+/// Both conditions are evaluated unconditionally and combined without
+/// short-circuiting, so the step compiles to a select rather than a branch
+/// on the data.
+#[inline(always)]
+fn max_step<T: Copy + PartialOrd>(best: T, v: T) -> T {
+    #[allow(clippy::eq_op)] // `v == v` is the NaN test for floats
+    let take = (v > best) | (best.partial_cmp(&v).is_none() & (v == v));
+    if take {
+        v
+    } else {
+        best
     }
 }
 
@@ -607,6 +647,95 @@ mod tests {
         assert_eq!(pool.forward(&input).data(), &[1.0]);
         let trailing_nan = Tensor::from_vec(&[1, 2, 2], vec![0.5, -2.0, 1.0, f32::NAN]);
         assert_eq!(pool.forward(&trailing_nan).data(), &[1.0]);
+        // Ties keep the first element seen: `-0.0` then `0.0` pools to `-0.0`.
+        let signed_zeros = Tensor::from_vec(&[1, 2, 2], vec![-0.0, 0.0, -1.0, 0.0]);
+        assert_eq!(pool.forward(&signed_zeros).data()[0].to_bits(), (-0.0f32).to_bits());
+    }
+
+    /// The branchy max-pool fold [`MaxPool2d::forward_into`] ran before its
+    /// select form: the oracle the pool is pinned to.
+    fn maxpool_reference<T: Copy + PartialOrd>(
+        pool: MaxPool2d,
+        data: &[T],
+        in_shape: &[usize],
+        out: &mut [T],
+    ) {
+        let [c, oh, ow] = pool.output_shape(in_shape);
+        let (h, w) = (in_shape[1], in_shape[2]);
+        for ch in 0..c {
+            let in_base = ch * h * w;
+            let out_base = ch * oh * ow;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = data[in_base + oy * pool.stride * w + ox * pool.stride];
+                    for ky in 0..pool.kernel {
+                        let row = in_base + (oy * pool.stride + ky) * w + ox * pool.stride;
+                        for kx in 0..pool.kernel {
+                            let v = data[row + kx];
+                            if v > best
+                                || (best.partial_cmp(&v).is_none() && v.partial_cmp(&v).is_some())
+                            {
+                                best = v;
+                            }
+                        }
+                    }
+                    out[out_base + oy * ow + ox] = best;
+                }
+            }
+        }
+    }
+
+    /// Pools `data` with both the layer and the reference fold.
+    fn pool_both<T: Copy + PartialOrd + Default>(
+        pool: MaxPool2d,
+        data: &[T],
+        in_shape: &[usize],
+    ) -> (Vec<T>, Vec<T>) {
+        let len = pool.output_shape(in_shape).iter().product();
+        let (mut got, mut want) = (vec![T::default(); len], vec![T::default(); len]);
+        pool.forward_into(data, in_shape, &mut got);
+        maxpool_reference(pool, data, in_shape, &mut want);
+        (got, want)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn maxpool_matches_the_reference_fold(
+            seed in 0u64..u64::MAX,
+            kernel in 1usize..=3,
+            stride in 1usize..=3,
+            channels in 1usize..=3,
+            extra_h in 0usize..6,
+            extra_w in 0usize..6,
+        ) {
+            use rand::{Rng, RngCore};
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let pool = MaxPool2d::new(kernel, stride);
+            let shape = [channels, kernel + extra_h, kernel + extra_w];
+            let len: usize = shape.iter().product();
+            // Floats drawn from a small pool of specials and ties so NaNs,
+            // signed zeros and infinities meet in the same windows.
+            let specials =
+                [f32::NAN, -f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, 1.0, -1.0];
+            let floats: Vec<f32> = (0..len)
+                .map(|_| {
+                    if rng.gen_bool(0.5) {
+                        specials[rng.gen_range(0..specials.len())]
+                    } else {
+                        rng.gen_range(-2.0f32..2.0)
+                    }
+                })
+                .collect();
+            let (got, want) = pool_both(pool, &floats, &shape);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+            let words: Vec<i32> = (0..len).map(|_| rng.next_u32() as i32).collect();
+            let (got, want) = pool_both(pool, &words, &shape);
+            proptest::prop_assert_eq!(got, want);
+            let bytes: Vec<i8> = (0..len).map(|_| rng.next_u32() as i8).collect();
+            let (got, want) = pool_both(pool, &bytes, &shape);
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

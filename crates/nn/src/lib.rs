@@ -99,8 +99,11 @@
 //! sweep against a [`Scratch`] whose activation slabs are reused across calls:
 //! once warm, a pass performs **zero** heap allocations
 //! ([`Scratch::grow_events`] stays flat). Convolution and linear sweeps run
-//! a cache-blocked im2row GEMM (module `gemm`): the whole batch becomes one
-//! `[M, K] × [N, K]` matrix sweep with `MR × NR` register tiles, each
+//! a blocked GEMM (module `gemm`) with one contract: `[M, K]` weights times
+//! a K-major `[K, N]` panel gives a row-major `[M, N]` result. A
+//! convolution packs a cache-sized chunk of batch rows' patches straight
+//! into the panel; a linear layer transposes its batch rows into it. The
+//! sweep runs `MR × NR` register tiles over whole panel rows, each
 //! output element still accumulating in the naive kernel's reduction order —
 //! so batched, GEMM-accelerated passes stay **bit-identical** to per-sample
 //! naive passes on every backend (enforced by the equivalence suites and the
@@ -112,8 +115,8 @@
 //! `std::arch` kernel — AVX2 or the x86-64 SSE2 baseline, selected per CPU
 //! at runtime — and falls back to the portable scalar register tiles
 //! elsewhere. The kernels reproduce the scalar accumulation chains bit for
-//! bit (`f32` vectorizes across output columns with explicit multiply +
-//! add, never FMA; the integer backends reduce across `k`, which is exact)
+//! bit (every backend vectorizes across output columns, `f32` with explicit
+//! multiply + add, never FMA; integer reordering within `k` is exact)
 //! ([`simd_kernel_name`] reports the active tier).
 //!
 //! The engine's one knob is [`EngineConfig::kernels`], an explicit,
@@ -129,7 +132,7 @@
 //! [`Network::forward_traced_into`] records every activation of one sample
 //! for back-propagation. It runs its linear and convolution layers on the
 //! same blocked, SIMD-dispatched GEMM at a batch of one (convolutions through
-//! im2row, with the panel kept inside the [`ForwardTrace`]), so a warm
+//! their patch panel, kept inside the [`ForwardTrace`]), so a warm
 //! traced pass allocates nothing and stays bit-identical to the naive
 //! kernels. Single-column sweeps like this one, and the 1–7 row remainders
 //! of any `f32` sweep, run as 8-row tiles of independent accumulators.

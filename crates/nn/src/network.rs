@@ -255,13 +255,14 @@ impl ForwardHooks for RangeRecorder {
 ///
 /// A trace can be reused across passes through
 /// [`Network::forward_traced_into`], which overwrites the recorded tensors in
-/// place instead of reallocating them. The trace also owns the im2row panel
-/// its convolutions are packed into, so a warm traced pass allocates nothing.
+/// place instead of reallocating them. The trace also owns the K-major patch
+/// panel its convolutions are packed into, so a warm traced pass allocates
+/// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardTrace {
     /// `values[0]` is the input; `values[i + 1]` is the output of layer `i`.
     pub values: Vec<Tensor>,
-    /// The im2row staging panel of the traced convolution sweeps.
+    /// The K-major patch panel of the traced convolution sweeps.
     cols: Vec<f32>,
 }
 
@@ -631,11 +632,11 @@ impl Network {
     /// reusable `trace` (the input of [`Network::backward_tail`]),
     /// overwriting the recorded tensors in place. After the first call with
     /// a given topology, subsequent calls reuse every activation buffer and
-    /// the trace's im2row panel (no allocation), which is what makes
+    /// the trace's patch panel (no allocation), which is what makes
     /// replay-heavy DQN training cheap.
     ///
     /// Linear and convolution layers run on the batched engine's blocked,
-    /// SIMD-dispatched GEMM (a convolution through its im2row packing) at a
+    /// SIMD-dispatched GEMM (a convolution through its patch panel) at a
     /// batch of one, so every recorded value is bit-identical to the naive
     /// kernels by the GEMM contract. Unlike the inference passes, the trace
     /// records unquantized activations even when the network simulates a
@@ -663,9 +664,9 @@ impl Network {
                     pool.forward_into(previous.data(), previous.shape(), current.data_mut());
                 }
                 Layer::Linear(linear) => {
+                    // One row is a `[K, 1]` panel with a `[1, M]` result.
                     assert_eq!(previous.len(), linear.in_features, "linear input length mismatch");
                     current.resize_to(&[linear.out_features]);
-                    let out = current.data_mut();
                     gemm::gemm_bias(
                         (),
                         true,
@@ -675,17 +676,21 @@ impl Network {
                         linear.in_features,
                         previous.data(),
                         1,
-                        |m, _, v| out[m] = v,
+                        current.data_mut(),
                     );
                 }
                 Layer::Conv2d(conv) => {
+                    // One row's `[oc, oh·ow]` result already is its
+                    // `[oc, oh, ow]` output.
                     let out_shape = conv.output_shape(previous.shape());
                     let [oc, oh, ow] = out_shape;
                     let (ohw, patch) = (oh * ow, conv.patch_len());
-                    cols.resize(ohw * patch, 0.0);
-                    gemm::pack_im2row(conv, previous.data(), 1, previous.shape(), cols);
+                    if cols.len() < patch * ohw {
+                        cols.resize(patch * ohw, 0.0);
+                    }
+                    let panel = &mut cols[..patch * ohw];
+                    gemm::pack_patches(conv, previous.data(), 1, previous.shape(), panel);
                     current.resize_to(&out_shape);
-                    let out = current.data_mut();
                     gemm::gemm_bias(
                         (),
                         true,
@@ -693,9 +698,9 @@ impl Network {
                         &conv.bias,
                         oc,
                         patch,
-                        cols,
+                        panel,
                         ohw,
-                        |m, p, v| out[m * ohw + p] = v,
+                        current.data_mut(),
                     );
                 }
             }

@@ -13,9 +13,10 @@
 //! shares it: the `f32` backend uses the default `Scratch` (`Scratch<f32>`),
 //! the native fixed-point backend stages raw Q-format words in a
 //! [`QScratch`](crate::QScratch) (`Scratch<i32>`) and the `i8` backend
-//! bytes in an [`I8Scratch`](crate::I8Scratch). A third slab holds the
-//! im2row panel of the blocked GEMM convolution path; it obeys the same
-//! grow-once, reuse-forever contract.
+//! bytes in an [`I8Scratch`](crate::I8Scratch). Two more slabs serve the
+//! blocked GEMM path — the K-major panel its sweeps read and the `[M, N]`
+//! staging slab they write — and obey the same grow-once, reuse-forever
+//! contract.
 //!
 //! [`NetworkBase::forward_batch_into_cfg`]: crate::NetworkBase::forward_batch_into_cfg
 
@@ -52,9 +53,13 @@
 pub struct Scratch<T = f32> {
     front: Vec<T>,
     back: Vec<T>,
-    /// The im2row staging panel of the blocked GEMM path: one packed input
-    /// patch per batch row × output pixel of the convolution being swept.
+    /// The K-major `[K, N]` panel of the blocked GEMM path: a chunk of batch
+    /// rows' packed convolution patches, or a linear layer's transposed
+    /// batch rows.
     cols: Vec<T>,
+    /// The GEMM's row-major `[M, N]` result, before it is moved into the
+    /// back slab's per-row layout.
+    stage: Vec<T>,
     shape: Vec<usize>,
     next_shape: Vec<usize>,
     rows: usize,
@@ -71,10 +76,9 @@ impl<T: Copy + Default> Scratch<T> {
     /// in each activation slab up front. Passes whose widest activation fits
     /// the envelope skip the initial slab growth; layers wider than
     /// `row_len` (e.g. a channel-expanding convolution) still grow the slabs
-    /// once. The im2row panel of the blocked convolution path is *not*
-    /// pre-reserved (its size depends on kernel geometry, not on `row_len`),
-    /// so a network with convolutions grows that slab once on its first
-    /// pass regardless.
+    /// once. The GEMM panel and staging slabs are *not* pre-reserved (their
+    /// sizes depend on layer geometry, not on `row_len`), so they grow once
+    /// on the first pass regardless.
     pub fn with_capacity(rows: usize, row_len: usize) -> Scratch<T> {
         let mut scratch = Scratch::new();
         scratch.front.reserve(rows * row_len);
@@ -132,8 +136,11 @@ impl<T: Copy + Default> Scratch<T> {
         let row_len: usize = shape.iter().product();
         self.rows = rows.len();
         self.set_shape(shape);
-        self.reserve_slab(true, self.rows * row_len);
         self.front.clear();
+        if self.front.capacity() < self.rows * row_len {
+            self.front.reserve(self.rows * row_len);
+            self.grow_events += 1;
+        }
         for row in rows {
             assert_eq!(row.len(), row_len, "batch row length does not match input shape");
             self.front.extend_from_slice(row);
@@ -161,53 +168,63 @@ impl<T: Copy + Default> Scratch<T> {
         self.next_shape = shape;
     }
 
-    /// Resizes the back slab for `back_len` total elements and hands out the
+    /// Sizes the back slab for `back_len` total elements and hands out the
     /// disjoint views a layer sweep needs: `(current row shape, front slab,
     /// back slab)`.
     pub(crate) fn slabs_for_sweep(&mut self, back_len: usize) -> (&[usize], &[T], &mut [T]) {
-        self.reserve_slab(false, back_len);
-        self.back.resize(back_len, T::default());
-        (&self.shape, &self.front, &mut self.back)
+        let front_len = self.rows * self.row_len();
+        let back = grow_slab(&mut self.back, back_len, &mut self.grow_events);
+        (&self.shape, &self.front[..front_len], back)
     }
 
-    /// Resizes the im2row panel to `cols_len` elements and hands out the
-    /// disjoint views the packing phase of a blocked convolution needs:
-    /// `(current row shape, front slab, im2row panel)`.
-    pub(crate) fn pack_slab(&mut self, cols_len: usize) -> (&[usize], &[T], &mut [T]) {
-        if self.cols.capacity() < cols_len {
-            self.cols.reserve(cols_len - self.cols.len());
-            self.grow_events += 1;
-        }
-        self.cols.resize(cols_len, T::default());
-        (&self.shape, &self.front, &mut self.cols)
+    /// Sizes the GEMM panel (`cols_len`), the staging slab (`stage_len`)
+    /// and the back slab (`back_len`), and hands out the disjoint views a
+    /// blocked sweep needs: `(current row shape, front slab, panel,
+    /// staging, back slab)`.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn gemm_slabs(
+        &mut self,
+        cols_len: usize,
+        stage_len: usize,
+        back_len: usize,
+    ) -> (&[usize], &[T], &mut [T], &mut [T], &mut [T]) {
+        let front_len = self.rows * self.row_len();
+        let grows = &mut self.grow_events;
+        let cols = grow_slab(&mut self.cols, cols_len, grows);
+        let stage = grow_slab(&mut self.stage, stage_len, grows);
+        let back = grow_slab(&mut self.back, back_len, grows);
+        (&self.shape, &self.front[..front_len], cols, stage, back)
     }
 
-    /// Resizes the back slab for `back_len` total elements and hands out the
-    /// views the GEMM phase of a blocked convolution needs: `(im2row panel,
-    /// back slab)`.
-    pub(crate) fn cols_and_back(&mut self, back_len: usize) -> (&[T], &mut [T]) {
-        self.reserve_slab(false, back_len);
-        self.back.resize(back_len, T::default());
-        (&self.cols, &mut self.back)
-    }
-
-    /// The front slab, mutably (in-place layer sweeps and hook application).
+    /// The current pass's rows in the front slab, mutably (in-place layer
+    /// sweeps and hook application).
     pub(crate) fn front_mut(&mut self) -> &mut [T] {
-        &mut self.front
+        let len = self.rows * self.row_len();
+        &mut self.front[..len]
     }
 
     /// Swaps the front and back slabs after a sweep wrote into the back.
     pub(crate) fn swap(&mut self) {
         std::mem::swap(&mut self.front, &mut self.back);
     }
+}
 
-    fn reserve_slab(&mut self, front: bool, len: usize) {
-        let slab = if front { &mut self.front } else { &mut self.back };
+/// The first `len` elements of `slab`, growing it (and counting the growth
+/// when it reallocates) if it is shorter. Slabs never shrink, so a pass
+/// whose layers alternate between sizes zero-fills nothing once warm; every
+/// sweep overwrites the prefix it is handed.
+fn grow_slab<'a, T: Copy + Default>(
+    slab: &'a mut Vec<T>,
+    len: usize,
+    grow_events: &mut usize,
+) -> &'a mut [T] {
+    if slab.len() < len {
         if slab.capacity() < len {
-            slab.reserve(len - slab.len());
-            self.grow_events += 1;
+            *grow_events += 1;
         }
+        slab.resize(len, T::default());
     }
+    &mut slab[..len]
 }
 
 #[cfg(test)]

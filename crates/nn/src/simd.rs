@@ -5,39 +5,52 @@
 //! [`Element::gemm_simd`](crate::Element::gemm_simd) hook, which lands here;
 //! when no kernel fits the running CPU — or the caller pins scalar
 //! execution via [`Kernels::Scalar`] — the portable scalar
-//! register tiles run instead. Every kernel honours the crate's
-//! bit-exactness contract:
+//! register tiles run instead.
+//!
+//! Every kernel reads the GEMM's one operand layout: a K-major `[K, N]`
+//! panel (a convolution's packed patches or a linear layer's transposed
+//! batch rows), so a vector of `N` consecutive columns at reduction step
+//! `k` is one contiguous load, and writes the row-major `[M, N]` result,
+//! so a finished vector of columns is one contiguous store. A one-column
+//! panel (`N = 1`: ε-greedy acts, traced training passes) is a single
+//! contiguous column. Every kernel honours the crate's bit-exactness
+//! contract:
 //!
 //! * **`f32`** vectorizes across *output columns*: each vector lane owns one
 //!   output's full `K` chain, fed in ascending `k` order through explicit
 //!   multiply + add (never FMA, whose fused rounding would diverge from the
 //!   scalar chain), so lane `j` reproduces the scalar accumulator bit for
-//!   bit. AVX2 runs 8 columns across 4 row-blocked accumulator registers;
-//!   the x86-64 SSE2 baseline runs 4 columns, also in 4-row blocks; AVX2
-//!   runs a 4–7 column remainder's first four columns on the 4-lane kernel.
-//!   The last `< 4` columns run the scalar chain (f32 summation order is
-//!   load-bearing) as 8-row tiles of independent accumulators, so batches
-//!   of one row are no longer bound by one add's latency per product.
-//! * **`i32` (Q-format) and `i8` (affine)** also vectorize full column
-//!   blocks lane-per-column, each lane fed in ascending `k` order — the
-//!   scalar chain verbatim. Bytes run 16 `i32` lanes with `madd_epi16`
-//!   folding `(k, k+1)` product pairs. Q formats whose total width fits
-//!   `i16` (every preset) take the same 16-lane `madd` shape on narrowed
-//!   words, guarded for exactness: a pre-pass profiles each left-hand row
-//!   (words must fit `i16`, no aligned `(-32768, -32768)` pair, and a
-//!   per-row chunk bound keeps `i32` pair sums from wrapping before they
-//!   widen into `i64` lanes), and any row, word, or weight panel that
-//!   fault injection pushed outside those bounds falls back to widened
-//!   exact dots for that slice only. Wider formats keep the 8-lane
-//!   `i64`-widened kernel. Remainder columns fall back to a `k`-vectorized
-//!   dot with a horizontal reduction, which is still exact because integer
-//!   addition is associative and commutative (also modulo 2ⁿ). Products
-//!   stay exact in their widened lanes, and the single rounding requantize
-//!   per output runs in the vectorized epilogues (`requantize_q` /
-//!   `requantize_i8`) that back [`Element::finish_tile`] — bit-identical
-//!   to the scalar `finish`, just over whole registers of accumulators.
-//!   Both MAC kernels need AVX2; without it the scalar tiles run (the
-//!   epilogues also carry an SSE2 tier for the tiled path).
+//!   bit. AVX2 runs 8 columns across 4 row-blocked accumulator registers
+//!   straight off the panel, a 4–7 column remainder's first four on the
+//!   4-lane kernel, and the last 1–3 on the 8-lane kernel with masked
+//!   loads and stores; the x86-64 SSE2 baseline runs 4 columns, also in
+//!   4-row blocks. A one-column panel (and the SSE2 tier's last `< 4`
+//!   columns) runs the scalar chain (f32 summation order is load-bearing)
+//!   as 8-row tiles of independent accumulators, so one-column sweeps are
+//!   not bound by one add's latency per product.
+//! * **`i32` (Q-format) and `i8` (affine)** also vectorize column blocks
+//!   lane-per-column, each lane fed in ascending `k` order — the scalar
+//!   chain verbatim. Bytes run 16 `i32` lanes with `madd_epi16` folding
+//!   `(k, k+1)` product pairs, from a pair panel that interleaves panel
+//!   rows `k` and `k+1` of one 16-column block (a trailing block of fewer
+//!   columns is zero-padded, and only its real columns are stored). Q
+//!   formats whose total width fits `i16` (every preset) take the same
+//!   16-lane `madd` shape on narrowed words, guarded for exactness: a
+//!   pre-pass profiles each left-hand row (words must fit `i16`, no aligned
+//!   `(-32768, -32768)` pair, and a per-row chunk bound keeps `i32` pair
+//!   sums from wrapping before they widen into `i64` lanes), and any row or
+//!   panel block that fault injection pushed outside those bounds falls
+//!   back to widened exact dots for that slice only. Wider formats keep the
+//!   8-lane `i64`-widened kernel, loading the panel directly, with exact
+//!   dots for the remainder columns. A one-column panel takes a
+//!   `k`-vectorized dot with a horizontal reduction, which is still exact
+//!   because integer addition is associative and commutative (also modulo
+//!   2ⁿ). Products stay exact in their widened lanes, and the single
+//!   rounding requantize per output runs in the vectorized epilogues
+//!   (`requantize_q` / `requantize_i8`) that back [`Element::finish_tile`]
+//!   — bit-identical to the scalar `finish`, just over whole registers of
+//!   accumulators. Both MAC kernels need AVX2; without it the scalar tiles
+//!   run (the epilogues also carry an SSE2 tier for the tiled path).
 //!
 //! [`Element::finish_tile`]: crate::Element::finish_tile
 //!
@@ -82,19 +95,19 @@ fn best_tier_name() -> &'static str {
 /// present on x86-64). Never declines on x86-64.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_f32<F: FnMut(usize, usize, f32)>(
+pub(crate) fn gemm_f32(
     a: &[f32],
     bias: &[f32],
     m: usize,
     k: usize,
     b: &[f32],
     n: usize,
-    write: &mut F,
+    c: &mut [f32],
 ) -> bool {
     if std::arch::is_x86_feature_detected!("avx2") {
-        x86::gemm_f32_avx2(a, bias, m, k, b, n, write);
+        x86::gemm_f32_avx2(a, bias, m, k, b, n, c);
     } else {
-        x86::gemm_f32_sse2(a, bias, m, k, b, n, write);
+        x86::gemm_f32_sse2(a, bias, m, k, b, n, c);
     }
     true
 }
@@ -103,7 +116,7 @@ pub(crate) fn gemm_f32<F: FnMut(usize, usize, f32)>(
 /// multiply needs it); declines to the scalar tiles otherwise.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_q<F: FnMut(usize, usize, i32)>(
+pub(crate) fn gemm_q(
     ctx: QFormat,
     a: &[i32],
     bias: &[i32],
@@ -111,12 +124,12 @@ pub(crate) fn gemm_q<F: FnMut(usize, usize, i32)>(
     k: usize,
     b: &[i32],
     n: usize,
-    write: &mut F,
+    c: &mut [i32],
 ) -> bool {
     if !std::arch::is_x86_feature_detected!("avx2") {
         return false;
     }
-    x86::gemm_q_avx2(ctx, a, bias, m, k, b, n, write);
+    x86::gemm_q_avx2(ctx, a, bias, m, k, b, n, c);
     true
 }
 
@@ -124,7 +137,7 @@ pub(crate) fn gemm_q<F: FnMut(usize, usize, i32)>(
 /// declines to the scalar tiles otherwise.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_i8<F: FnMut(usize, usize, i8)>(
+pub(crate) fn gemm_i8(
     ctx: I8Affine,
     a: &[i8],
     bias: &[i8],
@@ -132,12 +145,12 @@ pub(crate) fn gemm_i8<F: FnMut(usize, usize, i8)>(
     k: usize,
     b: &[i8],
     n: usize,
-    write: &mut F,
+    c: &mut [i8],
 ) -> bool {
     if !std::arch::is_x86_feature_detected!("avx2") {
         return false;
     }
-    x86::gemm_i8_avx2(ctx, a, bias, m, k, b, n, write);
+    x86::gemm_i8_avx2(ctx, a, bias, m, k, b, n, c);
     true
 }
 
@@ -184,6 +197,44 @@ pub(crate) fn requantize_i8(ctx: I8Affine, accs: &[i32], out: &mut [i8]) {
     }
 }
 
+/// Transposes a `[rows, cols]` matrix of `f32` values or `i32` words —
+/// `dst[c · rows + r] = src[r · cols + c]` — in 4 × 4 tiles of SSE2
+/// shuffles (part of the x86-64 baseline), moving the bits untouched.
+/// Returns `false`, leaving `dst` alone, for any other element type; the
+/// caller then transposes element by element.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn transpose_words<E: Copy + 'static>(
+    src: &[E],
+    rows: usize,
+    cols: usize,
+    dst: &mut [E],
+) -> bool {
+    use std::any::TypeId;
+    let id = TypeId::of::<E>();
+    if id != TypeId::of::<f32>() && id != TypeId::of::<i32>() {
+        return false;
+    }
+    assert!(src.len() == rows * cols && dst.len() == rows * cols, "transpose length mismatch");
+    // SAFETY: `E` is `f32` or `i32` (checked above), both 4-byte plain
+    // values, so every element can be moved as one 32-bit lane; the length
+    // assertion bounds every tile load and store, and SSE/SSE2 are part of
+    // the x86-64 baseline.
+    unsafe { x86::transpose_words_sse2(src.as_ptr().cast(), rows, cols, dst.as_mut_ptr().cast()) };
+    true
+}
+
+/// Portable fallback: declines, so the caller transposes element by
+/// element.
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) fn transpose_words<E: Copy + 'static>(
+    _src: &[E],
+    _rows: usize,
+    _cols: usize,
+    _dst: &mut [E],
+) -> bool {
+    false
+}
+
 /// Portable fallback: the scalar epilogue loop, element by element.
 #[cfg(not(target_arch = "x86_64"))]
 pub(crate) fn requantize_q(ctx: QFormat, accs: &[i64], out: &mut [i32]) {
@@ -204,21 +255,21 @@ pub(crate) fn requantize_i8(ctx: I8Affine, accs: &[i32], out: &mut [i8]) {
 
 #[cfg(not(target_arch = "x86_64"))]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_f32<F: FnMut(usize, usize, f32)>(
+pub(crate) fn gemm_f32(
     _a: &[f32],
     _bias: &[f32],
     _m: usize,
     _k: usize,
     _b: &[f32],
     _n: usize,
-    _write: &mut F,
+    _c: &mut [f32],
 ) -> bool {
     false
 }
 
 #[cfg(not(target_arch = "x86_64"))]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_q<F: FnMut(usize, usize, i32)>(
+pub(crate) fn gemm_q(
     _ctx: QFormat,
     _a: &[i32],
     _bias: &[i32],
@@ -226,14 +277,14 @@ pub(crate) fn gemm_q<F: FnMut(usize, usize, i32)>(
     _k: usize,
     _b: &[i32],
     _n: usize,
-    _write: &mut F,
+    _c: &mut [i32],
 ) -> bool {
     false
 }
 
 #[cfg(not(target_arch = "x86_64"))]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_i8<F: FnMut(usize, usize, i8)>(
+pub(crate) fn gemm_i8(
     _ctx: I8Affine,
     _a: &[i8],
     _bias: &[i8],
@@ -241,31 +292,14 @@ pub(crate) fn gemm_i8<F: FnMut(usize, usize, i8)>(
     _k: usize,
     _b: &[i8],
     _n: usize,
-    _write: &mut F,
+    _c: &mut [i8],
 ) -> bool {
     false
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use std::arch::x86_64::{
-        __m128, __m128i, __m256, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_ps,
-        _mm256_and_ps, _mm256_and_si256, _mm256_andnot_ps, _mm256_andnot_si256, _mm256_blendv_epi8,
-        _mm256_castsi256_si128, _mm256_cmp_ps, _mm256_cmpgt_epi64, _mm256_cvtepi32_epi64,
-        _mm256_cvtepi32_ps, _mm256_cvtepi8_epi16, _mm256_cvtps_epi32, _mm256_extracti128_si256,
-        _mm256_loadu_ps, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_max_ps, _mm256_min_ps,
-        _mm256_mul_epi32, _mm256_mul_ps, _mm256_or_ps, _mm256_or_si256, _mm256_packs_epi32,
-        _mm256_permutevar8x32_epi32, _mm256_round_ps, _mm256_set1_epi32, _mm256_set1_epi64x,
-        _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_si256, _mm256_sll_epi64,
-        _mm256_srl_epi64, _mm256_srli_epi64, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_ps,
-        _mm_add_epi64, _mm_add_ps, _mm_and_ps, _mm_and_si128, _mm_andnot_ps, _mm_andnot_si128,
-        _mm_cmpge_ps, _mm_cvtepi32_ps, _mm_cvtsi32_si128, _mm_cvttps_epi32, _mm_loadu_ps,
-        _mm_loadu_si128, _mm_max_ps, _mm_min_ps, _mm_mul_ps, _mm_or_ps, _mm_or_si128,
-        _mm_set1_epi64x, _mm_set1_ps, _mm_setzero_si128, _mm_shuffle_epi32, _mm_sll_epi64,
-        _mm_srai_epi32, _mm_srl_epi64, _mm_storeu_ps, _mm_storeu_si128, _mm_sub_ps,
-        _mm_unpackhi_epi32, _mm_unpackhi_epi64, _mm_unpacklo_epi32, _mm_unpacklo_epi64, _CMP_GE_OQ,
-        _MM_FROUND_NO_EXC, _MM_FROUND_TO_ZERO,
-    };
+    use std::arch::x86_64::*;
     use std::cell::RefCell;
 
     use navft_qformat::QFormat;
@@ -273,20 +307,13 @@ mod x86 {
     use crate::element::{Element, I8Affine};
 
     thread_local! {
-        /// The transposed `K × NR` panel the f32 column kernels stream with
-        /// one contiguous load per `k` step, reused across sweeps so warm
-        /// passes stay allocation-free.
-        static PANEL_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-        /// The raw-word twin of [`PANEL_F32`] for the Q-format kernel.
-        static PANEL_Q: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
-        /// The `i8` kernel's panel: bytes widened to `i16` and interleaved
-        /// in `(k, k+1)` pairs so `madd_epi16` consumes two `k` steps per
-        /// instruction (see [`pack_byte_pairs`]).
-        static PANEL_I8: RefCell<Vec<i16>> = const { RefCell::new(Vec::new()) };
-        /// The narrow Q-format kernel's panel: raw words of formats that fit
-        /// `i16` (every total width ≤ 16), narrowed and interleaved in the
-        /// same `(k, k+1)` pair layout as [`PANEL_I8`].
-        static PANEL_Q16: RefCell<Vec<i16>> = const { RefCell::new(Vec::new()) };
+        /// The pair panel of the `madd_epi16` kernels (bytes and narrow Q
+        /// words): one 16-column block of the K-major panel widened or
+        /// narrowed to `i16` and interleaved in `(k, k+1)` pairs, so
+        /// `madd_epi16` consumes two `k` steps per instruction (see
+        /// [`pack_byte_pairs`]). Reused across sweeps so warm passes stay
+        /// allocation-free.
+        static PAIR_PANEL: RefCell<Vec<i16>> = const { RefCell::new(Vec::new()) };
         /// Per-call row scratch for the narrow Q-format kernel: every
         /// left-hand row's `(2k, 2k+1)` word pairs pre-packed into one
         /// broadcast-ready `i32` each, plus the per-row widening chunk
@@ -296,129 +323,167 @@ mod x86 {
             const { RefCell::new((Vec::new(), Vec::new())) };
     }
 
-    /// Packs `bt[kk · nr + j] = b[(n0 + j) · k + kk]` — `nr` consecutive
-    /// columns of the reduction panel, transposed.
-    fn pack_columns<T: Copy>(bt: &mut [T], b: &[T], n0: usize, k: usize, nr: usize) {
-        for j in 0..nr {
-            let col = &b[(n0 + j) * k..(n0 + j + 1) * k];
-            for (kk, &v) in col.iter().enumerate() {
-                bt[kk * nr + j] = v;
-            }
-        }
-    }
-
-    /// The `< NR` remainder columns: per column, blocks of 8 rows run as
-    /// 8 independent scalar accumulators (then 4, 2 and 1 for the rows
-    /// left over), each fed `bias + Σ_k b·a` in ascending `k` order — the
-    /// same per-output chain the tile path's edge case performs, so the
+    /// Columns `from..n` on the scalar chain: per column, blocks of 8 rows
+    /// run as 8 independent scalar accumulators (then 4, 2 and 1 for the
+    /// rows left over), each fed `bias + Σ_k b·a` in ascending `k` order —
+    /// the same per-output chain the tile path's edge case performs, so the
     /// results are bit-identical, but the rows no longer wait on one
-    /// another's add latency. This is the whole sweep for batches of 1–7
-    /// rows (ε-greedy acts, traced training passes, small minibatches).
+    /// another's add latency. This is the whole sweep for a one-column
+    /// panel (ε-greedy acts, traced training passes), whose column is
+    /// contiguous, and the `< 4` remainder columns of the SSE2 tier, which
+    /// read the panel with stride `n`.
     #[allow(clippy::too_many_arguments)]
-    fn scalar_columns<F: FnMut(usize, usize, f32)>(
+    fn scalar_columns(
         a: &[f32],
         bias: &[f32],
         m: usize,
         k: usize,
         b: &[f32],
-        from: usize,
         n: usize,
-        write: &mut F,
+        from: usize,
+        c: &mut [f32],
     ) {
         for j in from..n {
-            let col = &b[j * k..(j + 1) * k];
-            let mut i = 0;
-            while i + 8 <= m {
-                row_tile::<8, F>(a, bias, k, col, i, j, write);
-                i += 8;
+            if n == 1 {
+                column_tiles::<false>(a, bias, m, k, &b[..k], 1, j, c);
+            } else {
+                column_tiles::<true>(a, bias, m, k, &b[j..], n, j, c);
             }
-            if m - i >= 4 {
-                row_tile::<4, F>(a, bias, k, col, i, j, write);
-                i += 4;
-            }
-            if m - i >= 2 {
-                row_tile::<2, F>(a, bias, k, col, i, j, write);
-                i += 2;
-            }
-            if m > i {
-                row_tile::<1, F>(a, bias, k, col, i, j, write);
-            }
+        }
+    }
+
+    /// Every row of output column `j`, in row tiles of 8, 4, 2 and 1.
+    /// `col[kk · n]` is the column's `kk`-th panel element and `c` has `n`
+    /// columns; `STRIDED` is false only for a one-column panel, so that hot
+    /// case indexes without the multiply.
+    #[allow(clippy::too_many_arguments)]
+    fn column_tiles<const STRIDED: bool>(
+        a: &[f32],
+        bias: &[f32],
+        m: usize,
+        k: usize,
+        col: &[f32],
+        n: usize,
+        j: usize,
+        c: &mut [f32],
+    ) {
+        let mut i = 0;
+        while i + 8 <= m {
+            row_tile::<8, STRIDED>(a, bias, k, col, n, i, j, c);
+            i += 8;
+        }
+        if m - i >= 4 {
+            row_tile::<4, STRIDED>(a, bias, k, col, n, i, j, c);
+            i += 4;
+        }
+        if m - i >= 2 {
+            row_tile::<2, STRIDED>(a, bias, k, col, n, i, j, c);
+            i += 2;
+        }
+        if m > i {
+            row_tile::<1, STRIDED>(a, bias, k, col, n, i, j, c);
         }
     }
 
     /// Rows `i0..i0 + R` of remainder column `j`: `R` independent
     /// accumulators, each `acc += b·a` in ascending `k` order.
-    fn row_tile<const R: usize, F: FnMut(usize, usize, f32)>(
+    #[allow(clippy::too_many_arguments)]
+    fn row_tile<const R: usize, const STRIDED: bool>(
         a: &[f32],
         bias: &[f32],
         k: usize,
         col: &[f32],
+        n: usize,
         i0: usize,
         j: usize,
-        write: &mut F,
+        c: &mut [f32],
     ) {
-        // Every slice is cut to exactly `k` so the loop runs check-free.
-        let col = &col[..k];
+        // Every row slice is cut to exactly `k` so the loop runs check-free.
         let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k..][..k]);
         let mut acc: [f32; R] = std::array::from_fn(|r| bias[i0 + r]);
-        for kk in 0..k {
-            let bv = col[kk];
-            for r in 0..R {
-                acc[r] += bv * rows[r][kk];
+        if STRIDED {
+            for kk in 0..k {
+                let bv = col[kk * n];
+                for r in 0..R {
+                    acc[r] += bv * rows[r][kk];
+                }
+            }
+        } else {
+            let col = &col[..k];
+            for kk in 0..k {
+                let bv = col[kk];
+                for r in 0..R {
+                    acc[r] += bv * rows[r][kk];
+                }
             }
         }
         for (r, &v) in acc.iter().enumerate() {
-            write(i0 + r, j, v);
+            c[(i0 + r) * n + j] = v;
         }
     }
 
-    pub(super) fn gemm_f32_avx2<F: FnMut(usize, usize, f32)>(
+    pub(super) fn gemm_f32_avx2(
         a: &[f32],
         bias: &[f32],
         m: usize,
         k: usize,
         b: &[f32],
         n: usize,
-        write: &mut F,
+        c: &mut [f32],
     ) {
-        const NR: usize = 8;
-        PANEL_F32.with(|panel| {
-            let mut bt = panel.borrow_mut();
-            if bt.len() < k * NR {
-                bt.resize(k * NR, 0.0);
-            }
-            let mut n0 = 0;
-            while n0 + NR <= n {
-                pack_columns(&mut bt[..k * NR], b, n0, k, NR);
-                // SAFETY: the dispatcher verified AVX2; the panel slice holds
-                // exactly k × 8 packed floats.
-                unsafe { rows_avx2(a, bias, m, k, &bt[..k * NR], n0, write) };
-                n0 += NR;
-            }
-            // A remainder of 4–7 columns (a minibatch of 4, say) runs its
-            // first four on the 4-lane kernel.
-            if n - n0 >= 4 {
-                pack_columns(&mut bt[..k * 4], b, n0, k, 4);
-                // SAFETY: SSE/SSE2 are part of the x86-64 baseline; the
-                // panel slice holds exactly k × 4 packed floats.
-                unsafe { rows_sse2(a, bias, m, k, &bt[..k * 4], n0, write) };
-                n0 += 4;
-            }
-            scalar_columns(a, bias, m, k, b, n0, n, write);
-        });
+        if n == 1 {
+            // One contiguous column: the scalar 8-row tiles.
+            scalar_columns(a, bias, m, k, b, n, 0, c);
+            return;
+        }
+        let mut n0 = 0;
+        while n0 + 8 <= n {
+            // SAFETY: the dispatcher verified AVX2; `gemm_bias` checked
+            // `b.len() == k · n` and `c.len() == m · n`, and `n0 + 8 <= n`.
+            unsafe { rows_avx2::<false>(a, bias, m, k, b, n, n0, c) };
+            n0 += 8;
+        }
+        // A remainder of 4–7 columns (a minibatch of 4, say) runs its
+        // first four on the 4-lane kernel.
+        if n - n0 >= 4 {
+            // SAFETY: SSE/SSE2 are part of the x86-64 baseline; lengths as
+            // above, and `n0 + 4 <= n`.
+            unsafe { rows_sse2(a, bias, m, k, b, n, n0, c) };
+            n0 += 4;
+        }
+        if n0 < n {
+            // The last 1–3 columns run the 8-lane kernel on masked loads
+            // and stores: masked-off lanes read zeros, never touch memory
+            // past the panel row, and are never stored.
+            // SAFETY: as above, with `n0 < n`.
+            unsafe { rows_avx2::<true>(a, bias, m, k, b, n, n0, c) };
+        }
     }
 
+    /// Columns `n0..n0 + 8` of every output row (`MASKED`: only the
+    /// `n - n0 < 8` columns that exist): each `k` step is one contiguous
+    /// 8-float load from panel row `k`, each finished register one
+    /// contiguous store into the output row.
     #[target_feature(enable = "avx2")]
-    unsafe fn rows_avx2<F: FnMut(usize, usize, f32)>(
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn rows_avx2<const MASKED: bool>(
         a: &[f32],
         bias: &[f32],
         m: usize,
         k: usize,
-        bt: &[f32],
+        b: &[f32],
+        n: usize,
         n0: usize,
-        write: &mut F,
+        c: &mut [f32],
     ) {
-        debug_assert_eq!(bt.len(), k * 8);
+        debug_assert!(b.len() == k * n && c.len() == m * n);
+        debug_assert!(if MASKED { n0 < n && n - n0 < 8 } else { n0 + 8 <= n });
+        let bp = b.as_ptr().add(n0);
+        let cp = c.as_mut_ptr().add(n0);
+        // Lane `j` is live when `j < n - n0`: its mask word has the sign bit set.
+        let width = (n - n0).min(8) as i32;
+        let mask =
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(width), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
         // 4-row blocks: four independent accumulator registers share each
         // panel load and break the one-add-per-cycle dependency chain a
         // single register would impose. Lane `j` of register `r` still sums
@@ -428,20 +493,22 @@ mod x86 {
         while i + MR <= m {
             let rows: [&[f32]; MR] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
             let mut acc: [__m256; MR] = std::array::from_fn(|r| _mm256_set1_ps(bias[i + r]));
-            #[allow(clippy::needless_range_loop)] // kk indexes `bt` and all MR rows
+            #[allow(clippy::needless_range_loop)] // kk indexes the panel and all MR rows
             for kk in 0..k {
                 // Explicit multiply + add: FMA's fused rounding would break
                 // bit-identity with the scalar chain.
-                let bv = _mm256_loadu_ps(bt.as_ptr().add(kk * 8));
+                let p = bp.add(kk * n);
+                let bv = if MASKED { _mm256_maskload_ps(p, mask) } else { _mm256_loadu_ps(p) };
                 for r in 0..MR {
                     acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(_mm256_set1_ps(rows[r][kk]), bv));
                 }
             }
             for (r, &reg) in acc.iter().enumerate() {
-                let mut lanes = [0.0f32; 8];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), reg);
-                for (j, &v) in lanes.iter().enumerate() {
-                    write(i + r, n0 + j, v);
+                let p = cp.add((i + r) * n);
+                if MASKED {
+                    _mm256_maskstore_ps(p, mask, reg);
+                } else {
+                    _mm256_storeu_ps(p, reg);
                 }
             }
             i += MR;
@@ -450,76 +517,69 @@ mod x86 {
             let row = &a[i * k..(i + 1) * k];
             let mut acc = _mm256_set1_ps(bias[i]);
             for (kk, &av) in row.iter().enumerate() {
-                let bv = _mm256_loadu_ps(bt.as_ptr().add(kk * 8));
+                let p = bp.add(kk * n);
+                let bv = if MASKED { _mm256_maskload_ps(p, mask) } else { _mm256_loadu_ps(p) };
                 acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(av), bv));
             }
-            let mut lanes = [0.0f32; 8];
-            _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-            for (j, &v) in lanes.iter().enumerate() {
-                write(i, n0 + j, v);
+            let p = cp.add(i * n);
+            if MASKED {
+                _mm256_maskstore_ps(p, mask, acc);
+            } else {
+                _mm256_storeu_ps(p, acc);
             }
             i += 1;
         }
     }
 
-    pub(super) fn gemm_f32_sse2<F: FnMut(usize, usize, f32)>(
+    pub(super) fn gemm_f32_sse2(
         a: &[f32],
         bias: &[f32],
         m: usize,
         k: usize,
         b: &[f32],
         n: usize,
-        write: &mut F,
+        c: &mut [f32],
     ) {
-        const NR: usize = 4;
-        PANEL_F32.with(|panel| {
-            let mut bt = panel.borrow_mut();
-            if bt.len() < k * NR {
-                bt.resize(k * NR, 0.0);
-            }
-            let mut n0 = 0;
-            while n0 + NR <= n {
-                pack_columns(&mut bt[..k * NR], b, n0, k, NR);
-                // SAFETY: SSE/SSE2 are part of the x86-64 baseline; the
-                // panel slice holds exactly k × 4 packed floats.
-                unsafe { rows_sse2(a, bias, m, k, &bt[..k * NR], n0, write) };
-                n0 += NR;
-            }
-            scalar_columns(a, bias, m, k, b, n0, n, write);
-        });
+        let mut n0 = 0;
+        while n0 + 4 <= n {
+            // SAFETY: SSE/SSE2 are part of the x86-64 baseline; `gemm_bias`
+            // checked the panel and result lengths, and `n0 + 4 <= n`.
+            unsafe { rows_sse2(a, bias, m, k, b, n, n0, c) };
+            n0 += 4;
+        }
+        scalar_columns(a, bias, m, k, b, n, n0, c);
     }
 
+    /// [`rows_avx2`] on four columns with the x86-64 baseline ISA.
     #[target_feature(enable = "sse,sse2")]
-    unsafe fn rows_sse2<F: FnMut(usize, usize, f32)>(
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn rows_sse2(
         a: &[f32],
         bias: &[f32],
         m: usize,
         k: usize,
-        bt: &[f32],
+        b: &[f32],
+        n: usize,
         n0: usize,
-        write: &mut F,
+        c: &mut [f32],
     ) {
-        debug_assert_eq!(bt.len(), k * 4);
-        // 4-row blocks, as in `rows_avx2`: independent accumulator registers
-        // share each panel load, each lane still the scalar chain.
+        debug_assert!(n0 + 4 <= n && b.len() == k * n && c.len() == m * n);
+        let bp = b.as_ptr().add(n0);
+        let cp = c.as_mut_ptr().add(n0);
         const MR: usize = 4;
         let mut i = 0;
         while i + MR <= m {
             let rows: [&[f32]; MR] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
             let mut acc: [__m128; MR] = std::array::from_fn(|r| _mm_set1_ps(bias[i + r]));
-            #[allow(clippy::needless_range_loop)] // kk indexes `bt` and all MR rows
+            #[allow(clippy::needless_range_loop)] // kk indexes the panel and all MR rows
             for kk in 0..k {
-                let bv = _mm_loadu_ps(bt.as_ptr().add(kk * 4));
+                let bv = _mm_loadu_ps(bp.add(kk * n));
                 for r in 0..MR {
                     acc[r] = _mm_add_ps(acc[r], _mm_mul_ps(_mm_set1_ps(rows[r][kk]), bv));
                 }
             }
             for (r, &reg) in acc.iter().enumerate() {
-                let mut lanes = [0.0f32; 4];
-                _mm_storeu_ps(lanes.as_mut_ptr(), reg);
-                for (j, &v) in lanes.iter().enumerate() {
-                    write(i + r, n0 + j, v);
-                }
+                _mm_storeu_ps(cp.add((i + r) * n), reg);
             }
             i += MR;
         }
@@ -527,20 +587,16 @@ mod x86 {
             let row = &a[i * k..(i + 1) * k];
             let mut acc: __m128 = _mm_set1_ps(bias[i]);
             for (kk, &av) in row.iter().enumerate() {
-                let bv = _mm_loadu_ps(bt.as_ptr().add(kk * 4));
+                let bv = _mm_loadu_ps(bp.add(kk * n));
                 acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(av), bv));
             }
-            let mut lanes = [0.0f32; 4];
-            _mm_storeu_ps(lanes.as_mut_ptr(), acc);
-            for (j, &v) in lanes.iter().enumerate() {
-                write(i, n0 + j, v);
-            }
+            _mm_storeu_ps(cp.add(i * n), acc);
             i += 1;
         }
     }
 
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn gemm_q_avx2<F: FnMut(usize, usize, i32)>(
+    pub(super) fn gemm_q_avx2(
         ctx: QFormat,
         a: &[i32],
         bias: &[i32],
@@ -548,42 +604,27 @@ mod x86 {
         k: usize,
         b: &[i32],
         n: usize,
-        write: &mut F,
+        c: &mut [i32],
     ) {
         // Every format of total width ≤ 16 stores its raw words within
         // `i16`, where `madd_epi16` folds two reduction steps per
         // instruction — twice the lanes of the widened `mul_epi32` kernel.
         if ctx.total_bits() <= 16 {
-            gemm_q16_avx2(ctx, a, bias, m, k, b, n, write);
+            gemm_q16_avx2(ctx, a, bias, m, k, b, n, c);
             return;
         }
-        const NR: usize = 8;
-        PANEL_Q.with(|panel| {
-            let mut bt = panel.borrow_mut();
-            if bt.len() < k * NR {
-                bt.resize(k * NR, 0);
+        let mut n0 = 0;
+        while n0 + 8 <= n {
+            // SAFETY: the dispatcher verified AVX2; `gemm_bias` checked the
+            // panel and result lengths, and `n0 + 8 <= n`.
+            unsafe { rows_q_avx2(ctx, a, bias, m, k, b, n, n0, c) };
+            n0 += 8;
+        }
+        for i in 0..m {
+            for j in n0..n {
+                c[i * n + j] = q_dot(ctx, &a[i * k..(i + 1) * k], bias[i], b, n, j);
             }
-            let mut n0 = 0;
-            while n0 + NR <= n {
-                pack_columns(&mut bt[..k * NR], b, n0, k, NR);
-                // SAFETY: the dispatcher verified AVX2; the panel slice
-                // holds exactly k × 8 packed words.
-                unsafe { rows_q_avx2(ctx, a, bias, m, k, &bt[..k * NR], n0, write) };
-                n0 += NR;
-            }
-            // Tail columns: k-vectorized dots — a different summation order,
-            // but wrapping integer addition is associative, so still exact.
-            for ni in n0..n {
-                let brow = &b[ni * k..(ni + 1) * k];
-                for mi in 0..m {
-                    let arow = &a[mi * k..(mi + 1) * k];
-                    // SAFETY: the dispatcher verified AVX2.
-                    let dot = unsafe { dot_words_avx2(arow, brow) };
-                    let acc = <i32 as Element>::acc_init(bias[mi], ctx).wrapping_add(dot);
-                    write(mi, ni, <i32 as Element>::finish(acc, ctx));
-                }
-            }
-        });
+        }
     }
 
     /// Eight-column lane-per-column kernel for raw Q-format words: each
@@ -593,54 +634,7 @@ mod x86 {
     /// `i64`).
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn rows_q_avx2<F: FnMut(usize, usize, i32)>(
-        ctx: QFormat,
-        a: &[i32],
-        bias: &[i32],
-        m: usize,
-        k: usize,
-        bt: &[i32],
-        n0: usize,
-        write: &mut F,
-    ) {
-        debug_assert_eq!(bt.len(), k * 8);
-        for i in 0..m {
-            let row = &a[i * k..(i + 1) * k];
-            let init = <i32 as Element>::acc_init(bias[i], ctx);
-            let mut lo = _mm256_set1_epi64x(init);
-            let mut hi = _mm256_set1_epi64x(init);
-            for (kk, &av) in row.iter().enumerate() {
-                let va = _mm256_set1_epi64x(i64::from(av));
-                let b_lo = _mm256_cvtepi32_epi64(_mm_loadu_si128(
-                    bt.as_ptr().add(kk * 8).cast::<__m128i>(),
-                ));
-                let b_hi = _mm256_cvtepi32_epi64(_mm_loadu_si128(
-                    bt.as_ptr().add(kk * 8 + 4).cast::<__m128i>(),
-                ));
-                lo = _mm256_add_epi64(lo, _mm256_mul_epi32(va, b_lo));
-                hi = _mm256_add_epi64(hi, _mm256_mul_epi32(va, b_hi));
-            }
-            let mut lanes = [0i64; 8];
-            _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), lo);
-            _mm256_storeu_si256(lanes.as_mut_ptr().add(4).cast::<__m256i>(), hi);
-            let mut words = [0i32; 8];
-            // SAFETY: still inside the AVX2 target-feature context.
-            requantize_q_avx2(ctx, &lanes, &mut words);
-            for (j, &word) in words.iter().enumerate() {
-                write(i, n0 + j, word);
-            }
-        }
-    }
-
-    /// [`gemm_q_avx2`]'s narrow-format path: 16 columns per panel, raw
-    /// words narrowed to `i16` and reduced with `madd_epi16` pairs exactly
-    /// like the byte kernel. Blocks or rows that cannot be folded exactly —
-    /// a fault-widened word outside `i16`, or the one `madd` pair pattern
-    /// whose sum escapes `i32` — fall back to the widened per-column dots,
-    /// so the kernel stays bit-identical to the scalar chain for *every*
-    /// input, including corrupted ones.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_q16_avx2<F: FnMut(usize, usize, i32)>(
+    unsafe fn rows_q_avx2(
         ctx: QFormat,
         a: &[i32],
         bias: &[i32],
@@ -648,166 +642,192 @@ mod x86 {
         k: usize,
         b: &[i32],
         n: usize,
-        write: &mut F,
+        n0: usize,
+        c: &mut [i32],
     ) {
-        const NR: usize = 16;
-        let kpairs = k.div_ceil(2);
-        let blocks = n / NR;
-        if blocks > 0 {
-            PANEL_Q16.with(|panel| {
-                ROWS_Q16.with(|rows| {
-                    let mut bt = panel.borrow_mut();
-                    if bt.len() < kpairs * 2 * NR {
-                        bt.resize(kpairs * 2 * NR, 0);
-                    }
-                    let (apairs, chunks) = &mut *rows.borrow_mut();
-                    if apairs.len() < m * kpairs {
-                        apairs.resize(m * kpairs, 0);
-                    }
-                    if chunks.len() < m {
-                        chunks.resize(m, 0);
-                    }
-                    // Profile and pack every `a` row once; each column block
-                    // below reuses the broadcast-ready pairs and the per-row
-                    // widening bound instead of rescanning `a`.
-                    for i in 0..m {
-                        chunks[i] = q16_row_pack(
-                            &a[i * k..(i + 1) * k],
-                            &mut apairs[i * kpairs..(i + 1) * kpairs],
-                        );
-                    }
-                    for block in 0..blocks {
-                        let n0 = block * NR;
-                        // SAFETY: [`gemm_q_avx2`] dispatched here only after
-                        // verifying AVX2.
-                        if unsafe { pack_q_pairs(&mut bt[..kpairs * 2 * NR], b, n0, k) } {
-                            // SAFETY: the dispatcher verified AVX2; the panel
-                            // slice holds exactly kpairs × 32 packed pair
-                            // lanes.
-                            unsafe {
-                                rows_q16_avx2(
-                                    ctx,
-                                    a,
-                                    bias,
-                                    m,
-                                    k,
-                                    &bt[..kpairs * 2 * NR],
-                                    &apairs[..m * kpairs],
-                                    &chunks[..m],
-                                    b,
-                                    n0,
-                                    write,
-                                );
-                            }
-                        } else {
-                            // A weight word escaped `i16` (fault injection
-                            // widens words arbitrarily): serve the block via
-                            // exact dots.
-                            q_dot_columns_avx2(ctx, a, bias, m, k, b, n0, n0 + NR, write);
-                        }
-                    }
-                });
-            });
+        debug_assert!(n0 + 8 <= n && b.len() == k * n && c.len() == m * n);
+        let bp = b.as_ptr().add(n0);
+        for i in 0..m {
+            let row = &a[i * k..(i + 1) * k];
+            let init = <i32 as Element>::acc_init(bias[i], ctx);
+            let mut lo = _mm256_set1_epi64x(init);
+            let mut hi = _mm256_set1_epi64x(init);
+            for (kk, &av) in row.iter().enumerate() {
+                let va = _mm256_set1_epi64x(i64::from(av));
+                let b_lo = _mm256_cvtepi32_epi64(_mm_loadu_si128(bp.add(kk * n).cast::<__m128i>()));
+                let b_hi =
+                    _mm256_cvtepi32_epi64(_mm_loadu_si128(bp.add(kk * n + 4).cast::<__m128i>()));
+                lo = _mm256_add_epi64(lo, _mm256_mul_epi32(va, b_lo));
+                hi = _mm256_add_epi64(hi, _mm256_mul_epi32(va, b_hi));
+            }
+            let mut lanes = [0i64; 8];
+            _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), lo);
+            _mm256_storeu_si256(lanes.as_mut_ptr().add(4).cast::<__m256i>(), hi);
+            // SAFETY: still inside the AVX2 target-feature context.
+            requantize_q_avx2(ctx, &lanes, &mut c[i * n + n0..][..8]);
         }
-        q_dot_columns_avx2(ctx, a, bias, m, k, b, blocks * NR, n, write);
     }
 
-    /// Widened per-column dot products for columns `n0..n1` — the exact
-    /// tail/fallback of the Q kernels (wrapping integer addition is
-    /// associative, so any summation order matches the scalar chain).
+    /// One output of the exact widened fallback: `acc_init(bias) + Σ_k
+    /// arow[k] · b[k][j]` in `i64`, then the scalar requantize. A
+    /// one-column panel is one contiguous column and takes the
+    /// `k`-vectorized dot; otherwise the column is read with stride `n`.
+    /// Wrapping integer addition is associative, so any summation order
+    /// matches the scalar chain.
+    fn q_dot(ctx: QFormat, arow: &[i32], bias: i32, b: &[i32], n: usize, j: usize) -> i32 {
+        let dot = if n == 1 {
+            // SAFETY: the dispatcher verified AVX2 before any Q kernel runs.
+            unsafe { dot_words_avx2(arow, &b[..arow.len()]) }
+        } else {
+            arow.iter()
+                .zip(b[j..].iter().step_by(n))
+                .fold(0i64, |s, (&av, &bv)| s.wrapping_add(i64::from(av) * i64::from(bv)))
+        };
+        <i32 as Element>::finish(<i32 as Element>::acc_init(bias, ctx).wrapping_add(dot), ctx)
+    }
+
+    /// [`gemm_q_avx2`]'s narrow-format path: 16-column blocks of the panel,
+    /// raw words narrowed to `i16` and reduced with `madd_epi16` pairs
+    /// exactly like the byte kernel; a trailing block of fewer columns is
+    /// zero-padded. Blocks or rows that cannot be folded exactly — a
+    /// fault-widened word outside `i16`, or the one `madd` pair pattern
+    /// whose sum escapes `i32` — fall back to the widened exact dots, so the
+    /// kernel stays bit-identical to the scalar chain for *every* input,
+    /// including corrupted ones.
     #[allow(clippy::too_many_arguments)]
-    fn q_dot_columns_avx2<F: FnMut(usize, usize, i32)>(
+    fn gemm_q16_avx2(
         ctx: QFormat,
         a: &[i32],
         bias: &[i32],
         m: usize,
         k: usize,
         b: &[i32],
-        n0: usize,
-        n1: usize,
-        write: &mut F,
+        n: usize,
+        c: &mut [i32],
     ) {
-        for ni in n0..n1 {
-            let brow = &b[ni * k..(ni + 1) * k];
-            for mi in 0..m {
-                let arow = &a[mi * k..(mi + 1) * k];
-                // SAFETY: the dispatcher verified AVX2.
-                let dot = unsafe { dot_words_avx2(arow, brow) };
-                let acc = <i32 as Element>::acc_init(bias[mi], ctx).wrapping_add(dot);
-                write(mi, ni, <i32 as Element>::finish(acc, ctx));
+        if n == 1 {
+            for (i, out) in c.iter_mut().enumerate() {
+                *out = q_dot(ctx, &a[i * k..(i + 1) * k], bias[i], b, 1, 0);
             }
+            return;
         }
+        const NR: usize = 16;
+        let kpairs = k.div_ceil(2);
+        PAIR_PANEL.with(|panel| {
+            ROWS_Q16.with(|rows| {
+                let mut bt = panel.borrow_mut();
+                if bt.len() < kpairs * 2 * NR {
+                    bt.resize(kpairs * 2 * NR, 0);
+                }
+                let bt = &mut bt[..kpairs * 2 * NR];
+                let (apairs, chunks) = &mut *rows.borrow_mut();
+                if apairs.len() < m * kpairs {
+                    apairs.resize(m * kpairs, 0);
+                }
+                if chunks.len() < m {
+                    chunks.resize(m, 0);
+                }
+                // Profile and pack every `a` row once; each column block
+                // below reuses the broadcast-ready pairs and the per-row
+                // widening bound instead of rescanning `a`.
+                for i in 0..m {
+                    chunks[i] = q16_row_pack(
+                        &a[i * k..(i + 1) * k],
+                        &mut apairs[i * kpairs..(i + 1) * kpairs],
+                    );
+                }
+                let mut n0 = 0;
+                while n0 < n {
+                    let width = NR.min(n - n0);
+                    // SAFETY: [`gemm_q_avx2`] dispatched here only after
+                    // verifying AVX2; `gemm_bias` checked the panel length.
+                    if unsafe { pack_q_pairs(bt, b, n, n0, width, k) } {
+                        // SAFETY: as above; the pair panel holds exactly
+                        // kpairs × 32 lanes.
+                        unsafe {
+                            rows_q16_avx2(
+                                ctx,
+                                a,
+                                bias,
+                                m,
+                                k,
+                                bt,
+                                &apairs[..m * kpairs],
+                                &chunks[..m],
+                                b,
+                                n,
+                                n0,
+                                width,
+                                c,
+                            );
+                        }
+                    } else {
+                        // A panel word escaped `i16` (fault injection widens
+                        // words arbitrarily): serve the block via exact dots.
+                        for i in 0..m {
+                            for j in n0..n0 + width {
+                                c[i * n + j] = q_dot(ctx, &a[i * k..(i + 1) * k], bias[i], b, n, j);
+                            }
+                        }
+                    }
+                    n0 += width;
+                }
+            });
+        });
     }
 
-    /// Packs 16 columns of the raw-word panel for [`rows_q16_avx2`] in the
-    /// [`pack_byte_pairs`] pair layout, narrowing each word to `i16`.
-    /// Returns `false` when any word falls outside `i16` — possible only
-    /// through the fault-injection surface, since every format this path
-    /// serves stores within `i16` — in which case the caller must not use
-    /// the panel.
+    /// Packs columns `n0..n0 + width` (`width <= 16`) of the K-major
+    /// raw-word panel into the [`pack_byte_pairs`] pair layout, narrowing
+    /// each word to `i16`: pair row `p` interleaves panel rows `2p` and
+    /// `2p + 1` (an odd trailing `k` pairs with zero), and columns past
+    /// `width` are zero. Per pair row and group of four columns: two 4-word
+    /// loads (one per panel row), a 32-bit interleave and one saturating
+    /// narrow; a narrower trailing block first stages its panel row
+    /// segments in zero-padded 16-word buffers. A word fits `i16` exactly
+    /// when sign-extending its low half reproduces it. Returns `false` when
+    /// any word does not — possible only through the fault-injection
+    /// surface, since every format this path serves stores within `i16` —
+    /// in which case the caller must not use the (saturated) panel.
     #[target_feature(enable = "avx2")]
-    unsafe fn pack_q_pairs(bt: &mut [i16], b: &[i32], n0: usize, k: usize) -> bool {
+    unsafe fn pack_q_pairs(
+        bt: &mut [i16],
+        b: &[i32],
+        n: usize,
+        n0: usize,
+        width: usize,
+        k: usize,
+    ) -> bool {
         let kpairs = k.div_ceil(2);
-        debug_assert_eq!(bt.len(), kpairs * 32);
-        // The 16 columns are contiguous in `b`; checking the whole slab in
-        // one pure reduction pass keeps the check vectorizable, and the
-        // transpose below can then narrow with the saturating pack — no
-        // word is outside `i16`, so the saturation point is unreachable and
-        // the pack is a plain truncation.
-        let slab = &b[n0 * k..(n0 + 16) * k];
-        if !slab.iter().fold(true, |fit, &w| fit & fits_i16(w)) {
-            return false;
-        }
-        // Eight-wide tiles: for each half (8 columns) and each run of 8 `k`
-        // steps, narrow each column's 8 words to its 4 broadcast pairs
-        // (`packs_epi32` + dword gather), then transpose the 8 × 4 pair
-        // matrix with `unpack` steps so each of the 4 pair rows stores its
-        // 8 columns contiguously in the panel's `p * 32 + half * 16` slot.
-        let ktiles = k / 8;
-        let gather = _mm256_setr_epi32(0, 1, 4, 5, 0, 0, 0, 0);
-        for h in 0..2 {
-            for t in 0..ktiles {
-                let k0 = t * 8;
-                let mut c = [_mm_setzero_si128(); 8];
-                for (jj, slot) in c.iter_mut().enumerate() {
-                    let v = _mm256_loadu_si256(
-                        b.as_ptr().add((n0 + h * 8 + jj) * k + k0).cast::<__m256i>(),
-                    );
-                    let narrowed = _mm256_packs_epi32(v, v);
-                    *slot = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(narrowed, gather));
-                }
-                let t0 = _mm_unpacklo_epi32(c[0], c[1]);
-                let t1 = _mm_unpackhi_epi32(c[0], c[1]);
-                let t2 = _mm_unpacklo_epi32(c[2], c[3]);
-                let t3 = _mm_unpackhi_epi32(c[2], c[3]);
-                let t4 = _mm_unpacklo_epi32(c[4], c[5]);
-                let t5 = _mm_unpackhi_epi32(c[4], c[5]);
-                let t6 = _mm_unpacklo_epi32(c[6], c[7]);
-                let t7 = _mm_unpackhi_epi32(c[6], c[7]);
-                let rows = [
-                    (_mm_unpacklo_epi64(t0, t2), _mm_unpacklo_epi64(t4, t6)),
-                    (_mm_unpackhi_epi64(t0, t2), _mm_unpackhi_epi64(t4, t6)),
-                    (_mm_unpacklo_epi64(t1, t3), _mm_unpacklo_epi64(t5, t7)),
-                    (_mm_unpackhi_epi64(t1, t3), _mm_unpackhi_epi64(t5, t7)),
-                ];
-                for (pp, (cols03, cols47)) in rows.iter().enumerate() {
-                    let dst = bt.as_mut_ptr().add((k0 / 2 + pp) * 32 + h * 16);
-                    _mm_storeu_si128(dst.cast::<__m128i>(), *cols03);
-                    _mm_storeu_si128(dst.add(8).cast::<__m128i>(), *cols47);
+        debug_assert!(bt.len() == kpairs * 32 && b.len() == k * n && n0 + width <= n);
+        const ZERO: [i32; 16] = [0; 16];
+        let mut stage = [[0i32; 16]; 2];
+        let mut fit = _mm_set1_epi32(-1);
+        let fits_mask =
+            |x: __m128i| _mm_cmpeq_epi32(x, _mm_srai_epi32::<16>(_mm_slli_epi32::<16>(x)));
+        for p in 0..kpairs {
+            let mut rows = [ZERO.as_ptr(); 2];
+            for (h, row) in rows.iter_mut().enumerate() {
+                let kk = 2 * p + h;
+                if kk < k {
+                    let segment = &b[kk * n + n0..][..width];
+                    *row = if width == 16 {
+                        segment.as_ptr()
+                    } else {
+                        stage[h][..width].copy_from_slice(segment);
+                        stage[h].as_ptr()
+                    };
                 }
             }
-        }
-        // Scalar remainder for the trailing `k % 8` steps (including the
-        // odd-`k` zero partner).
-        for j in 0..16 {
-            let col = &b[(n0 + j) * k..(n0 + j + 1) * k];
-            let base = (j / 8) * 16 + (j % 8) * 2;
-            for p in ktiles * 4..kpairs {
-                bt[p * 32 + base] = col[2 * p] as i16;
-                bt[p * 32 + base + 1] = if 2 * p + 1 < k { col[2 * p + 1] as i16 } else { 0 };
+            for q in 0..4 {
+                let x0 = _mm_loadu_si128(rows[0].add(4 * q).cast::<__m128i>());
+                let x1 = _mm_loadu_si128(rows[1].add(4 * q).cast::<__m128i>());
+                fit = _mm_and_si128(fit, _mm_and_si128(fits_mask(x0), fits_mask(x1)));
+                let packed =
+                    _mm_packs_epi32(_mm_unpacklo_epi32(x0, x1), _mm_unpackhi_epi32(x0, x1));
+                _mm_storeu_si128(bt.as_mut_ptr().add(p * 32 + q * 8).cast::<__m128i>(), packed);
             }
         }
-        true
+        _mm_movemask_epi8(fit) == 0xFFFF
     }
 
     fn fits_i16(word: i32) -> bool {
@@ -867,10 +887,11 @@ mod x86 {
     /// so the `i32` additions never wrap and the final `i64` value equals
     /// the scalar tile's one-at-a-time chain exactly (wrapping addition is
     /// associative). Rows whose chunk bound is `0` failed the exactness
-    /// precondition and take the widened per-column dots instead.
+    /// precondition and take the widened exact dots instead. Only the
+    /// block's first `width` columns are stored.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn rows_q16_avx2<F: FnMut(usize, usize, i32)>(
+    unsafe fn rows_q16_avx2(
         ctx: QFormat,
         a: &[i32],
         bias: &[i32],
@@ -880,33 +901,29 @@ mod x86 {
         apairs: &[i32],
         chunks: &[u32],
         b: &[i32],
+        n: usize,
         n0: usize,
-        write: &mut F,
+        width: usize,
+        c: &mut [i32],
     ) {
         let kpairs = k.div_ceil(2);
         debug_assert_eq!(bt.len(), kpairs * 32);
         debug_assert_eq!(apairs.len(), m * kpairs);
         debug_assert_eq!(chunks.len(), m);
         for i in 0..m {
+            let out = &mut c[i * n + n0..][..width];
             let chunk = chunks[i] as usize;
             if chunk == 0 {
                 let row = &a[i * k..(i + 1) * k];
-                q_dot_columns_avx2(
-                    ctx,
-                    row,
-                    &bias[i..i + 1],
-                    1,
-                    k,
-                    b,
-                    n0,
-                    n0 + 16,
-                    &mut |_, ni, word| {
-                        write(i, ni, word);
-                    },
-                );
+                for (j, word) in out.iter_mut().enumerate() {
+                    *word = q_dot(ctx, row, bias[i], b, n, n0 + j);
+                }
                 continue;
             }
             let row_pairs = &apairs[i * kpairs..(i + 1) * kpairs];
+            // A block of at most eight real columns skips the padded upper
+            // half of the pair panel.
+            let wide = width > 8;
             let init = _mm256_set1_epi64x(<i32 as Element>::acc_init(bias[i], ctx));
             let mut acc = [init; 4];
             let mut p = 0usize;
@@ -918,9 +935,12 @@ mod x86 {
                     let q = p + off;
                     let pair = _mm256_set1_epi32(pair_word);
                     let b01 = _mm256_loadu_si256(bt.as_ptr().add(q * 32).cast::<__m256i>());
-                    let b23 = _mm256_loadu_si256(bt.as_ptr().add(q * 32 + 16).cast::<__m256i>());
                     s01 = _mm256_add_epi32(s01, _mm256_madd_epi16(pair, b01));
-                    s23 = _mm256_add_epi32(s23, _mm256_madd_epi16(pair, b23));
+                    if wide {
+                        let b23 =
+                            _mm256_loadu_si256(bt.as_ptr().add(q * 32 + 16).cast::<__m256i>());
+                        s23 = _mm256_add_epi32(s23, _mm256_madd_epi16(pair, b23));
+                    }
                 }
                 acc[0] =
                     _mm256_add_epi64(acc[0], _mm256_cvtepi32_epi64(_mm256_castsi256_si128(s01)));
@@ -943,9 +963,7 @@ mod x86 {
             let mut words = [0i32; 16];
             // SAFETY: still inside the AVX2 target-feature context.
             requantize_q_avx2(ctx, &lanes, &mut words);
-            for (j, &word) in words.iter().enumerate() {
-                write(i, n0 + j, word);
-            }
+            out.copy_from_slice(&words[..width]);
         }
     }
 
@@ -979,7 +997,7 @@ mod x86 {
     }
 
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn gemm_i8_avx2<F: FnMut(usize, usize, i8)>(
+    pub(super) fn gemm_i8_avx2(
         ctx: I8Affine,
         a: &[i8],
         bias: &[i8],
@@ -987,54 +1005,89 @@ mod x86 {
         k: usize,
         b: &[i8],
         n: usize,
-        write: &mut F,
+        c: &mut [i8],
     ) {
+        if n == 1 {
+            // One contiguous column: `k`-vectorized exact dots.
+            for (i, out) in c.iter_mut().enumerate() {
+                // SAFETY: the dispatcher verified AVX2.
+                let dot = unsafe { dot_bytes_avx2(&a[i * k..(i + 1) * k], b) };
+                let acc = <i8 as Element>::acc_init(bias[i], ctx).wrapping_add(dot);
+                *out = <i8 as Element>::finish(acc, ctx);
+            }
+            return;
+        }
         const NR: usize = 16;
         let kpairs = k.div_ceil(2);
-        PANEL_I8.with(|panel| {
+        PAIR_PANEL.with(|panel| {
             let mut bt = panel.borrow_mut();
             if bt.len() < kpairs * 2 * NR {
                 bt.resize(kpairs * 2 * NR, 0);
             }
+            let bt = &mut bt[..kpairs * 2 * NR];
             let mut n0 = 0;
-            while n0 + NR <= n {
-                pack_byte_pairs(&mut bt[..kpairs * 2 * NR], b, n0, k);
-                // SAFETY: the dispatcher verified AVX2; the panel slice
-                // holds exactly kpairs × 32 packed pair lanes.
-                unsafe { rows_i8_avx2(ctx, a, bias, m, k, &bt[..kpairs * 2 * NR], n0, write) };
-                n0 += NR;
-            }
-            // Tail columns: k-vectorized dots — a different summation order,
-            // but wrapping integer addition is associative, so still exact.
-            for ni in n0..n {
-                let brow = &b[ni * k..(ni + 1) * k];
-                for mi in 0..m {
-                    let arow = &a[mi * k..(mi + 1) * k];
-                    // SAFETY: the dispatcher verified AVX2.
-                    let dot = unsafe { dot_bytes_avx2(arow, brow) };
-                    let acc = <i8 as Element>::acc_init(bias[mi], ctx).wrapping_add(dot);
-                    write(mi, ni, <i8 as Element>::finish(acc, ctx));
+            while n0 < n {
+                let width = NR.min(n - n0);
+                // SAFETY: the dispatcher verified AVX2; `gemm_bias` checked
+                // the panel and result lengths, and the pair panel holds
+                // exactly kpairs × 32 lanes.
+                unsafe {
+                    pack_byte_pairs(bt, b, n, n0, width, k);
+                    rows_i8_avx2(ctx, a, bias, m, k, bt, n, n0, width, c);
                 }
+                n0 += width;
             }
         });
     }
 
-    /// Packs 16 columns of the byte panel for [`rows_i8_avx2`], widened to
-    /// `i16` and interleaved in `(2p, 2p + 1)` reduction pairs: pair block
-    /// `p` holds `[b(2p, j), b(2p+1, j)]` for columns `j = 0..8` in its
-    /// first 16 lanes and columns `8..16` in its next 16, so one 256-bit
-    /// load feeds `madd_epi16` for eight columns. An odd trailing `k` step
-    /// is padded with a zero partner (`a · 0` contributes nothing).
-    fn pack_byte_pairs(bt: &mut [i16], b: &[i8], n0: usize, k: usize) {
+    /// Packs columns `n0..n0 + width` (`width <= 16`) of the K-major byte
+    /// panel for [`rows_i8_avx2`], widened to `i16` and interleaved in
+    /// `(2p, 2p + 1)` reduction pairs: pair block `p` holds `[b(2p, j),
+    /// b(2p+1, j)]` at lanes `2j, 2j + 1`, so one 256-bit load feeds
+    /// `madd_epi16` for eight columns. An odd trailing `k` step is padded
+    /// with a zero partner (`a · 0` contributes nothing), and so are the
+    /// columns past `width`. Each pair row interleaves two 16-byte panel
+    /// row segments with one unpack pair and sign-extends each half; a
+    /// narrower trailing block first stages its segments in zero-padded
+    /// buffers.
+    #[target_feature(enable = "avx2")]
+    unsafe fn pack_byte_pairs(
+        bt: &mut [i16],
+        b: &[i8],
+        n: usize,
+        n0: usize,
+        width: usize,
+        k: usize,
+    ) {
         let kpairs = k.div_ceil(2);
-        debug_assert_eq!(bt.len(), kpairs * 32);
-        for j in 0..16 {
-            let col = &b[(n0 + j) * k..(n0 + j + 1) * k];
-            let base = (j / 8) * 16 + (j % 8) * 2;
-            for p in 0..kpairs {
-                bt[p * 32 + base] = i16::from(col[2 * p]);
-                bt[p * 32 + base + 1] = if 2 * p + 1 < k { i16::from(col[2 * p + 1]) } else { 0 };
+        debug_assert!(bt.len() == kpairs * 32 && b.len() == k * n && n0 + width <= n);
+        const ZERO: [i8; 16] = [0; 16];
+        let mut stage = [[0i8; 16]; 2];
+        for p in 0..kpairs {
+            let mut rows = [ZERO.as_ptr(); 2];
+            for (h, row) in rows.iter_mut().enumerate() {
+                let kk = 2 * p + h;
+                if kk < k {
+                    let segment = &b[kk * n + n0..][..width];
+                    *row = if width == 16 {
+                        segment.as_ptr()
+                    } else {
+                        stage[h][..width].copy_from_slice(segment);
+                        stage[h].as_ptr()
+                    };
+                }
             }
+            let x0 = _mm_loadu_si128(rows[0].cast::<__m128i>());
+            let x1 = _mm_loadu_si128(rows[1].cast::<__m128i>());
+            let dst = bt.as_mut_ptr().add(p * 32);
+            _mm256_storeu_si256(
+                dst.cast::<__m256i>(),
+                _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(x0, x1)),
+            );
+            _mm256_storeu_si256(
+                dst.add(16).cast::<__m256i>(),
+                _mm256_cvtepi8_epi16(_mm_unpackhi_epi8(x0, x1)),
+            );
         }
     }
 
@@ -1045,21 +1098,27 @@ mod x86 {
     /// scalar tile's one-at-a-time chain exactly. Every product is exact in
     /// 16-bit-input arithmetic (`|a·b| ≤ 127²`, pair sums ≤ 2·127² — far
     /// from `madd`'s only saturation point) and `add_epi32` wraps like the
-    /// scalar accumulator.
+    /// scalar accumulator. Only the block's first `width` columns are
+    /// stored.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn rows_i8_avx2<F: FnMut(usize, usize, i8)>(
+    unsafe fn rows_i8_avx2(
         ctx: I8Affine,
         a: &[i8],
         bias: &[i8],
         m: usize,
         k: usize,
         bt: &[i16],
+        n: usize,
         n0: usize,
-        write: &mut F,
+        width: usize,
+        c: &mut [i8],
     ) {
         let kpairs = k.div_ceil(2);
         debug_assert_eq!(bt.len(), kpairs * 32);
+        // A block of at most eight real columns skips the padded upper half
+        // of the pair panel.
+        let wide = width > 8;
         for i in 0..m {
             let row = &a[i * k..(i + 1) * k];
             let init = <i8 as Element>::acc_init(bias[i], ctx);
@@ -1072,9 +1131,11 @@ mod x86 {
                 let a1 = if 2 * p + 1 < k { u32::from(row[2 * p + 1] as i16 as u16) } else { 0 };
                 let va = _mm256_set1_epi32((a0 | (a1 << 16)) as i32);
                 let b_lo = _mm256_loadu_si256(bt.as_ptr().add(p * 32).cast::<__m256i>());
-                let b_hi = _mm256_loadu_si256(bt.as_ptr().add(p * 32 + 16).cast::<__m256i>());
                 lo = _mm256_add_epi32(lo, _mm256_madd_epi16(va, b_lo));
-                hi = _mm256_add_epi32(hi, _mm256_madd_epi16(va, b_hi));
+                if wide {
+                    let b_hi = _mm256_loadu_si256(bt.as_ptr().add(p * 32 + 16).cast::<__m256i>());
+                    hi = _mm256_add_epi32(hi, _mm256_madd_epi16(va, b_hi));
+                }
             }
             let mut lanes = [0i32; 16];
             _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), lo);
@@ -1082,8 +1143,47 @@ mod x86 {
             let mut bytes = [0i8; 16];
             // SAFETY: still inside the AVX2 target-feature context.
             requantize_i8_avx2(ctx, &lanes, &mut bytes);
-            for (j, &byte) in bytes.iter().enumerate() {
-                write(i, n0 + j, byte);
+            c[i * n + n0..][..width].copy_from_slice(&bytes[..width]);
+        }
+    }
+
+    /// [`super::transpose_words`] on raw 32-bit lanes: full 4 × 4 tiles
+    /// through `unpack`/`movelh`/`movehl` shuffles (pure bit moves), the
+    /// ragged right and bottom edges element by element.
+    ///
+    /// # Safety
+    ///
+    /// `src` and `dst` must each point to `rows · cols` readable
+    /// (respectively writable) 4-byte elements, and must not overlap.
+    #[target_feature(enable = "sse,sse2")]
+    pub(super) unsafe fn transpose_words_sse2(
+        src: *const f32,
+        rows: usize,
+        cols: usize,
+        dst: *mut f32,
+    ) {
+        let (full_r, full_c) = (rows - rows % 4, cols - cols % 4);
+        for r0 in (0..full_r).step_by(4) {
+            for c0 in (0..full_c).step_by(4) {
+                let at = |i: usize| _mm_loadu_ps(src.add((r0 + i) * cols + c0));
+                let (a, b, c, d) = (at(0), at(1), at(2), at(3));
+                let (ab_lo, cd_lo) = (_mm_unpacklo_ps(a, b), _mm_unpacklo_ps(c, d));
+                let (ab_hi, cd_hi) = (_mm_unpackhi_ps(a, b), _mm_unpackhi_ps(c, d));
+                let out = [
+                    _mm_movelh_ps(ab_lo, cd_lo),
+                    _mm_movehl_ps(cd_lo, ab_lo),
+                    _mm_movelh_ps(ab_hi, cd_hi),
+                    _mm_movehl_ps(cd_hi, ab_hi),
+                ];
+                for (j, &v) in out.iter().enumerate() {
+                    _mm_storeu_ps(dst.add((c0 + j) * rows + r0), v);
+                }
+            }
+        }
+        for r in 0..rows {
+            let from = if r < full_r { full_c } else { 0 };
+            for c in from..cols {
+                *dst.add(c * rows + r) = *src.add(r * cols + c);
             }
         }
     }
@@ -1134,6 +1234,7 @@ mod x86 {
         let zero = _mm256_setzero_si256();
         let srl_count = _mm_cvtsi32_si128(frac);
         let sll_count = _mm_cvtsi32_si128(64 - frac);
+        let low_dwords = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
         let mut i = 0;
         while i + 4 <= accs.len() {
             let x = _mm256_loadu_si256(accs.as_ptr().add(i).cast::<__m256i>());
@@ -1152,11 +1253,13 @@ mod x86 {
             );
             let clamped = _mm256_blendv_epi8(shifted, max_v, _mm256_cmpgt_epi64(shifted, max_v));
             let clamped = _mm256_blendv_epi8(clamped, min_v, _mm256_cmpgt_epi64(min_v, clamped));
-            let mut lanes = [0i64; 4];
-            _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), clamped);
-            for (value, &lane) in out[i..i + 4].iter_mut().zip(lanes.iter()) {
-                *value = lane as i32;
-            }
+            // Every clamped lane fits `i32`: gather the four low dwords into
+            // the low half and store them in one go.
+            let words = _mm256_permutevar8x32_epi32(clamped, low_dwords);
+            _mm_storeu_si128(
+                out.as_mut_ptr().add(i).cast::<__m128i>(),
+                _mm256_castsi256_si128(words),
+            );
             i += 4;
         }
         for t in i..accs.len() {
@@ -1405,6 +1508,72 @@ mod tests {
                 // SAFETY: SSE/SSE2 are part of the x86-64 baseline.
                 unsafe { x86::requantize_i8_sse2(ctx, &accs, &mut out) };
                 assert_eq!(out, expected, "scale {scale} sse2 tier");
+            }
+        }
+    }
+
+    /// Runs one `[m, k] × [k, n]` sweep on the dispatched kernels and on
+    /// the scalar tiles and checks they agree element for element.
+    fn check_shape<E: Element>(ctx: E::Ctx, a: &[E], bias: &[E], m: usize, k: usize, b: &[E]) {
+        let n = b.len() / k;
+        let mut simd = vec![E::default(); m * n];
+        let mut scalar = vec![E::default(); m * n];
+        crate::gemm::gemm_bias(ctx, true, a, bias, m, k, b, n, &mut simd);
+        crate::gemm::gemm_bias(ctx, false, a, bias, m, k, b, n, &mut scalar);
+        assert_eq!(simd, scalar, "m {m} k {k} n {n}");
+    }
+
+    /// Every column remainder (`n` across the 4-, 8- and 16-lane block
+    /// edges and the one-column panel), odd and even `k`, and row counts
+    /// around the 4-row blocks, on all three backends — plus Q panels with
+    /// words that escape `i16` in full and in zero-padded trailing blocks,
+    /// and the wide formats that take the widened 8-lane kernel.
+    #[test]
+    fn dispatched_kernels_match_scalar_tiles_on_every_panel_shape() {
+        let mut rng = SmallRng::seed_from_u64(0x9A4E1);
+        for m in [1usize, 3, 4, 9] {
+            for k in [1usize, 2, 7, 16, 33] {
+                for n in [1usize, 2, 3, 4, 5, 8, 12, 15, 16, 17, 31, 40] {
+                    let f = |rng: &mut SmallRng, len: usize| -> Vec<f32> {
+                        (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+                    };
+                    let (a, bias, b) = (f(&mut rng, m * k), f(&mut rng, m), f(&mut rng, k * n));
+                    check_shape((), &a, &bias, m, k, &b);
+                    #[cfg(target_arch = "x86_64")]
+                    {
+                        // The SSE2 tier (4-column blocks, strided scalar
+                        // remainder columns) that AVX2 hosts never dispatch.
+                        let mut sse2 = vec![0.0f32; m * n];
+                        x86::gemm_f32_sse2(&a, &bias, m, k, &b, n, &mut sse2);
+                        let mut scalar = vec![0.0f32; m * n];
+                        crate::gemm::gemm_bias((), false, &a, &bias, m, k, &b, n, &mut scalar);
+                        assert_eq!(sse2, scalar, "sse2 m {m} k {k} n {n}");
+                    }
+
+                    let bytes = |rng: &mut SmallRng, len: usize| -> Vec<i8> {
+                        (0..len).map(|_| rng.next_u32() as i8).collect()
+                    };
+                    let (a, bias, b) =
+                        (bytes(&mut rng, m * k), bytes(&mut rng, m), bytes(&mut rng, k * n));
+                    check_shape(I8Affine { scale: 0.013 }, &a, &bias, m, k, &b);
+
+                    for fmt in [QFormat::Q4_11, QFormat::Q3_4, QFormat::new(15, 16).unwrap()] {
+                        // Wide words stay small enough that the scalar
+                        // chain's `i64` sums cannot overflow.
+                        let (lo, hi) = (fmt.min_raw().max(-(1 << 20)), fmt.max_raw().min(1 << 20));
+                        let words = |rng: &mut SmallRng, len: usize| -> Vec<i32> {
+                            (0..len).map(|_| rng.gen_range(lo..=hi)).collect()
+                        };
+                        let (a, bias, mut b) =
+                            (words(&mut rng, m * k), words(&mut rng, m), words(&mut rng, k * n));
+                        check_shape(fmt, &a, &bias, m, k, &b);
+                        // A fault-widened panel word (outside `i16`) sends
+                        // its block to the exact fallback.
+                        let at = rng.gen_range(0..b.len());
+                        b[at] = 1 << 20;
+                        check_shape(fmt, &a, &bias, m, k, &b);
+                    }
+                }
             }
         }
     }

@@ -71,4 +71,4 @@ pub mod bitstats;
 
 pub use error::FormatError;
 pub use format::QFormat;
-pub use value::QValue;
+pub use value::{round_half_away, QValue};

@@ -39,26 +39,24 @@ impl QValue {
     /// let v = QValue::quantize(100.0, QFormat::Q3_4);
     /// assert_eq!(v.to_f32(), QFormat::Q3_4.max_value());
     /// ```
+    #[inline]
     pub fn quantize(value: f32, format: QFormat) -> QValue {
-        let scaled = value * (2.0f32).powi(i32::from(format.frac_bits()));
-        let raw = if scaled.is_nan() {
-            format.max_raw()
-        } else {
-            let rounded = scaled.round();
-            if rounded >= format.max_raw() as f32 {
-                format.max_raw()
-            } else if rounded <= format.min_raw() as f32 {
-                format.min_raw()
-            } else {
-                rounded as i32
-            }
-        };
-        QValue::from_raw(raw, format)
+        // `2^frac_bits` built from its exponent bits: exact, like the
+        // repeated-squaring `powi` it replaces, with no libm call per value.
+        let scale = f32::from_bits((127 + u32::from(format.frac_bits())) << 23);
+        let (lo, hi) = (format.min_raw() as f32, format.max_raw() as f32);
+        // Clamp before rounding: rounding is monotone and fixes the integral
+        // bounds, so `round(clamp(x)) == clamp(round(x))`. `f32::min`
+        // returns the non-NaN operand, which sends NaN to `hi` (the maximum)
+        // and the infinities to the matching bound.
+        let clamped = (value * scale).min(hi).max(lo);
+        QValue::from_raw(round_half_away(clamped), format)
     }
 
     /// Builds a value from a raw two's-complement integer in `format`.
     ///
     /// The raw value is clamped to the representable raw range.
+    #[inline]
     pub fn from_raw(raw: i32, format: QFormat) -> QValue {
         let raw = raw.clamp(format.min_raw(), format.max_raw());
         QValue { bits: (raw as u32) & format_mask(format), format }
@@ -196,6 +194,21 @@ impl QValue {
     }
 }
 
+/// `x.round() as i32` (ties away from zero) without the libm call, for any
+/// `x` within `[-2^31, 2^31]`: truncate, then step one unit away from zero
+/// when the exact fraction reaches one half. `x - trunc(x)` is exact in
+/// IEEE arithmetic, and every `|x| >= 2^23` is already integral, so the
+/// fraction is then zero. `2^31` itself truncates (saturating) to
+/// `i32::MAX`, which every caller clamps to its raw range anyway. NaN
+/// maps to `0` (the saturating cast's NaN rule).
+#[inline]
+pub fn round_half_away(x: f32) -> i32 {
+    let t = x as i32;
+    let frac = x - t as f32;
+    t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)
+}
+
+#[inline]
 fn format_mask(format: QFormat) -> u32 {
     let total = u32::from(format.total_bits());
     if total == 32 {
@@ -369,7 +382,126 @@ mod proptests {
             .prop_map(|(i, f)| QFormat::new(i, f).expect("valid format"))
     }
 
+    /// The `powi` + libm `round()` + round-then-compare formula
+    /// [`QValue::quantize`] used before its scale was hoisted and its
+    /// rounding made libm-free: the oracle the rewrite is pinned to.
+    fn quantize_reference(value: f32, format: QFormat) -> QValue {
+        let scaled = value * (2.0f32).powi(i32::from(format.frac_bits()));
+        let raw = if scaled.is_nan() {
+            format.max_raw()
+        } else {
+            let rounded = scaled.round();
+            if rounded >= format.max_raw() as f32 {
+                format.max_raw()
+            } else if rounded <= format.min_raw() as f32 {
+                format.min_raw()
+            } else {
+                rounded as i32
+            }
+        };
+        QValue::from_raw(raw, format)
+    }
+
+    /// Every preset plus the width extremes (1 and 32 bits, all-integer
+    /// and all-fraction) where `max_raw` is not representable in `f32`.
+    fn quantize_formats() -> Vec<QFormat> {
+        vec![
+            QFormat::Q4_11,
+            QFormat::Q7_8,
+            QFormat::Q10_5,
+            QFormat::Q3_4,
+            QFormat::Q2_5,
+            QFormat::Q2_13,
+            QFormat::new(0, 1).expect("valid format"),
+            QFormat::new(6, 0).expect("valid format"),
+            QFormat::new(20, 6).expect("valid format"),
+            QFormat::new(31, 0).expect("valid format"),
+            QFormat::new(0, 31).expect("valid format"),
+            QFormat::new(15, 16).expect("valid format"),
+        ]
+    }
+
+    /// Probes around one raw step `raw` of `format`: the step itself, the
+    /// exact `.5` ties on both sides and their `f32` neighbours.
+    fn tie_probes(raw: f32, format: QFormat) -> Vec<f32> {
+        let res = format.resolution();
+        let mut probes = Vec::new();
+        for scaled in [raw, raw - 0.5, raw + 0.5] {
+            let v = scaled * res;
+            probes.extend([
+                v,
+                -v,
+                f32::from_bits(v.to_bits().wrapping_add(1)),
+                f32::from_bits(v.to_bits().wrapping_sub(1)),
+            ]);
+        }
+        probes
+    }
+
+    #[test]
+    fn quantize_matches_the_reference_on_edge_values() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007f_ffff),
+            0.5,
+            -0.5,
+            0.499_999_97,
+            -0.499_999_97,
+        ];
+        for format in quantize_formats() {
+            let mut probes = specials.to_vec();
+            for raw in [format.max_raw() as f32, format.min_raw() as f32, 1.0, 2.0, 3.0, 1e6] {
+                probes.extend(tie_probes(raw, format));
+            }
+            for value in probes {
+                assert_eq!(
+                    QValue::quantize(value, format),
+                    quantize_reference(value, format),
+                    "{format} {value:e} ({:#010x})",
+                    value.to_bits()
+                );
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn quantize_matches_the_reference_formula(
+            bits in 0u32..=u32::MAX,
+            tie in -70_000i32..=70_000,
+            index in 0usize..12,
+        ) {
+            let format = quantize_formats()[index];
+            // Any bit pattern (NaNs, infinities, subnormals, huge values),
+            // the same pattern squeezed into the subnormal range, a value of
+            // unit magnitude, and exact `.5` ties around `tie` raw steps.
+            let any = f32::from_bits(bits);
+            let subnormal = f32::from_bits(bits & 0x807f_ffff);
+            let unit = f32::from_bits((bits & 0x807f_ffff) | 0x3f00_0000);
+            let mut probes = vec![any, subnormal, unit];
+            probes.extend(tie_probes(tie as f32, format));
+            for value in probes {
+                prop_assert_eq!(
+                    QValue::quantize(value, format),
+                    quantize_reference(value, format),
+                    "{} {:e}",
+                    format,
+                    value
+                );
+            }
+        }
+
         #[test]
         fn quantize_never_exceeds_range(value in -2000.0f32..2000.0, fmt in arb_format()) {
             let q = QValue::quantize(value, fmt);

@@ -11,8 +11,9 @@
 use navft_core::{BufferFaultHook, HookPersistence, HookTarget};
 use navft_fault::FaultKind;
 use navft_nn::{
-    mlp, C3f2Config, EngineConfig, ForwardHooks, Network, NoHooks, PerRowHooks, RangeRecorder,
-    Scratch, Tensor,
+    mlp, C3f2Config, Element, EngineConfig, ForwardHooks, I8Network, I8Scratch, I8Tensor, Network,
+    NetworkBase, NoHooks, PerRowHooks, QScratch, QTensor, RangeRecorder, Scratch, Tensor,
+    TensorBase,
 };
 use navft_qformat::QFormat;
 use rand::rngs::SmallRng;
@@ -219,25 +220,60 @@ fn forward_scratch_matches_forward_for_every_model() {
     }
 }
 
+/// Warms `scratch` at the figures' rollout width, then drains it the way a
+/// vectorized rollout does (width 20 down to 1, episode after episode) and
+/// returns the growth events the drain added: the activation slabs, the
+/// GEMM panel and the staging slab must all be warm after the first passes.
+fn drain_growth<E: Element>(
+    net: &NetworkBase<E>,
+    inputs: &[TensorBase<E>],
+    scratch: &mut Scratch<E>,
+) -> usize {
+    const WIDTH: usize = 20;
+    let config = EngineConfig::default();
+    // Two warm-up passes: the slabs swap roles once per non-in-place layer,
+    // so with an odd number of sweeps both slabs reach their high-water
+    // mark only on the second pass.
+    net.forward_batch_into_cfg(&inputs[..WIDTH], scratch, &mut NoHooks, config);
+    net.forward_batch_into_cfg(&inputs[..WIDTH], scratch, &mut NoHooks, config);
+    let warm = scratch.grow_events();
+    for episode in 0..3 {
+        for width in (1..=WIDTH).rev() {
+            let rows = &inputs[episode..episode + width];
+            net.forward_batch_into_cfg(rows, scratch, &mut NoHooks, config);
+        }
+    }
+    scratch.grow_events() - warm
+}
+
 #[test]
 fn steady_state_campaign_loop_performs_no_scratch_growth() {
     // The shape of a figure campaign: many episodes, same topology, one
-    // scratch. After the first episode the arena must never grow again.
+    // scratch per backend. After the warm-up the arena must never grow
+    // again, on any backend, while a rollout drains.
     let mut rng = SmallRng::seed_from_u64(11);
     let net = C3f2Config::scaled().build(&mut rng);
     let shape = C3f2Config::scaled().input_shape();
-    let mut scratch = Scratch::new();
-    // Two warm-up passes: the slabs swap roles once per parametric layer, so
-    // with an odd number of sweeps both slabs reach their high-water mark
-    // only on the second pass.
-    let inputs = batch_inputs(&shape, 4, 0xE90);
-    let config = EngineConfig::default();
-    net.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, config);
-    net.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, config);
-    let warm = scratch.grow_events();
-    for episode in 0..25 {
-        let inputs = batch_inputs(&shape, 4, episode);
-        net.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, config);
-    }
-    assert_eq!(scratch.grow_events(), warm, "campaign steady state must not allocate");
+    let inputs = batch_inputs(&shape, 24, 0xE90);
+    assert_eq!(
+        drain_growth(&net, &inputs, &mut Scratch::new()),
+        0,
+        "f32 steady state must not allocate"
+    );
+    let qnet = net.to_quantized(QFormat::Q4_11);
+    let q_inputs: Vec<QTensor> =
+        inputs.iter().map(|t| QTensor::quantize(t, QFormat::Q4_11)).collect();
+    assert_eq!(
+        drain_growth(&qnet, &q_inputs, &mut QScratch::new()),
+        0,
+        "Q4.11 steady state must not allocate"
+    );
+    let inet = I8Network::quantize(&net);
+    let i_inputs: Vec<I8Tensor> =
+        inputs.iter().map(|t| I8Tensor::quantize(t, inet.affine())).collect();
+    assert_eq!(
+        drain_growth(&inet, &i_inputs, &mut I8Scratch::new()),
+        0,
+        "i8 steady state must not allocate"
+    );
 }
