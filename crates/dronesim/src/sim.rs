@@ -133,10 +133,6 @@ impl DroneSim {
     pub fn crashed(&self) -> bool {
         self.crashed
     }
-
-    fn observe(&self) -> Tensor {
-        self.camera.render(&self.world, self.position, self.heading)
-    }
 }
 
 impl VisionEnvironment for DroneSim {
@@ -154,7 +150,7 @@ impl VisionEnvironment for DroneSim {
         self.steps = 0;
         self.flown = 0.0;
         self.crashed = false;
-        self.observe()
+        self.camera.render(&self.world, self.position, self.heading)
     }
 
     fn step(&mut self, action: usize) -> VisionTransition {
@@ -167,7 +163,8 @@ impl VisionEnvironment for DroneSim {
         self.steps += 1;
         self.crashed = collided;
 
-        let clearance = self.camera.min_clearance(&self.world, self.position, self.heading);
+        let (observation, clearance) =
+            self.camera.capture(&self.world, self.position, self.heading);
         let reward = if collided {
             -1.0
         } else {
@@ -176,7 +173,7 @@ impl VisionEnvironment for DroneSim {
             0.5 * travelled + 0.5 * (clearance / self.camera.max_range).clamp(0.0, 1.0)
         };
         let terminal = collided || self.steps >= self.max_steps;
-        VisionTransition { observation: self.observe(), reward, terminal, distance: travelled }
+        VisionTransition { observation, reward, terminal, distance: travelled }
     }
 }
 
