@@ -6,9 +6,9 @@
 //!   add `--scale smoke|quick|paper`, `--jobs N`, `--out DIR` and
 //!   `--resume`). All requested figures' campaign cells run on one shared
 //!   work-stealing scheduler; see `navft_core::sweep`.
-//! * The Criterion benches (`cargo bench -p navft-bench`) time representative
-//!   cells of each experiment so regressions in the simulator or the
-//!   fault-injection tool-chain are visible.
+//! * The `perf` binary writes a `BENCH_<rev>.json` snapshot of the engine,
+//!   rollout, training, campaign and serve throughput rows, and `perf_gate`
+//!   compares a fresh snapshot against the checked-in history.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -166,7 +166,8 @@ pub fn heuristic_flight_distance(world: &DroneWorld, max_steps: usize, episodes:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use navft_rl::{evaluate_policy_vision, InferenceFaultMode};
+    use navft_nn::EngineConfig;
+    use navft_rl::{evaluate_policy_vision_batched, DummyVisionVecEnv, InferenceFaultMode};
 
     #[test]
     fn heuristic_prefers_to_steer_away_from_the_blocked_side() {
@@ -220,9 +221,17 @@ mod tests {
         let params = crate::Scale::Quick.drone();
         let trained = train_drone_policy(&world, &params, 5);
         let mut rng = SmallRng::seed_from_u64(99);
-        let mut sim = DroneSim::new(world.clone(), DepthCamera::scaled(), 150);
-        let trained_result =
-            evaluate_policy_vision(&mut sim, &trained, 3, 150, &InferenceFaultMode::None, &mut rng);
+        let sim = DroneSim::new(world.clone(), DepthCamera::scaled(), 150);
+        let mut venv = DummyVisionVecEnv::from_prototype(&sim, 3);
+        let trained_result = evaluate_policy_vision_batched(
+            &mut venv,
+            &trained,
+            3,
+            150,
+            &InferenceFaultMode::None,
+            &mut rng,
+            EngineConfig::default(),
+        );
         assert!(
             trained_result.mean_distance > 5.0,
             "cloned policy flew only {} m",

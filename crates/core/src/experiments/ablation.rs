@@ -18,7 +18,7 @@ use rand::SeedableRng;
 
 use crate::experiments::fig2::policy_words;
 use crate::experiments::fig7;
-use crate::grid_policies::{train_clean_policy_cfg, train_grid_policy, PolicyKind};
+use crate::grid_policies::{train_clean_policy, train_grid_policy, PolicyKind};
 use crate::sweep::{CellSpec, Sweep};
 use crate::{FigureData, GridParams, Scale, Series};
 
@@ -29,6 +29,7 @@ fn mitigated_success_with(
     ber: f64,
     params: &GridParams,
     seed: u64,
+    engine: EngineConfig,
 ) -> f64 {
     let injection = (params.training_episodes as f64 * 0.9) as usize;
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -49,6 +50,7 @@ fn mitigated_success_with(
         &plan,
         seed ^ 0xAB1,
         |episode, trace, epsilon| adjuster.observe(episode, trace, epsilon),
+        engine,
     );
     run.final_success_rate * 100.0
 }
@@ -81,10 +83,10 @@ pub fn sweep(scale: Scale) -> Sweep {
             .with_label("figure", "ablation-alpha")
             .with_label("alpha", alpha.to_string());
         let params = Arc::clone(&params);
-        sweep.cell(spec, move |seed, _rep, _cfg| {
+        sweep.cell(spec, move |seed, _rep, cfg| {
             let config =
                 ExplorationAdjusterConfig { alpha, ..ExplorationAdjusterConfig::tabular() };
-            mitigated_success_with(config, ber, &params, seed)
+            mitigated_success_with(config, ber, &params, seed, cfg)
         });
     }
 
@@ -94,12 +96,12 @@ pub fn sweep(scale: Scale) -> Sweep {
             .with_label("figure", "ablation-detection-threshold")
             .with_label("threshold", threshold.to_string());
         let params = Arc::clone(&params);
-        sweep.cell(spec, move |seed, _rep, _cfg| {
+        sweep.cell(spec, move |seed, _rep, cfg| {
             let config = ExplorationAdjusterConfig {
                 reward_drop_fraction: threshold,
                 ..ExplorationAdjusterConfig::tabular()
             };
-            mitigated_success_with(config, ber, &params, seed)
+            mitigated_success_with(config, ber, &params, seed, cfg)
         });
     }
 
@@ -168,11 +170,6 @@ pub fn sweep(scale: Scale) -> Sweep {
     sweep
 }
 
-/// All ablation figures.
-pub fn ablations(scale: Scale) -> Vec<FigureData> {
-    sweep(scale).collect(scale.threads())
-}
-
 /// Success rate (%) of the guarded Grid World NN policy with a custom
 /// anomaly-detection configuration.
 fn guarded_success_with_margin(
@@ -188,7 +185,7 @@ fn guarded_success_with_margin(
     };
 
     let run =
-        train_clean_policy_cfg(PolicyKind::Network, ObstacleDensity::Middle, params, seed, engine);
+        train_clean_policy(PolicyKind::Network, ObstacleDensity::Middle, params, seed, engine);
     let clean = run.network.as_ref().expect("network policy").network();
     let config = RangeGuardConfig { margin, integer_bits_only: integer_only };
     let guard = RangeGuard::from_network(clean, QFormat::Q3_4, config);

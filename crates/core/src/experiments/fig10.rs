@@ -23,19 +23,14 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::drone_policy::train_drone_policy;
-use crate::grid_policies::{train_clean_policy_cfg, PolicyKind};
+use crate::grid_policies::{train_clean_policy, PolicyKind};
 use crate::sweep::{CellSpec, Lazy, Sweep};
 use crate::{FigureData, GridParams, Scale, Series};
 
 /// Success rate (%) of the NN Grid World policy under weight bit flips, with
-/// or without the range guard scrubbing the corrupted weights first.
-pub fn grid_success_with_guard(ber: f64, mitigated: bool, params: &GridParams, seed: u64) -> f64 {
-    grid_success_with_guard_cfg(ber, mitigated, params, seed, EngineConfig::default())
-}
-
-/// [`grid_success_with_guard`] with an explicit inference [`EngineConfig`];
-/// the evaluation episodes run as one vectorized rollout.
-pub fn grid_success_with_guard_cfg(
+/// or without the range guard scrubbing the corrupted weights first. The
+/// evaluation episodes run as one vectorized rollout under `engine`.
+pub fn grid_success_with_guard(
     ber: f64,
     mitigated: bool,
     params: &GridParams,
@@ -43,7 +38,7 @@ pub fn grid_success_with_guard_cfg(
     engine: EngineConfig,
 ) -> f64 {
     let run =
-        train_clean_policy_cfg(PolicyKind::Network, ObstacleDensity::Middle, params, seed, engine);
+        train_clean_policy(PolicyKind::Network, ObstacleDensity::Middle, params, seed, engine);
     let agent = run.network.as_ref().expect("network policy");
     let clean = agent.network();
     let guard = RangeGuard::from_network(clean, QFormat::Q3_4, RangeGuardConfig::paper());
@@ -147,7 +142,7 @@ pub fn sweep(scale: Scale) -> Sweep {
                 .with_label("ber", ber.to_string());
             let params = Arc::clone(&grid_params);
             sweep.cell(spec, move |seed, _rep, cfg| {
-                grid_success_with_guard_cfg(ber, mitigated, &params, seed, cfg)
+                grid_success_with_guard(ber, mitigated, &params, seed, cfg)
             });
         }
         for &ber in &drone_params.bit_error_rates {
@@ -240,13 +235,6 @@ pub fn sweep(scale: Scale) -> Sweep {
         figures
     });
     sweep
-}
-
-/// Fig. 10a / 10b plus the headline facts: anomaly-detection effectiveness on
-/// Grid World inference and drone inference, and the measured runtime
-/// overhead of the guard.
-pub fn anomaly_detection_effectiveness(scale: Scale) -> Vec<FigureData> {
-    sweep(scale).collect(scale.threads())
 }
 
 #[cfg(test)]

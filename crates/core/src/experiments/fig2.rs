@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use navft_fault::{FaultKind, FaultSite, FaultTarget, InjectionSchedule, Injector};
 use navft_gridworld::ObstacleDensity;
+use navft_nn::EngineConfig;
 use navft_qformat::bitstats::{BitStats, ValueHistogram};
 use navft_qformat::{QFormat, QValue};
 use navft_rl::{trainer, FaultPlan};
@@ -33,7 +34,7 @@ pub fn policy_words(kind: PolicyKind) -> usize {
 
 /// Trains a Grid World policy of `kind` under a fault of `fault_kind` at
 /// `ber`, injected at `episode`, and returns the final success rate in
-/// percent.
+/// percent. `engine` runs the final policy evaluation.
 pub fn faulty_training_success(
     kind: PolicyKind,
     fault_kind: FaultKind,
@@ -41,6 +42,7 @@ pub fn faulty_training_success(
     episode: usize,
     params: &crate::GridParams,
     seed: u64,
+    engine: EngineConfig,
 ) -> f64 {
     let mut rng = SmallRng::seed_from_u64(seed);
     let words = policy_words(kind);
@@ -68,6 +70,7 @@ pub fn faulty_training_success(
         &plan,
         seed ^ 0xF162,
         trainer::no_mitigation(),
+        engine,
     );
     run.final_success_rate * 100.0
 }
@@ -98,8 +101,9 @@ pub fn training_sweep(scale: Scale) -> Sweep {
                     .with_label("ber", ber.to_string())
                     .with_label("episode", episode.to_string());
                 let params = Arc::clone(&params);
-                sweep.cell(spec, move |seed, _rep, _cfg| {
-                    faulty_training_success(kind, FaultKind::BitFlip, ber, episode, &params, seed)
+                sweep.cell(spec, move |seed, _rep, cfg| {
+                    let fault = FaultKind::BitFlip;
+                    faulty_training_success(kind, fault, ber, episode, &params, seed, cfg)
                 });
             }
             for fault_kind in [FaultKind::StuckAt0, FaultKind::StuckAt1] {
@@ -107,8 +111,8 @@ pub fn training_sweep(scale: Scale) -> Sweep {
                     .with_label("figure", format!("{panel}-{fault_kind}"))
                     .with_label("ber", ber.to_string());
                 let params = Arc::clone(&params);
-                sweep.cell(spec, move |seed, _rep, _cfg| {
-                    faulty_training_success(kind, fault_kind, ber, 0, &params, seed)
+                sweep.cell(spec, move |seed, _rep, cfg| {
+                    faulty_training_success(kind, fault_kind, ber, 0, &params, seed, cfg)
                 });
             }
         }
@@ -155,13 +159,6 @@ pub fn training_sweep(scale: Scale) -> Sweep {
     sweep
 }
 
-/// Fig. 2a / 2c: success-rate heatmaps for training under transient bit flips
-/// (rows: BER, columns: injection episode) and stuck-at faults (rows: BER),
-/// for both the tabular and the NN-based policy.
-pub fn training_fault_heatmaps(scale: Scale) -> Vec<FigureData> {
-    training_sweep(scale).collect(scale.threads())
-}
-
 /// The fixed value-histogram shape shared by the trial and the fold.
 fn histogram_shape() -> ValueHistogram {
     ValueHistogram::new(-8.0, 8.0, 16)
@@ -181,8 +178,8 @@ pub fn histogram_sweep(scale: Scale) -> Sweep {
     for (kind, panel, _) in HISTOGRAM_PANELS {
         let spec = CellSpec::new(format!("{panel}/histogram"), 1).with_label("figure", panel);
         let params = Arc::clone(&params);
-        sweep.cell_metrics(spec, move |seed, _rep, _cfg| {
-            let run = train_clean_policy(kind, ObstacleDensity::Middle, &params, seed);
+        sweep.cell_metrics(spec, move |seed, _rep, cfg| {
+            let run = train_clean_policy(kind, ObstacleDensity::Middle, &params, seed, cfg);
             let values: Vec<f32> = match kind {
                 PolicyKind::Tabular => {
                     run.tabular.as_ref().expect("tabular run").table.values().to_vec()
@@ -230,12 +227,6 @@ pub fn histogram_sweep(scale: Scale) -> Sweep {
         figures
     });
     sweep
-}
-
-/// Fig. 2b / 2d: histograms and bit statistics of the trained tabular values
-/// and NN weights.
-pub fn value_histograms(scale: Scale) -> Vec<FigureData> {
-    histogram_sweep(scale).collect(scale.threads())
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use navft_fault::{FaultKind, FaultSite, FaultTarget, InjectionSchedule, Injector};
 use navft_gridworld::ObstacleDensity;
+use navft_nn::EngineConfig;
 use navft_qformat::QFormat;
 use navft_rl::{trainer, FaultPlan};
 use rand::rngs::SmallRng;
@@ -61,6 +62,7 @@ fn curve_metrics(
     spec: &CurveSpec,
     params: &crate::GridParams,
     seed: u64,
+    engine: EngineConfig,
 ) -> Vec<f64> {
     let episode = ((spec.injection_fraction * params.training_episodes as f64) as usize)
         .min(params.training_episodes - 1);
@@ -89,6 +91,7 @@ fn curve_metrics(
         &plan,
         seed ^ 0x316_5EED,
         trainer::no_mitigation(),
+        engine,
     );
     smoothed_rewards(&run.trace.rewards, 10).into_iter().map(|(_, y)| y).collect()
 }
@@ -108,8 +111,8 @@ pub fn sweep(scale: Scale) -> Sweep {
                 .with_label("figure", panel)
                 .with_label("curve", curve.label);
             let params = Arc::clone(&params);
-            sweep.cell_metrics(spec, move |seed, _rep, _cfg| {
-                curve_metrics(kind, &CURVES[index], &params, seed)
+            sweep.cell_metrics(spec, move |seed, _rep, cfg| {
+                curve_metrics(kind, &CURVES[index], &params, seed, cfg)
             });
         }
     }
@@ -151,13 +154,6 @@ pub fn sweep(scale: Scale) -> Sweep {
         figures
     });
     sweep
-}
-
-/// Fig. 3a / 3b: cumulative return per episode under four example fault
-/// configurations (two transient injection times, stuck-at-0, stuck-at-1),
-/// for the tabular and the NN-based policy.
-pub fn cumulative_return_curves(scale: Scale) -> Vec<FigureData> {
-    sweep(scale).collect(scale.threads())
 }
 
 /// The episode indices the smoothed curve samples for a training run of

@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use navft_fault::{FaultKind, FaultSite, FaultTarget, InjectionSchedule, Injector};
 use navft_gridworld::ObstacleDensity;
+use navft_nn::EngineConfig;
 use navft_qformat::QFormat;
 use navft_rl::{episodes_to_converge, trainer, FaultPlan};
 use rand::rngs::SmallRng;
@@ -32,7 +33,13 @@ fn fault_site(kind: PolicyKind) -> FaultTarget {
 /// Trains with a late transient fault and reports how many episodes after the
 /// injection the sliding-window success rate returns above 95 % (the
 /// full remaining training length if it never does).
-fn recovery_episodes(kind: PolicyKind, ber: f64, params: &GridParams, seed: u64) -> f64 {
+fn recovery_episodes(
+    kind: PolicyKind,
+    ber: f64,
+    params: &GridParams,
+    seed: u64,
+    engine: EngineConfig,
+) -> f64 {
     // Train longer than the base schedule so there is room to re-converge.
     let mut extended = params.clone();
     extended.training_episodes = params.training_episodes * 2;
@@ -54,6 +61,7 @@ fn recovery_episodes(kind: PolicyKind, ber: f64, params: &GridParams, seed: u64)
         &plan,
         seed ^ 0x41,
         trainer::no_mitigation(),
+        engine,
     );
     let window = 20.min(params.training_episodes / 4).max(5);
     episodes_to_converge(&run.trace, injection, window, 0.95)
@@ -69,6 +77,7 @@ fn permanent_success_after_extra_training(
     ei_multiplier: usize,
     params: &GridParams,
     seed: u64,
+    engine: EngineConfig,
 ) -> f64 {
     let mut extended = params.clone();
     extended.training_episodes = params.training_episodes * (ei_multiplier + 1);
@@ -89,6 +98,7 @@ fn permanent_success_after_extra_training(
         &plan,
         seed ^ 0x4B,
         trainer::no_mitigation(),
+        engine,
     );
     run.final_success_rate * 100.0
 }
@@ -115,8 +125,8 @@ pub fn sweep(scale: Scale) -> Sweep {
                 .with_label("figure", panel_conv)
                 .with_label("ber", ber.to_string());
             let params_cell = Arc::clone(&params);
-            sweep.cell(spec, move |seed, _rep, _cfg| {
-                recovery_episodes(kind, ber, &params_cell, seed)
+            sweep.cell(spec, move |seed, _rep, cfg| {
+                recovery_episodes(kind, ber, &params_cell, seed, cfg)
             });
             for fault_kind in [FaultKind::StuckAt0, FaultKind::StuckAt1] {
                 for (ei_multiplier, ei_label) in EI_MULTIPLIERS {
@@ -127,7 +137,7 @@ pub fn sweep(scale: Scale) -> Sweep {
                             .with_label("ei", ei_label)
                             .with_label("ber", ber.to_string());
                     let params_cell = Arc::clone(&params);
-                    sweep.cell(spec, move |seed, _rep, _cfg| {
+                    sweep.cell(spec, move |seed, _rep, cfg| {
                         permanent_success_after_extra_training(
                             kind,
                             fault_kind,
@@ -135,6 +145,7 @@ pub fn sweep(scale: Scale) -> Sweep {
                             ei_multiplier,
                             &params_cell,
                             seed,
+                            cfg,
                         )
                     });
                 }
@@ -190,13 +201,6 @@ pub fn sweep(scale: Scale) -> Sweep {
         figures
     });
     sweep
-}
-
-/// Fig. 4a–4d: episodes to re-converge after a late transient fault
-/// (tabular / NN), and the success rate reachable with extra training under
-/// permanent faults at two fault-onset points.
-pub fn convergence_analysis(scale: Scale) -> Vec<FigureData> {
-    sweep(scale).collect(scale.threads())
 }
 
 #[cfg(test)]

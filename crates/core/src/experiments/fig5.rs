@@ -13,7 +13,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::grid_policies::{
-    evaluate_grid_policy_cfg, policy_word_count, train_clean_policy_cfg, PolicyKind,
+    evaluate_grid_policy, policy_word_count, train_clean_policy, PolicyKind,
 };
 use crate::sweep::{CellSpec, Sweep};
 use crate::{FigureData, Scale, Series};
@@ -74,20 +74,9 @@ impl InferenceMode {
 }
 
 /// Evaluates a freshly trained policy of `kind` under the given mode and BER,
-/// returning the success rate in percent.
+/// returning the success rate in percent. The evaluation episodes run as one
+/// vectorized rollout under `engine`.
 pub fn inference_success(
-    kind: PolicyKind,
-    mode: InferenceMode,
-    ber: f64,
-    params: &crate::GridParams,
-    seed: u64,
-) -> f64 {
-    inference_success_cfg(kind, mode, ber, params, seed, EngineConfig::default())
-}
-
-/// [`inference_success`] with an explicit inference [`EngineConfig`]; the
-/// evaluation episodes run as one vectorized rollout.
-pub fn inference_success_cfg(
     kind: PolicyKind,
     mode: InferenceMode,
     ber: f64,
@@ -95,7 +84,7 @@ pub fn inference_success_cfg(
     seed: u64,
     engine: EngineConfig,
 ) -> f64 {
-    let run = train_clean_policy_cfg(kind, ObstacleDensity::Middle, params, seed, engine);
+    let run = train_clean_policy(kind, ObstacleDensity::Middle, params, seed, engine);
     let words = policy_word_count(&run);
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x515);
     let injector = Injector::sample(
@@ -110,7 +99,7 @@ pub fn inference_success_cfg(
         &mut rng,
     );
     let fault = mode.to_fault(injector);
-    evaluate_grid_policy_cfg(&run, ObstacleDensity::Middle, params, &fault, seed ^ 0xE7A1, engine)
+    evaluate_grid_policy(&run, ObstacleDensity::Middle, params, &fault, seed ^ 0xE7A1, engine)
         .success_rate
         * 100.0
 }
@@ -132,7 +121,7 @@ pub fn sweep(scale: Scale) -> Sweep {
                     .with_label("ber", ber.to_string());
                 let params = Arc::clone(&params);
                 sweep.cell(spec, move |seed, _rep, cfg| {
-                    inference_success_cfg(kind, mode, ber, &params, seed, cfg)
+                    inference_success(kind, mode, ber, &params, seed, cfg)
                 });
             }
         }
@@ -161,12 +150,6 @@ pub fn sweep(scale: Scale) -> Sweep {
         figures
     });
     sweep
-}
-
-/// Fig. 5a / 5b: success rate vs BER for the four inference fault modes,
-/// tabular and NN-based policies.
-pub fn grid_inference_sensitivity(scale: Scale) -> Vec<FigureData> {
-    sweep(scale).collect(scale.threads())
 }
 
 #[cfg(test)]

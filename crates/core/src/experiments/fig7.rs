@@ -91,7 +91,7 @@ fn drone_venv(world: &DroneWorld, params: &DroneParams) -> DummyVisionVecEnv<Dro
 
 /// Evaluates the mean safe flight distance of `network` in `world` under the
 /// given weight fault mode. The episodes run as one vectorized rollout —
-/// bit-identical to the serial evaluator at any width or engine config.
+/// bit-identical to a serial per-episode loop at any width or engine config.
 fn flight_distance(
     network: &Network,
     world: &DroneWorld,
@@ -246,13 +246,6 @@ pub fn training_faults_sweep(scale: Scale) -> Sweep {
     sweep
 }
 
-/// Fig. 7a: online fine-tuning (the transfer-learning stage) under transient
-/// faults injected at different points, plus permanent stuck-at faults, with
-/// the quality of the resulting flights as the metric.
-pub fn drone_training_faults(scale: Scale) -> Vec<FigureData> {
-    training_faults_sweep(scale).collect(scale.threads())
-}
-
 /// Fig. 7b as a declarative sweep: transient weight faults evaluated in both
 /// indoor environments (one lazily trained policy per environment).
 pub fn environment_sweep(scale: Scale) -> Sweep {
@@ -307,11 +300,6 @@ pub fn environment_sweep(scale: Scale) -> Sweep {
         )]
     });
     sweep
-}
-
-/// Fig. 7b: transient weight faults evaluated in both indoor environments.
-pub fn drone_environment_sensitivity(scale: Scale) -> Vec<FigureData> {
-    environment_sweep(scale).collect(scale.threads())
 }
 
 /// The fault locations swept by Fig. 7c.
@@ -466,12 +454,6 @@ pub fn location_sweep(scale: Scale) -> Sweep {
     sweep
 }
 
-/// Fig. 7c: fault-location sensitivity — faults in the input buffer, the
-/// weight buffer, and the activation buffers (transient and permanent).
-pub fn drone_fault_location_sensitivity(scale: Scale) -> Vec<FigureData> {
-    location_sweep(scale).collect(scale.threads())
-}
-
 /// The parametric layer names/indices of the drone policy topology. Uses an
 /// untrained probe network: the topology is fixed by [`C3f2Config::scaled`],
 /// so cells can be declared without training the policy.
@@ -531,12 +513,6 @@ pub fn layer_sweep(scale: Scale) -> Sweep {
     sweep
 }
 
-/// Fig. 7d: per-layer sensitivity — bit flips confined to each layer's
-/// weights in turn.
-pub fn drone_layer_sensitivity(scale: Scale) -> Vec<FigureData> {
-    layer_sweep(scale).collect(scale.threads())
-}
-
 /// The data types swept by Fig. 7e.
 const FIG7E_FORMATS: [QFormat; 3] = [QFormat::Q4_11, QFormat::Q7_8, QFormat::Q10_5];
 
@@ -547,12 +523,6 @@ pub fn data_type_sweep(scale: Scale) -> Sweep {
     add_data_type_cells(&mut sweep, scale, &FIG7E_FORMATS, "fig7e");
     sweep.fold(move |results| data_type_figures(results, scale, &FIG7E_FORMATS, "fig7e"));
     sweep
-}
-
-/// Fig. 7e: data-type sensitivity — the policy quantized to Q(1,4,11),
-/// Q(1,7,8) and Q(1,10,5), each exposed to weight bit flips.
-pub fn drone_data_type_sensitivity(scale: Scale) -> Vec<FigureData> {
-    data_type_sweep(scale).collect(scale.threads())
 }
 
 /// Mean safe flight distance of a natively quantized policy under the given

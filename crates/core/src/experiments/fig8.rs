@@ -7,6 +7,7 @@ use std::sync::Arc;
 use navft_fault::{FaultKind, FaultSite, FaultTarget, InjectionSchedule, Injector};
 use navft_gridworld::ObstacleDensity;
 use navft_mitigation::ExplorationAdjuster;
+use navft_nn::EngineConfig;
 use navft_qformat::QFormat;
 use navft_rl::FaultPlan;
 use rand::rngs::SmallRng;
@@ -23,6 +24,7 @@ const PANELS: [(PolicyKind, &str); 2] =
 
 /// Trains a policy of `kind` under a fault, with the exploration-rate
 /// mitigation attached, and returns the final success rate in percent.
+/// `engine` runs the final policy evaluation.
 pub fn mitigated_training_success(
     kind: PolicyKind,
     fault_kind: FaultKind,
@@ -30,6 +32,7 @@ pub fn mitigated_training_success(
     episode: usize,
     params: &GridParams,
     seed: u64,
+    engine: EngineConfig,
 ) -> f64 {
     let mut rng = SmallRng::seed_from_u64(seed);
     let injector = Injector::sample(
@@ -60,6 +63,7 @@ pub fn mitigated_training_success(
         &plan,
         seed ^ 0xF18,
         |episode, trace, epsilon| adjuster.observe(episode, trace, epsilon),
+        engine,
     );
     run.final_success_rate * 100.0
 }
@@ -78,7 +82,7 @@ pub fn sweep(scale: Scale) -> Sweep {
                     .with_label("ber", ber.to_string())
                     .with_label("episode", episode.to_string());
                 let params = Arc::clone(&params);
-                sweep.cell(spec, move |seed, _rep, _cfg| {
+                sweep.cell(spec, move |seed, _rep, cfg| {
                     mitigated_training_success(
                         kind,
                         FaultKind::BitFlip,
@@ -86,6 +90,7 @@ pub fn sweep(scale: Scale) -> Sweep {
                         episode,
                         &params,
                         seed,
+                        cfg,
                     )
                 });
             }
@@ -94,8 +99,8 @@ pub fn sweep(scale: Scale) -> Sweep {
                     .with_label("figure", format!("{panel}-{fault_kind}"))
                     .with_label("ber", ber.to_string());
                 let params = Arc::clone(&params);
-                sweep.cell(spec, move |seed, _rep, _cfg| {
-                    mitigated_training_success(kind, fault_kind, ber, 0, &params, seed)
+                sweep.cell(spec, move |seed, _rep, cfg| {
+                    mitigated_training_success(kind, fault_kind, ber, 0, &params, seed, cfg)
                 });
             }
         }
@@ -140,12 +145,6 @@ pub fn sweep(scale: Scale) -> Sweep {
         figures
     });
     sweep
-}
-
-/// Fig. 8a / 8b: mitigated-training success-rate heatmaps (transient faults)
-/// and stuck-at sweeps, for tabular and NN policies.
-pub fn mitigated_training_heatmaps(scale: Scale) -> Vec<FigureData> {
-    sweep(scale).collect(scale.threads())
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ use std::sync::Arc;
 use navft_fault::{FaultKind, FaultSite, FaultTarget, InjectionSchedule, Injector};
 use navft_gridworld::ObstacleDensity;
 use navft_mitigation::ExplorationAdjuster;
+use navft_nn::EngineConfig;
 use navft_qformat::QFormat;
 use navft_rl::{episodes_to_converge, FaultPlan};
 use rand::rngs::SmallRng;
@@ -41,6 +42,7 @@ fn run_mitigated(
     ber: f64,
     params: &GridParams,
     seed: u64,
+    engine: EngineConfig,
 ) -> Vec<f64> {
     let mut extended = params.clone();
     extended.training_episodes = params.training_episodes * 2;
@@ -78,6 +80,7 @@ fn run_mitigated(
         &plan,
         seed ^ 0xF19,
         |episode, trace, epsilon| adjuster.observe(episode, trace, epsilon),
+        engine,
     );
 
     let post_fault =
@@ -116,8 +119,8 @@ pub fn sweep(scale: Scale) -> Sweep {
                     .with_label("fault", fault_kind.to_string())
                     .with_label("ber", ber.to_string());
                 let params = Arc::clone(&params);
-                sweep.cell_metrics(spec, move |seed, _rep, _cfg| {
-                    run_mitigated(kind, fault_kind, ber, &params, seed)
+                sweep.cell_metrics(spec, move |seed, _rep, cfg| {
+                    run_mitigated(kind, fault_kind, ber, &params, seed, cfg)
                 });
             }
         }
@@ -171,13 +174,6 @@ pub fn sweep(scale: Scale) -> Sweep {
     sweep
 }
 
-/// Fig. 9a/9b/9c: exploration ratio and episodes-to-steady-exploitation vs
-/// BER per fault kind (tabular and NN), plus the recovery-time vs
-/// exploration-ratio trade-off.
-pub fn exploration_adjustment_analysis(scale: Scale) -> Vec<FigureData> {
-    sweep(scale).collect(scale.threads())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,7 +181,9 @@ mod tests {
     #[test]
     fn one_trial_yields_all_three_observables() {
         let params = Scale::Smoke.grid();
-        let metrics = run_mitigated(PolicyKind::Tabular, FaultKind::BitFlip, 0.005, &params, 0x99);
+        let engine = EngineConfig::default();
+        let metrics =
+            run_mitigated(PolicyKind::Tabular, FaultKind::BitFlip, 0.005, &params, 0x99, engine);
         assert_eq!(metrics.len(), 3);
         assert!(metrics[PEAK_EXPLORATION] >= 0.0 && metrics[PEAK_EXPLORATION] <= 100.0);
         assert!(metrics[EPISODES_TO_STEADY] >= 0.0);

@@ -2,11 +2,12 @@
 //!
 //! Every driver declares its figure as a [`Sweep`]: a set of campaign cells
 //! (stable id, axis labels, repetitions, trial closure) plus a fold from the
-//! per-cell summaries to [`FigureData`]. The `figures` binary in
-//! `navft-bench` executes all requested sweeps on one shared work-stealing
-//! scheduler ([`crate::sweep::run_sweeps`]) with resumable JSONL artifacts;
-//! the imperative `fn(Scale) -> Vec<FigureData>` entry points remain as thin
-//! wrappers ([`Sweep::collect`]) for tests and benches.
+//! per-cell summaries to [`crate::FigureData`]. [`sweep_builders`] is the
+//! one registry. The `figures` binary in `navft-bench` executes all
+//! requested sweeps on one shared work-stealing scheduler
+//! ([`crate::sweep::run_sweeps`]) with resumable JSONL artifacts; to run one
+//! figure standalone, collect its sweep
+//! (`fig5::sweep(scale).collect(scale.threads())`, see [`Sweep::collect`]).
 
 pub mod ablation;
 pub mod fig10;
@@ -19,7 +20,7 @@ pub mod fig8;
 pub mod fig9;
 
 use crate::sweep::Sweep;
-use crate::{FigureData, Scale};
+use crate::Scale;
 
 /// Formats a bit error rate the way the paper labels its axes.
 pub(crate) fn ber_label(ber: f64) -> String {
@@ -31,9 +32,6 @@ pub(crate) fn ber_label(ber: f64) -> String {
         format!("{ber:.0e}")
     }
 }
-
-/// A figure-reproduction driver: maps a campaign scale to figure data.
-pub type FigureDriver = fn(Scale) -> Vec<FigureData>;
 
 /// A sweep builder: maps a campaign scale to the figure's declarative sweep.
 pub type SweepBuilder = fn(Scale) -> Sweep;
@@ -67,31 +65,6 @@ pub fn all_sweeps(scale: Scale) -> Vec<Sweep> {
     sweep_builders().into_iter().map(|(_, build)| build(scale)).collect()
 }
 
-/// Every figure driver, keyed by figure id, at the given scale.
-///
-/// Each driver runs its figure's sweep standalone (no artifacts); prefer
-/// [`all_sweeps`] + [`crate::sweep::run_sweeps`] to execute several figures
-/// on one shared scheduler.
-pub fn all_figures(scale: Scale) -> Vec<(&'static str, FigureDriver)> {
-    let _ = scale;
-    vec![
-        ("fig2", fig2::training_fault_heatmaps as FigureDriver),
-        ("fig2hist", fig2::value_histograms),
-        ("fig3", fig3::cumulative_return_curves),
-        ("fig4", fig4::convergence_analysis),
-        ("fig5", fig5::grid_inference_sensitivity),
-        ("fig7a", fig7::drone_training_faults),
-        ("fig7b", fig7::drone_environment_sensitivity),
-        ("fig7c", fig7::drone_fault_location_sensitivity),
-        ("fig7d", fig7::drone_layer_sensitivity),
-        ("fig7e", fig7::drone_data_type_sensitivity),
-        ("fig8", fig8::mitigated_training_heatmaps),
-        ("fig9", fig9::exploration_adjustment_analysis),
-        ("fig10", fig10::anomaly_detection_effectiveness),
-        ("ablation", ablation::ablations),
-    ]
-}
-
 /// The list of valid figure identifiers.
 pub fn figure_ids() -> Vec<&'static str> {
     sweep_builders().into_iter().map(|(id, _)| id).collect()
@@ -119,14 +92,6 @@ mod tests {
         ] {
             assert!(ids.contains(&expected), "missing {expected}");
         }
-    }
-
-    #[test]
-    fn sweep_and_driver_indexes_agree() {
-        let sweep_ids: Vec<&str> = sweep_builders().into_iter().map(|(id, _)| id).collect();
-        let driver_ids: Vec<&str> =
-            all_figures(Scale::Smoke).into_iter().map(|(id, _)| id).collect();
-        assert_eq!(sweep_ids, driver_ids);
     }
 
     #[test]

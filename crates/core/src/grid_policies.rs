@@ -83,26 +83,11 @@ fn eval_batch_width(params: &GridParams) -> usize {
 /// trace, the trained agent and its final fault-free success rate.
 ///
 /// `observer` is the per-episode mitigation hook (use
-/// [`navft_rl::trainer::no_mitigation`] for unmitigated training).
+/// [`navft_rl::trainer::no_mitigation`] for unmitigated training). `engine`
+/// runs the final policy evaluation, a vectorized rollout
+/// ([`navft_rl::evaluate_policy_discrete_batched`]) whose result is the same
+/// at any config.
 pub fn train_grid_policy<O>(
-    kind: PolicyKind,
-    density: ObstacleDensity,
-    params: &GridParams,
-    plan: &FaultPlan,
-    seed: u64,
-    observer: O,
-) -> GridTrainingRun
-where
-    O: FnMut(usize, &TrainingTrace, &mut EpsilonSchedule),
-{
-    train_grid_policy_cfg(kind, density, params, plan, seed, observer, EngineConfig::default())
-}
-
-/// [`train_grid_policy`] with an explicit inference [`EngineConfig`] for the
-/// final policy evaluation, which runs as a vectorized rollout
-/// ([`navft_rl::evaluate_policy_discrete_batched`]). The result is bit-identical
-/// to the serial evaluator at any config.
-pub fn train_grid_policy_cfg<O>(
     kind: PolicyKind,
     density: ObstacleDensity,
     params: &GridParams,
@@ -182,54 +167,25 @@ where
 }
 
 /// Trains a *clean* (fault-free) policy — the starting point of every
-/// inference-time experiment.
+/// inference-time experiment. `engine` runs the final policy evaluation.
 pub fn train_clean_policy(
-    kind: PolicyKind,
-    density: ObstacleDensity,
-    params: &GridParams,
-    seed: u64,
-) -> GridTrainingRun {
-    train_clean_policy_cfg(kind, density, params, seed, EngineConfig::default())
-}
-
-/// [`train_clean_policy`] with an explicit inference [`EngineConfig`] for the
-/// final policy evaluation.
-pub fn train_clean_policy_cfg(
     kind: PolicyKind,
     density: ObstacleDensity,
     params: &GridParams,
     seed: u64,
     engine: EngineConfig,
 ) -> GridTrainingRun {
-    train_grid_policy_cfg(
-        kind,
-        density,
-        params,
-        &FaultPlan::none(),
-        seed,
-        trainer::no_mitigation(),
-        engine,
-    )
+    let observer = trainer::no_mitigation();
+    train_grid_policy(kind, density, params, &FaultPlan::none(), seed, observer, engine)
 }
 
 /// Evaluates a trained run's policy under an inference fault mode.
-pub fn evaluate_grid_policy(
-    run: &GridTrainingRun,
-    density: ObstacleDensity,
-    params: &GridParams,
-    fault: &InferenceFaultMode,
-    seed: u64,
-) -> EvalResult {
-    evaluate_grid_policy_cfg(run, density, params, fault, seed, EngineConfig::default())
-}
-
-/// [`evaluate_grid_policy`] with an explicit inference [`EngineConfig`].
 ///
 /// Network policies are evaluated as a vectorized rollout: the episode
 /// repetitions become batch rows of a [`DummyVecEnv`], so every decision step
-/// is one [`navft_nn::NetworkBase::forward_batch_into_cfg`] sweep. The result
-/// is bit-identical to the serial evaluator at any batch width or config.
-pub fn evaluate_grid_policy_cfg(
+/// is one [`navft_nn::NetworkBase::forward_batch_into_cfg`] sweep under
+/// `engine`. The result is the same at any batch width or config.
+pub fn evaluate_grid_policy(
     run: &GridTrainingRun,
     density: ObstacleDensity,
     params: &GridParams,
@@ -284,7 +240,13 @@ mod tests {
     #[test]
     fn tabular_smoke_training_produces_a_trace_and_policy() {
         let params = Scale::Smoke.grid();
-        let run = train_clean_policy(PolicyKind::Tabular, ObstacleDensity::Low, &params, 1);
+        let run = train_clean_policy(
+            PolicyKind::Tabular,
+            ObstacleDensity::Low,
+            &params,
+            1,
+            EngineConfig::default(),
+        );
         assert_eq!(run.trace.len(), params.training_episodes);
         assert!(run.tabular.is_some());
         assert!((0.0..=1.0).contains(&run.final_success_rate));
@@ -295,14 +257,26 @@ mod tests {
     #[ignore = "expensive: full-length Grid World training (run with --ignored)"]
     fn tabular_quick_training_converges() {
         let params = Scale::Quick.grid();
-        let run = train_clean_policy(PolicyKind::Tabular, ObstacleDensity::Middle, &params, 1);
+        let run = train_clean_policy(
+            PolicyKind::Tabular,
+            ObstacleDensity::Middle,
+            &params,
+            1,
+            EngineConfig::default(),
+        );
         assert!(run.final_success_rate > 0.9, "success {}", run.final_success_rate);
     }
 
     #[test]
     fn network_smoke_training_produces_a_policy() {
         let params = Scale::Smoke.grid();
-        let run = train_clean_policy(PolicyKind::Network, ObstacleDensity::Low, &params, 2);
+        let run = train_clean_policy(
+            PolicyKind::Network,
+            ObstacleDensity::Low,
+            &params,
+            2,
+            EngineConfig::default(),
+        );
         assert!(run.network.is_some());
         assert!(policy_word_count(&run) > 1000);
     }

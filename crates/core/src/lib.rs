@@ -19,8 +19,8 @@
 //!   work-stealing scheduler with resumable JSONL artifacts
 //!   ([`sweep::run_sweeps`]).
 //! * [`experiments`] — one sweep builder per figure of the paper's
-//!   evaluation (Fig. 2 through Fig. 10) plus ablations; see
-//!   [`experiments::all_sweeps`] and [`experiments::all_figures`].
+//!   evaluation (Fig. 2 through Fig. 10) plus ablations, registered in
+//!   [`experiments::sweep_builders`]; see [`experiments::all_sweeps`].
 //!
 //! # Examples
 //!
@@ -29,7 +29,8 @@
 //! ```no_run
 //! use navft_core::{experiments, Scale};
 //!
-//! for figure in experiments::fig5::grid_inference_sensitivity(Scale::Smoke) {
+//! let scale = Scale::Smoke;
+//! for figure in experiments::fig5::sweep(scale).collect(scale.threads()) {
 //!     println!("{figure}");
 //! }
 //! ```

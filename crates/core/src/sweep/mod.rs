@@ -48,7 +48,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
-use navft_fault::campaign::{run_cells_with, summarize_metrics, CellPlan, Summary};
+use navft_fault::campaign::{run_cells, summarize_metrics, CellPlan, Summary};
 use navft_nn::EngineConfig;
 
 use crate::{FigureData, Scale};
@@ -214,8 +214,8 @@ impl Sweep {
     }
 
     /// Runs this sweep alone on `threads` workers (no artifacts, no resume)
-    /// and returns its figures. The imperative drivers in
-    /// [`crate::experiments`] are thin wrappers over this.
+    /// and returns its figures — how tests and examples run one figure
+    /// standalone.
     pub fn collect(self, threads: usize) -> Vec<FigureData> {
         let options = RunOptions::new(threads);
         let report = run_sweeps(vec![self], &options).expect("in-memory run cannot fail on IO");
@@ -526,7 +526,7 @@ pub fn run_sweeps(sweeps: Vec<Sweep>, options: &RunOptions) -> std::io::Result<R
                 );
             }
         };
-        run_cells_with(&plans, options.threads.max(1), options.engine, trial, on_cell_done);
+        run_cells(&plans, options.threads.max(1), options.engine, trial, on_cell_done);
     }
     if options.progress && executed_cells > 0 {
         eprintln!();

@@ -187,15 +187,9 @@ impl DqnAgent {
         self.online.forward(state)
     }
 
-    /// The greedy action for `state`.
-    pub fn greedy_action(&self, state: &Tensor) -> usize {
-        self.q_values(state).argmax()
-    }
-
     /// The greedy action for `state`, evaluated through a caller-provided
-    /// [`Scratch`] — the zero-allocation form of [`DqnAgent::greedy_action`]
-    /// used by episode loops.
-    pub fn greedy_action_scratch(&self, state: &Tensor, scratch: &mut Scratch) -> usize {
+    /// [`Scratch`] so episode loops allocate nothing per step.
+    pub fn greedy_action(&self, state: &Tensor, scratch: &mut Scratch) -> usize {
         self.online.forward_batch_into_cfg(
             &[state],
             scratch,
@@ -205,19 +199,9 @@ impl DqnAgent {
         argmax(scratch.row(0))
     }
 
-    /// Chooses an action ε-greedily.
-    pub fn act<R: Rng + ?Sized>(&self, state: &Tensor, rng: &mut R) -> usize {
-        if rng.gen_bool(self.epsilon.epsilon().clamp(0.0, 1.0)) {
-            rng.gen_range(0..self.num_actions())
-        } else {
-            self.greedy_action(state)
-        }
-    }
-
     /// Chooses an action ε-greedily, evaluating the greedy branch through a
-    /// caller-provided [`Scratch`]. Behaviour (including RNG consumption) is
-    /// identical to [`DqnAgent::act`]; only the allocation profile differs.
-    pub fn act_scratch<R: Rng + ?Sized>(
+    /// caller-provided [`Scratch`].
+    pub fn act<R: Rng + ?Sized>(
         &self,
         state: &Tensor,
         rng: &mut R,
@@ -226,40 +210,7 @@ impl DqnAgent {
         if rng.gen_bool(self.epsilon.epsilon().clamp(0.0, 1.0)) {
             rng.gen_range(0..self.num_actions())
         } else {
-            self.greedy_action_scratch(state, scratch)
-        }
-    }
-
-    /// Chooses ε-greedy actions for a whole batch of states, evaluating the
-    /// greedy branch of every row with **one** batched sweep of the online
-    /// network — the selection path of the vectorized trainers.
-    ///
-    /// The greedy sweep consumes no randomness, so the RNG draws happen per
-    /// row in row order, each exactly the draw sequence of
-    /// [`DqnAgent::act_scratch`]; at batch width 1 this selector is bit- and
-    /// RNG-identical to the serial one.
-    pub fn act_batch<R: Rng + ?Sized>(
-        &self,
-        states: &[Tensor],
-        rng: &mut R,
-        scratch: &mut Scratch,
-        config: EngineConfig,
-        actions: &mut Vec<usize>,
-    ) {
-        actions.clear();
-        if states.is_empty() {
-            return;
-        }
-        self.online.forward_batch_into_cfg(states, scratch, &mut NoHooks, config);
-        let epsilon = self.epsilon.epsilon().clamp(0.0, 1.0);
-        let num_actions = self.num_actions();
-        for row in 0..states.len() {
-            let action = if rng.gen_bool(epsilon) {
-                rng.gen_range(0..num_actions)
-            } else {
-                argmax(scratch.row(row))
-            };
-            actions.push(action);
+            self.greedy_action(state, scratch)
         }
     }
 
@@ -458,7 +409,7 @@ mod tests {
     fn greedy_action_matches_argmax_of_q_values() {
         let a = agent(1);
         let state = Tensor::from_vec(&[4], vec![1.0, 0.0, 0.0, 0.0]);
-        assert_eq!(a.greedy_action(&state), a.q_values(&state).argmax());
+        assert_eq!(a.greedy_action(&state, &mut Scratch::new()), a.q_values(&state).argmax());
     }
 
     #[test]
@@ -467,46 +418,11 @@ mod tests {
         a.epsilon = EpsilonSchedule::new(0.0, 0.0, 1.0);
         let state = Tensor::from_vec(&[4], vec![0.5, 0.5, 0.0, 0.0]);
         let mut rng = SmallRng::seed_from_u64(3);
+        let mut scratch = Scratch::new();
+        let greedy = a.greedy_action(&state, &mut Scratch::new());
         for _ in 0..10 {
-            assert_eq!(a.act(&state, &mut rng), a.greedy_action(&state));
+            assert_eq!(a.act(&state, &mut rng, &mut scratch), greedy);
         }
-    }
-
-    #[test]
-    fn act_batch_at_width_one_is_rng_identical_to_the_serial_selector() {
-        let a = agent(9);
-        let state = Tensor::from_vec(&[4], vec![0.3, 0.1, 0.4, 0.2]);
-        let mut serial_rng = SmallRng::seed_from_u64(11);
-        let mut batch_rng = SmallRng::seed_from_u64(11);
-        let mut scratch = Scratch::new();
-        let mut batch_scratch = Scratch::new();
-        let mut actions = Vec::new();
-        for _ in 0..50 {
-            let serial = a.act_scratch(&state, &mut serial_rng, &mut scratch);
-            a.act_batch(
-                std::slice::from_ref(&state),
-                &mut batch_rng,
-                &mut batch_scratch,
-                EngineConfig::default(),
-                &mut actions,
-            );
-            assert_eq!(actions, vec![serial]);
-        }
-    }
-
-    #[test]
-    fn act_batch_with_zero_epsilon_matches_per_row_greedy_actions() {
-        let mut a = agent(10);
-        a.epsilon = EpsilonSchedule::new(0.0, 0.0, 1.0);
-        let states: Vec<Tensor> = (0..7)
-            .map(|i| Tensor::from_vec(&[4], vec![i as f32 * 0.1, 0.5, 0.25, 1.0 - i as f32 * 0.1]))
-            .collect();
-        let mut rng = SmallRng::seed_from_u64(12);
-        let mut scratch = Scratch::new();
-        let mut actions = Vec::new();
-        a.act_batch(&states, &mut rng, &mut scratch, EngineConfig::default(), &mut actions);
-        let expected: Vec<usize> = states.iter().map(|s| a.greedy_action(s)).collect();
-        assert_eq!(actions, expected);
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Inference-time evaluation of trained policies under fault injection —
-//! one generic evaluator per task shape, instantiated for every numeric
-//! backend.
+//! Inference-time fault modes and the backend glue the policy evaluators
+//! share.
 //!
 //! §4.1.2 and §4.2.2 of the paper evaluate trained policies while faults
 //! corrupt the policy storage. Three inference fault modes matter:
@@ -12,21 +11,25 @@
 //! * **Permanent** — stuck-at bits: the corrupted words are in effect for the
 //!   entire episode.
 //!
-//! The evaluators are generic over the policy's [`Element`] type:
-//! [`evaluate_policy_discrete`] / [`evaluate_policy_vision`] /
-//! [`corrupt_policy_weights`] run the `f32` backend and the native raw-word
-//! backend through the *same* episode loops, with the [`EvalElement`] glue
-//! supplying what differs (how observations encode into the policy's storage
-//! type). [`corrupt_network_weights`] remains as the `f32` spelling of
-//! [`corrupt_policy_weights`].
+//! Network policies are evaluated by the batched rollout of
+//! [`mod@crate::rollout`] ([`crate::evaluate_policy_discrete_batched`],
+//! [`crate::evaluate_policy_vision_batched`],
+//! [`crate::evaluate_policy_vision_hooked_batched`]), generic over the
+//! policy's [`Element`] type. This module holds what those evaluators build
+//! on: the [`InferenceFaultMode`]s, the [`EvalElement`] glue (how
+//! observations encode into the policy's storage type) and
+//! [`corrupt_policy_weights`], with [`corrupt_network_weights`] as its `f32`
+//! spelling. Tabular policies are evaluated by [`evaluate_tabular`], and
+//! [`trace_policy_discrete`] records one greedy episode's actions as the
+//! library-side reference for served traces.
 
 use rand::Rng;
 
 use navft_fault::{Injector, StoredWord};
-use navft_nn::{argmax, Element, EngineConfig, ForwardHooks, NetworkBase, NoHooks, Scratch};
+use navft_nn::{argmax, Element, EngineConfig, ForwardHooks, NetworkBase, Scratch};
 use navft_nn::{Network, QNetwork, TensorBase};
 
-use crate::{one_hot_into, DiscreteEnvironment, EvalResult, QTable, VisionEnvironment};
+use crate::{one_hot_into, DiscreteEnvironment, EvalResult, QTable};
 
 /// How inference-time faults afflict the policy storage during evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +76,7 @@ impl InferenceFaultMode {
 
 /// Backend glue the generic evaluators need on top of [`Element`]: how task
 /// observations become the policy's input storage. Implemented for `f32`
-/// (identity copies), `i32` (quantization into the policy's format) and `i8`
+/// (bitwise copies), `i32` (quantization into the policy's format) and `i8`
 /// (quantization onto the policy's affine grid).
 pub trait EvalElement: Element + StoredWord {
     /// A zeroed input buffer of `shape` compatible with `network`.
@@ -83,18 +86,9 @@ pub trait EvalElement: Element + StoredWord {
     /// the backend's representation).
     fn one_hot(state: usize, buf: &mut TensorBase<Self>);
 
-    /// Presents an `f32` observation as this backend's input: the identity
-    /// borrow for `f32` (no copy on the hot path), a requantization into
-    /// `buf` for raw words.
-    fn encode<'a>(
-        observation: &'a navft_nn::Tensor,
-        buf: &'a mut TensorBase<Self>,
-    ) -> &'a TensorBase<Self>;
-
-    /// Writes an `f32` observation into `buf` unconditionally — the owned
-    /// form of [`EvalElement::encode`] the vectorized rollout uses, where
-    /// every batch row needs its own input buffer. For `f32` this is a
-    /// bitwise copy, so batched inputs equal the serial borrow bit for bit.
+    /// Writes an `f32` observation into `buf` as this backend's input: a
+    /// bitwise copy for `f32`, a quantization for raw words. The vectorized
+    /// rollout calls it once per observation, as the observation arrives.
     fn encode_into(observation: &navft_nn::Tensor, buf: &mut TensorBase<Self>);
 }
 
@@ -106,13 +100,6 @@ impl EvalElement for f32 {
     fn one_hot(state: usize, buf: &mut navft_nn::Tensor) {
         let num_states = buf.len();
         one_hot_into(state, num_states, buf);
-    }
-
-    fn encode<'a>(
-        observation: &'a navft_nn::Tensor,
-        _buf: &'a mut navft_nn::Tensor,
-    ) -> &'a navft_nn::Tensor {
-        observation
     }
 
     fn encode_into(observation: &navft_nn::Tensor, buf: &mut navft_nn::Tensor) {
@@ -131,14 +118,6 @@ impl EvalElement for i32 {
         buf.words_mut()[state] = one;
     }
 
-    fn encode<'a>(
-        observation: &'a navft_nn::Tensor,
-        buf: &'a mut navft_nn::QTensor,
-    ) -> &'a navft_nn::QTensor {
-        buf.quantize_from(observation);
-        buf
-    }
-
     fn encode_into(observation: &navft_nn::Tensor, buf: &mut navft_nn::QTensor) {
         buf.quantize_from(observation);
     }
@@ -153,14 +132,6 @@ impl EvalElement for i8 {
         let one = buf.affine().quantize(1.0);
         buf.words_mut().fill(0);
         buf.words_mut()[state] = one;
-    }
-
-    fn encode<'a>(
-        observation: &'a navft_nn::Tensor,
-        buf: &'a mut navft_nn::I8Tensor,
-    ) -> &'a navft_nn::I8Tensor {
-        buf.quantize_from(observation);
-        buf
     }
 
     fn encode_into(observation: &navft_nn::Tensor, buf: &mut navft_nn::I8Tensor) {
@@ -249,150 +220,15 @@ pub fn corrupt_network_weights(network: &Network, fault: &InferenceFaultMode) ->
     corrupt_policy_weights(network, fault)
 }
 
-/// Evaluates a policy of any backend on a discrete environment (one-hot
-/// inputs) under the given inference fault mode applied to the policy's
-/// weight storage.
-///
-/// One scratch and one encoding buffer serve every episode: the per-step
-/// forward passes of the whole evaluation allocate nothing once warm, on
-/// either backend.
-pub fn evaluate_policy_discrete<W, E, R>(
-    env: &mut E,
-    network: &NetworkBase<W>,
-    episodes: usize,
-    max_steps: usize,
-    fault: &InferenceFaultMode,
-    rng: &mut R,
-) -> EvalResult
-where
-    W: EvalElement,
-    E: DiscreteEnvironment,
-    R: Rng + ?Sized,
-{
-    let corrupted = corrupt_policy_weights(network, fault);
-    let num_states = env.num_states();
-
-    // Serial reference path: one row per pass under the default engine
-    // config.
-    let engine = EngineConfig::default();
-    let mut scratch = Scratch::new();
-    let mut encoded = W::input_buffer(&[num_states], network);
-
-    let mut successes = 0usize;
-    let mut total_reward = 0.0f64;
-    for _ in 0..episodes {
-        let onset = if max_steps > 0 { rng.gen_range(0..max_steps) } else { 0 };
-        let mut state = env.reset();
-        for step in 0..max_steps {
-            let active = if fault.faulty_at(step, onset) { &corrupted } else { network };
-            W::one_hot(state, &mut encoded);
-            active.forward_batch_into_cfg(&[&encoded], &mut scratch, &mut NoHooks, engine);
-            let action = argmax(scratch.row(0));
-            let transition = env.step(action);
-            total_reward += f64::from(transition.reward);
-            state = transition.next_state;
-            if transition.terminal {
-                if transition.reached_goal {
-                    successes += 1;
-                }
-                break;
-            }
-        }
-    }
-    EvalResult {
-        success_rate: successes as f64 / episodes.max(1) as f64,
-        mean_reward: total_reward / episodes.max(1) as f64,
-        mean_distance: 0.0,
-        episodes,
-    }
-}
-
-/// Evaluates a policy of any backend on a vision environment (the drone
-/// task) under the given weight fault mode, reporting Mean Safe Flight in
-/// [`EvalResult::mean_distance`].
-pub fn evaluate_policy_vision<W, E, R>(
-    env: &mut E,
-    network: &NetworkBase<W>,
-    episodes: usize,
-    max_steps: usize,
-    fault: &InferenceFaultMode,
-    rng: &mut R,
-) -> EvalResult
-where
-    W: EvalElement,
-    E: VisionEnvironment,
-    R: Rng + ?Sized,
-{
-    evaluate_policy_vision_hooked(env, network, episodes, max_steps, fault, rng, |_| NoHooks)
-}
-
-/// Like [`evaluate_policy_vision`], but additionally attaches per-episode
-/// hooks built by `make_hooks` — the mechanism used to inject dynamic faults
-/// into input and activation buffers (Fig. 7c) and to run the range-based
-/// anomaly detector during inference (Fig. 10). Hooks observe whichever
-/// representation the backend stores (`f32` values or live raw words).
-pub fn evaluate_policy_vision_hooked<W, E, R, H, F>(
-    env: &mut E,
-    network: &NetworkBase<W>,
-    episodes: usize,
-    max_steps: usize,
-    fault: &InferenceFaultMode,
-    rng: &mut R,
-    mut make_hooks: F,
-) -> EvalResult
-where
-    W: EvalElement,
-    E: VisionEnvironment,
-    R: Rng + ?Sized,
-    H: ForwardHooks<W>,
-    F: FnMut(usize) -> H,
-{
-    let corrupted = corrupt_policy_weights(network, fault);
-
-    // One scratch and one input buffer serve every episode, under an
-    // explicit default engine config.
-    let engine = EngineConfig::default();
-    let mut scratch = Scratch::new();
-    let shape = env.observation_shape();
-    let mut encoded = W::input_buffer(&shape, network);
-
-    let mut total_reward = 0.0f64;
-    let mut total_distance = 0.0f64;
-    for episode in 0..episodes {
-        let onset = if max_steps > 0 { rng.gen_range(0..max_steps) } else { 0 };
-        let mut hooks = make_hooks(episode);
-        let mut observation = env.reset();
-        for step in 0..max_steps {
-            let active = if fault.faulty_at(step, onset) { &corrupted } else { network };
-            let input = W::encode(&observation, &mut encoded);
-            active.forward_batch_into_cfg(&[input], &mut scratch, &mut hooks, engine);
-            let action = argmax(scratch.row(0));
-            let transition = env.step(action);
-            total_reward += f64::from(transition.reward);
-            total_distance += f64::from(transition.distance);
-            observation = transition.observation;
-            if transition.terminal {
-                break;
-            }
-        }
-    }
-    EvalResult {
-        success_rate: 0.0,
-        mean_reward: total_reward / episodes.max(1) as f64,
-        mean_distance: total_distance / episodes.max(1) as f64,
-        episodes,
-    }
-}
-
 /// Runs one greedy episode of a discrete environment under `network`,
 /// applying `hooks` to every forward pass, and returns the action taken at
 /// each step — the library-side reference trace that served-vs-library
 /// determinism checks compare against bit-for-bit.
 ///
-/// The loop is the exact per-step path of [`evaluate_policy_discrete`]: one
-/// scratch and one encoding buffer, `W::one_hot` encoding, argmax over the
-/// final layer. The episode ends at the first terminal transition or after
-/// `max_steps` steps.
+/// One scratch and one encoding buffer serve the episode: `W::one_hot`
+/// encoding, one forward pass per step, argmax over the final layer. The
+/// episode ends at the first terminal transition or after `max_steps`
+/// steps.
 pub fn trace_policy_discrete<W, E, H>(
     env: &mut E,
     network: &NetworkBase<W>,
@@ -423,53 +259,25 @@ where
     trace
 }
 
-/// [`trace_policy_discrete`] for vision environments: one greedy episode of
-/// `env` under `network` with `hooks` applied per forward pass, returning
-/// the per-step action trace.
-pub fn trace_policy_vision<W, E, H>(
-    env: &mut E,
-    network: &NetworkBase<W>,
-    max_steps: usize,
-    hooks: &mut H,
-) -> Vec<usize>
-where
-    W: EvalElement,
-    E: VisionEnvironment,
-    H: ForwardHooks<W>,
-{
-    let engine = EngineConfig::default();
-    let mut scratch = Scratch::new();
-    let mut encoded = W::input_buffer(&env.observation_shape(), network);
-    let mut trace = Vec::new();
-    let mut observation = env.reset();
-    for _ in 0..max_steps {
-        let input = W::encode(&observation, &mut encoded);
-        network.forward_batch_into_cfg(&[input], &mut scratch, hooks, engine);
-        let action = argmax(scratch.row(0));
-        trace.push(action);
-        let transition = env.step(action);
-        observation = transition.observation;
-        if transition.terminal {
-            break;
-        }
-    }
-    trace
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::{DiscreteTransition, VisionTransition};
+    use crate::{
+        evaluate_policy_discrete_batched, evaluate_policy_vision_batched,
+        evaluate_policy_vision_hooked_batched, DiscreteTransition, DummyVecEnv, DummyVisionVecEnv,
+        VisionEnvironment, VisionTransition,
+    };
     use navft_fault::{BitFault, FaultKind, FaultMap, FaultSite, FaultTarget};
-    use navft_nn::{mlp, Tensor};
+    use navft_nn::{mlp, NoHooks, Tensor};
     use navft_qformat::QFormat;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     /// Three states in a row; the goal is state 2. Action 0 moves right,
     /// action 1 moves left (state 0 is a terminal pit).
-    struct Line {
-        position: usize,
+    #[derive(Clone)]
+    pub(crate) struct Line {
+        pub(crate) position: usize,
     }
 
     impl DiscreteEnvironment for Line {
@@ -504,6 +312,35 @@ mod tests {
                 reached_goal,
             }
         }
+    }
+
+    /// Evaluates `network` on clones of `Line` through the batched rollout.
+    fn evaluate_line<W: EvalElement>(
+        network: &NetworkBase<W>,
+        episodes: usize,
+        max_steps: usize,
+        rng: &mut SmallRng,
+    ) -> EvalResult {
+        let mut venv = DummyVecEnv::from_prototype(&Line { position: 1 }, 4);
+        let fault = InferenceFaultMode::None;
+        let engine = EngineConfig::default();
+        evaluate_policy_discrete_batched(
+            &mut venv, network, episodes, max_steps, &fault, rng, engine,
+        )
+    }
+
+    /// Evaluates `network` on clones of `StraightHall` through the batched
+    /// rollout.
+    fn evaluate_hall<W: EvalElement>(
+        network: &NetworkBase<W>,
+        episodes: usize,
+        max_steps: usize,
+        rng: &mut SmallRng,
+    ) -> EvalResult {
+        let mut venv = DummyVisionVecEnv::from_prototype(&StraightHall { remaining: 5 }, 4);
+        let fault = InferenceFaultMode::None;
+        let engine = EngineConfig::default();
+        evaluate_policy_vision_batched(&mut venv, network, episodes, max_steps, &fault, rng, engine)
     }
 
     fn good_table() -> QTable {
@@ -576,22 +413,21 @@ mod tests {
 
     #[test]
     fn network_discrete_evaluation_runs_and_is_clean_without_faults() {
-        let mut env = Line { position: 1 };
         let mut rng = SmallRng::seed_from_u64(4);
         // Hand-craft a network that always prefers action 0 (weights favour output 0).
         let mut net = mlp(&[3, 2], &mut rng);
         net.layer_weights_mut(0)
             .expect("weights")
             .copy_from_slice(&[1.0, 1.0, 1.0, -1.0, -1.0, -1.0]);
-        let result =
-            evaluate_policy_discrete(&mut env, &net, 20, 10, &InferenceFaultMode::None, &mut rng);
+        let result = evaluate_line(&net, 20, 10, &mut rng);
         assert_eq!(result.success_rate, 1.0);
     }
 
     /// A vision environment whose observation is constant; flying straight
     /// (action 0) covers distance 1 per step for 5 steps.
-    struct StraightHall {
-        remaining: usize,
+    #[derive(Clone)]
+    pub(crate) struct StraightHall {
+        pub(crate) remaining: usize,
     }
 
     impl VisionEnvironment for StraightHall {
@@ -619,14 +455,12 @@ mod tests {
 
     #[test]
     fn vision_evaluation_reports_mean_distance() {
-        let mut env = StraightHall { remaining: 5 };
         let mut rng = SmallRng::seed_from_u64(5);
         let mut net = mlp(&[4, 2], &mut rng);
         net.layer_weights_mut(0).expect("weights").copy_from_slice(
             &[1.0; 4].iter().chain([-1.0f32; 4].iter()).copied().collect::<Vec<f32>>(),
         );
-        let result =
-            evaluate_policy_vision(&mut env, &net, 4, 10, &InferenceFaultMode::None, &mut rng);
+        let result = evaluate_hall(&net, 4, 10, &mut rng);
         assert_eq!(result.mean_distance, 5.0);
         assert_eq!(result.episodes, 4);
     }
@@ -641,22 +475,22 @@ mod tests {
                 }
             }
         }
-        let mut env = StraightHall { remaining: 5 };
         let mut rng = SmallRng::seed_from_u64(6);
         let mut net = mlp(&[4, 2], &mut rng);
         net.layer_weights_mut(0).expect("weights").copy_from_slice(
             &[1.0; 4].iter().chain([-1.0f32; 4].iter()).copied().collect::<Vec<f32>>(),
         );
-        let clean =
-            evaluate_policy_vision(&mut env, &net, 4, 10, &InferenceFaultMode::None, &mut rng);
-        let corrupted = evaluate_policy_vision_hooked(
-            &mut env,
+        let clean = evaluate_hall(&net, 4, 10, &mut rng);
+        let mut venv = DummyVisionVecEnv::from_prototype(&StraightHall { remaining: 5 }, 4);
+        let corrupted = evaluate_policy_vision_hooked_batched(
+            &mut venv,
             &net,
             4,
             10,
             &InferenceFaultMode::None,
             &mut rng,
             |_| Negate,
+            EngineConfig::default(),
         );
         assert!(corrupted.mean_distance < clean.mean_distance);
     }
@@ -669,15 +503,7 @@ mod tests {
             .expect("weights")
             .copy_from_slice(&[1.0, 1.0, 1.0, -1.0, -1.0, -1.0]);
         let qnet = net.to_quantized(QFormat::Q3_4);
-        let mut env = Line { position: 1 };
-        let result = evaluate_policy_discrete(
-            &mut env,
-            &qnet,
-            20,
-            10,
-            &InferenceFaultMode::None,
-            &mut SmallRng::seed_from_u64(9),
-        );
+        let result = evaluate_line(&qnet, 20, 10, &mut SmallRng::seed_from_u64(9));
         assert_eq!(result.success_rate, 1.0);
     }
 
@@ -689,15 +515,7 @@ mod tests {
             .expect("weights")
             .copy_from_slice(&[1.0, 1.0, 1.0, -1.0, -1.0, -1.0]);
         let inet = navft_nn::I8Network::quantize(&net);
-        let mut env = Line { position: 1 };
-        let result = evaluate_policy_discrete(
-            &mut env,
-            &inet,
-            20,
-            10,
-            &InferenceFaultMode::None,
-            &mut SmallRng::seed_from_u64(15),
-        );
+        let result = evaluate_line(&inet, 20, 10, &mut SmallRng::seed_from_u64(15));
         assert_eq!(result.success_rate, 1.0);
     }
 
@@ -732,15 +550,13 @@ mod tests {
 
     #[test]
     fn qnetwork_vision_evaluation_reports_mean_distance() {
-        let mut env = StraightHall { remaining: 5 };
         let mut rng = SmallRng::seed_from_u64(10);
         let mut net = mlp(&[4, 2], &mut rng);
         net.layer_weights_mut(0).expect("weights").copy_from_slice(
             &[1.0; 4].iter().chain([-1.0f32; 4].iter()).copied().collect::<Vec<f32>>(),
         );
         let qnet = net.to_quantized(QFormat::Q4_11);
-        let result =
-            evaluate_policy_vision(&mut env, &qnet, 4, 10, &InferenceFaultMode::None, &mut rng);
+        let result = evaluate_hall(&qnet, 4, 10, &mut rng);
         assert_eq!(result.mean_distance, 5.0);
         assert_eq!(result.episodes, 4);
     }
@@ -826,18 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn vision_trace_follows_the_greedy_policy() {
-        let mut env = StraightHall { remaining: 5 };
-        let mut rng = SmallRng::seed_from_u64(18);
-        let mut net = mlp(&[4, 2], &mut rng);
-        net.layer_weights_mut(0).expect("weights").copy_from_slice(
-            &[1.0; 4].iter().chain([-1.0f32; 4].iter()).copied().collect::<Vec<f32>>(),
-        );
-        let trace = trace_policy_vision(&mut env, &net, 10, &mut NoHooks);
-        assert_eq!(trace, vec![0; 5], "episode terminates after 5 straight steps");
-    }
-
-    #[test]
     fn generic_discrete_evaluator_agrees_across_backends_on_a_clean_policy() {
         // The same hand-crafted always-go-right policy through both
         // instantiations of the one generic evaluator.
@@ -847,23 +651,8 @@ mod tests {
             .expect("weights")
             .copy_from_slice(&[1.0, 1.0, 1.0, -1.0, -1.0, -1.0]);
         let qnet = net.to_quantized(QFormat::Q4_11);
-        let mut env = Line { position: 1 };
-        let f32_result = evaluate_policy_discrete(
-            &mut env,
-            &net,
-            10,
-            10,
-            &InferenceFaultMode::None,
-            &mut SmallRng::seed_from_u64(13),
-        );
-        let q_result = evaluate_policy_discrete(
-            &mut env,
-            &qnet,
-            10,
-            10,
-            &InferenceFaultMode::None,
-            &mut SmallRng::seed_from_u64(13),
-        );
+        let f32_result = evaluate_line(&net, 10, 10, &mut SmallRng::seed_from_u64(13));
+        let q_result = evaluate_line(&qnet, 10, 10, &mut SmallRng::seed_from_u64(13));
         assert_eq!(f32_result.success_rate, q_result.success_rate);
         assert_eq!(f32_result.mean_reward, q_result.mean_reward);
     }

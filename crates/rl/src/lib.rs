@@ -19,13 +19,14 @@
 //!   adjustable at run time because the training-time mitigation of §5.1
 //!   steers it.
 //! * Fault wiring — [`FaultPlan`] binds a `navft-fault` injector and schedule
-//!   to the training loops in [`trainer`]; [`eval`] evaluates trained policies
-//!   under the inference fault modes of the paper (Transient-1, Transient-M,
-//!   permanent stuck-at).
-//! * Vectorized rollouts — [`VecEnv`] steps B environment rows in lockstep
-//!   and the [`rollout()`] driver evaluates every active row with **one**
-//!   batched forward sweep per decision tick; the `*_batched` evaluators
-//!   are bit-identical to their serial counterparts on every backend.
+//!   to the training loops in [`trainer`]; [`eval`] defines the inference
+//!   fault modes of the paper (Transient-1, Transient-M, permanent stuck-at)
+//!   and evaluates tabular policies under them.
+//! * Vectorized rollouts — the one network-policy evaluator. [`VecEnv`]
+//!   steps B environment rows in lockstep and the [`rollout()`] driver
+//!   evaluates every active row with **one** batched forward sweep per
+//!   decision tick; the `*_batched` evaluators are bit-identical to a serial
+//!   per-episode loop on every backend.
 //! * Analysis — [`TrainingTrace`], [`EvalResult`] and the convergence helpers
 //!   of [`convergence`].
 //!
@@ -96,9 +97,8 @@ pub use env::{
     VisionTransition,
 };
 pub use eval::{
-    corrupt_network_weights, corrupt_policy_weights, evaluate_policy_discrete,
-    evaluate_policy_vision, evaluate_policy_vision_hooked, evaluate_tabular, trace_policy_discrete,
-    trace_policy_vision, EvalElement, InferenceFaultMode,
+    corrupt_network_weights, corrupt_policy_weights, evaluate_tabular, trace_policy_discrete,
+    EvalElement, InferenceFaultMode,
 };
 pub use exploration::EpsilonSchedule;
 pub use faultplan::FaultPlan;

@@ -1,10 +1,10 @@
 //! Batch-width policy evaluation: the rollout driver that steps a
 //! [`VecEnv`] in lockstep with **one** batched forward sweep per tick.
 //!
-//! The serial evaluators in [`crate::eval`] run one forward pass per
-//! decision step — correct, but the engine's blocked GEMM and SIMD
-//! microkernels pay off with width. [`rollout`]
-//! keeps B episode rows in flight, **quantizing on ingest**: every
+//! This is the library's one network-policy evaluator. A serial loop would
+//! run one forward pass per decision step, but the engine's blocked GEMM and
+//! SIMD microkernels pay off with width. [`rollout`] keeps B episode rows in
+//! flight, **quantizing on ingest**: every
 //! observation is encoded into its row's backend-native staging buffer the
 //! moment it arrives (at reset and after each step), so integer backends
 //! pay the f32 → word conversion exactly once per observation and never
@@ -18,15 +18,17 @@
 //! # Bit-exactness contract
 //!
 //! For reset-deterministic environments (see [`crate::vecenv`]), the
-//! batched evaluators below are **bit-identical** to their serial
-//! counterparts at every batch width, on every backend, under every fault
-//! mode and hook combination. The pieces of the argument:
+//! evaluators below are **bit-identical** to a serial per-episode loop (one
+//! forward pass per step, episodes in order) at every batch width, on every
+//! backend, under every fault mode and hook combination. The serial loop
+//! lives in `tests/integration_rollout_equivalence.rs` as the oracle. The
+//! pieces of the argument:
 //!
 //! * the engine guarantees each batch row equals a standalone pass at any
 //!   [`EngineConfig`] (enforced by the `nn` equivalence suites);
 //! * shared-RNG draws (the per-episode fault onset) happen in strict
 //!   episode order: rows are assigned episodes in increasing order and
-//!   each assignment performs exactly the serial evaluator's draw-then-
+//!   each assignment performs exactly the serial loop's draw-then-
 //!   `make_hooks`-then-reset sequence;
 //! * a tick is split into its *clean* and *faulty* row groups via
 //!   [`InferenceFaultMode`]'s per-step onset predicate, so each row's
@@ -66,7 +68,7 @@ impl<W: EvalElement> RolloutObs<W> for Tensor {
 }
 
 /// Everything one episode produced, in step order. The folds below replay
-/// the serial evaluators' accumulation order from these tapes.
+/// the serial loop's accumulation order from these tapes.
 #[derive(Debug, Clone, Default)]
 pub struct EpisodeTape {
     /// Reward of each step taken.
@@ -94,10 +96,9 @@ struct RowState<H> {
 /// each episode's tape (indexed by episode).
 ///
 /// This is the generic core behind [`evaluate_policy_discrete_batched`]
-/// and [`evaluate_policy_vision_batched`]; it is public so training-time
-/// collectors and tests can drive it directly. `make_hooks` is called once
-/// per episode, in episode order, exactly as in
-/// [`crate::eval::evaluate_policy_vision_hooked`].
+/// and [`evaluate_policy_vision_batched`]; it is public so benchmarks and
+/// tests can drive it directly. `make_hooks` is called once per episode, in
+/// episode order, before that episode's reset.
 #[allow(clippy::too_many_arguments)]
 pub fn rollout<W, V, R, H, F>(
     venv: &mut V,
@@ -148,7 +149,7 @@ where
     let mut tapes: Vec<Option<EpisodeTape>> = (0..episodes).map(|_| None).collect();
     let mut next_episode = 0usize;
 
-    // Episode assignment performs the serial evaluator's per-episode
+    // Episode assignment performs the serial loop's per-episode
     // sequence — onset draw, `make_hooks`, reset — so the shared RNG is
     // consumed in exactly the serial order; the reset observation is
     // ingested (encoded) immediately. Encoding consumes no randomness, so
@@ -242,7 +243,7 @@ where
     tapes.into_iter().map(|tape| tape.expect("every episode finished")).collect()
 }
 
-/// Folds tapes in the serial discrete evaluator's accumulation order.
+/// Folds tapes in the serial discrete loop's accumulation order.
 fn fold_discrete(tapes: &[EpisodeTape], episodes: usize) -> EvalResult {
     let mut successes = 0usize;
     let mut total_reward = 0.0f64;
@@ -262,7 +263,7 @@ fn fold_discrete(tapes: &[EpisodeTape], episodes: usize) -> EvalResult {
     }
 }
 
-/// Folds tapes in the serial vision evaluator's accumulation order.
+/// Folds tapes in the serial vision loop's accumulation order.
 fn fold_vision(tapes: &[EpisodeTape], episodes: usize) -> EvalResult {
     let mut total_reward = 0.0f64;
     let mut total_distance = 0.0f64;
@@ -280,9 +281,9 @@ fn fold_vision(tapes: &[EpisodeTape], episodes: usize) -> EvalResult {
     }
 }
 
-/// [`crate::eval::evaluate_policy_discrete`] at batch width: identical
-/// results (bit for bit, given a reset-deterministic environment), one
-/// batched forward sweep per decision tick instead of one pass per step.
+/// Evaluates a policy of any backend on a discrete environment (one-hot
+/// inputs) under the given inference fault mode applied to the policy's
+/// weight storage, with one batched forward sweep per decision tick.
 pub fn evaluate_policy_discrete_batched<W, V, R>(
     venv: &mut V,
     network: &NetworkBase<W>,
@@ -302,7 +303,9 @@ where
     fold_discrete(&tapes, episodes)
 }
 
-/// [`crate::eval::evaluate_policy_vision`] at batch width.
+/// Evaluates a policy of any backend on a vision environment (the drone
+/// task) under the given weight fault mode, reporting Mean Safe Flight in
+/// [`EvalResult::mean_distance`].
 pub fn evaluate_policy_vision_batched<W, V, R>(
     venv: &mut V,
     network: &NetworkBase<W>,
@@ -330,7 +333,13 @@ where
     )
 }
 
-/// [`crate::eval::evaluate_policy_vision_hooked`] at batch width:
+/// Like [`evaluate_policy_vision_batched`], but additionally attaches
+/// per-episode hooks built by `make_hooks` — the mechanism used to inject
+/// dynamic faults into input and activation buffers (Fig. 7c) and to run
+/// the range-based anomaly detector during inference (Fig. 10). Hooks
+/// observe whichever representation the backend stores (`f32` values or
+/// live raw words).
+///
 /// `make_hooks` is called once per episode in episode order and each
 /// episode's hooks observe only that episode's forward events, riding
 /// their own batch row through [`DynRowHooks`].
@@ -360,83 +369,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate_policy_discrete, evaluate_policy_vision};
-    use crate::vecenv::{DummyVecEnv, DummyVisionVecEnv};
-    use crate::{DiscreteEnvironment, DiscreteTransition, VisionEnvironment, VisionTransition};
-    use navft_fault::{BitFault, FaultKind, FaultMap, FaultSite, FaultTarget, Injector};
-    use navft_nn::{mlp, NoHooks};
-    use navft_qformat::QFormat;
+    use crate::eval::tests::Line;
+    use crate::vecenv::DummyVecEnv;
+    use navft_nn::mlp;
     use rand::rngs::SmallRng;
     use rand::{RngCore, SeedableRng};
-
-    /// Three states in a row; goal is state 2, state 0 a pit. Action 0
-    /// moves right, action 1 left — the eval-module fixture, cloneable.
-    #[derive(Clone)]
-    struct Line {
-        position: usize,
-    }
-
-    impl DiscreteEnvironment for Line {
-        fn num_states(&self) -> usize {
-            3
-        }
-        fn num_actions(&self) -> usize {
-            2
-        }
-        fn reset(&mut self) -> usize {
-            self.position = 1;
-            1
-        }
-        fn step(&mut self, action: usize) -> DiscreteTransition {
-            if action == 0 {
-                self.position += 1;
-            } else {
-                self.position = self.position.saturating_sub(1);
-            }
-            let reached_goal = self.position >= 2;
-            let fell = self.position == 0;
-            DiscreteTransition {
-                next_state: self.position.min(2),
-                reward: if reached_goal {
-                    1.0
-                } else if fell {
-                    -1.0
-                } else {
-                    0.0
-                },
-                terminal: reached_goal || fell,
-                reached_goal,
-            }
-        }
-    }
-
-    #[derive(Clone)]
-    struct StraightHall {
-        remaining: usize,
-    }
-
-    impl VisionEnvironment for StraightHall {
-        fn observation_shape(&self) -> [usize; 3] {
-            [1, 2, 2]
-        }
-        fn num_actions(&self) -> usize {
-            2
-        }
-        fn reset(&mut self) -> Tensor {
-            self.remaining = 5;
-            Tensor::full(&[1, 2, 2], 0.5)
-        }
-        fn step(&mut self, action: usize) -> VisionTransition {
-            let distance = if action == 0 { 1.0 } else { 0.0 };
-            self.remaining -= 1;
-            VisionTransition {
-                observation: Tensor::full(&[1, 2, 2], 0.5),
-                reward: distance,
-                terminal: self.remaining == 0,
-                distance,
-            }
-        }
-    }
 
     fn go_right_policy() -> navft_nn::Network {
         let mut rng = SmallRng::seed_from_u64(4);
@@ -445,80 +382,6 @@ mod tests {
             .expect("weights")
             .copy_from_slice(&[1.0, 1.0, 1.0, -1.0, -1.0, -1.0]);
         net
-    }
-
-    fn flip_decision_injector() -> Injector {
-        let map =
-            FaultMap::from_faults(vec![BitFault { word: 0, bit: 31, kind: FaultKind::BitFlip }]);
-        Injector::new(FaultTarget::new(FaultSite::WeightBuffer), QFormat::Q3_4, map)
-    }
-
-    #[test]
-    fn batched_discrete_matches_serial_bit_for_bit() {
-        let net = go_right_policy();
-        for fault in [
-            InferenceFaultMode::None,
-            InferenceFaultMode::TransientSingleStep(flip_decision_injector()),
-            InferenceFaultMode::TransientFromRandomStep(flip_decision_injector()),
-            InferenceFaultMode::Permanent(flip_decision_injector()),
-        ] {
-            let mut env = Line { position: 1 };
-            let serial = evaluate_policy_discrete(
-                &mut env,
-                &net,
-                25,
-                10,
-                &fault,
-                &mut SmallRng::seed_from_u64(77),
-            );
-            for width in [1usize, 2, 7, 64] {
-                let mut venv = DummyVecEnv::from_prototype(&Line { position: 1 }, width);
-                let batched = evaluate_policy_discrete_batched(
-                    &mut venv,
-                    &net,
-                    25,
-                    10,
-                    &fault,
-                    &mut SmallRng::seed_from_u64(77),
-                    EngineConfig::default(),
-                );
-                assert_eq!(serial.success_rate, batched.success_rate, "width {width}");
-                assert_eq!(serial.mean_reward.to_bits(), batched.mean_reward.to_bits());
-                assert_eq!(serial.episodes, batched.episodes);
-            }
-        }
-    }
-
-    #[test]
-    fn batched_vision_matches_serial_bit_for_bit() {
-        let mut rng = SmallRng::seed_from_u64(5);
-        let mut net = mlp(&[4, 2], &mut rng);
-        net.layer_weights_mut(0).expect("weights").copy_from_slice(
-            &[1.0; 4].iter().chain([-1.0f32; 4].iter()).copied().collect::<Vec<f32>>(),
-        );
-        let mut env = StraightHall { remaining: 5 };
-        let serial = evaluate_policy_vision(
-            &mut env,
-            &net,
-            9,
-            10,
-            &InferenceFaultMode::None,
-            &mut SmallRng::seed_from_u64(21),
-        );
-        for width in [1usize, 3, 16] {
-            let mut venv = DummyVisionVecEnv::from_prototype(&StraightHall { remaining: 5 }, width);
-            let batched = evaluate_policy_vision_batched(
-                &mut venv,
-                &net,
-                9,
-                10,
-                &InferenceFaultMode::None,
-                &mut SmallRng::seed_from_u64(21),
-                EngineConfig::default(),
-            );
-            assert_eq!(serial.mean_distance.to_bits(), batched.mean_distance.to_bits());
-            assert_eq!(serial.mean_reward.to_bits(), batched.mean_reward.to_bits());
-        }
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! adjustment, §5.1) plugs in through this observer without the trainer
 //! knowing anything about mitigation.
 
-use navft_nn::{EngineConfig, Scratch, Tensor};
+use navft_nn::{Scratch, Tensor};
 use rand::Rng;
 
 use crate::{
     one_hot_into, DiscreteEnvironment, DqnAgent, EpisodeOutcome, EpsilonSchedule, FaultPlan,
-    TabularAgent, TrainingTrace, VecEnv, VisionEnvironment,
+    TabularAgent, TrainingTrace, VisionEnvironment,
 };
 
 /// An episode observer that does nothing — training without mitigation.
@@ -137,7 +137,7 @@ where
         let mut outcome = EpisodeOutcome::empty();
         for _ in 0..config.max_steps {
             one_hot_into(state, num_states, &mut encoded);
-            let action = agent.act_scratch(&encoded, rng, &mut scratch);
+            let action = agent.act(&encoded, rng, &mut scratch);
             let transition = env.step(action);
             one_hot_into(transition.next_state, num_states, &mut next_encoded);
             agent.observe(&encoded, action, transition.reward, &next_encoded, transition.terminal);
@@ -155,137 +155,6 @@ where
         trace.push(outcome, epsilon_at_start);
         agent.end_episode();
         observer(episode, &trace, &mut agent.epsilon);
-    }
-    trace
-}
-
-/// [`train_dqn_discrete`] collecting transitions from a vectorized rollout:
-/// up to `venv.width()` episodes run in lockstep and every tick's ε-greedy
-/// selection is **one** batched sweep of the online network
-/// ([`DqnAgent::act_batch`]).
-///
-/// At batch width 1 this trainer is bit- and RNG-identical to the serial
-/// loop (pinned by a regression test). At larger widths the environment
-/// interaction, learning steps and episode lifecycle interleave across rows
-/// — a different (but equally valid) experience stream, since the shared
-/// policy evolves while several episodes are in flight. Episode lifecycle
-/// events (fault-plan episode starts, ε advancement, the observer) fire per
-/// episode in completion order; finished rows immediately pick up the next
-/// pending episode, then the batch drains raggedly.
-///
-/// The environment prototype must be reset-deterministic (see
-/// [`crate::vecenv`]); exploring-starts environments must stay on the
-/// serial trainer.
-pub fn train_dqn_discrete_vec<V, R, O>(
-    venv: &mut V,
-    agent: &mut DqnAgent,
-    config: TrainingConfig,
-    plan: &FaultPlan,
-    rng: &mut R,
-    mut observer: O,
-    engine: EngineConfig,
-) -> TrainingTrace
-where
-    V: VecEnv<Obs = usize>,
-    R: Rng + ?Sized,
-    O: FnMut(usize, &TrainingTrace, &mut EpsilonSchedule),
-{
-    struct Slot {
-        episode: usize,
-        step: usize,
-        state: usize,
-        outcome: EpisodeOutcome,
-        epsilon_at_start: f64,
-    }
-
-    let num_states = venv.obs_shape()[0];
-    let mut trace = TrainingTrace::new();
-    if config.episodes == 0 {
-        return trace;
-    }
-    if config.max_steps == 0 {
-        // The serial loop still runs every episode's lifecycle around an
-        // empty step loop.
-        for episode in 0..config.episodes {
-            plan.on_episode_start_network(episode, agent.network_mut());
-            let epsilon_at_start = agent.epsilon.epsilon();
-            let _ = venv.reset_row(0);
-            trace.push(EpisodeOutcome::empty(), epsilon_at_start);
-            agent.end_episode();
-            observer(episode, &trace, &mut agent.epsilon);
-        }
-        return trace;
-    }
-
-    let width = venv.width().min(config.episodes);
-    // One scratch and per-row encoding buffers serve the whole run.
-    let mut scratch = Scratch::new();
-    let mut states: Vec<Tensor> = (0..width).map(|_| Tensor::zeros(&[num_states])).collect();
-    let mut next_encoded = Tensor::zeros(&[num_states]);
-    let mut actions: Vec<usize> = Vec::with_capacity(width);
-
-    let mut next_episode = 0usize;
-    let start = |venv: &mut V, agent: &mut DqnAgent, next_episode: &mut usize, row: usize| {
-        let episode = *next_episode;
-        *next_episode += 1;
-        plan.on_episode_start_network(episode, agent.network_mut());
-        let epsilon_at_start = agent.epsilon.epsilon();
-        let state = venv.reset_row(row);
-        Slot { episode, step: 0, state, outcome: EpisodeOutcome::empty(), epsilon_at_start }
-    };
-
-    let mut rows: Vec<Option<Slot>> = Vec::with_capacity(width);
-    for row in 0..width {
-        rows.push(Some(start(venv, agent, &mut next_episode, row)));
-    }
-    let mut live = width;
-    let mut active: Vec<usize> = Vec::with_capacity(width);
-
-    while live > 0 {
-        active.clear();
-        for (row, slot) in rows.iter().enumerate() {
-            if let Some(slot) = slot {
-                one_hot_into(slot.state, num_states, &mut states[active.len()]);
-                active.push(row);
-            }
-        }
-        agent.act_batch(&states[..active.len()], rng, &mut scratch, engine, &mut actions);
-
-        for (k, &row) in active.iter().enumerate() {
-            let mut slot = rows[row].take().expect("active row");
-            let transition = venv.step_row(row, actions[k]);
-            one_hot_into(transition.observation, num_states, &mut next_encoded);
-            // `states[k]` still holds this row's encoded current state from
-            // the selection pass above.
-            agent.observe(
-                &states[k],
-                actions[k],
-                transition.reward,
-                &next_encoded,
-                transition.terminal,
-            );
-            agent.learn(rng);
-            plan.after_update_network(slot.episode, agent.network_mut());
-            slot.outcome.cumulative_reward += transition.reward;
-            slot.outcome.steps += 1;
-            slot.step += 1;
-            slot.state = transition.observation;
-            if transition.terminal || slot.step == config.max_steps {
-                if transition.terminal {
-                    slot.outcome.reached_goal = transition.reached_goal;
-                }
-                trace.push(slot.outcome, slot.epsilon_at_start);
-                agent.end_episode();
-                observer(slot.episode, &trace, &mut agent.epsilon);
-                if next_episode < config.episodes {
-                    rows[row] = Some(start(venv, agent, &mut next_episode, row));
-                } else {
-                    live -= 1;
-                }
-            } else {
-                rows[row] = Some(slot);
-            }
-        }
     }
     trace
 }
@@ -318,7 +187,7 @@ where
         let mut observation = env.reset();
         let mut outcome = EpisodeOutcome::empty();
         for _ in 0..config.max_steps {
-            let action = agent.act_scratch(&observation, rng, &mut scratch);
+            let action = agent.act(&observation, rng, &mut scratch);
             let transition = env.step(action);
             agent.observe(
                 &observation,
@@ -356,7 +225,6 @@ mod tests {
 
     /// A 1-D corridor of `n` cells; the goal is the right-most cell and a
     /// pit (failure) is the left-most cell.
-    #[derive(Clone)]
     struct Corridor {
         n: usize,
         position: usize,
@@ -535,72 +403,6 @@ mod tests {
             no_mitigation(),
         );
         assert!(trace.recent_success_rate(30) > 0.8, "DQN should learn the corridor");
-    }
-
-    #[test]
-    fn vectorized_dqn_training_at_width_one_matches_the_serial_trainer() {
-        use crate::DummyVecEnv;
-
-        let make_agent = |seed: u64| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let net = mlp(&[5, 16, 2], &mut rng);
-            DqnAgent::new(net, &[5], EpsilonSchedule::for_training(20), DqnConfig::default())
-        };
-
-        let mut env = Corridor::new(5);
-        let mut serial_agent = make_agent(6);
-        let mut serial_rng = SmallRng::seed_from_u64(7);
-        let serial_trace = train_dqn_discrete(
-            &mut env,
-            &mut serial_agent,
-            TrainingConfig::new(40, 25),
-            &FaultPlan::none(),
-            &mut serial_rng,
-            no_mitigation(),
-        );
-
-        let mut venv = DummyVecEnv::from_prototype(&Corridor::new(5), 1);
-        let mut vec_agent = make_agent(6);
-        let mut vec_rng = SmallRng::seed_from_u64(7);
-        let vec_trace = train_dqn_discrete_vec(
-            &mut venv,
-            &mut vec_agent,
-            TrainingConfig::new(40, 25),
-            &FaultPlan::none(),
-            &mut vec_rng,
-            no_mitigation(),
-            EngineConfig::default(),
-        );
-
-        assert_eq!(serial_trace.epsilons, vec_trace.epsilons);
-        assert_eq!(serial_trace.len(), vec_trace.len());
-        assert_eq!(serial_agent.network().flat_weights(), vec_agent.network().flat_weights());
-    }
-
-    #[test]
-    fn vectorized_dqn_training_learns_the_corridor_at_width_four() {
-        use crate::DummyVecEnv;
-
-        let mut rng = SmallRng::seed_from_u64(8);
-        let net = mlp(&[5, 32, 2], &mut rng);
-        let mut agent = DqnAgent::new(
-            net,
-            &[5],
-            EpsilonSchedule::for_training(40),
-            DqnConfig { learning_rate: 0.1, ..DqnConfig::default() },
-        );
-        let mut venv = DummyVecEnv::from_prototype(&Corridor::new(5), 4);
-        let trace = train_dqn_discrete_vec(
-            &mut venv,
-            &mut agent,
-            TrainingConfig::new(150, 30),
-            &FaultPlan::none(),
-            &mut rng,
-            no_mitigation(),
-            EngineConfig::default(),
-        );
-        assert_eq!(trace.len(), 150);
-        assert!(trace.recent_success_rate(30) > 0.8, "vectorized DQN should learn the corridor");
     }
 
     #[test]

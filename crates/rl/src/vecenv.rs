@@ -18,11 +18,12 @@
 //! The bit-exactness contract of the vectorized evaluators requires the
 //! prototype environment to be **reset-deterministic**: `reset()` must put
 //! every clone into the same initial state and consume no shared randomness,
-//! so that episode `e` unfolds identically whether it runs on the serial
-//! evaluator's single instance or on any row of a vectorized batch. The
+//! so that episode `e` unfolds identically whether it runs on a serial
+//! loop's single instance or on any row of a vectorized batch. The
 //! evaluation-time Grid World (no exploring starts) and the drone simulator
-//! both qualify; a Grid World with exploring starts does not (each clone
-//! would advance its own RNG copy) and must stay on the serial path.
+//! both qualify. A Grid World with exploring starts does not: each clone
+//! would advance its own RNG copy. Evaluate it at width 1, where the one row
+//! replays the serial loop on a single instance.
 
 use navft_nn::Tensor;
 

@@ -12,8 +12,12 @@ use navft_core::drone_policy::train_drone_policy;
 use navft_core::{BufferFaultHook, HookPersistence, HookTarget, Scale};
 use navft_dronesim::{DepthCamera, DroneSim, DroneWorld};
 use navft_fault::{BitFault, FaultKind, FaultMap, FaultSite, FaultTarget, Injector};
+use navft_nn::EngineConfig;
 use navft_qformat::QFormat;
-use navft_rl::{evaluate_policy_vision, evaluate_policy_vision_hooked, InferenceFaultMode};
+use navft_rl::{
+    evaluate_policy_vision_batched, evaluate_policy_vision_hooked_batched, DummyVisionVecEnv,
+    InferenceFaultMode,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -23,15 +27,19 @@ fn main() {
     println!("pre-training the C3F2 drone policy (behaviour cloning)...");
     let policy = train_drone_policy(&world, &params, 7);
     let mut rng = SmallRng::seed_from_u64(7);
-    let mut sim = DroneSim::new(world.clone(), DepthCamera::scaled(), params.max_steps);
+    let sim = DroneSim::new(world.clone(), DepthCamera::scaled(), params.max_steps);
+    // Every evaluation runs its episodes as batch rows of one rollout.
+    let mut venv = DummyVisionVecEnv::from_prototype(&sim, params.eval_episodes);
+    let engine = EngineConfig::default();
 
-    let clean = evaluate_policy_vision(
-        &mut sim,
+    let clean = evaluate_policy_vision_batched(
+        &mut venv,
         &policy,
         params.eval_episodes,
         params.max_steps,
         &InferenceFaultMode::None,
         &mut rng,
+        engine,
     );
     println!("fault-free mean safe flight: {:.1} m\n", clean.mean_distance);
 
@@ -46,13 +54,14 @@ fn main() {
         FaultKind::BitFlip,
         &mut rng,
     );
-    let weights = evaluate_policy_vision(
-        &mut sim,
+    let weights = evaluate_policy_vision_batched(
+        &mut venv,
         &policy,
         params.eval_episodes,
         params.max_steps,
         &InferenceFaultMode::TransientWholeEpisode(injector),
         &mut rng,
+        engine,
     );
     println!("  {:<26} {:>7.1} m", "weight buffer", weights.mean_distance);
     // Input and activations, via forward hooks.
@@ -61,8 +70,8 @@ fn main() {
         ("activations (transient)", HookTarget::Activations, HookPersistence::Transient),
         ("activations (permanent)", HookTarget::Activations, HookPersistence::Permanent),
     ] {
-        let result = evaluate_policy_vision_hooked(
-            &mut sim,
+        let result = evaluate_policy_vision_hooked_batched(
+            &mut venv,
             &policy,
             params.eval_episodes,
             params.max_steps,
@@ -78,6 +87,7 @@ fn main() {
                     episode as u64,
                 )
             },
+            engine,
         );
         println!("  {:<26} {:>7.1} m", label, result.mean_distance);
     }
@@ -97,13 +107,14 @@ fn main() {
             QFormat::Q4_11,
             shifted,
         );
-        let result = evaluate_policy_vision(
-            &mut sim,
+        let result = evaluate_policy_vision_batched(
+            &mut venv,
             &policy,
             params.eval_episodes,
             params.max_steps,
             &InferenceFaultMode::TransientWholeEpisode(injector),
             &mut rng,
+            engine,
         );
         println!("  {:<8} {:>7.1} m", name, result.mean_distance);
     }

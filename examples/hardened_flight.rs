@@ -11,9 +11,11 @@ use navft_core::Scale;
 use navft_dronesim::{DepthCamera, DroneSim, DroneWorld};
 use navft_fault::{FaultKind, FaultSite, FaultTarget, Injector};
 use navft_mitigation::{measure_overhead, RangeGuard, RangeGuardConfig};
-use navft_nn::Tensor;
+use navft_nn::{EngineConfig, Tensor};
 use navft_qformat::QFormat;
-use navft_rl::{corrupt_network_weights, evaluate_policy_vision, InferenceFaultMode};
+use navft_rl::{
+    corrupt_network_weights, evaluate_policy_vision_batched, DummyVisionVecEnv, InferenceFaultMode,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -24,6 +26,10 @@ fn main() {
     let policy = train_drone_policy(&world, &params, 11);
     let guard = RangeGuard::from_network(&policy, QFormat::Q4_11, RangeGuardConfig::paper());
     let mut rng = SmallRng::seed_from_u64(11);
+    // Every evaluation runs its episodes as batch rows of one rollout.
+    let sim = DroneSim::new(world.clone(), DepthCamera::scaled(), params.max_steps);
+    let mut venv = DummyVisionVecEnv::from_prototype(&sim, params.eval_episodes);
+    let engine = EngineConfig::default();
 
     println!("\n{:>8} {:>16} {:>16}", "BER", "unprotected (m)", "protected (m)");
     for &ber in &params.bit_error_rates {
@@ -45,23 +51,24 @@ fn main() {
             );
             let mut scrubbed = corrupted.clone();
             guard.scrub(&mut scrubbed);
-            let mut sim = DroneSim::new(world.clone(), DepthCamera::scaled(), params.max_steps);
-            unprotected += evaluate_policy_vision(
-                &mut sim,
+            unprotected += evaluate_policy_vision_batched(
+                &mut venv,
                 &corrupted,
                 params.eval_episodes,
                 params.max_steps,
                 &InferenceFaultMode::None,
                 &mut rng,
+                engine,
             )
             .mean_distance;
-            protected += evaluate_policy_vision(
-                &mut sim,
+            protected += evaluate_policy_vision_batched(
+                &mut venv,
                 &scrubbed,
                 params.eval_episodes,
                 params.max_steps,
                 &InferenceFaultMode::None,
                 &mut rng,
+                engine,
             )
             .mean_distance;
         }

@@ -3,9 +3,11 @@
 
 use navft_dronesim::{ActionSpace, DepthCamera, DroneSim, DroneWorld};
 use navft_fault::{FaultKind, FaultSite, FaultTarget, Injector};
-use navft_nn::{C3f2Config, Tensor};
+use navft_nn::{C3f2Config, EngineConfig, Tensor};
 use navft_qformat::QFormat;
-use navft_rl::{evaluate_policy_vision, InferenceFaultMode, VisionEnvironment};
+use navft_rl::{
+    evaluate_policy_vision_batched, DummyVisionVecEnv, InferenceFaultMode, VisionEnvironment,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -36,9 +38,18 @@ fn heavy_weight_corruption_degrades_flight_distance() {
         &navft_core::Scale::Smoke.drone(),
         1,
     );
-    let mut sim = DroneSim::new(DroneWorld::indoor_long(), DepthCamera::scaled(), 60);
-    let clean =
-        evaluate_policy_vision(&mut sim, &policy, 3, 60, &InferenceFaultMode::None, &mut rng);
+    let sim = DroneSim::new(DroneWorld::indoor_long(), DepthCamera::scaled(), 60);
+    let mut venv = DummyVisionVecEnv::from_prototype(&sim, 3);
+    let engine = EngineConfig::default();
+    let clean = evaluate_policy_vision_batched(
+        &mut venv,
+        &policy,
+        3,
+        60,
+        &InferenceFaultMode::None,
+        &mut rng,
+        engine,
+    );
     let injector = Injector::sample(
         FaultTarget::new(FaultSite::WeightBuffer),
         policy.weight_count(),
@@ -47,13 +58,14 @@ fn heavy_weight_corruption_degrades_flight_distance() {
         FaultKind::StuckAt1,
         &mut rng,
     );
-    let corrupted = evaluate_policy_vision(
-        &mut sim,
+    let corrupted = evaluate_policy_vision_batched(
+        &mut venv,
         &policy,
         3,
         60,
         &InferenceFaultMode::Permanent(injector),
         &mut rng,
+        engine,
     );
     assert!(
         corrupted.mean_distance <= clean.mean_distance,

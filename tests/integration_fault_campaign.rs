@@ -1,19 +1,37 @@
 //! Integration test: fault-injection campaigns over quantized policies, from
 //! BER sampling to summary statistics.
 
-use navft_fault::campaign::{run, run_parallel, CampaignConfig};
+use navft_fault::campaign::{run_cells, CellPlan, Summary};
 use navft_fault::{FaultKind, FaultMap, FaultSite, FaultTarget, Injector};
 use navft_qformat::{bitstats::BitStats, QFormat, QValue};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+/// Runs `repetitions` trials of `experiment` seeded from `base_seed` on
+/// `threads` workers and returns the per-repetition values in order.
+fn campaign(
+    repetitions: usize,
+    base_seed: u64,
+    threads: usize,
+    experiment: impl Fn(u64) -> f64 + Sync,
+) -> Vec<f64> {
+    let mut values = Vec::new();
+    run_cells(
+        &[CellPlan { repetitions, base_seed }],
+        threads,
+        (),
+        |_, seed, _, ()| vec![experiment(seed)],
+        |_, per_rep| values = per_rep.into_iter().map(|metrics| metrics[0]).collect(),
+    );
+    values
+}
+
 #[test]
 fn campaign_over_fault_maps_reports_tight_statistics_for_fixed_ber() {
-    let config = CampaignConfig::new(50, 123);
-    let summary = run(&config, |seed, _| {
+    let summary = Summary::from_samples(campaign(50, 123, 1, |seed| {
         let mut rng = SmallRng::seed_from_u64(seed);
         FaultMap::sample(256, QFormat::Q4_11, 0.01, FaultKind::BitFlip, &mut rng).len() as f64
-    });
+    }));
     // The fault count is deterministic for a fixed BER (round(0.01 * 4096)).
     assert_eq!(summary.mean(), 41.0);
     assert_eq!(summary.std_dev(), 0.0);
@@ -22,7 +40,7 @@ fn campaign_over_fault_maps_reports_tight_statistics_for_fixed_ber() {
 #[test]
 fn parallel_and_serial_campaigns_agree_on_corruption_magnitude() {
     let weights: Vec<f32> = (0..512).map(|i| ((i % 31) as f32 - 15.0) * 0.01).collect();
-    let experiment = |seed: u64, _rep: usize| {
+    let experiment = |seed: u64| {
         let mut rng = SmallRng::seed_from_u64(seed);
         let injector = Injector::sample(
             FaultTarget::new(FaultSite::WeightBuffer),
@@ -36,11 +54,10 @@ fn parallel_and_serial_campaigns_agree_on_corruption_magnitude() {
         injector.corrupt(&mut corrupted);
         corrupted.iter().zip(weights.iter()).map(|(a, b)| f64::from((a - b).abs())).sum::<f64>()
     };
-    let config = CampaignConfig::new(32, 9);
-    let serial = run(&config, experiment);
-    let parallel = run_parallel(&config, 4, experiment);
-    assert_eq!(serial.values().expect("run retains values"), parallel.values().unwrap());
-    assert!(serial.mean() > 0.0);
+    let serial = campaign(32, 9, 1, experiment);
+    let parallel = campaign(32, 9, 4, experiment);
+    assert_eq!(serial, parallel);
+    assert!(Summary::from_samples(serial).mean() > 0.0);
 }
 
 #[test]
@@ -52,15 +69,14 @@ fn stuck_at_one_corrupts_more_than_stuck_at_zero_on_sparse_data() {
     assert!(stats.zero_to_one_ratio() > 3.0);
 
     let corruption = |kind: FaultKind| {
-        let config = CampaignConfig::new(20, 5);
-        run(&config, |seed, _| {
+        let values = campaign(20, 5, 1, |seed| {
             let mut rng = SmallRng::seed_from_u64(seed);
             let map = FaultMap::sample(sparse.len(), QFormat::Q4_11, 0.02, kind, &mut rng);
             let mut buf = sparse.clone();
             map.corrupt_f32(&mut buf, QFormat::Q4_11);
             buf.iter().zip(sparse.iter()).map(|(a, b)| f64::from((a - b).abs())).sum::<f64>()
-        })
-        .mean()
+        });
+        Summary::from_samples(values).mean()
     };
     assert!(corruption(FaultKind::StuckAt1) > corruption(FaultKind::StuckAt0) * 5.0);
 }

@@ -1,7 +1,13 @@
-//! Integration test: the figure-reproduction drivers run end to end at smoke
+//! Integration test: the figure-reproduction sweeps run end to end at smoke
 //! scale and produce well-formed data.
 
-use navft_core::{experiments, FigureContent, Scale};
+use navft_core::sweep::Sweep;
+use navft_core::{experiments, FigureContent, FigureData, Scale};
+
+/// Runs one figure's sweep standalone at smoke scale.
+fn smoke(build: fn(Scale) -> Sweep) -> Vec<FigureData> {
+    build(Scale::Smoke).collect(Scale::Smoke.threads())
+}
 
 #[test]
 fn figure_index_is_complete_and_ids_are_unique() {
@@ -13,7 +19,7 @@ fn figure_index_is_complete_and_ids_are_unique() {
 
 #[test]
 fn fig5_inference_driver_produces_all_four_fault_modes() {
-    let figures = experiments::fig5::grid_inference_sensitivity(Scale::Smoke);
+    let figures = smoke(experiments::fig5::sweep);
     assert_eq!(figures.len(), 2);
     for figure in &figures {
         let FigureContent::Lines(series) = &figure.content else {
@@ -32,7 +38,7 @@ fn fig5_inference_driver_produces_all_four_fault_modes() {
 
 #[test]
 fn fig2_histograms_report_bit_statistics() {
-    let figures = experiments::fig2::value_histograms(Scale::Smoke);
+    let figures = smoke(experiments::fig2::histogram_sweep);
     assert_eq!(figures.len(), 2);
     for figure in &figures {
         let FigureContent::Facts(facts) = &figure.content else {
@@ -47,7 +53,7 @@ fn fig2_histograms_report_bit_statistics() {
 
 #[test]
 fn fig7d_layer_sensitivity_covers_all_five_layers() {
-    let figures = experiments::fig7::drone_layer_sensitivity(Scale::Smoke);
+    let figures = smoke(experiments::fig7::layer_sweep);
     let FigureContent::Lines(series) = &figures[0].content else { panic!("expected lines") };
     let labels: Vec<&str> = series.iter().map(|s| s.label.as_str()).collect();
     assert_eq!(labels, vec!["conv1", "conv2", "conv3", "fc1", "fc2"]);
@@ -55,7 +61,7 @@ fn fig7d_layer_sensitivity_covers_all_five_layers() {
 
 #[test]
 fn fig10_reports_headline_facts() {
-    let figures = experiments::fig10::anomaly_detection_effectiveness(Scale::Smoke);
+    let figures = smoke(experiments::fig10::sweep);
     assert!(figures.iter().any(|f| f.id == "fig10a"));
     assert!(figures.iter().any(|f| f.id == "fig10b"));
     let headline = figures.iter().find(|f| f.id == "fig10-headline").expect("headline facts");
