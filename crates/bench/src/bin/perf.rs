@@ -8,7 +8,6 @@
 //! perf                       # writes BENCH_<rev>.json to the current dir
 //! perf --out perf.json       # explicit output path
 //! perf --repeats 15          # more timing repeats (default 9, median kept)
-//! perf --sessions 4096       # concurrent serve sessions (default 1024)
 //! perf --scale-sessions 65536 # serve_scale session count (default 32768)
 //! ```
 //!
@@ -23,24 +22,18 @@
 //! equivalence suites); the JSON records the throughput of each and their
 //! ratio.
 //!
-//! A second section drives the `navft-serve` dynamic batcher with `
-//! --sessions` concurrent Grid World sessions in lockstep episode rounds
-//! (on the `f32` and native fixed-point backends) and records request
-//! latency percentiles plus served-row throughput.
-//!
-//! A third, `campaign` section measures the vectorized rollout layer the
+//! A second, `campaign` section measures the vectorized rollout layer the
 //! figure campaigns run on: environment steps per second at batch widths 1,
 //! 16 and 64 for each backend (every step is one row of a batched engine
-//! sweep), plus one smoke-scale figure sweep timed end to end in trials per
-//! second.
+//! sweep).
 //!
-//! A fourth, `requantize` section micro-times the GEMM epilogue seam on the
+//! A third, `requantize` section micro-times the GEMM epilogue seam on the
 //! raw-word backends: elements per second of the scalar per-element
 //! [`Element::finish`] loop against the batched, runtime-dispatched
 //! [`Element::finish_tile`] — the vectorized requantize that folds widened
 //! accumulators back into storable words.
 //!
-//! A fifth, `serve_scale` section stresses the daemon's one batcher at
+//! A fourth, `serve_scale` section stresses the daemon's one batcher at
 //! `--scale-sessions` concurrent sessions (default 32 768) under two
 //! open-loop regimes driven by the bursty load generator: `saturated` (zero
 //! think time — every session re-arrives the instant its response lands,
@@ -48,7 +41,7 @@
 //! ramp and spike phases, measuring the coordinated-omission-aware
 //! p50/p99/p99.9 tail).
 //!
-//! A sixth, `training` section times the DQN learning loop itself: `learn`
+//! A fifth, `training` section times the DQN learning loop itself: `learn`
 //! steps per second on the Grid World MLP at minibatch 32 and 128, once with
 //! the f32 bootstrap target and once with the quantized int8 target snapshot
 //! ([`DqnAgent::with_i8_target`]).
@@ -56,14 +49,15 @@
 //! The JSON is rendered with `navft_core::sweep::json` — the same
 //! deterministic writer the campaign artifacts use — so snapshots diff
 //! cleanly across revisions, and `perf_gate` can diff a fresh snapshot
-//! against the checked-in baseline.
+//! against the checked-in baseline. End-to-end campaign trials/s and
+//! open-loop serve latency are the `perfbench` package's workloads
+//! (`grid-campaign`, `serve-open-loop`), so this tool does not repeat them.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use navft_bench::parse_jobs;
 use navft_core::sweep::json::Json;
-use navft_core::{experiments, Scale};
 use navft_gridworld::GridWorld;
 use navft_nn::{
     c3f2_scaled, mlp, simd_kernel_name, Element, EngineConfig, I8Network, I8Scratch, I8Tensor,
@@ -74,9 +68,7 @@ use navft_rl::{
     rollout, DiscreteEnvironment, DqnAgent, DqnConfig, DummyVecEnv, EpsilonSchedule, EvalElement,
     InferenceFaultMode, RolloutObs,
 };
-use navft_serve::{
-    drive_bursty_load, drive_discrete_episodes, BurstyConfig, LatencyWindow, ServeConfig, Server,
-};
+use navft_serve::{drive_bursty_load, BurstyConfig, LatencyWindow, ServeConfig, Server};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -84,15 +76,11 @@ use rand::{Rng, RngCore, SeedableRng};
 /// episode batch and the README table's column).
 const BATCH: usize = 64;
 
-/// Lockstep episode rounds each serve session plays in the latency section.
-const SERVE_STEPS: usize = 8;
-
-const USAGE: &str = "usage: perf [--out PATH] [--repeats N] [--sessions N] [--scale-sessions N]";
+const USAGE: &str = "usage: perf [--out PATH] [--repeats N] [--scale-sessions N]";
 
 fn main() -> ExitCode {
     let mut out: Option<String> = None;
     let mut repeats = 9usize;
-    let mut sessions = 1024usize;
     let mut scale_sessions = 32_768usize;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -110,13 +98,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 repeats = n;
-            }
-            "--sessions" => {
-                let Some(n) = argv.next().as_deref().and_then(parse_jobs) else {
-                    eprintln!("--sessions needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                sessions = n;
             }
             "--scale-sessions" => {
                 let Some(n) = argv.next().as_deref().and_then(parse_jobs) else {
@@ -138,7 +119,7 @@ fn main() -> ExitCode {
 
     let rev = git_rev();
     let path = out.unwrap_or_else(|| format!("BENCH_{rev}.json"));
-    let snapshot = run_benchmarks(&rev, repeats, sessions, scale_sessions);
+    let snapshot = run_benchmarks(&rev, repeats, scale_sessions);
     if let Err(error) = std::fs::write(&path, snapshot.render() + "\n") {
         eprintln!("[perf] failed to write {path}: {error}");
         return ExitCode::FAILURE;
@@ -204,48 +185,6 @@ fn bench_backend(
         ("scalar_rows_per_s", Json::num(scalar_rows)),
         ("dispatched_rows_per_s", Json::num(dispatched_rows)),
         ("dispatched_speedup", Json::num(speedup)),
-    ])
-}
-
-/// Serves `sessions` concurrent Grid World sessions through the
-/// `navft-serve` dynamic batcher in lockstep episode rounds and returns the
-/// latency/throughput JSON row.
-fn bench_serve<W>(
-    model: &str,
-    backend: &str,
-    network: NetworkBase<W>,
-    world: &GridWorld,
-    sessions: usize,
-) -> Json
-where
-    W: EvalElement,
-{
-    let config =
-        ServeConfig::default().with_max_batch(BATCH).with_queue_capacity(sessions.max(BATCH));
-    let server = Server::start(network, &[world.num_states()], config);
-    let ids: Vec<_> = (0..sessions).map(|_| server.open_clean_session()).collect();
-    let mut envs: Vec<GridWorld> = (0..sessions).map(|_| world.clone()).collect();
-    let mut latency = LatencyWindow::new();
-    let outcome = drive_discrete_episodes(&server, &ids, &mut envs, SERVE_STEPS, &mut latency);
-    let stats = server.stats();
-    let secs = outcome.elapsed.as_secs_f64();
-    let rows_per_s = if secs > 0.0 { outcome.rows as f64 / secs } else { f64::NAN };
-    eprintln!(
-        "[perf] serve {model}/{backend}: {sessions} sessions, p50 {:.0}us, p99 {:.0}us, \
-         {rows_per_s:.0} rows/s (max batch {})",
-        latency.p50(),
-        latency.p99(),
-        stats.max_rows_per_batch
-    );
-    Json::obj([
-        ("model", Json::Str(model.to_string())),
-        ("backend", Json::Str(backend.to_string())),
-        ("sessions", Json::num(sessions as f64)),
-        ("requests", Json::num(latency.len() as f64)),
-        ("p50_us", Json::num(latency.p50())),
-        ("p99_us", Json::num(latency.p99())),
-        ("rows_per_s", Json::num(rows_per_s)),
-        ("max_rows_per_batch", Json::num(stats.max_rows_per_batch as f64)),
     ])
 }
 
@@ -473,25 +412,7 @@ fn bench_requantize<E: Element>(
     ])
 }
 
-/// Times one smoke-scale figure sweep end to end (training and batched
-/// evaluation included) and returns the campaign JSON row in trials/s.
-fn bench_sweep_trials(figure: &str, repeats: usize) -> Json {
-    let trials: usize =
-        experiments::fig5::sweep(Scale::Smoke).cell_specs().map(|s| s.repetitions()).sum();
-    let secs = median_secs(repeats.min(3), || {
-        let _ = experiments::fig5::sweep(Scale::Smoke).collect(1);
-    });
-    let trials_per_s = trials as f64 / secs;
-    eprintln!("[perf] sweep {figure}@smoke: {trials} trials, {trials_per_s:.1} trials/s");
-    Json::obj([
-        ("figure", Json::Str(figure.to_string())),
-        ("scale", Json::Str("smoke".to_string())),
-        ("trials", Json::num(trials as f64)),
-        ("trials_per_s", Json::num(trials_per_s)),
-    ])
-}
-
-fn run_benchmarks(rev: &str, repeats: usize, sessions: usize, scale_sessions: usize) -> Json {
+fn run_benchmarks(rev: &str, repeats: usize, scale_sessions: usize) -> Json {
     let mut rng = SmallRng::seed_from_u64(0);
     let models: Vec<(&str, Network, Vec<usize>)> = vec![
         ("grid-mlp", mlp(&[100, 32, 4], &mut rng), vec![100]),
@@ -526,18 +447,13 @@ fn run_benchmarks(rev: &str, repeats: usize, sessions: usize, scale_sessions: us
         }));
     }
 
-    // Serve latency section: the Grid World policy under concurrent
-    // sessions, once per backend that the campaigns serve.
+    // The Grid World policy the rollout and serve-scale sections run, on
+    // every backend the campaigns use.
     let mut world_rng = SmallRng::seed_from_u64(0x5EED);
     let world = GridWorld::random(10, 0.2, &mut world_rng);
     let policy = mlp(&[world.num_states(), 32, 4], &mut SmallRng::seed_from_u64(1));
     let qpolicy = QNetwork::quantize(&policy, format);
     let ipolicy = I8Network::quantize(&policy);
-    let serve = vec![
-        bench_serve("grid-mlp", "f32", policy.clone(), &world, sessions),
-        bench_serve("grid-mlp", &format!("{format}"), qpolicy.clone(), &world, sessions),
-    ];
-
     // Serve-scale section: the daemon at `--scale-sessions` concurrent
     // open-loop sessions, in the saturated (capacity) and bursty (tail
     // latency) regimes.
@@ -564,7 +480,7 @@ fn run_benchmarks(rev: &str, repeats: usize, sessions: usize, scale_sessions: us
     }
 
     // Campaign section: vectorized environment rollouts (steps/s per backend
-    // and batch width) plus one smoke figure sweep end to end (trials/s).
+    // and batch width).
     let mut campaign = Vec::new();
     for &batch in &ROLLOUT_BATCHES {
         campaign.push(bench_rollout("grid-mlp", "f32", &policy, &world, batch, repeats));
@@ -578,7 +494,6 @@ fn run_benchmarks(rev: &str, repeats: usize, sessions: usize, scale_sessions: us
         ));
         campaign.push(bench_rollout("grid-mlp", "i8", &ipolicy, &world, batch, repeats));
     }
-    campaign.push(bench_sweep_trials("fig5", repeats));
 
     // Requantize epilogue micro-section: accumulator magnitudes spread over
     // the full widened range (random shift of a full-width draw), fixed per
@@ -609,7 +524,6 @@ fn run_benchmarks(rev: &str, repeats: usize, sessions: usize, scale_sessions: us
         ("repeats", Json::num(repeats as f64)),
         ("kernel", Json::Str(simd_kernel_name().to_string())),
         ("results", Json::Arr(results)),
-        ("serve", Json::Arr(serve)),
         ("serve_scale", Json::Arr(serve_scale)),
         ("training", Json::Arr(training)),
         ("campaign", Json::Arr(campaign)),

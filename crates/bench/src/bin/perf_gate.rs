@@ -19,8 +19,8 @@
 //! form of the same gate.
 //!
 //! The comparison itself lives in [`navft_bench::perf_regressions`], driven
-//! by the [`navft_bench::GATED`] section table (`results`, `serve`,
-//! `serve_scale`, `training`, `campaign`, `requantize`). A fresh value more
+//! by the [`navft_bench::GATED`] section table (`results`, `serve_scale`,
+//! `training`, `campaign`, `requantize`). A fresh value more
 //! than `--tolerance` (default `0.10`, i.e. 10 %) below baseline, a
 //! baseline row missing from the fresh snapshot, or a non-finite fresh
 //! throughput all fail the gate.

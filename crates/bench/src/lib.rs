@@ -7,8 +7,8 @@
 //!   `--resume`). All requested figures' campaign cells run on one shared
 //!   work-stealing scheduler; see `navft_core::sweep`.
 //! * The `perf` binary writes a `BENCH_<rev>.json` snapshot of the engine,
-//!   rollout, training, campaign and serve throughput rows, and `perf_gate`
-//!   compares a fresh snapshot against the checked-in history.
+//!   rollout, requantize, training and serve-scale throughput rows, and
+//!   `perf_gate` compares a fresh snapshot against the checked-in history.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,15 +78,12 @@ pub struct GateSpec {
 /// Every gated section/metric pair of a `BENCH_<rev>.json` snapshot.
 ///
 /// * `results` — the batched GEMM forward path, per `(model, backend)`;
-/// * `serve` — the dynamic batcher's served-row throughput, per
-///   `(model, backend, sessions)`;
 /// * `serve_scale` — the daemon under ≥32k open-loop sessions, per
 ///   `(model, backend, load, sessions)`;
 /// * `training` — DQN `learn` steps/s, per `(model, backend, minibatch)`;
-/// * `campaign` — gated twice: rollout rows per `(model, backend, batch)`
-///   on `steps_per_s` and figure rows per `figure` on `trials_per_s`. Rows
-///   that never recorded a given metric are skipped, so the two passes each
-///   gate only their own row kind;
+/// * `campaign` — rollout rows per `(model, backend, batch)` on
+///   `steps_per_s`. Rows that never recorded the metric (the figure
+///   trials/s rows of older snapshots) are skipped;
 /// * `requantize` — the GEMM requantize epilogue micro-benchmark, per
 ///   `backend`.
 pub const GATED: &[GateSpec] = &[
@@ -94,11 +91,6 @@ pub const GATED: &[GateSpec] = &[
         section: "results",
         key_fields: &["model", "backend"],
         metric: "dispatched_rows_per_s",
-    },
-    GateSpec {
-        section: "serve",
-        key_fields: &["model", "backend", "sessions"],
-        metric: "rows_per_s",
     },
     GateSpec {
         section: "serve_scale",
@@ -115,7 +107,6 @@ pub const GATED: &[GateSpec] = &[
         key_fields: &["model", "backend", "batch"],
         metric: "steps_per_s",
     },
-    GateSpec { section: "campaign", key_fields: &["figure"], metric: "trials_per_s" },
     GateSpec { section: "requantize", key_fields: &["backend"], metric: "dispatched_elems_per_s" },
 ];
 
@@ -283,7 +274,8 @@ mod tests {
     fn matching_snapshots_pass_the_gate() {
         let base = snapshot(
             r#"{"results":[{"model":"m","backend":"f32","dispatched_rows_per_s":1000.0}],
-                "serve":[{"model":"m","backend":"f32","sessions":1024,"rows_per_s":500.0}]}"#,
+                "serve_scale":[{"model":"m","backend":"f32","load":"saturated",
+                                "sessions":1024,"rows_per_s":500.0}]}"#,
         );
         assert_eq!(perf_regressions(&base, &base, 0.10), Vec::<String>::new());
     }
@@ -310,9 +302,10 @@ mod tests {
     fn missing_rows_and_non_finite_throughput_fail() {
         let base = snapshot(
             r#"{"results":[{"model":"m","backend":"f32","dispatched_rows_per_s":1000.0}],
-                "serve":[{"model":"m","backend":"f32","sessions":1024,"rows_per_s":500.0}]}"#,
+                "serve_scale":[{"model":"m","backend":"f32","load":"saturated",
+                                "sessions":1024,"rows_per_s":500.0}]}"#,
         );
-        let empty = snapshot(r#"{"results":[],"serve":[]}"#);
+        let empty = snapshot(r#"{"results":[],"serve_scale":[]}"#);
         let failures = perf_regressions(&base, &empty, 0.10);
         assert_eq!(failures.len(), 2, "both sections report the missing row: {failures:?}");
         assert!(failures.iter().all(|f| f.contains("missing")));
@@ -321,7 +314,8 @@ mod tests {
         // let the NaN comparison read as "fine".
         let nan = snapshot(
             r#"{"results":[{"model":"m","backend":"f32","dispatched_rows_per_s":null}],
-                "serve":[{"model":"m","backend":"f32","sessions":1024,"rows_per_s":500.0}]}"#,
+                "serve_scale":[{"model":"m","backend":"f32","load":"saturated",
+                                "sessions":1024,"rows_per_s":500.0}]}"#,
         );
         let failures = perf_regressions(&base, &nan, 0.10);
         assert_eq!(failures.len(), 1, "{failures:?}");
@@ -331,20 +325,24 @@ mod tests {
     #[test]
     fn serve_rows_key_on_session_count_and_new_rows_are_not_failures() {
         let base = snapshot(
-            r#"{"serve":[{"model":"m","backend":"f32","sessions":1024,"rows_per_s":500.0}]}"#,
+            r#"{"serve_scale":[{"model":"m","backend":"f32","load":"saturated",
+                                "sessions":1024,"rows_per_s":500.0}]}"#,
         );
         // Fresh snapshot serves a different session count: the baseline row
         // is missing, and the new row is not itself a failure.
         let other = snapshot(
-            r#"{"serve":[{"model":"m","backend":"f32","sessions":2048,"rows_per_s":900.0}]}"#,
+            r#"{"serve_scale":[{"model":"m","backend":"f32","load":"saturated",
+                                "sessions":2048,"rows_per_s":900.0}]}"#,
         );
         let failures = perf_regressions(&base, &other, 0.10);
         assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("m/f32/1024"), "{failures:?}");
+        assert!(failures[0].contains("m/f32/saturated/1024"), "{failures:?}");
         // Same count again: passes, and extra fresh rows are ignored.
         let grown = snapshot(
-            r#"{"serve":[{"model":"m","backend":"f32","sessions":1024,"rows_per_s":495.0},
-                        {"model":"m","backend":"i8","sessions":1024,"rows_per_s":100.0}]}"#,
+            r#"{"serve_scale":[{"model":"m","backend":"f32","load":"saturated",
+                                "sessions":1024,"rows_per_s":495.0},
+                               {"model":"m","backend":"i8","load":"saturated",
+                                "sessions":1024,"rows_per_s":100.0}]}"#,
         );
         assert!(perf_regressions(&base, &grown, 0.10).is_empty());
     }
@@ -355,7 +353,8 @@ mod tests {
             snapshot(r#"{"results":[{"model":"m","backend":"i8","dispatched_rows_per_s":10.0}]}"#);
         let fresh = snapshot(
             r#"{"results":[{"model":"m","backend":"i8","dispatched_rows_per_s":4.0}],
-                "serve":[{"model":"m","backend":"f32","sessions":1024,"rows_per_s":1.0}]}"#,
+                "serve_scale":[{"model":"m","backend":"f32","load":"saturated",
+                                "sessions":1024,"rows_per_s":1.0}]}"#,
         );
         let failures = perf_regressions(&base, &fresh, 0.10);
         assert_eq!(failures.len(), 1);
@@ -365,33 +364,18 @@ mod tests {
     #[test]
     fn campaign_rows_gate_rollout_steps_and_sweep_trials_independently() {
         let base = snapshot(
-            r#"{"campaign":[
-                {"model":"m","backend":"f32","batch":64,"steps_per_s":1000.0},
-                {"figure":"fig5","scale":"smoke","trials_per_s":10.0}]}"#,
+            r#"{"campaign":[{"model":"m","backend":"f32","batch":64,"steps_per_s":1000.0}]}"#,
         );
         assert_eq!(perf_regressions(&base, &base, 0.10), Vec::<String>::new());
 
-        // A rollout regression is caught by the steps/s pass alone.
+        // A rollout regression is caught on steps/s.
         let slow_rollout = snapshot(
-            r#"{"campaign":[
-                {"model":"m","backend":"f32","batch":64,"steps_per_s":500.0},
-                {"figure":"fig5","scale":"smoke","trials_per_s":10.0}]}"#,
+            r#"{"campaign":[{"model":"m","backend":"f32","batch":64,"steps_per_s":500.0}]}"#,
         );
         let failures = perf_regressions(&base, &slow_rollout, 0.10);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("m/f32/64"), "{failures:?}");
         assert!(failures[0].contains("steps_per_s"), "{failures:?}");
-
-        // A sweep regression is caught by the trials/s pass alone.
-        let slow_sweep = snapshot(
-            r#"{"campaign":[
-                {"model":"m","backend":"f32","batch":64,"steps_per_s":1000.0},
-                {"figure":"fig5","scale":"smoke","trials_per_s":2.0}]}"#,
-        );
-        let failures = perf_regressions(&base, &slow_sweep, 0.10);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("fig5"), "{failures:?}");
-        assert!(failures[0].contains("trials_per_s"), "{failures:?}");
 
         // Pre-campaign baselines gate nothing new.
         let old = snapshot(r#"{"results":[]}"#);

@@ -11,12 +11,12 @@ use navft_dronesim::{DepthCamera, DroneSim, DroneWorld};
 use navft_fault::{FaultKind, FaultMap, FaultSite, FaultTarget, InjectionSchedule, Injector};
 use navft_nn::{
     parametric_layer_names, C3f2Config, EngineConfig, I8Network, I8Scratch, I8Tensor, Network,
-    QNetwork, QScratch, QTensor,
+    NetworkBase, QNetwork, QScratch, QTensor,
 };
 use navft_qformat::QFormat;
 use navft_rl::{
     evaluate_policy_vision_batched, evaluate_policy_vision_hooked_batched, trainer,
-    DummyVisionVecEnv, FaultPlan, InferenceFaultMode, VisionEnvironment,
+    DummyVisionVecEnv, EvalElement, FaultPlan, InferenceFaultMode, VisionEnvironment,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -90,10 +90,12 @@ fn drone_venv(world: &DroneWorld, params: &DroneParams) -> DummyVisionVecEnv<Dro
 }
 
 /// Evaluates the mean safe flight distance of `network` in `world` under the
-/// given weight fault mode. The episodes run as one vectorized rollout —
-/// bit-identical to a serial per-episode loop at any width or engine config.
-fn flight_distance(
-    network: &Network,
+/// given weight fault mode, on any backend: a quantized or `i8` policy runs
+/// natively on its stored words. The episodes run as one vectorized
+/// rollout — bit-identical to a serial per-episode loop at any width or
+/// engine config.
+fn flight_distance<W: EvalElement>(
+    network: &NetworkBase<W>,
     world: &DroneWorld,
     params: &DroneParams,
     fault: &InferenceFaultMode,
@@ -525,60 +527,9 @@ pub fn data_type_sweep(scale: Scale) -> Sweep {
     sweep
 }
 
-/// Mean safe flight distance of a natively quantized policy under the given
-/// weight fault mode: the whole evaluation runs on raw Q-format words.
-fn flight_distance_q(
-    network: &QNetwork,
-    world: &DroneWorld,
-    params: &DroneParams,
-    fault: &InferenceFaultMode,
-    seed: u64,
-    engine: EngineConfig,
-) -> f64 {
-    let mut venv = drone_venv(world, params);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    // The generic evaluator instantiated for raw words: the whole evaluation
-    // runs natively in the policy's Q-format, one batched sweep per step.
-    evaluate_policy_vision_batched(
-        &mut venv,
-        network,
-        params.eval_episodes,
-        params.max_steps,
-        fault,
-        &mut rng,
-        engine,
-    )
-    .mean_distance
-}
-
 /// The raw-bit layout i8 affine bytes are reported under (8 stored bits; the
 /// binary point is meaningless for affine words, only the width matters).
 const I8_FORMAT: QFormat = QFormat::Q3_4;
-
-/// Mean safe flight distance of an `i8` affine policy under the given weight
-/// fault mode: the whole evaluation runs on stored bytes through the same
-/// generic evaluator as the other backends.
-fn flight_distance_i8(
-    network: &I8Network,
-    world: &DroneWorld,
-    params: &DroneParams,
-    fault: &InferenceFaultMode,
-    seed: u64,
-    engine: EngineConfig,
-) -> f64 {
-    let mut venv = drone_venv(world, params);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    evaluate_policy_vision_batched(
-        &mut venv,
-        network,
-        params.eval_episodes,
-        params.max_steps,
-        fault,
-        &mut rng,
-        engine,
-    )
-    .mean_distance
-}
 
 /// Declares the data-type sweep's cells under `prefix` (also used by the
 /// extended ablation).
@@ -641,7 +592,7 @@ pub(crate) fn add_data_type_cells(
                 let policy = quantized.get();
                 let injector =
                     weight_injector(policy.weight_count(), ber, FaultKind::BitFlip, format, seed);
-                flight_distance_q(
+                flight_distance(
                     policy,
                     &world,
                     &params,
@@ -682,7 +633,7 @@ pub(crate) fn add_data_type_cells(
             let policy = affine.get();
             let injector =
                 weight_injector(policy.weight_count(), ber, FaultKind::BitFlip, I8_FORMAT, seed);
-            flight_distance_i8(
+            flight_distance(
                 policy,
                 &world,
                 &params,

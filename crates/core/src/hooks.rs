@@ -109,7 +109,7 @@ impl BufferFaultHook {
                 .clone(),
         };
         self.faults_injected += map.len();
-        map.corrupt_f32(values, self.format);
+        map.corrupt(values, self.format);
     }
 }
 

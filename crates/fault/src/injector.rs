@@ -112,23 +112,6 @@ impl Injector {
         self.map.enforce_span(first_word, words, self.format);
     }
 
-    /// Applies the fault pattern once to live raw Q-format words — the
-    /// native backend's spelling of [`Injector::corrupt`].
-    pub fn corrupt_raw(&self, words: &mut [i32]) {
-        self.corrupt_span(0, words);
-    }
-
-    /// Window variant of [`Injector::corrupt_raw`] (see
-    /// [`Injector::corrupt_span`]).
-    pub fn corrupt_raw_span(&self, first_word: usize, words: &mut [i32]) {
-        self.corrupt_span(first_word, words);
-    }
-
-    /// Re-enforces the permanent faults of the pattern on live raw words.
-    pub fn enforce_raw(&self, words: &mut [i32]) {
-        self.enforce_span(0, words);
-    }
-
     /// Whether this injector carries permanent faults that must be re-enforced
     /// after every buffer update.
     pub fn has_permanent(&self) -> bool {
@@ -169,7 +152,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_raw_flips_bits_in_the_live_words() {
+    fn corrupt_flips_bits_in_the_live_raw_words() {
         // The quantized path corrupts the stored words directly: each bit
         // flip is exactly one XOR on the live buffer, so the before/after
         // words differ in precisely the sampled bit positions — proof that
@@ -186,7 +169,7 @@ mod tests {
         );
         let original: Vec<i32> = (0..64).map(|i| i * 37 % 1000 - 500).collect();
         let mut corrupted = original.clone();
-        injector.corrupt_raw(&mut corrupted);
+        injector.corrupt(&mut corrupted);
         let mut expected = original.clone();
         for fault in injector.map().faults() {
             expected[fault.word] ^= 1 << fault.bit;
@@ -196,7 +179,7 @@ mod tests {
         assert!(injector.fault_count() > 0);
         assert_eq!(corrupted, expected);
         // Flipping the same pattern again restores the original words.
-        injector.corrupt_raw(&mut corrupted);
+        injector.corrupt(&mut corrupted);
         assert_eq!(corrupted, original);
     }
 

@@ -14,15 +14,15 @@
 //! * [`FaultMap`] — a concrete set of (word, bit) faults sampled from a bit
 //!   error rate (BER); permanent faults are re-enforced on every access while
 //!   transient flips are applied once.
-//! * [`Injector`] — the single corruption entry point. For `f32` buffers
+//! * [`Injector`] — the single corruption entry point,
+//!   [`Injector::corrupt`], generic over the stored word. For `f32` buffers
 //!   that *model* Q-format storage it applies the fault map through a
-//!   quantize–corrupt–dequantize round trip ([`Injector::corrupt`]); for
-//!   buffers that *natively* hold raw Q-format words (the quantized
-//!   inference backend) it flips bits of the live words in place
-//!   ([`Injector::corrupt_raw`]) — one integer operation per fault, no
-//!   round trip. Span variants ([`Injector::corrupt_span`] /
-//!   [`Injector::corrupt_raw_span`]) address one layer's buffer within a
-//!   map sampled over a whole network's concatenated weight space.
+//!   quantize–corrupt–dequantize round trip; for buffers that *natively*
+//!   hold raw words (the quantized and `i8` inference backends) it flips
+//!   bits of the live words in place — one integer operation per fault, no
+//!   round trip. The span variant ([`Injector::corrupt_span`]) addresses one
+//!   layer's buffer within a map sampled over a whole network's
+//!   concatenated weight space.
 //! * [`InjectionSchedule`] — *when* the fault strikes (which training episode
 //!   or inference step) and whether it is injected statically (before
 //!   execution) or dynamically (during execution).
@@ -43,7 +43,7 @@
 //! // Sample a 1% BER bit-flip pattern over 64 words of 16 bits each.
 //! let map = FaultMap::sample(64, QFormat::Q4_11, 0.01, FaultKind::BitFlip, &mut rng);
 //! let mut weights = vec![0.5f32; 64];
-//! map.corrupt_f32(&mut weights, QFormat::Q4_11);
+//! map.corrupt(&mut weights, QFormat::Q4_11);
 //! assert!(weights.iter().any(|&w| w != 0.5));
 //! ```
 

@@ -80,7 +80,7 @@ pub struct BitFault {
 /// A fault map is sampled once from a bit error rate (the fraction of bits in
 /// the buffer that are faulty) and can then be applied to the buffer —
 /// transiently (bit flips, applied once) or persistently (stuck-at faults,
-/// re-enforced on every access via [`FaultMap::enforce_f32`]).
+/// re-enforced on every access via [`FaultMap::enforce`]).
 ///
 /// # Examples
 ///
@@ -183,8 +183,14 @@ impl FaultMap {
     }
 
     /// Applies every fault once to a buffer of any [`StoredWord`]
-    /// representation (transient semantics): the single generic corruption
-    /// entry point behind the per-representation convenience names.
+    /// representation (transient semantics).
+    ///
+    /// An `f32` buffer models one that physically stores `format` words: it
+    /// goes through a quantize → corrupt → dequantize round trip, so the
+    /// faulty bits perturb the stored word and the consumer sees the
+    /// dequantized result. A buffer that natively holds raw two's-complement
+    /// words (`i32` Q-format words, `i8` affine bytes) skips the round trip:
+    /// each bit flip or stuck-at is a single integer operation.
     pub fn corrupt<W: StoredWord>(&self, words: &mut [W], format: QFormat) {
         self.corrupt_span(0, words, format);
     }
@@ -213,58 +219,6 @@ impl FaultMap {
     /// [`FaultMap::corrupt_span`]).
     pub fn enforce_span<W: StoredWord>(&self, first_word: usize, words: &mut [W], format: QFormat) {
         self.apply_span(first_word, words, format, true);
-    }
-
-    /// Applies every fault to an `f32` buffer through a quantize → corrupt →
-    /// dequantize round trip in `format`.
-    ///
-    /// This models a buffer that physically stores `format` words: the
-    /// faulty bits perturb the stored word and the accelerator consumes the
-    /// dequantized result. Buffers that *natively* store Q-format words skip
-    /// the round trip entirely via [`FaultMap::corrupt_raw`].
-    pub fn corrupt_f32(&self, values: &mut [f32], format: QFormat) {
-        self.corrupt_span(0, values, format);
-    }
-
-    /// Window variant of [`FaultMap::corrupt_f32`] (see
-    /// [`FaultMap::corrupt_span`]).
-    pub fn corrupt_f32_span(&self, first_word: usize, values: &mut [f32], format: QFormat) {
-        self.corrupt_span(first_word, values, format);
-    }
-
-    /// [`FaultMap::enforce`] for `f32` buffers modelling Q-format storage.
-    pub fn enforce_f32(&self, values: &mut [f32], format: QFormat) {
-        self.enforce_span(0, values, format);
-    }
-
-    /// Window variant of [`FaultMap::enforce_f32`] (see
-    /// [`FaultMap::corrupt_span`]).
-    pub fn enforce_f32_span(&self, first_word: usize, values: &mut [f32], format: QFormat) {
-        self.enforce_span(first_word, values, format);
-    }
-
-    /// Applies every fault directly to a buffer of live raw two's-complement
-    /// `format` words — the native fixed-point backend's corruption path,
-    /// where a bit flip or stuck-at is a single integer operation with no
-    /// quantize → dequantize round trip.
-    pub fn corrupt_raw(&self, words: &mut [i32], format: QFormat) {
-        self.corrupt_span(0, words, format);
-    }
-
-    /// Window variant of [`FaultMap::corrupt_raw`] (see
-    /// [`FaultMap::corrupt_span`]).
-    pub fn corrupt_raw_span(&self, first_word: usize, words: &mut [i32], format: QFormat) {
-        self.corrupt_span(first_word, words, format);
-    }
-
-    /// Re-enforces the *permanent* faults of the map on live raw words.
-    pub fn enforce_raw(&self, words: &mut [i32], format: QFormat) {
-        self.enforce_span(0, words, format);
-    }
-
-    /// Window variant of [`FaultMap::enforce_raw`].
-    pub fn enforce_raw_span(&self, first_word: usize, words: &mut [i32], format: QFormat) {
-        self.enforce_span(first_word, words, format);
     }
 
     fn apply_span<W: StoredWord>(
@@ -352,18 +306,18 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_f32_changes_values_and_enforce_reasserts_stuck_bits() {
+    fn corrupt_changes_f32_values_and_enforce_reasserts_stuck_bits() {
         let fmt = QFormat::Q3_4;
         let map =
             FaultMap::from_faults(vec![BitFault { word: 0, bit: 7, kind: FaultKind::StuckAt1 }]);
         let mut buf = vec![1.0f32, 2.0];
-        map.corrupt_f32(&mut buf, fmt);
+        map.corrupt(&mut buf, fmt);
         assert!(buf[0] < 0.0, "sign bit stuck at 1 makes the value negative");
         assert_eq!(buf[1], 2.0);
 
         // A write "repairs" the value, then enforcement re-asserts the defect.
         buf[0] = 1.0;
-        map.enforce_f32(&mut buf, fmt);
+        map.enforce(&mut buf, fmt);
         assert!(buf[0] < 0.0);
     }
 
@@ -373,9 +327,9 @@ mod tests {
         let map =
             FaultMap::from_faults(vec![BitFault { word: 0, bit: 7, kind: FaultKind::BitFlip }]);
         let mut buf = vec![1.0f32];
-        map.enforce_f32(&mut buf, fmt);
+        map.enforce(&mut buf, fmt);
         assert_eq!(buf[0], 1.0);
-        map.corrupt_f32(&mut buf, fmt);
+        map.corrupt(&mut buf, fmt);
         assert!(buf[0] < 0.0);
     }
 
@@ -385,7 +339,7 @@ mod tests {
         let map =
             FaultMap::from_faults(vec![BitFault { word: 0, bit: 6, kind: FaultKind::StuckAt0 }]);
         let mut buf = vec![0.5f32];
-        map.corrupt_f32(&mut buf, fmt);
+        map.corrupt(&mut buf, fmt);
         assert_eq!(buf[0], 0.5);
     }
 
@@ -394,7 +348,7 @@ mod tests {
         let map =
             FaultMap::from_faults(vec![BitFault { word: 10, bit: 0, kind: FaultKind::BitFlip }]);
         let mut buf = vec![1.0f32; 2];
-        map.corrupt_f32(&mut buf, QFormat::Q3_4);
+        map.corrupt(&mut buf, QFormat::Q3_4);
         assert_eq!(buf, vec![1.0, 1.0]);
     }
 
@@ -407,33 +361,33 @@ mod tests {
             [0.25f32, 0.75].iter().map(|&v| QValue::quantize(v, fmt)).collect();
         let mut floats = vec![0.25f32, 0.75];
         map.apply(&mut words);
-        map.corrupt_f32(&mut floats, fmt);
+        map.corrupt(&mut floats, fmt);
         assert_eq!(words[1].to_f32(), floats[1]);
         assert_eq!(words[0].to_f32(), floats[0]);
     }
 
     #[test]
-    fn corrupt_raw_flips_live_words_in_place() {
+    fn corrupt_flips_live_raw_words_in_place() {
         let fmt = QFormat::Q3_4;
         let map = FaultMap::from_faults(vec![
             BitFault { word: 0, bit: 7, kind: FaultKind::BitFlip },
             BitFault { word: 1, bit: 0, kind: FaultKind::StuckAt1 },
         ]);
         let mut words = vec![16i32, 32]; // 1.0 and 2.0 in Q3_4
-        map.corrupt_raw(&mut words, fmt);
+        map.corrupt(&mut words, fmt);
         // Flipping bit 7 of raw 16 (0b0001_0000) gives 0b1001_0000 = -112.
         assert_eq!(words, vec![-112, 33]);
     }
 
     #[test]
-    fn corrupt_raw_matches_corrupt_f32_on_grid_values() {
+    fn raw_word_corruption_matches_the_f32_round_trip_on_grid_values() {
         let fmt = QFormat::Q4_11;
         let mut rng = SmallRng::seed_from_u64(9);
         let map = FaultMap::sample(32, fmt, 0.1, FaultKind::StuckAt1, &mut rng);
         let mut floats: Vec<f32> = (0..32).map(|i| (i as f32 - 16.0) * 0.25).collect();
         let mut raws: Vec<i32> = floats.iter().map(|&v| QValue::quantize(v, fmt).raw()).collect();
-        map.corrupt_f32(&mut floats, fmt);
-        map.corrupt_raw(&mut raws, fmt);
+        map.corrupt(&mut floats, fmt);
+        map.corrupt(&mut raws, fmt);
         let dequantized: Vec<f32> =
             raws.iter().map(|&r| QValue::from_raw(r, fmt).to_f32()).collect();
         assert_eq!(floats, dequantized);
@@ -471,23 +425,23 @@ mod tests {
         ]);
         // Window covering words 2..5: only word 2 lands, at local index 0.
         let mut floats = vec![1.0f32; 3];
-        map.corrupt_f32_span(2, &mut floats, fmt);
+        map.corrupt_span(2, &mut floats, fmt);
         assert!(floats[0] < 0.0);
         assert_eq!(&floats[1..], &[1.0, 1.0]);
         let mut raws = vec![16i32; 3];
-        map.corrupt_raw_span(2, &mut raws, fmt);
+        map.corrupt_span(2, &mut raws, fmt);
         assert_eq!(raws, vec![-112, 16, 16]);
     }
 
     #[test]
-    fn enforce_raw_reasserts_only_permanent_faults() {
+    fn enforce_reasserts_only_permanent_faults_on_raw_words() {
         let fmt = QFormat::Q3_4;
         let map = FaultMap::from_faults(vec![
             BitFault { word: 0, bit: 6, kind: FaultKind::StuckAt1 },
             BitFault { word: 1, bit: 6, kind: FaultKind::BitFlip },
         ]);
         let mut words = vec![0i32, 0];
-        map.enforce_raw(&mut words, fmt);
+        map.enforce(&mut words, fmt);
         assert_eq!(words, vec![64, 0]);
     }
 
@@ -538,8 +492,8 @@ mod proptests {
             let map = FaultMap::sample(32, fmt, 0.1, FaultKind::BitFlip, &mut rng);
             let original: Vec<f32> = (0..32).map(|i| (i as f32 - 16.0) * 0.25).collect();
             let mut buf = original.clone();
-            map.corrupt_f32(&mut buf, fmt);
-            map.corrupt_f32(&mut buf, fmt);
+            map.corrupt(&mut buf, fmt);
+            map.corrupt(&mut buf, fmt);
             prop_assert_eq!(buf, original);
         }
 
@@ -549,9 +503,9 @@ mod proptests {
             let mut rng = SmallRng::seed_from_u64(seed);
             let map = FaultMap::sample(32, fmt, 0.1, FaultKind::StuckAt1, &mut rng);
             let mut once: Vec<f32> = (0..32).map(|i| i as f32 * 0.01).collect();
-            map.corrupt_f32(&mut once, fmt);
+            map.corrupt(&mut once, fmt);
             let mut twice = once.clone();
-            map.corrupt_f32(&mut twice, fmt);
+            map.corrupt(&mut twice, fmt);
             prop_assert_eq!(once, twice);
         }
     }

@@ -79,7 +79,7 @@
 //!   network), accumulates byte products exactly in a widened `i32` and
 //!   performs one rounding, saturating requantize per output element — the
 //!   serving-style Int8 scheme of inference runtimes. Its live bytes are
-//!   faultable exactly like raw Q-format words (`FaultMap::corrupt_raw` /
+//!   faultable exactly like raw Q-format words (`FaultMap::corrupt` /
 //!   `corrupt_span` flip bits of the stored `i8`s), and the data-type sweeps
 //!   run it alongside the Q-formats.
 //!
@@ -148,7 +148,7 @@
 //! [`ForwardHooks::on_batch_activation`] receive `(batch_row, layer,
 //! values)` in per-row program order and default to the single-sample
 //! methods, so existing hooks (range recording, dynamic fault injection)
-//! work unchanged; [`PerRowHooks`] gives each row its own stateful hook,
+//! work unchanged; [`DynRowHooks`] gives each row its own stateful hook,
 //! reproducing per-episode fault injection bit-exactly on the batched path.
 //!
 //! # Examples
@@ -194,7 +194,7 @@ pub use layer::{Layer, LayerBase, LayerKind};
 pub use models::{c3f2, c3f2_scaled, mlp, parametric_layer_names, C3f2Config};
 pub use network::{
     DynRowHooks, ForwardHooks, ForwardHooks as HooksFor, ForwardTrace, Network, NetworkBase,
-    NoHooks, PerRowHooks, RangeRecorder,
+    NoHooks, RangeRecorder,
 };
 pub use qnetwork::{
     network_bit_stats, I8Conv2d, I8Layer, I8Linear, QConv2d, QLayer, QLinear, QNetwork, QScratch,

@@ -39,7 +39,7 @@ use crate::{gemm, Layer, LayerBase, LayerKind, Scratch, Tensor};
 /// hook written for single-sample inference therefore keeps working
 /// unchanged on the batched path; hooks that need per-row behaviour (e.g. an
 /// independently seeded fault injector per episode) override the batch
-/// methods or wrap one hook per row in [`PerRowHooks`] / [`DynRowHooks`].
+/// methods or wrap one hook per row in [`DynRowHooks`].
 pub trait ForwardHooks<E: Element = f32> {
     /// Called on the input feature map before the first layer.
     fn on_input(&mut self, values: &mut [E]) {
@@ -73,83 +73,17 @@ pub trait ForwardHooks<E: Element = f32> {
     }
 }
 
-/// Routes each batch row of a batched forward pass to its own hook instance.
+/// Routes each batch row of a batched forward pass to its own dynamically
+/// dispatched hook.
 ///
 /// This is the bit-exactness bridge between batched and per-sample
-/// inference under *stateful* hooks: row `b` of
-/// [`NetworkBase::forward_batch_into_cfg`] sees exactly the call sequence
-/// that a standalone [`NetworkBase::forward_with`] using `hooks[b]` would
-/// see, so a per-episode fault injector seeded per row corrupts identically
-/// on either path. On the per-sample methods (a non-batched pass) the
-/// adapter behaves as row 0.
-#[derive(Debug, Clone)]
-pub struct PerRowHooks<H> {
-    hooks: Vec<H>,
-}
-
-impl<H> PerRowHooks<H> {
-    /// Wraps one hook per batch row.
-    pub fn new(hooks: Vec<H>) -> PerRowHooks<H> {
-        PerRowHooks { hooks }
-    }
-
-    /// The per-row hooks.
-    pub fn hooks(&self) -> &[H] {
-        &self.hooks
-    }
-
-    /// The per-row hooks, mutably.
-    pub fn hooks_mut(&mut self) -> &mut [H] {
-        &mut self.hooks
-    }
-
-    /// Unwraps into the per-row hooks.
-    pub fn into_inner(self) -> Vec<H> {
-        self.hooks
-    }
-}
-
-impl<E: Element, H: ForwardHooks<E>> ForwardHooks<E> for PerRowHooks<H> {
-    fn on_input(&mut self, values: &mut [E]) {
-        if let Some(hook) = self.hooks.first_mut() {
-            hook.on_input(values);
-        }
-    }
-
-    fn on_activation(&mut self, layer_index: usize, kind: LayerKind, values: &mut [E]) {
-        if let Some(hook) = self.hooks.first_mut() {
-            hook.on_activation(layer_index, kind, values);
-        }
-    }
-
-    fn on_batch_input(&mut self, batch_row: usize, values: &mut [E]) {
-        assert!(batch_row < self.hooks.len(), "PerRowHooks holds no hook for row {batch_row}");
-        self.hooks[batch_row].on_input(values);
-    }
-
-    fn on_batch_activation(
-        &mut self,
-        batch_row: usize,
-        layer_index: usize,
-        kind: LayerKind,
-        values: &mut [E],
-    ) {
-        assert!(batch_row < self.hooks.len(), "PerRowHooks holds no hook for row {batch_row}");
-        self.hooks[batch_row].on_activation(layer_index, kind, values);
-    }
-}
-
-/// Routes each batch row of a batched forward pass to its own dynamically
-/// dispatched hook — the borrowed, heterogeneous counterpart of
-/// [`PerRowHooks`].
-///
-/// Where [`PerRowHooks`] owns a homogeneous `Vec<H>`, this adapter borrows
-/// one `&mut dyn ForwardHooks<E>` per row, so callers that hold
-/// heterogeneous boxed hooks keyed by some external identity — a serving
-/// daemon's per-session fault/scrub state, coalesced into one batch in
-/// arrival order — can run them through a single batched sweep. The
-/// bit-exactness contract is the same: row `b` sees exactly the
-/// input/activation call sequence a standalone single-sample pass using
+/// inference under *stateful* hooks. The adapter borrows one
+/// `&mut dyn ForwardHooks<E>` per row, so callers that hold heterogeneous
+/// hooks — a rollout's per-episode fault injectors, a serving daemon's
+/// per-session fault/scrub state coalesced in arrival order — can run them
+/// through a single batched sweep. Row `b` of
+/// [`NetworkBase::forward_batch_into_cfg`] sees exactly the input/activation
+/// call sequence that a standalone [`NetworkBase::forward_with`] using
 /// `rows[b]` would see, so per-row stateful hooks (seeded fault injectors,
 /// scrub counters) behave identically at any batch composition. On the
 /// single-sample methods (a non-batched pass) the adapter behaves as row 0.
@@ -495,7 +429,7 @@ impl<E: Element> NetworkBase<E> {
     ///
     /// Each batch row is reported through the hook's batch methods in
     /// per-row program order, so single-sample hooks and [`RangeRecorder`]
-    /// work unchanged and [`PerRowHooks`] reproduces per-sample fault
+    /// work unchanged and [`DynRowHooks`] reproduces per-sample fault
     /// injection bit-exactly. Row `b` of the result equals
     /// `self.forward_with(&inputs[b], ..)` exactly under every
     /// [`EngineConfig`] (see the equivalence test suites), even though the
@@ -1132,14 +1066,16 @@ mod tests {
         }
         let net = tiny_mlp(18);
         let inputs = vec![Tensor::zeros(&[3]); 3];
-        let mut per_row = PerRowHooks::new(vec![AddRowTag(0.0), AddRowTag(0.5), AddRowTag(1.0)]);
+        let mut tags = [AddRowTag(0.0), AddRowTag(0.5), AddRowTag(1.0)];
+        let rows = tags.iter_mut().map(|tag| tag as &mut dyn ForwardHooks).collect();
+        let mut per_row = DynRowHooks::new(rows);
         let batched = batch_rows(&net, &inputs, &mut per_row);
         for (b, tag) in [0.0f32, 0.5, 1.0].iter().enumerate() {
             let mut hook = AddRowTag(*tag);
             let serial = net.forward_with(&inputs[b], &mut hook);
             assert_eq!(batched[b].as_slice(), serial.data(), "row {b} diverged");
         }
-        assert_eq!(per_row.hooks().len(), 3);
+        assert_eq!(per_row.len(), 3);
     }
 
     #[test]

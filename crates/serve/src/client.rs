@@ -3,12 +3,12 @@
 //!
 //! Two traffic shapes:
 //!
-//! * The **episode drivers** ([`drive_discrete_episodes`],
-//!   [`drive_vision_episodes`]) step their sessions in lockstep rounds —
-//!   submit every live session's observation (retrying with a scheduler
-//!   yield on [`ServeError::Busy`] backpressure), then wait for every
-//!   decision. The returned per-session action traces are what the
-//!   determinism suite compares bit-for-bit against the library-only path.
+//! * The **lockstep episode driver** ([`drive_discrete_episodes`]) steps
+//!   its grid-world sessions in rounds — submit every live session's
+//!   one-hot state (retrying with a scheduler yield on [`ServeError::Busy`]
+//!   backpressure), then wait for every decision. The returned per-session
+//!   action traces are what the determinism suite compares bit-for-bit
+//!   against the library-only path.
 //! * The **bursty open-loop driver** ([`drive_bursty_load`]) schedules each
 //!   session's arrivals independently from a seeded per-session RNG
 //!   (exponential think times with ramp and spike phases), submits
@@ -21,7 +21,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
-use navft_rl::{DiscreteEnvironment, EvalElement, VisionEnvironment};
+use navft_rl::{DiscreteEnvironment, EvalElement};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
@@ -30,7 +30,8 @@ use crate::{LatencyWindow, ServeError, Server, SessionId, Ticket};
 /// What a load-generation run produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadOutcome {
-    /// Per-session greedy action traces, in session order.
+    /// Per-session greedy action traces, in session order (empty for the
+    /// bursty driver, which measures load rather than traces).
     pub traces: Vec<Vec<usize>>,
     /// Total requests served (batch rows).
     pub rows: usize,
@@ -93,66 +94,6 @@ where
             traces[i].push(decision.action);
             let transition = envs[i].step(decision.action);
             states[i] = transition.next_state;
-            if transition.terminal {
-                alive[i] = false;
-            }
-        }
-    }
-    LoadOutcome { traces, rows, retries, elapsed: started.elapsed() }
-}
-
-/// [`drive_discrete_episodes`] for vision environments (the drone task):
-/// each step hands the environment's `f32` observation to the server's
-/// quantize-on-ingest entry point, which encodes it into the backend's
-/// storage representation exactly once at enqueue — no per-step clone.
-///
-/// # Panics
-///
-/// Panics if `sessions` and `envs` differ in length, or on any submit error
-/// other than [`ServeError::Busy`].
-pub fn drive_vision_episodes<W, E>(
-    server: &Server<W>,
-    sessions: &[SessionId],
-    envs: &mut [E],
-    max_steps: usize,
-    latency: &mut LatencyWindow,
-) -> LoadOutcome
-where
-    W: EvalElement,
-    E: VisionEnvironment,
-{
-    assert_eq!(sessions.len(), envs.len(), "one environment per session");
-    let n = sessions.len();
-    let mut observations: Vec<navft_nn::Tensor> = envs.iter_mut().map(|env| env.reset()).collect();
-    let mut alive = vec![true; n];
-    let mut traces = vec![Vec::new(); n];
-    if envs.is_empty() {
-        return LoadOutcome { traces, rows: 0, retries: 0, elapsed: Duration::ZERO };
-    }
-
-    let mut rows = 0usize;
-    let mut retries = 0usize;
-    let started = Instant::now();
-    for _ in 0..max_steps {
-        let mut round: Vec<(usize, Ticket<W>, Instant)> = Vec::new();
-        for i in 0..n {
-            if !alive[i] {
-                continue;
-            }
-            let (ticket, submitted) =
-                submit_obs_with_backoff(server, sessions[i], &observations[i], &mut retries);
-            round.push((i, ticket, submitted));
-        }
-        if round.is_empty() {
-            break;
-        }
-        for (i, ticket, submitted) in round {
-            let decision = ticket.wait().expect("served decision");
-            latency.record(submitted.elapsed());
-            rows += 1;
-            traces[i].push(decision.action);
-            let transition = envs[i].step(decision.action);
-            observations[i] = transition.observation;
             if transition.terminal {
                 alive[i] = false;
             }
@@ -238,7 +179,7 @@ fn phase_multiplier(done: usize, total: usize, spike_factor: f64) -> f64 {
 /// latency. The driver never blocks on a single ticket (tickets resolve via
 /// [`Ticket::poll`]), so one slow request cannot stall arrivals due for
 /// other sessions. The returned outcome's `traces` are empty: this driver
-/// measures load behaviour, the lockstep episode drivers pin determinism.
+/// measures load behaviour, the lockstep episode driver pins determinism.
 ///
 /// # Panics
 ///
@@ -374,35 +315,13 @@ fn submit_one_hot_with_backoff<W: EvalElement>(
     }
 }
 
-/// [`submit_one_hot_with_backoff`] for `f32` observations, routed through
-/// the server's quantize-on-ingest entry point.
-fn submit_obs_with_backoff<W: EvalElement>(
-    server: &Server<W>,
-    session: SessionId,
-    observation: &navft_nn::Tensor,
-    retries: &mut usize,
-) -> (Ticket<W>, Instant) {
-    let started = Instant::now();
-    loop {
-        match server.submit_obs(session, observation) {
-            Ok(ticket) => return (ticket, started),
-            Err(ServeError::Busy) => {
-                *retries += 1;
-                std::thread::yield_now();
-            }
-            Err(error) => panic!("load generator submit failed: {error}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testing::within_timeout;
     use crate::{ServeConfig, SessionHook};
-    use navft_dronesim::DroneSim;
     use navft_gridworld::GridWorld;
-    use navft_nn::{c3f2_scaled, mlp};
+    use navft_nn::mlp;
     use navft_rl::trace_policy_discrete;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -464,23 +383,6 @@ mod tests {
             assert_eq!(latency.len(), outcome.rows);
             assert!(latency.p999() >= latency.p50(), "percentiles are ordered");
             server.shutdown();
-        });
-    }
-
-    #[test]
-    fn drone_load_generator_serves_vision_episodes() {
-        within_timeout(|| {
-            let policy = c3f2_scaled(&mut SmallRng::seed_from_u64(5));
-            let config =
-                ServeConfig::default().with_max_batch(2).with_flush_after(Duration::from_millis(1));
-            let server = Server::start(policy, &[1, 31, 31], config);
-            let sessions: Vec<_> = (0..2).map(|_| server.open_clean_session()).collect();
-            let mut envs = vec![DroneSim::indoor_long(), DroneSim::indoor_long()];
-            let mut latency = LatencyWindow::new();
-            let outcome = drive_vision_episodes(&server, &sessions, &mut envs, 4, &mut latency);
-            assert_eq!(outcome.traces.len(), 2);
-            assert!(outcome.rows > 0);
-            assert_eq!(latency.len(), outcome.rows);
         });
     }
 }

@@ -23,22 +23,23 @@
 //!   path under any coalescing schedule.
 //! * The **bounded queue** provides backpressure: beyond
 //!   [`ServeConfig::queue_capacity`] pending requests, [`Server::submit`]
-//!   rejects with [`ServeError::Busy`] and hands the input back for a retry
-//!   ([`Server::act`] retries internally). Dropping or shutting the server
-//!   down drains the queued requests before joining the batcher. If a
-//!   session hook panics, the batcher fails the server closed: every queued
-//!   and in-sweep ticket resolves `Err(ServeError::ShuttingDown)` and later
-//!   submissions are refused the same way, so no caller hangs.
-//! * **Quantize-on-ingest** entry points ([`Server::submit_obs`],
-//!   [`Server::submit_one_hot`] and their blocking [`Server::act_obs`] /
-//!   [`Server::act_one_hot`] forms) encode `f32` observations into the
-//!   served backend's storage representation exactly once at enqueue, into
-//!   pooled buffers recycled from served requests — integer backends never
-//!   round-trip through `f32` on the hot path, and steady-state ingest
-//!   performs no allocation.
+//!   rejects with [`ServeError::Busy`] and hands the input back for the
+//!   caller to retry. Dropping or shutting the server down drains the
+//!   queued requests before joining the batcher. If a session hook panics,
+//!   the batcher fails the server closed: every queued and in-sweep ticket
+//!   resolves `Err(ServeError::ShuttingDown)` and later submissions are
+//!   refused the same way, so no caller hangs.
+//! * **Two ways in, one way out.** [`Server::submit`] takes an input
+//!   already in the backend's storage representation (a vision client
+//!   encodes its frame with [`navft_rl::EvalElement::encode_into`]);
+//!   [`Server::submit_one_hot`] writes a discrete state's one-hot row
+//!   straight into a pooled buffer recycled from served requests, so
+//!   integer backends never round-trip through `f32` and steady-state
+//!   ingest performs no allocation. Either returns a [`Ticket`], whose
+//!   [`Ticket::wait`] blocks and [`Ticket::poll`] does not.
 //!
-//! [`client`] ships the lockstep grid-world and drone episode drivers the
-//! determinism suite uses, plus a bursty open-loop generator
+//! [`client`] ships the lockstep grid-world episode driver the determinism
+//! suite uses, plus a bursty open-loop generator
 //! ([`client::drive_bursty_load`]) with per-session Poisson-style arrival
 //! jitter and ramp/spike phases; [`LatencyWindow`] aggregates request
 //! latencies into the p50/p99/p99.9 + rows/s summaries the bench harness
@@ -55,9 +56,10 @@
 //! let policy = mlp(&[4, 8, 2], &mut rng);
 //! let server = Server::start(policy, &[4], ServeConfig::default());
 //! let session = server.open_session(Box::new(SessionHook::new(None, 7)));
-//! let decision = server
-//!     .act(session, navft_nn::Tensor::full(&[4], 0.25))
-//!     .expect("served decision");
+//! let ticket = server
+//!     .submit(session, navft_nn::Tensor::full(&[4], 0.25))
+//!     .expect("request queued");
+//! let decision = ticket.wait().expect("served decision");
 //! assert!(decision.action < 2);
 //! ```
 
@@ -70,9 +72,7 @@ mod metrics;
 mod server;
 mod session;
 
-pub use client::{
-    drive_bursty_load, drive_discrete_episodes, drive_vision_episodes, BurstyConfig, LoadOutcome,
-};
+pub use client::{drive_bursty_load, drive_discrete_episodes, BurstyConfig, LoadOutcome};
 pub use metrics::LatencyWindow;
 pub use server::{Decision, ServeConfig, ServeError, ServeStats, Server, SessionId, Ticket};
 pub use session::SessionHook;

@@ -83,8 +83,9 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// The served outcome of one `act()` request: the greedy action plus the
-/// policy's output row in the backend's storage representation.
+/// The served outcome of one request, as its [`Ticket`] resolves: the
+/// greedy action plus the policy's output row in the backend's storage
+/// representation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decision<W: Element> {
     /// Argmax over the policy's final layer.
@@ -175,10 +176,10 @@ struct State<W: Element> {
     /// anchor. `None` while the queue is empty.
     oldest: Option<Instant>,
     shutdown: bool,
-    /// Recycled input buffers for the quantize-on-ingest entry points
-    /// ([`Server::submit_obs`] and friends): served requests return their
-    /// tensors here, so steady-state ingest allocates nothing. Bounded by
-    /// `queue_capacity` — the most inputs the server can have in flight.
+    /// Recycled input buffers for [`Server::submit_one_hot`]: served
+    /// requests return their tensors here, so steady-state one-hot ingest
+    /// allocates nothing. Bounded by `queue_capacity` — the most inputs the
+    /// server can have in flight.
     pool: Vec<TensorBase<W>>,
     stats: ServeStats,
 }
@@ -364,15 +365,6 @@ impl<W: Element> Server<W> {
         self.shared.enqueue(&mut state, session, input)
     }
 
-    /// Submits one observation and blocks for the decision, retrying
-    /// (with a scheduler yield) while the queue is full.
-    pub fn act(&self, session: SessionId, input: TensorBase<W>) -> Result<Decision<W>, ServeError> {
-        if input.shape() != self.shared.input_shape.as_slice() {
-            return Err(ServeError::BadShape);
-        }
-        self.act_staged(session, input)
-    }
-
     /// Number of requests waiting in the queue right now.
     pub fn pending(&self) -> usize {
         self.shared.lock().pending.len()
@@ -396,34 +388,6 @@ impl<W: Element> Server<W> {
             // A batcher that died of a panicking hook has already failed
             // the server closed; there is nothing left to drain.
             let _ = batcher.join();
-        }
-    }
-
-    /// Submits a shape-checked input and blocks for the decision, retrying
-    /// while the queue is full. A refused input returns to the ingest pool.
-    fn act_staged(
-        &self,
-        session: SessionId,
-        input: TensorBase<W>,
-    ) -> Result<Decision<W>, ServeError> {
-        let mut input = input;
-        loop {
-            let mut state = self.shared.lock();
-            match self.shared.enqueue(&mut state, session, input) {
-                Ok(ticket) => {
-                    drop(state);
-                    return ticket.wait();
-                }
-                Err((ServeError::Busy, returned)) => {
-                    drop(state);
-                    input = returned;
-                    std::thread::yield_now();
-                }
-                Err((error, returned)) => {
-                    state.recycle(returned, self.shared.config.queue_capacity);
-                    return Err(error);
-                }
-            }
         }
     }
 }
@@ -450,24 +414,6 @@ impl<W: EvalElement> Server<W> {
         })
     }
 
-    /// Enqueues an `f32` observation for `session`, quantizing it into the
-    /// backend's storage representation **once, here at ingest** — the
-    /// batcher sweep then reads the staged words directly. Buffers come
-    /// from (and return to) the server's ingest pool, so the steady state
-    /// neither allocates nor re-encodes.
-    pub fn submit_obs(
-        &self,
-        session: SessionId,
-        observation: &navft_nn::Tensor,
-    ) -> Result<Ticket<W>, ServeError> {
-        if observation.shape() != self.shared.input_shape.as_slice() {
-            return Err(ServeError::BadShape);
-        }
-        let mut input = self.ingest_buffer();
-        W::encode_into(observation, &mut input);
-        self.submit_staged(session, input)
-    }
-
     /// Enqueues a one-hot observation of `state` for `session`, written
     /// directly in the backend's storage representation — discrete clients
     /// never build (or clone) an `f32` tensor at all.
@@ -478,29 +424,6 @@ impl<W: EvalElement> Server<W> {
     ) -> Result<Ticket<W>, ServeError> {
         let input = self.one_hot_input(state)?;
         self.submit_staged(session, input)
-    }
-
-    /// [`Server::submit_obs`] + blocking wait, retrying (with a scheduler
-    /// yield) while the queue is full. The observation is quantized once up
-    /// front; Busy retries resubmit the already-encoded buffer.
-    pub fn act_obs(
-        &self,
-        session: SessionId,
-        observation: &navft_nn::Tensor,
-    ) -> Result<Decision<W>, ServeError> {
-        if observation.shape() != self.shared.input_shape.as_slice() {
-            return Err(ServeError::BadShape);
-        }
-        let mut input = self.ingest_buffer();
-        W::encode_into(observation, &mut input);
-        self.act_staged(session, input)
-    }
-
-    /// [`Server::submit_one_hot`] + blocking wait, retrying while the queue
-    /// is full.
-    pub fn act_one_hot(&self, session: SessionId, state: usize) -> Result<Decision<W>, ServeError> {
-        let input = self.one_hot_input(state)?;
-        self.act_staged(session, input)
     }
 
     /// A pooled buffer holding the one-hot encoding of `state`.
@@ -675,7 +598,8 @@ mod tests {
             let expected = net.forward(&obs(0.3)).argmax();
             let server = Server::start(net, &[4], ServeConfig::default());
             let session = server.open_clean_session();
-            let decision = server.act(session, obs(0.3)).expect("decision");
+            let decision =
+                server.submit(session, obs(0.3)).expect("submit").wait().expect("decision");
             assert_eq!(decision.action, expected);
             assert_eq!(decision.values.len(), 3);
         });
@@ -771,7 +695,8 @@ mod tests {
                 .with_flush_after(Duration::from_millis(1));
             let server = Server::start(policy(), &[4], config);
             let session = server.open_clean_session();
-            let decision = server.act(session, obs(0.4)).expect("decision");
+            let decision =
+                server.submit(session, obs(0.4)).expect("submit").wait().expect("decision");
             assert_eq!(decision.values.len(), 3);
             assert_eq!(server.stats().max_rows_per_batch, 1);
         });
@@ -822,33 +747,27 @@ mod tests {
 
         within_timeout(|| {
             let qnet = QNetwork::quantize(&policy(), QFormat::Q4_11);
-            let expected_action = {
-                let staged = QTensor::quantize(&obs(0.3), QFormat::Q4_11);
-                argmax(qnet.forward(&staged).data())
-            };
             let server = Server::start(qnet, &[4], ServeConfig::default());
             let session = server.open_clean_session();
 
-            // Quantize-on-ingest serves the same decision as pre-quantized
-            // submission (same encode, relocated to enqueue).
-            let decision = server.act_obs(session, &obs(0.3)).expect("served decision");
-            assert_eq!(decision.action, expected_action);
-
             // One-hot ingest writes backend-native words directly.
-            let one_hot = server.act_one_hot(session, 2).expect("one-hot decision");
+            let one_hot = server
+                .submit_one_hot(session, 2)
+                .expect("one-hot submit")
+                .wait()
+                .expect("one-hot decision");
             let staged = {
-                let mut buf = navft_nn::QTensor::zeros(&[4], QFormat::Q4_11);
+                let mut buf = QTensor::zeros(&[4], QFormat::Q4_11);
                 buf.words_mut()[2] = navft_qformat::QValue::quantize(1.0, QFormat::Q4_11).raw();
                 buf
             };
             assert_eq!(one_hot.action, argmax(server.network().forward(&staged).data()));
 
             assert_eq!(
-                server.act_obs(session, &obs(0.0).reshape(&[2, 2])).expect_err("shape"),
-                ServeError::BadShape
-            );
-            assert_eq!(
-                server.act_one_hot(session, 4).expect_err("state out of range"),
+                server
+                    .submit_one_hot(session, 4)
+                    .and_then(Ticket::wait)
+                    .expect_err("state out of range"),
                 ServeError::BadShape
             );
             assert_eq!(
@@ -907,7 +826,11 @@ mod tests {
             // The dead batcher takes no new work.
             let (err, _) = server.submit(healthy, obs(0.4)).expect_err("no batcher");
             assert_eq!(err, ServeError::ShuttingDown);
-            let refused = server.act(bystander, obs(0.5)).expect_err("no batcher");
+            let refused = server
+                .submit(bystander, obs(0.5))
+                .map_err(|(err, _)| err)
+                .and_then(Ticket::wait)
+                .expect_err("no batcher");
             assert_eq!(refused, ServeError::ShuttingDown);
             assert_eq!(server.pending(), 0);
             // Its sessions are no longer in flight, so they can be closed.

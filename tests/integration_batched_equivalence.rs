@@ -11,8 +11,8 @@
 use navft_core::{BufferFaultHook, HookPersistence, HookTarget};
 use navft_fault::FaultKind;
 use navft_nn::{
-    mlp, C3f2Config, Element, EngineConfig, ForwardHooks, I8Network, I8Scratch, I8Tensor, Network,
-    NetworkBase, NoHooks, PerRowHooks, QScratch, QTensor, RangeRecorder, Scratch, Tensor,
+    mlp, C3f2Config, DynRowHooks, Element, EngineConfig, ForwardHooks, I8Network, I8Scratch,
+    I8Tensor, Network, NetworkBase, NoHooks, QScratch, QTensor, RangeRecorder, Scratch, Tensor,
     TensorBase,
 };
 use navft_qformat::QFormat;
@@ -158,10 +158,10 @@ fn forward_batch_is_bit_exact_under_per_row_fault_injection_hooks() {
                 let inputs = batch_inputs(&shape, batch, 0xFA17 ^ batch as u64);
                 let seed_of = |b: usize| 0x1000 + b as u64;
 
-                let mut per_row = PerRowHooks::new(
-                    (0..batch).map(|b| fault_hook(seed_of(b), target, persistence)).collect(),
-                );
-                let batched = batch_rows(&net, &inputs, &mut scratch, &mut per_row);
+                let mut row_hooks: Vec<BufferFaultHook> =
+                    (0..batch).map(|b| fault_hook(seed_of(b), target, persistence)).collect();
+                let rows = row_hooks.iter_mut().map(|hook| hook as &mut dyn ForwardHooks).collect();
+                let batched = batch_rows(&net, &inputs, &mut scratch, &mut DynRowHooks::new(rows));
 
                 let mut total_injected = 0usize;
                 for (b, input) in inputs.iter().enumerate() {

@@ -73,7 +73,7 @@ fn stuck_at_one_corrupts_more_than_stuck_at_zero_on_sparse_data() {
             let mut rng = SmallRng::seed_from_u64(seed);
             let map = FaultMap::sample(sparse.len(), QFormat::Q4_11, 0.02, kind, &mut rng);
             let mut buf = sparse.clone();
-            map.corrupt_f32(&mut buf, QFormat::Q4_11);
+            map.corrupt(&mut buf, QFormat::Q4_11);
             buf.iter().zip(sparse.iter()).map(|(a, b)| f64::from((a - b).abs())).sum::<f64>()
         });
         Summary::from_samples(values).mean()
