@@ -112,12 +112,12 @@
 //!
 //! Runtime-dispatched **SIMD microkernels** (module [`simd`]) sit behind
 //! the same contract: every GEMM sweep is first offered to an explicit
-//! `std::arch` kernel — AVX2 or the x86-64 SSE2 baseline, selected per CPU
-//! at runtime — and falls back to the portable scalar register tiles
-//! elsewhere. The kernels reproduce the scalar accumulation chains bit for
-//! bit (every backend vectorizes across output columns, `f32` with explicit
-//! multiply + add, never FMA; integer reordering within `k` is exact)
-//! ([`simd_kernel_name`] reports the active tier).
+//! `std::arch` AVX2 kernel, selected per CPU at runtime, and runs on the
+//! portable scalar register tiles on any CPU without AVX2. The kernels
+//! reproduce the scalar accumulation chains bit for bit (every backend
+//! vectorizes across output columns, `f32` with explicit multiply + add,
+//! never FMA; integer reordering within `k` is exact)
+//! ([`simd_kernel_name`] reports `"avx2"` or `"scalar"`).
 //!
 //! The engine's one knob is [`EngineConfig::kernels`], an explicit,
 //! caller-owned choice of [`Kernels::Dispatched`] (the default),

@@ -2,10 +2,10 @@
 //! runtime dispatch and a force-scalar override.
 //!
 //! The GEMM module's `gemm_bias` first offers every sweep to the backend's
-//! [`Element::gemm_simd`](crate::Element::gemm_simd) hook, which lands here;
-//! when no kernel fits the running CPU — or the caller pins scalar
-//! execution via [`Kernels::Scalar`] — the portable scalar
-//! register tiles run instead.
+//! [`Element::gemm_simd`](crate::Element::gemm_simd) hook, which lands here.
+//! Dispatch has one rule on every backend: the AVX2 kernel when the CPU has
+//! AVX2, else the portable scalar register tiles — which also run whenever
+//! the caller pins scalar execution via [`Kernels::Scalar`].
 //!
 //! Every kernel reads the GEMM's one operand layout: a K-major `[K, N]`
 //! panel (a convolution's packed patches or a linear layer's transposed
@@ -20,14 +20,12 @@
 //!   output's full `K` chain, fed in ascending `k` order through explicit
 //!   multiply + add (never FMA, whose fused rounding would diverge from the
 //!   scalar chain), so lane `j` reproduces the scalar accumulator bit for
-//!   bit. AVX2 runs 8 columns across 4 row-blocked accumulator registers
-//!   straight off the panel, a 4–7 column remainder's first four on the
-//!   4-lane kernel, and the last 1–3 on the 8-lane kernel with masked
-//!   loads and stores; the x86-64 SSE2 baseline runs 4 columns, also in
-//!   4-row blocks. A one-column panel (and the SSE2 tier's last `< 4`
-//!   columns) runs the scalar chain (f32 summation order is load-bearing)
-//!   as 8-row tiles of independent accumulators, so one-column sweeps are
-//!   not bound by one add's latency per product.
+//!   bit. The kernel runs 8 columns across 4 row-blocked accumulator
+//!   registers straight off the panel, and any 1–7 column remainder as one
+//!   more pass with masked loads and stores. A one-column panel runs the
+//!   scalar chain (f32 summation order is load-bearing) as 8-row tiles of
+//!   independent accumulators, so one-column sweeps are not bound by one
+//!   add's latency per product.
 //! * **`i32` (Q-format) and `i8` (affine)** also vectorize column blocks
 //!   lane-per-column, each lane fed in ascending `k` order — the scalar
 //!   chain verbatim. Bytes run 16 `i32` lanes with `madd_epi16` folding
@@ -40,61 +38,57 @@
 //!   `(-32768, -32768)` pair, and a per-row chunk bound keeps `i32` pair
 //!   sums from wrapping before they widen into `i64` lanes), and any row or
 //!   panel block that fault injection pushed outside those bounds falls
-//!   back to widened exact dots for that slice only. Wider formats keep the
-//!   8-lane `i64`-widened kernel, loading the panel directly, with exact
-//!   dots for the remainder columns. A one-column panel takes a
-//!   `k`-vectorized dot with a horizontal reduction, which is still exact
-//!   because integer addition is associative and commutative (also modulo
-//!   2ⁿ). Products stay exact in their widened lanes, and the single
+//!   back to widened exact dots for that slice only. Wider formats have no
+//!   kernel: `gemm_q` declines them to the scalar tiles. A one-column panel
+//!   takes a `k`-vectorized dot with a horizontal reduction, which is still
+//!   exact because integer addition is associative and commutative (also
+//!   modulo 2ⁿ). Products stay exact in their widened lanes, and the single
 //!   rounding requantize per output runs in the vectorized epilogues
 //!   (`requantize_q` / `requantize_i8`) that back [`Element::finish_tile`]
 //!   — bit-identical to the scalar `finish`, just over whole registers of
-//!   accumulators. Both MAC kernels need AVX2; without it the scalar tiles
-//!   run (the epilogues also carry an SSE2 tier for the tiled path).
+//!   accumulators. Without AVX2 the epilogues run the scalar loop.
 //!
 //! [`Element::finish_tile`]: crate::Element::finish_tile
+//! [`Kernels::Scalar`]: crate::Kernels::Scalar
 //!
 //! This is the only module in the crate that may use `unsafe` (the crate
 //! root is `#![deny(unsafe_code)]`): every unsafe operation is a CPU
-//! intrinsic gated by `is_x86_feature_detected!` or an in-bounds raw load
-//! from a slice whose length the caller checked. Non-x86-64 targets compile
-//! declining stubs and keep the scalar tiles.
+//! intrinsic gated by `is_x86_feature_detected!` (or from the x86-64
+//! baseline) or an in-bounds raw load from a slice whose length the caller
+//! checked. Off x86-64 every kernel entry point declines.
 
 #![allow(unsafe_code)]
 
-#[allow(unused_imports)]
 use crate::element::I8Affine;
-#[allow(unused_imports)]
-use crate::engine::Kernels;
-#[allow(unused_imports)]
 use navft_qformat::QFormat;
 
-/// The kernel tier runtime dispatch selects on this CPU right now:
-/// `"avx2"`, `"sse2"`, or `"scalar"` when no tier fits (non-x86-64
-/// targets). Callers that pin [`Kernels::Scalar`] run the scalar tiles
-/// regardless of the reported tier.
-pub fn simd_kernel_name() -> &'static str {
-    best_tier_name()
+/// Whether this CPU runs the AVX2 kernels: the one dispatch test of every
+/// entry point below. Always `false` off x86-64.
+fn avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return true;
+    }
+    false
 }
 
-#[cfg(target_arch = "x86_64")]
-fn best_tier_name() -> &'static str {
-    if std::arch::is_x86_feature_detected!("avx2") {
+/// The kernel tier runtime dispatch selects on this CPU right now: `"avx2"`,
+/// or `"scalar"` without AVX2 (and on every non-x86-64 target). Callers that
+/// pin [`Kernels::Scalar`] run the scalar tiles regardless of the reported
+/// tier.
+///
+/// [`Kernels::Scalar`]: crate::Kernels::Scalar
+pub fn simd_kernel_name() -> &'static str {
+    if avx2() {
         "avx2"
     } else {
-        "sse2"
+        "scalar"
     }
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-fn best_tier_name() -> &'static str {
-    "scalar"
-}
-
-/// The `f32` column kernel: AVX2 where detected, SSE2 otherwise (always
-/// present on x86-64). Never declines on x86-64.
-#[cfg(target_arch = "x86_64")]
+/// The `f32` column kernel on AVX2; declines to the scalar tiles otherwise.
 #[allow(clippy::too_many_arguments)]
+#[allow(unused_variables)] // every argument is read on x86-64 only
 pub(crate) fn gemm_f32(
     a: &[f32],
     bias: &[f32],
@@ -104,18 +98,18 @@ pub(crate) fn gemm_f32(
     n: usize,
     c: &mut [f32],
 ) -> bool {
-    if std::arch::is_x86_feature_detected!("avx2") {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
         x86::gemm_f32_avx2(a, bias, m, k, b, n, c);
-    } else {
-        x86::gemm_f32_sse2(a, bias, m, k, b, n, c);
+        return true;
     }
-    true
+    false
 }
 
-/// The raw Q-format word kernel: AVX2 only (the even/odd 32×32→64-bit
-/// multiply needs it); declines to the scalar tiles otherwise.
-#[cfg(target_arch = "x86_64")]
+/// The raw Q-format word kernel on AVX2, for formats whose total width fits
+/// `i16` (every preset); declines to the scalar tiles otherwise.
 #[allow(clippy::too_many_arguments)]
+#[allow(unused_variables)] // every argument is read on x86-64 only
 pub(crate) fn gemm_q(
     ctx: QFormat,
     a: &[i32],
@@ -126,17 +120,18 @@ pub(crate) fn gemm_q(
     n: usize,
     c: &mut [i32],
 ) -> bool {
-    if !std::arch::is_x86_feature_detected!("avx2") {
-        return false;
+    #[cfg(target_arch = "x86_64")]
+    if avx2() && ctx.total_bits() <= 16 {
+        x86::gemm_q_avx2(ctx, a, bias, m, k, b, n, c);
+        return true;
     }
-    x86::gemm_q_avx2(ctx, a, bias, m, k, b, n, c);
-    true
+    false
 }
 
-/// The `i8` affine byte kernel: AVX2 only (`cvtepi8_epi16` + `madd_epi16`);
+/// The `i8` affine byte kernel on AVX2 (`cvtepi8_epi16` + `madd_epi16`);
 /// declines to the scalar tiles otherwise.
-#[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
+#[allow(unused_variables)] // every argument is read on x86-64 only
 pub(crate) fn gemm_i8(
     ctx: I8Affine,
     a: &[i8],
@@ -147,153 +142,90 @@ pub(crate) fn gemm_i8(
     n: usize,
     c: &mut [i8],
 ) -> bool {
-    if !std::arch::is_x86_feature_detected!("avx2") {
-        return false;
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        x86::gemm_i8_avx2(ctx, a, bias, m, k, b, n, c);
+        return true;
     }
-    x86::gemm_i8_avx2(ctx, a, bias, m, k, b, n, c);
-    true
+    false
 }
 
-/// Vectorized Q-format requantize epilogue over a slice of widened `i64`
-/// accumulators — the batched [`Element::finish_tile`] seam for raw words.
-/// AVX2 folds four lanes per step, the x86-64 SSE2 baseline two; both
-/// reproduce the branchless scalar
-/// [`QFormat::requantize_product_sum`] bit for bit (round half away from
-/// zero with `i64` saturation, arithmetic shift, raw-range clamp), so
-/// dispatch never changes results, only throughput.
+/// Q-format requantize epilogue over a slice of widened `i64` accumulators
+/// — the batched [`Element::finish_tile`] seam for raw words. AVX2 folds
+/// four lanes per step; without it the scalar loop runs. Both reproduce the
+/// branchless scalar [`QFormat::requantize_product_sum`] bit for bit (round
+/// half away from zero with `i64` saturation, arithmetic shift, raw-range
+/// clamp), so dispatch never changes results, only throughput.
 ///
 /// [`Element::finish_tile`]: crate::Element::finish_tile
-#[cfg(target_arch = "x86_64")]
 pub(crate) fn requantize_q(ctx: QFormat, accs: &[i64], out: &mut [i32]) {
     assert_eq!(accs.len(), out.len(), "accumulator and output tiles must match");
-    if std::arch::is_x86_feature_detected!("avx2") {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
         // SAFETY: AVX2 verified above.
         unsafe { x86::requantize_q_avx2(ctx, accs, out) };
-    } else {
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { x86::requantize_q_sse2(ctx, accs, out) };
+        return;
+    }
+    for (value, &acc) in out.iter_mut().zip(accs) {
+        *value = ctx.requantize_product_sum(acc);
     }
 }
 
-/// Vectorized affine requantize epilogue over a slice of `i32` accumulators
-/// — the batched [`Element::finish_tile`] seam for bytes. Both tiers run the
-/// scalar chain `(acc as f32 * scale).round().clamp(-128.0, 127.0) as i8`
-/// exactly: lane conversion and multiply round to nearest even like the
-/// scalar code, and round-half-away is rebuilt from an exact
-/// truncate / fraction-compare / signed-step sequence, so results stay bit
-/// for bit identical for every accumulator (the affine scale is finite by
-/// construction).
+/// Affine requantize epilogue over a slice of `i32` accumulators — the
+/// batched [`Element::finish_tile`] seam for bytes. AVX2 folds eight lanes
+/// per step; without it the scalar loop runs. The AVX2 tier runs the scalar
+/// chain `(acc as f32 * scale).round().clamp(-128.0, 127.0) as i8` exactly:
+/// lane conversion and multiply round to nearest even like the scalar code,
+/// and round-half-away is rebuilt from an exact truncate / fraction-compare
+/// / signed-step sequence, so results stay bit for bit identical for every
+/// accumulator (the affine scale is finite by construction).
 ///
 /// [`Element::finish_tile`]: crate::Element::finish_tile
-#[cfg(target_arch = "x86_64")]
 pub(crate) fn requantize_i8(ctx: I8Affine, accs: &[i32], out: &mut [i8]) {
     assert_eq!(accs.len(), out.len(), "accumulator and output tiles must match");
-    if std::arch::is_x86_feature_detected!("avx2") {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
         // SAFETY: AVX2 verified above.
         unsafe { x86::requantize_i8_avx2(ctx, accs, out) };
-    } else {
-        // SAFETY: SSE/SSE2 are part of the x86-64 baseline.
-        unsafe { x86::requantize_i8_sse2(ctx, accs, out) };
+        return;
+    }
+    for (value, &acc) in out.iter_mut().zip(accs) {
+        *value = <i8 as crate::element::Element>::finish(acc, ctx);
     }
 }
 
 /// Transposes a `[rows, cols]` matrix of `f32` values or `i32` words —
 /// `dst[c · rows + r] = src[r · cols + c]` — in 4 × 4 tiles of SSE2
-/// shuffles (part of the x86-64 baseline), moving the bits untouched.
-/// Returns `false`, leaving `dst` alone, for any other element type; the
-/// caller then transposes element by element.
-#[cfg(target_arch = "x86_64")]
+/// shuffles (part of the x86-64 baseline, so AVX2 hosts run them too),
+/// moving the bits untouched. Returns `false`, leaving `dst` alone, for any
+/// other element type or off x86-64; the caller then transposes element by
+/// element.
+#[allow(unused_variables)] // every argument is read on x86-64 only
 pub(crate) fn transpose_words<E: Copy + 'static>(
     src: &[E],
     rows: usize,
     cols: usize,
     dst: &mut [E],
 ) -> bool {
-    use std::any::TypeId;
-    let id = TypeId::of::<E>();
-    if id != TypeId::of::<f32>() && id != TypeId::of::<i32>() {
-        return false;
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::any::TypeId;
+        let id = TypeId::of::<E>();
+        if id == TypeId::of::<f32>() || id == TypeId::of::<i32>() {
+            assert!(
+                src.len() == rows * cols && dst.len() == rows * cols,
+                "transpose length mismatch"
+            );
+            // SAFETY: `E` is `f32` or `i32` (checked above), both 4-byte
+            // plain values, so every element can be moved as one 32-bit
+            // lane; the length assertion bounds every tile load and store,
+            // and SSE/SSE2 are part of the x86-64 baseline.
+            unsafe {
+                x86::transpose_words_sse2(src.as_ptr().cast(), rows, cols, dst.as_mut_ptr().cast())
+            };
+            return true;
+        }
     }
-    assert!(src.len() == rows * cols && dst.len() == rows * cols, "transpose length mismatch");
-    // SAFETY: `E` is `f32` or `i32` (checked above), both 4-byte plain
-    // values, so every element can be moved as one 32-bit lane; the length
-    // assertion bounds every tile load and store, and SSE/SSE2 are part of
-    // the x86-64 baseline.
-    unsafe { x86::transpose_words_sse2(src.as_ptr().cast(), rows, cols, dst.as_mut_ptr().cast()) };
-    true
-}
-
-/// Portable fallback: declines, so the caller transposes element by
-/// element.
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) fn transpose_words<E: Copy + 'static>(
-    _src: &[E],
-    _rows: usize,
-    _cols: usize,
-    _dst: &mut [E],
-) -> bool {
-    false
-}
-
-/// Portable fallback: the scalar epilogue loop, element by element.
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) fn requantize_q(ctx: QFormat, accs: &[i64], out: &mut [i32]) {
-    assert_eq!(accs.len(), out.len(), "accumulator and output tiles must match");
-    for (value, &acc) in out.iter_mut().zip(accs.iter()) {
-        *value = ctx.requantize_product_sum(acc);
-    }
-}
-
-/// Portable fallback: the scalar epilogue loop, element by element.
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) fn requantize_i8(ctx: I8Affine, accs: &[i32], out: &mut [i8]) {
-    assert_eq!(accs.len(), out.len(), "accumulator and output tiles must match");
-    for (value, &acc) in out.iter_mut().zip(accs.iter()) {
-        *value = <i8 as crate::element::Element>::finish(acc, ctx);
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_f32(
-    _a: &[f32],
-    _bias: &[f32],
-    _m: usize,
-    _k: usize,
-    _b: &[f32],
-    _n: usize,
-    _c: &mut [f32],
-) -> bool {
-    false
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_q(
-    _ctx: QFormat,
-    _a: &[i32],
-    _bias: &[i32],
-    _m: usize,
-    _k: usize,
-    _b: &[i32],
-    _n: usize,
-    _c: &mut [i32],
-) -> bool {
-    false
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_i8(
-    _ctx: I8Affine,
-    _a: &[i8],
-    _bias: &[i8],
-    _m: usize,
-    _k: usize,
-    _b: &[i8],
-    _n: usize,
-    _c: &mut [i8],
-) -> bool {
     false
 }
 
@@ -323,103 +255,72 @@ mod x86 {
             const { RefCell::new((Vec::new(), Vec::new())) };
     }
 
-    /// Columns `from..n` on the scalar chain: per column, blocks of 8 rows
-    /// run as 8 independent scalar accumulators (then 4, 2 and 1 for the
-    /// rows left over), each fed `bias + Σ_k b·a` in ascending `k` order —
-    /// the same per-output chain the tile path's edge case performs, so the
-    /// results are bit-identical, but the rows no longer wait on one
-    /// another's add latency. This is the whole sweep for a one-column
-    /// panel (ε-greedy acts, traced training passes), whose column is
-    /// contiguous, and the `< 4` remainder columns of the SSE2 tier, which
-    /// read the panel with stride `n`.
-    #[allow(clippy::too_many_arguments)]
-    fn scalar_columns(
-        a: &[f32],
-        bias: &[f32],
-        m: usize,
-        k: usize,
-        b: &[f32],
-        n: usize,
-        from: usize,
-        c: &mut [f32],
-    ) {
-        for j in from..n {
-            if n == 1 {
-                column_tiles::<false>(a, bias, m, k, &b[..k], 1, j, c);
-            } else {
-                column_tiles::<true>(a, bias, m, k, &b[j..], n, j, c);
-            }
-        }
-    }
-
-    /// Every row of output column `j`, in row tiles of 8, 4, 2 and 1.
-    /// `col[kk · n]` is the column's `kk`-th panel element and `c` has `n`
-    /// columns; `STRIDED` is false only for a one-column panel, so that hot
-    /// case indexes without the multiply.
-    #[allow(clippy::too_many_arguments)]
-    fn column_tiles<const STRIDED: bool>(
-        a: &[f32],
-        bias: &[f32],
-        m: usize,
-        k: usize,
-        col: &[f32],
-        n: usize,
-        j: usize,
-        c: &mut [f32],
-    ) {
+    /// A one-column panel (ε-greedy acts, traced training passes) on the
+    /// scalar chain: blocks of 8 rows run as 8 independent scalar
+    /// accumulators (then 4, 2 and 1 for the rows left over), each fed
+    /// `bias + Σ_k b·a` in ascending `k` order — the same per-output chain
+    /// the tile path's edge case performs, so the results are bit-identical,
+    /// but the rows no longer wait on one another's add latency.
+    fn column_tiles(a: &[f32], bias: &[f32], m: usize, k: usize, col: &[f32], c: &mut [f32]) {
         let mut i = 0;
         while i + 8 <= m {
-            row_tile::<8, STRIDED>(a, bias, k, col, n, i, j, c);
+            row_tile::<8>(a, bias, k, col, i, c);
             i += 8;
         }
         if m - i >= 4 {
-            row_tile::<4, STRIDED>(a, bias, k, col, n, i, j, c);
+            row_tile::<4>(a, bias, k, col, i, c);
             i += 4;
         }
         if m - i >= 2 {
-            row_tile::<2, STRIDED>(a, bias, k, col, n, i, j, c);
+            row_tile::<2>(a, bias, k, col, i, c);
             i += 2;
         }
         if m > i {
-            row_tile::<1, STRIDED>(a, bias, k, col, n, i, j, c);
+            row_tile::<1>(a, bias, k, col, i, c);
         }
     }
 
-    /// Rows `i0..i0 + R` of remainder column `j`: `R` independent
-    /// accumulators, each `acc += b·a` in ascending `k` order.
-    #[allow(clippy::too_many_arguments)]
-    fn row_tile<const R: usize, const STRIDED: bool>(
+    /// Rows `i0..i0 + R` of the one-column panel: `R` independent
+    /// accumulators, each `acc += b·a` in ascending `k` order. The products
+    /// of each 8-step block are formed first, row by row, from contiguous
+    /// row and panel segments, then folded into the accumulators step by
+    /// step: the same single-rounding multiplies and the same add order,
+    /// but the multiplies vectorize along `k` instead of the compiler
+    /// gathering one word per row for every step.
+    fn row_tile<const R: usize>(
         a: &[f32],
         bias: &[f32],
         k: usize,
         col: &[f32],
-        n: usize,
         i0: usize,
-        j: usize,
         c: &mut [f32],
     ) {
-        // Every row slice is cut to exactly `k` so the loop runs check-free.
+        const T: usize = 8;
+        // Every slice is cut to exactly `k` so the loops run check-free.
         let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k..][..k]);
         let mut acc: [f32; R] = std::array::from_fn(|r| bias[i0 + r]);
-        if STRIDED {
-            for kk in 0..k {
-                let bv = col[kk * n];
+        let col = &col[..k];
+        let blocked = k - k % T;
+        for kb in (0..blocked).step_by(T) {
+            let bs = &col[kb..kb + T];
+            let prods: [[f32; T]; R] = std::array::from_fn(|r| {
+                let row = &rows[r][kb..kb + T];
+                std::array::from_fn(|t| bs[t] * row[t])
+            });
+            #[allow(clippy::needless_range_loop)] // t is the step every row folds next
+            for t in 0..T {
                 for r in 0..R {
-                    acc[r] += bv * rows[r][kk];
-                }
-            }
-        } else {
-            let col = &col[..k];
-            for kk in 0..k {
-                let bv = col[kk];
-                for r in 0..R {
-                    acc[r] += bv * rows[r][kk];
+                    acc[r] += prods[r][t];
                 }
             }
         }
-        for (r, &v) in acc.iter().enumerate() {
-            c[(i0 + r) * n + j] = v;
+        for kk in blocked..k {
+            let bv = col[kk];
+            for r in 0..R {
+                acc[r] += bv * rows[r][kk];
+            }
         }
+        c[i0..i0 + R].copy_from_slice(&acc);
     }
 
     pub(super) fn gemm_f32_avx2(
@@ -433,7 +334,7 @@ mod x86 {
     ) {
         if n == 1 {
             // One contiguous column: the scalar 8-row tiles.
-            scalar_columns(a, bias, m, k, b, n, 0, c);
+            column_tiles(a, bias, m, k, b, c);
             return;
         }
         let mut n0 = 0;
@@ -443,18 +344,11 @@ mod x86 {
             unsafe { rows_avx2::<false>(a, bias, m, k, b, n, n0, c) };
             n0 += 8;
         }
-        // A remainder of 4–7 columns (a minibatch of 4, say) runs its
-        // first four on the 4-lane kernel.
-        if n - n0 >= 4 {
-            // SAFETY: SSE/SSE2 are part of the x86-64 baseline; lengths as
-            // above, and `n0 + 4 <= n`.
-            unsafe { rows_sse2(a, bias, m, k, b, n, n0, c) };
-            n0 += 4;
-        }
         if n0 < n {
-            // The last 1–3 columns run the 8-lane kernel on masked loads
-            // and stores: masked-off lanes read zeros, never touch memory
-            // past the panel row, and are never stored.
+            // A 1–7 column remainder (a minibatch of 4, say) runs the same
+            // kernel on masked loads and stores: masked-off lanes read
+            // zeros, never touch memory past the panel row, and are never
+            // stored.
             // SAFETY: as above, with `n0 < n`.
             unsafe { rows_avx2::<true>(a, bias, m, k, b, n, n0, c) };
         }
@@ -531,143 +425,6 @@ mod x86 {
         }
     }
 
-    pub(super) fn gemm_f32_sse2(
-        a: &[f32],
-        bias: &[f32],
-        m: usize,
-        k: usize,
-        b: &[f32],
-        n: usize,
-        c: &mut [f32],
-    ) {
-        let mut n0 = 0;
-        while n0 + 4 <= n {
-            // SAFETY: SSE/SSE2 are part of the x86-64 baseline; `gemm_bias`
-            // checked the panel and result lengths, and `n0 + 4 <= n`.
-            unsafe { rows_sse2(a, bias, m, k, b, n, n0, c) };
-            n0 += 4;
-        }
-        scalar_columns(a, bias, m, k, b, n, n0, c);
-    }
-
-    /// [`rows_avx2`] on four columns with the x86-64 baseline ISA.
-    #[target_feature(enable = "sse,sse2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn rows_sse2(
-        a: &[f32],
-        bias: &[f32],
-        m: usize,
-        k: usize,
-        b: &[f32],
-        n: usize,
-        n0: usize,
-        c: &mut [f32],
-    ) {
-        debug_assert!(n0 + 4 <= n && b.len() == k * n && c.len() == m * n);
-        let bp = b.as_ptr().add(n0);
-        let cp = c.as_mut_ptr().add(n0);
-        const MR: usize = 4;
-        let mut i = 0;
-        while i + MR <= m {
-            let rows: [&[f32]; MR] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
-            let mut acc: [__m128; MR] = std::array::from_fn(|r| _mm_set1_ps(bias[i + r]));
-            #[allow(clippy::needless_range_loop)] // kk indexes the panel and all MR rows
-            for kk in 0..k {
-                let bv = _mm_loadu_ps(bp.add(kk * n));
-                for r in 0..MR {
-                    acc[r] = _mm_add_ps(acc[r], _mm_mul_ps(_mm_set1_ps(rows[r][kk]), bv));
-                }
-            }
-            for (r, &reg) in acc.iter().enumerate() {
-                _mm_storeu_ps(cp.add((i + r) * n), reg);
-            }
-            i += MR;
-        }
-        while i < m {
-            let row = &a[i * k..(i + 1) * k];
-            let mut acc: __m128 = _mm_set1_ps(bias[i]);
-            for (kk, &av) in row.iter().enumerate() {
-                let bv = _mm_loadu_ps(bp.add(kk * n));
-                acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(av), bv));
-            }
-            _mm_storeu_ps(cp.add(i * n), acc);
-            i += 1;
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn gemm_q_avx2(
-        ctx: QFormat,
-        a: &[i32],
-        bias: &[i32],
-        m: usize,
-        k: usize,
-        b: &[i32],
-        n: usize,
-        c: &mut [i32],
-    ) {
-        // Every format of total width ≤ 16 stores its raw words within
-        // `i16`, where `madd_epi16` folds two reduction steps per
-        // instruction — twice the lanes of the widened `mul_epi32` kernel.
-        if ctx.total_bits() <= 16 {
-            gemm_q16_avx2(ctx, a, bias, m, k, b, n, c);
-            return;
-        }
-        let mut n0 = 0;
-        while n0 + 8 <= n {
-            // SAFETY: the dispatcher verified AVX2; `gemm_bias` checked the
-            // panel and result lengths, and `n0 + 8 <= n`.
-            unsafe { rows_q_avx2(ctx, a, bias, m, k, b, n, n0, c) };
-            n0 += 8;
-        }
-        for i in 0..m {
-            for j in n0..n {
-                c[i * n + j] = q_dot(ctx, &a[i * k..(i + 1) * k], bias[i], b, n, j);
-            }
-        }
-    }
-
-    /// Eight-column lane-per-column kernel for raw Q-format words: each
-    /// `i64` lane accumulates `acc_init(bias) + Σ_k a·b` in ascending `k`
-    /// order — the scalar tile's chain verbatim (`mul_epi32` sign-extends
-    /// the low 32 bits of each lane, so every product is the exact widened
-    /// `i64`).
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn rows_q_avx2(
-        ctx: QFormat,
-        a: &[i32],
-        bias: &[i32],
-        m: usize,
-        k: usize,
-        b: &[i32],
-        n: usize,
-        n0: usize,
-        c: &mut [i32],
-    ) {
-        debug_assert!(n0 + 8 <= n && b.len() == k * n && c.len() == m * n);
-        let bp = b.as_ptr().add(n0);
-        for i in 0..m {
-            let row = &a[i * k..(i + 1) * k];
-            let init = <i32 as Element>::acc_init(bias[i], ctx);
-            let mut lo = _mm256_set1_epi64x(init);
-            let mut hi = _mm256_set1_epi64x(init);
-            for (kk, &av) in row.iter().enumerate() {
-                let va = _mm256_set1_epi64x(i64::from(av));
-                let b_lo = _mm256_cvtepi32_epi64(_mm_loadu_si128(bp.add(kk * n).cast::<__m128i>()));
-                let b_hi =
-                    _mm256_cvtepi32_epi64(_mm_loadu_si128(bp.add(kk * n + 4).cast::<__m128i>()));
-                lo = _mm256_add_epi64(lo, _mm256_mul_epi32(va, b_lo));
-                hi = _mm256_add_epi64(hi, _mm256_mul_epi32(va, b_hi));
-            }
-            let mut lanes = [0i64; 8];
-            _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), lo);
-            _mm256_storeu_si256(lanes.as_mut_ptr().add(4).cast::<__m256i>(), hi);
-            // SAFETY: still inside the AVX2 target-feature context.
-            requantize_q_avx2(ctx, &lanes, &mut c[i * n + n0..][..8]);
-        }
-    }
-
     /// One output of the exact widened fallback: `acc_init(bias) + Σ_k
     /// arow[k] · b[k][j]` in `i64`, then the scalar requantize. A
     /// one-column panel is one contiguous column and takes the
@@ -686,16 +443,16 @@ mod x86 {
         <i32 as Element>::finish(<i32 as Element>::acc_init(bias, ctx).wrapping_add(dot), ctx)
     }
 
-    /// [`gemm_q_avx2`]'s narrow-format path: 16-column blocks of the panel,
-    /// raw words narrowed to `i16` and reduced with `madd_epi16` pairs
-    /// exactly like the byte kernel; a trailing block of fewer columns is
-    /// zero-padded. Blocks or rows that cannot be folded exactly — a
+    /// The Q-format kernel for formats whose total width fits `i16`:
+    /// 16-column blocks of the panel, raw words narrowed to `i16` and
+    /// reduced with `madd_epi16` pairs exactly like the byte kernel; a
+    /// trailing block of fewer columns is zero-padded. Blocks or rows that cannot be folded exactly — a
     /// fault-widened word outside `i16`, or the one `madd` pair pattern
     /// whose sum escapes `i32` — fall back to the widened exact dots, so the
     /// kernel stays bit-identical to the scalar chain for *every* input,
     /// including corrupted ones.
     #[allow(clippy::too_many_arguments)]
-    fn gemm_q16_avx2(
+    pub(super) fn gemm_q_avx2(
         ctx: QFormat,
         a: &[i32],
         bias: &[i32],
@@ -705,6 +462,7 @@ mod x86 {
         n: usize,
         c: &mut [i32],
     ) {
+        debug_assert!(ctx.total_bits() <= 16, "wide formats run the scalar tiles");
         if n == 1 {
             for (i, out) in c.iter_mut().enumerate() {
                 *out = q_dot(ctx, &a[i * k..(i + 1) * k], bias[i], b, 1, 0);
@@ -739,8 +497,8 @@ mod x86 {
                 let mut n0 = 0;
                 while n0 < n {
                     let width = NR.min(n - n0);
-                    // SAFETY: [`gemm_q_avx2`] dispatched here only after
-                    // verifying AVX2; `gemm_bias` checked the panel length.
+                    // SAFETY: the dispatcher verified AVX2; `gemm_bias`
+                    // checked the panel length.
                     if unsafe { pack_q_pairs(bt, b, n, n0, width, k) } {
                         // SAFETY: as above; the pair panel holds exactly
                         // kpairs × 32 lanes.
@@ -1267,47 +1025,6 @@ mod x86 {
         }
     }
 
-    /// Two-lane SSE2 Q requantize. SSE2 has no 64-bit compare, so per-lane
-    /// sign masks come from broadcasting each lane's high-word sign
-    /// (`srai` + `shuffle`), selects are `and`/`andnot`/`or`, and the final
-    /// raw-range clamp (a 64-bit ordered compare) stays scalar per lane.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn requantize_q_sse2(ctx: QFormat, accs: &[i64], out: &mut [i32]) {
-        debug_assert_eq!(accs.len(), out.len());
-        let frac = i32::from(ctx.frac_bits());
-        let half = (1i64 << frac) >> 1;
-        let half_v = _mm_set1_epi64x(half);
-        let neg_bias_v = _mm_set1_epi64x(-i64::from(half != 0));
-        let i64_max_v = _mm_set1_epi64x(i64::MAX);
-        let srl_count = _mm_cvtsi32_si128(frac);
-        let sll_count = _mm_cvtsi32_si128(64 - frac);
-        // `0xF5` copies each lane's high 32-bit word (1 and 3) over both its
-        // words, turning `srai(x, 31)` into a full 64-bit sign mask.
-        const SIGN_SPREAD: i32 = 0xF5;
-        let mut i = 0;
-        while i + 2 <= accs.len() {
-            let x = _mm_loadu_si128(accs.as_ptr().add(i).cast::<__m128i>());
-            let sign_x = _mm_shuffle_epi32::<SIGN_SPREAD>(_mm_srai_epi32::<31>(x));
-            let adjust = _mm_add_epi64(half_v, _mm_and_si128(sign_x, neg_bias_v));
-            let sum = _mm_add_epi64(x, adjust);
-            let sign_sum = _mm_shuffle_epi32::<SIGN_SPREAD>(_mm_srai_epi32::<31>(sum));
-            let wrapped = _mm_andnot_si128(sign_x, sign_sum);
-            let sat =
-                _mm_or_si128(_mm_and_si128(wrapped, i64_max_v), _mm_andnot_si128(wrapped, sum));
-            let sign_sat = _mm_shuffle_epi32::<SIGN_SPREAD>(_mm_srai_epi32::<31>(sat));
-            let shifted =
-                _mm_or_si128(_mm_srl_epi64(sat, srl_count), _mm_sll_epi64(sign_sat, sll_count));
-            let mut lanes = [0i64; 2];
-            _mm_storeu_si128(lanes.as_mut_ptr().cast::<__m128i>(), shifted);
-            out[i] = ctx.saturate_raw(lanes[0]);
-            out[i + 1] = ctx.saturate_raw(lanes[1]);
-            i += 2;
-        }
-        for t in i..accs.len() {
-            out[t] = ctx.requantize_product_sum(accs[t]);
-        }
-    }
-
     /// Eight-lane AVX2 affine requantize: `cvtepi32_ps` and `mul_ps` round
     /// to nearest even exactly like the scalar `as f32` / `*`, and
     /// `round()`'s half-away-from-zero is rebuilt exactly as
@@ -1344,43 +1061,6 @@ mod x86 {
                 *value = lane as i8;
             }
             i += 8;
-        }
-        for t in i..accs.len() {
-            out[t] = <i8 as Element>::finish(accs[t], ctx);
-        }
-    }
-
-    /// Four-lane SSE2 affine requantize — [`requantize_i8_avx2`] on the
-    /// baseline ISA, with truncation via the `cvttps`/`cvtepi32` round trip
-    /// (exact: the pre-clamp bounds every value well inside `i32`).
-    #[target_feature(enable = "sse,sse2")]
-    pub(super) unsafe fn requantize_i8_sse2(ctx: I8Affine, accs: &[i32], out: &mut [i8]) {
-        debug_assert_eq!(accs.len(), out.len());
-        let scale = _mm_set1_ps(ctx.scale);
-        let limit = _mm_set1_ps(1000.0);
-        let neg_limit = _mm_set1_ps(-1000.0);
-        let sign_bit = _mm_set1_ps(-0.0);
-        let one = _mm_set1_ps(1.0);
-        let half = _mm_set1_ps(0.5);
-        let byte_max = _mm_set1_ps(127.0);
-        let byte_min = _mm_set1_ps(-128.0);
-        let mut i = 0;
-        while i + 4 <= accs.len() {
-            let v = _mm_cvtepi32_ps(_mm_loadu_si128(accs.as_ptr().add(i).cast::<__m128i>()));
-            let x = _mm_min_ps(_mm_max_ps(_mm_mul_ps(v, scale), neg_limit), limit);
-            let t = _mm_cvtepi32_ps(_mm_cvttps_epi32(x));
-            let frac = _mm_sub_ps(x, t);
-            let away = _mm_cmpge_ps(_mm_andnot_ps(sign_bit, frac), half);
-            let step = _mm_or_ps(_mm_and_ps(x, sign_bit), one);
-            let rounded = _mm_add_ps(t, _mm_and_ps(away, step));
-            let clamped = _mm_min_ps(_mm_max_ps(rounded, byte_min), byte_max);
-            let q = _mm_cvttps_epi32(clamped);
-            let mut lanes = [0i32; 4];
-            _mm_storeu_si128(lanes.as_mut_ptr().cast::<__m128i>(), q);
-            for (value, &lane) in out[i..i + 4].iter_mut().zip(lanes.iter()) {
-                *value = lane as i8;
-            }
-            i += 4;
         }
         for t in i..accs.len() {
             out[t] = <i8 as Element>::finish(accs[t], ctx);
@@ -1458,10 +1138,6 @@ mod tests {
                     unsafe { x86::requantize_q_avx2(fmt, &accs, &mut out) };
                     assert_eq!(out, expected, "{fmt} avx2 tier");
                 }
-                let mut out = vec![0i32; accs.len()];
-                // SAFETY: SSE2 is part of the x86-64 baseline.
-                unsafe { x86::requantize_q_sse2(fmt, &accs, &mut out) };
-                assert_eq!(out, expected, "{fmt} sse2 tier");
             }
         }
     }
@@ -1504,10 +1180,6 @@ mod tests {
                     unsafe { x86::requantize_i8_avx2(ctx, &accs, &mut out) };
                     assert_eq!(out, expected, "scale {scale} avx2 tier");
                 }
-                let mut out = vec![0i8; accs.len()];
-                // SAFETY: SSE/SSE2 are part of the x86-64 baseline.
-                unsafe { x86::requantize_i8_sse2(ctx, &accs, &mut out) };
-                assert_eq!(out, expected, "scale {scale} sse2 tier");
             }
         }
     }
@@ -1523,33 +1195,23 @@ mod tests {
         assert_eq!(simd, scalar, "m {m} k {k} n {n}");
     }
 
-    /// Every column remainder (`n` across the 4-, 8- and 16-lane block
-    /// edges and the one-column panel), odd and even `k`, and row counts
-    /// around the 4-row blocks, on all three backends — plus Q panels with
-    /// words that escape `i16` in full and in zero-padded trailing blocks,
-    /// and the wide formats that take the widened 8-lane kernel.
+    /// Every column remainder (`n` across the 8- and 16-lane block edges,
+    /// every 1–7 column masked `f32` remainder, the drone evaluation width
+    /// 20 and the one-column panel), odd and even `k`, and row counts around
+    /// the 4-row blocks, on all three backends — plus Q panels with words
+    /// that escape `i16` in full and in zero-padded trailing blocks, and a
+    /// wide format that the Q kernel declines to the scalar tiles.
     #[test]
     fn dispatched_kernels_match_scalar_tiles_on_every_panel_shape() {
         let mut rng = SmallRng::seed_from_u64(0x9A4E1);
         for m in [1usize, 3, 4, 9] {
             for k in [1usize, 2, 7, 16, 33] {
-                for n in [1usize, 2, 3, 4, 5, 8, 12, 15, 16, 17, 31, 40] {
+                for n in [1usize, 2, 3, 4, 5, 6, 7, 8, 12, 15, 16, 17, 20, 31, 40] {
                     let f = |rng: &mut SmallRng, len: usize| -> Vec<f32> {
                         (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
                     };
                     let (a, bias, b) = (f(&mut rng, m * k), f(&mut rng, m), f(&mut rng, k * n));
                     check_shape((), &a, &bias, m, k, &b);
-                    #[cfg(target_arch = "x86_64")]
-                    {
-                        // The SSE2 tier (4-column blocks, strided scalar
-                        // remainder columns) that AVX2 hosts never dispatch.
-                        let mut sse2 = vec![0.0f32; m * n];
-                        x86::gemm_f32_sse2(&a, &bias, m, k, &b, n, &mut sse2);
-                        let mut scalar = vec![0.0f32; m * n];
-                        crate::gemm::gemm_bias((), false, &a, &bias, m, k, &b, n, &mut scalar);
-                        assert_eq!(sse2, scalar, "sse2 m {m} k {k} n {n}");
-                    }
-
                     let bytes = |rng: &mut SmallRng, len: usize| -> Vec<i8> {
                         (0..len).map(|_| rng.next_u32() as i8).collect()
                     };
@@ -1580,7 +1242,25 @@ mod tests {
 
     #[test]
     fn kernel_name_reports_a_known_tier() {
-        let name = simd_kernel_name();
-        assert!(["avx2", "sse2", "scalar"].contains(&name), "unknown tier {name}");
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            assert_eq!(simd_kernel_name(), "avx2");
+            return;
+        }
+        assert_eq!(simd_kernel_name(), "scalar");
+    }
+
+    /// A Q format wider than 16 bits has no kernel: `gemm_q` declines it
+    /// and leaves the output untouched for the scalar tiles to fill.
+    #[test]
+    fn gemm_q_declines_formats_wider_than_16_bits() {
+        let fmt = QFormat::new(15, 16).unwrap();
+        let (m, k, n) = (3, 5, 9);
+        let a: Vec<i32> = (0..m * k).map(|t| t as i32 - 7).collect();
+        let bias = vec![1i32; m];
+        let b: Vec<i32> = (0..k * n).map(|t| 3 - t as i32).collect();
+        let mut c = vec![0x5A5A_5A5Ai32; m * n];
+        assert!(!gemm_q(fmt, &a, &bias, m, k, &b, n, &mut c));
+        assert!(c.iter().all(|&w| w == 0x5A5A_5A5A), "a declined sweep wrote its output");
     }
 }

@@ -85,10 +85,11 @@ fn dispatched_kernels_match_forced_scalar_bit_for_bit_on_all_backends() {
 /// The batched [`Element::finish_tile`] epilogue must be bit-identical to a
 /// scalar [`Element::finish`] loop for *arbitrary* accumulator tiles on
 /// every backend — the contract the engine's SIMD path relies on when it
-/// hands whole register tiles to the epilogue. Running this in the CI
-/// `+avx2` codegen-equivalence leg pins the vectorized AVX2 tiers; on older
-/// hosts it pins the SSE2 tiers instead. Tile lengths deliberately straddle
-/// the lane counts so the vector body and the scalar remainder both run.
+/// hands whole register tiles to the epilogue. On an AVX2 host (and in the
+/// CI `+avx2` codegen-equivalence leg) this pins the vectorized AVX2 tiers;
+/// without AVX2 the epilogues run the scalar loop. Tile lengths
+/// deliberately straddle the lane counts so the vector body and the scalar
+/// remainder both run.
 mod finish_tile_epilogue {
     use super::*;
     use rand::RngCore;
@@ -171,7 +172,7 @@ mod finish_tile_epilogue {
 /// forced scalar: a weight word widened beyond `i16` (per-row exact-dot
 /// fallback), an aligned minimum pair (same fallback via the profile scan),
 /// a corrupted *input* word (whole-panel fallback), and a wide format whose
-/// total width exceeds 16 (the widened-lane kernel, no narrowing at all).
+/// total width exceeds 16 (declined by the kernel, so the scalar tiles run).
 #[test]
 fn q_madd_kernel_fallbacks_stay_bit_identical_under_fault_widened_words() {
     let scalar_cfg = EngineConfig { kernels: Kernels::Scalar };
