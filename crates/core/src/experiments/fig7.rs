@@ -10,8 +10,8 @@ use std::sync::Arc;
 use navft_dronesim::{DepthCamera, DroneSim, DroneWorld};
 use navft_fault::{FaultKind, FaultMap, FaultSite, FaultTarget, InjectionSchedule, Injector};
 use navft_nn::{
-    parametric_layer_names, C3f2Config, EngineConfig, I8Network, I8Scratch, I8Tensor, Network,
-    NetworkBase, QNetwork, QScratch, QTensor,
+    parametric_layer_names, C3f2Config, EngineConfig, I8Network, Network, NetworkBase,
+    QuantizedElement, Scratch,
 };
 use navft_qformat::QFormat;
 use navft_rl::{
@@ -527,23 +527,16 @@ pub fn data_type_sweep(scale: Scale) -> Sweep {
     sweep
 }
 
-/// The raw-bit layout i8 affine bytes are reported under (8 stored bits; the
-/// binary point is meaningless for affine words, only the width matters).
-const I8_FORMAT: QFormat = QFormat::Q3_4;
-
 /// Declares the data-type sweep's cells under `prefix` (also used by the
 /// extended ablation).
 ///
 /// Each format executes *natively*: the policy is compiled into a
-/// [`QNetwork`] whose weights, inputs and activations are live raw words in
-/// that format, bit flips strike those words in place, and the forward pass
-/// is integer arithmetic end to end — no `f32` simulation. The `i8`
+/// [`QNetwork`](navft_nn::QNetwork) whose weights, inputs and activations
+/// are live raw words in that format, bit flips strike those words in
+/// place, and the forward pass is integer arithmetic end to end. The `i8`
 /// per-tensor affine backend rides along as one more data-type column: the
 /// policy compresses to one byte per parameter and bit flips strike the
-/// stored bytes. Alongside the flight-distance cells, a single-repetition
-/// cell per format reports its zero/one bit ratio over the whole fault
-/// surface (weights plus calibration activations), the statistic that
-/// explains the stuck-at asymmetry of Fig. 2.
+/// stored bytes. Every column is declared by [`add_data_type_column`].
 pub(crate) fn add_data_type_cells(
     sweep: &mut Sweep,
     scale: Scale,
@@ -554,85 +547,59 @@ pub(crate) fn add_data_type_cells(
     let world = Arc::new(DroneWorld::indoor_long());
     let base = lazy_policy(&world, &params);
     for &format in formats {
-        let quantized: Lazy<QNetwork> = {
-            let base = base.clone();
-            Lazy::new(move || base.get().to_quantized(format))
-        };
-        {
-            let spec = CellSpec::new(format!("{prefix}/bits/{format}"), 1)
-                .with_label("figure", format!("{prefix}-bits"))
-                .with_label("format", format.to_string());
-            let (quantized, world, params) =
-                (quantized.clone(), Arc::clone(&world), Arc::clone(&params));
-            sweep.cell(spec, move |_seed, _rep, _cfg| {
-                // Sweep every stored word of the quantized policy in one
-                // call: its parameter words (weights and biases) plus the
-                // activations of one calibration frame. The flight cells
-                // fault only the weight words, but the bit-population
-                // statistic describes the whole stored policy, as in Fig. 2.
-                let calibration = QTensor::quantize(
-                    &DroneSim::new(world.as_ref().clone(), DepthCamera::scaled(), params.max_steps)
-                        .reset(),
-                    format,
-                );
-                let stats = quantized
-                    .get()
-                    .bit_stats(std::slice::from_ref(&calibration), &mut QScratch::new());
-                stats.zero_to_one_ratio()
-            });
-        }
-        for &ber in &params.bit_error_rates {
-            let spec = CellSpec::new(format!("{prefix}/{format}/ber={ber}"), params.repetitions)
-                .with_label("figure", prefix.to_string())
-                .with_label("format", format.to_string())
-                .with_label("ber", ber.to_string());
-            let (quantized, world, params) =
-                (quantized.clone(), Arc::clone(&world), Arc::clone(&params));
-            sweep.cell(spec, move |seed, _rep, cfg| {
-                let policy = quantized.get();
-                let injector =
-                    weight_injector(policy.weight_count(), ber, FaultKind::BitFlip, format, seed);
-                flight_distance(
-                    policy,
-                    &world,
-                    &params,
-                    &InferenceFaultMode::TransientWholeEpisode(injector),
-                    seed ^ 0x7E,
-                    cfg,
-                )
-            });
-        }
-    }
-    let affine: Lazy<I8Network> = {
         let base = base.clone();
-        Lazy::new(move || I8Network::quantize(base.get()))
-    };
+        let quantized = Lazy::new(move || base.get().to_quantized(format));
+        add_data_type_column(sweep, prefix, &format.to_string(), quantized, &world, &params);
+    }
+    let affine = Lazy::new(move || I8Network::quantize(base.get()));
+    add_data_type_column(sweep, prefix, "i8", affine, &world, &params);
+}
+
+/// Declares one data-type column: the flight-distance cells of `policy`
+/// under weight bit flips on its stored words, one per BER, preceded by a
+/// single-repetition cell reporting its zero/one bit ratio over the whole
+/// fault surface (weights plus calibration activations), the statistic
+/// that explains the stuck-at asymmetry of Fig. 2.
+fn add_data_type_column<W: QuantizedElement + EvalElement>(
+    sweep: &mut Sweep,
+    prefix: &str,
+    label: &str,
+    policy: Lazy<NetworkBase<W>>,
+    world: &Arc<DroneWorld>,
+    params: &Arc<DroneParams>,
+) {
     {
-        let spec = CellSpec::new(format!("{prefix}/bits/i8"), 1)
+        let spec = CellSpec::new(format!("{prefix}/bits/{label}"), 1)
             .with_label("figure", format!("{prefix}-bits"))
-            .with_label("format", "i8");
-        let (affine, world, params) = (affine.clone(), Arc::clone(&world), Arc::clone(&params));
+            .with_label("format", label);
+        let (policy, world, params) = (policy.clone(), Arc::clone(world), Arc::clone(params));
         sweep.cell(spec, move |_seed, _rep, _cfg| {
-            let policy = affine.get();
-            let calibration = I8Tensor::quantize(
-                &DroneSim::new(world.as_ref().clone(), DepthCamera::scaled(), params.max_steps)
-                    .reset(),
-                policy.affine(),
-            );
-            let stats = policy.bit_stats(std::slice::from_ref(&calibration), &mut I8Scratch::new());
+            // Sweep every stored word of the compiled policy in one call:
+            // its parameter words (weights and biases) plus the activations
+            // of one calibration frame. The flight cells fault only the
+            // weight words, but the bit-population statistic describes the
+            // whole stored policy, as in Fig. 2.
+            let policy = policy.get();
+            let frame =
+                DroneSim::new(world.as_ref().clone(), DepthCamera::scaled(), params.max_steps)
+                    .reset();
+            let mut calibration = W::input_buffer(frame.shape(), policy);
+            W::encode_into(&frame, &mut calibration);
+            let stats = policy.bit_stats(std::slice::from_ref(&calibration), &mut Scratch::new());
             stats.zero_to_one_ratio()
         });
     }
     for &ber in &params.bit_error_rates {
-        let spec = CellSpec::new(format!("{prefix}/i8/ber={ber}"), params.repetitions)
+        let spec = CellSpec::new(format!("{prefix}/{label}/ber={ber}"), params.repetitions)
             .with_label("figure", prefix.to_string())
-            .with_label("format", "i8")
+            .with_label("format", label)
             .with_label("ber", ber.to_string());
-        let (affine, world, params) = (affine.clone(), Arc::clone(&world), Arc::clone(&params));
+        let (policy, world, params) = (policy.clone(), Arc::clone(world), Arc::clone(params));
         sweep.cell(spec, move |seed, _rep, cfg| {
-            let policy = affine.get();
+            let policy = policy.get();
+            let word_format = W::bit_format(policy.net_meta());
             let injector =
-                weight_injector(policy.weight_count(), ber, FaultKind::BitFlip, I8_FORMAT, seed);
+                weight_injector(policy.weight_count(), ber, FaultKind::BitFlip, word_format, seed);
             flight_distance(
                 policy,
                 &world,
@@ -654,28 +621,21 @@ pub(crate) fn data_type_figures(
     prefix: &str,
 ) -> Vec<FigureData> {
     let params = scale.drone();
+    let labels = formats.iter().map(QFormat::to_string).chain(["i8".to_string()]);
     let mut series = Vec::new();
     let mut bit_facts = Vec::new();
-    for &format in formats {
+    for label in labels {
         bit_facts.push((
-            format!("{format} zero/one bit ratio"),
-            results.mean(&format!("{prefix}/bits/{format}")),
+            format!("{label} zero/one bit ratio"),
+            results.mean(&format!("{prefix}/bits/{label}")),
         ));
         let points = params
             .bit_error_rates
             .iter()
-            .map(|&ber| (ber, results.mean(&format!("{prefix}/{format}/ber={ber}"))))
+            .map(|&ber| (ber, results.mean(&format!("{prefix}/{label}/ber={ber}"))))
             .collect();
-        series.push(Series::new(format.to_string(), points));
+        series.push(Series::new(label, points));
     }
-    bit_facts
-        .push(("i8 zero/one bit ratio".to_string(), results.mean(&format!("{prefix}/bits/i8"))));
-    let i8_points = params
-        .bit_error_rates
-        .iter()
-        .map(|&ber| (ber, results.mean(&format!("{prefix}/i8/ber={ber}"))))
-        .collect();
-    series.push(Series::new("i8", i8_points));
     vec![
         FigureData::lines(
             prefix,

@@ -140,12 +140,6 @@ impl RangeGuard {
         value.is_outside(&E::layer_bounds(lo, hi, self.format, &self.config, meta))
     }
 
-    /// [`RangeGuard::is_anomalous_in`] for `f32` values (the historical
-    /// name).
-    pub fn is_anomalous(&self, layer: usize, value: f32) -> bool {
-        self.is_anomalous_in(layer, value, &None)
-    }
-
     /// Scans every guarded layer of `network` — either backend — and zeroes
     /// anomalous weights (the "skip the operations around this data"
     /// recovery). On the native backend the scrub runs on live raw words in
@@ -284,7 +278,7 @@ impl GuardedElement for f32 {
         hi: f32,
         format: QFormat,
         config: &RangeGuardConfig,
-        _meta: &Option<QFormat>,
+        _meta: &(),
     ) -> ValueBounds {
         ValueBounds {
             lo,
@@ -495,19 +489,19 @@ mod tests {
             QFormat::Q4_11,
             RangeGuardConfig::full_precision(0.1),
         );
-        assert!(!cheap.is_anomalous(0, 1.4));
-        assert!(precise.is_anomalous(0, 1.4));
+        assert!(!cheap.is_anomalous_in(0, 1.4, &()));
+        assert!(precise.is_anomalous_in(0, 1.4, &()));
         // Both flag a genuinely large outlier.
-        assert!(cheap.is_anomalous(0, 5.0));
-        assert!(precise.is_anomalous(0, 5.0));
+        assert!(cheap.is_anomalous_in(0, 5.0, &()));
+        assert!(precise.is_anomalous_in(0, 5.0, &()));
     }
 
     #[test]
     fn unguarded_layers_are_never_anomalous() {
         let guard =
             RangeGuard::from_bounds([(2, -1.0, 1.0)], QFormat::Q4_11, RangeGuardConfig::paper());
-        assert!(!guard.is_anomalous(0, 100.0));
-        assert!(guard.is_anomalous(2, 100.0));
+        assert!(!guard.is_anomalous_in(0, 100.0, &()));
+        assert!(guard.is_anomalous_in(2, 100.0, &()));
         assert_eq!(guard.bounds().len(), 1);
     }
 
@@ -557,7 +551,7 @@ mod tests {
                 let value = raw as f32 * format.resolution();
                 assert_eq!(
                     guard.is_anomalous_in(0, raw, &format),
-                    guard.is_anomalous(0, value),
+                    guard.is_anomalous_in(0, value, &()),
                     "raw {raw} (value {value}) disagrees under {config:?}"
                 );
             }
@@ -613,7 +607,7 @@ mod tests {
 
         // f32: two genuine outliers, one in-range value.
         let mut floats = [0.5f32, 9.0, -12.0];
-        assert_eq!(guard.scrub_buffer(0, &mut floats, &None), 2);
+        assert_eq!(guard.scrub_buffer(0, &mut floats, &()), 2);
         assert_eq!(floats, [0.5, 0.0, 0.0]);
 
         // Raw Q-format words: same comparison on the live integer words.
@@ -638,9 +632,9 @@ mod tests {
         let guard =
             RangeGuard::from_bounds([(1, -1.0, 1.0)], QFormat::Q4_11, RangeGuardConfig::paper());
         let mut values = [50.0f32, -80.0];
-        assert_eq!(guard.scrub_buffer(0, &mut values, &None), 0);
+        assert_eq!(guard.scrub_buffer(0, &mut values, &()), 0);
         assert_eq!(values, [50.0, -80.0]);
-        assert_eq!(guard.scrub_buffer(1, &mut values, &None), 2);
+        assert_eq!(guard.scrub_buffer(1, &mut values, &()), 2);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! everything that actually differs between them is collected in
 //! [`Element`]: the widened accumulator a MAC sweep uses, how a bias enters
 //! it, how an accumulator is folded back into a storable element, what ReLU
-//! means, and what metadata a network and a tensor carry (an optional
-//! simulation format for `f32`, the mandatory storage format for raw words,
-//! the affine scale for `i8`).
+//! means, and what metadata a network and a tensor carry (nothing for
+//! `f32`, the storage format for raw words, the affine scale for `i8`).
 //!
 //! Adding a further backend (say, a `bf16` software model) is one
 //! `impl Element for NewType` — the generic [`Network`](crate::Network)
@@ -23,9 +22,8 @@ use navft_qformat::{round_half_away, QFormat, QValue};
 ///
 /// The three shipped implementations:
 ///
-/// * **`f32`** — plain float arithmetic (`Acc = f32`), no kernel context.
-///   Networks optionally carry a [`QFormat`] that *simulates* a fixed-point
-///   datapath by requantizing every activation buffer after each layer.
+/// * **`f32`** — plain float arithmetic (`Acc = f32`), no kernel context and
+///   no network metadata.
 /// * **`i32`** — raw Q-format words. Kernels accumulate word products in a
 ///   widened `i64` (products carry `2 × frac_bits` fractional bits) and
 ///   perform one saturating round-to-nearest requantize per output element;
@@ -58,9 +56,8 @@ pub trait Element:
     /// raw words.
     type Ctx: Copy + fmt::Debug + Send + Sync;
 
-    /// Metadata a network of this element type carries: the optional
-    /// activation simulation format for `f32`, the mandatory storage format
-    /// for raw words.
+    /// Metadata a network of this element type carries: nothing for `f32`,
+    /// the storage format for raw words, the affine scale for `i8`.
     type NetMeta: Copy + fmt::Debug + PartialEq + Send + Sync;
 
     /// Metadata a tensor of this element type carries: nothing for `f32`,
@@ -121,11 +118,6 @@ pub trait Element:
 
     /// The rectified linear unit on one element.
     fn relu(self) -> Self;
-
-    /// Post-layer activation transform applied by the network before hooks
-    /// see the buffer: the `f32` fixed-point *simulation* requantizes every
-    /// value; the native backend's words are already exact.
-    fn quantize_activations(values: &mut [Self], net: &Self::NetMeta);
 
     /// Clamps an element into its metadata's representable range (raw words
     /// saturate at the format's raw extremes; `f32` is unconstrained).
@@ -208,17 +200,17 @@ impl I8Affine {
 impl Element for f32 {
     type Acc = f32;
     type Ctx = ();
-    type NetMeta = Option<QFormat>;
+    type NetMeta = ();
     type Meta = ();
 
     #[inline]
-    fn kernel_ctx(_net: &Option<QFormat>) {}
+    fn kernel_ctx(_net: &()) {}
 
     #[inline]
-    fn tensor_meta(_net: &Option<QFormat>) {}
+    fn tensor_meta(_net: &()) {}
 
     #[inline]
-    fn check_input(_input: &(), _net: &Option<QFormat>) {}
+    fn check_input(_input: &(), _net: &()) {}
 
     #[inline]
     fn acc_init(bias: f32, _ctx: ()) -> f32 {
@@ -240,21 +232,13 @@ impl Element for f32 {
         self.max(0.0)
     }
 
-    fn quantize_activations(values: &mut [f32], net: &Option<QFormat>) {
-        if let Some(format) = net {
-            for v in values.iter_mut() {
-                *v = QValue::quantize(*v, *format).to_f32();
-            }
-        }
-    }
-
     #[inline]
     fn sanitize(self, _meta: &()) -> f32 {
         self
     }
 
     #[inline]
-    fn value_to_f32(self, _net: &Option<QFormat>) -> f32 {
+    fn value_to_f32(self, _net: &()) -> f32 {
         self
     }
 
@@ -319,9 +303,6 @@ impl Element for i32 {
     fn relu(self) -> i32 {
         self.max(0)
     }
-
-    #[inline]
-    fn quantize_activations(_values: &mut [i32], _net: &QFormat) {}
 
     #[inline]
     fn sanitize(self, meta: &QFormat) -> i32 {
@@ -399,9 +380,6 @@ impl Element for i8 {
     }
 
     #[inline]
-    fn quantize_activations(_values: &mut [i8], _net: &I8Affine) {}
-
-    #[inline]
     fn sanitize(self, _meta: &I8Affine) -> i8 {
         self
     }
@@ -464,7 +442,7 @@ mod tests {
     #[test]
     fn value_to_f32_dequantizes_raw_words() {
         assert_eq!(24i32.value_to_f32(&QFormat::Q3_4), 1.5);
-        assert_eq!(1.5f32.value_to_f32(&None), 1.5);
+        assert_eq!(1.5f32.value_to_f32(&()), 1.5);
     }
 
     #[test]

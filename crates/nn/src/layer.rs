@@ -522,15 +522,6 @@ impl<E: Element> LayerBase<E> {
         }
     }
 
-    /// The layer's bias buffer, mutably.
-    pub fn biases_mut(&mut self) -> Option<&mut Vec<E>> {
-        match self {
-            LayerBase::Conv2d(conv) => Some(&mut conv.bias),
-            LayerBase::Linear(linear) => Some(&mut linear.bias),
-            _ => None,
-        }
-    }
-
     /// Whether the layer holds trainable parameters.
     pub fn is_parametric(&self) -> bool {
         self.weights().is_some()

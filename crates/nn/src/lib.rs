@@ -58,9 +58,8 @@
 //! Per backend:
 //!
 //! * The **`f32` backend** ([`Network`]) trains (Q-learning, DQN,
-//!   transfer-learning fine-tuning need float gradients) and can *simulate* a
-//!   fixed-point datapath by snapping parameters to a [`QFormat`] grid
-//!   ([`Network::quantize_params`]) and requantizing every activation buffer.
+//!   transfer-learning fine-tuning need float gradients) in plain float
+//!   arithmetic; it carries no fixed-point state.
 //! * The **native fixed-point backend** ([`QNetwork`], compiled from a
 //!   trained network via [`Network::to_quantized`]) stores every buffer as
 //!   raw two's-complement Q-format words ([`QTensor`], [`QScratch`]) and
@@ -71,8 +70,9 @@
 //!   integer hardware. The data-type sensitivity experiments (Fig. 7e and the
 //!   extended ablation) execute each format natively on this backend; an
 //!   equivalence suite (`tests/integration_quantized_equivalence.rs`) pins it
-//!   within one LSB of the `f32` simulation per layer and bit-deterministic
-//!   across runs.
+//!   within one LSB per layer of its dequantized `f32` network forwarded
+//!   under a test hook that requantizes every activation, and
+//!   bit-deterministic across runs.
 //! * The **`i8` per-tensor affine backend** ([`I8Network`], compiled from a
 //!   trained network via [`I8Network::quantize`]) stores every buffer as
 //!   symmetric `value = word · scale` bytes ([`I8Affine`], one scale per
@@ -88,8 +88,6 @@
 //! injection (`navft-fault` corrupts any storage word) and the `navft-rl`
 //! evaluators are already generic — the `i8` backend is exactly that recipe,
 //! cashed in.
-//!
-//! [`QFormat`]: navft_qformat::QFormat
 //!
 //! # Batched, zero-allocation, blocked-GEMM inference
 //!
@@ -197,8 +195,7 @@ pub use network::{
     NoHooks, RangeRecorder,
 };
 pub use qnetwork::{
-    network_bit_stats, I8Conv2d, I8Layer, I8Linear, QConv2d, QLayer, QLinear, QNetwork, QScratch,
-    QuantizedElement,
+    I8Conv2d, I8Layer, I8Linear, QConv2d, QLayer, QLinear, QNetwork, QScratch, QuantizedElement,
 };
 pub use qtensor::QTensor;
 pub use scratch::Scratch;

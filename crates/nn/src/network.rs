@@ -255,8 +255,8 @@ pub struct NetworkBase<E: Element> {
     meta: E::NetMeta,
 }
 
-/// A feed-forward `f32` network (the trainable backend, optionally
-/// simulating a fixed-point datapath by requantizing activations).
+/// A feed-forward `f32` network: the trainable backend, in plain float
+/// arithmetic.
 pub type Network = NetworkBase<f32>;
 
 impl Eq for NetworkBase<i32> {}
@@ -267,8 +267,8 @@ impl<E: Element> NetworkBase<E> {
         NetworkBase { layers, meta }
     }
 
-    /// The backend metadata (the optional simulation format for `f32`, the
-    /// storage format for raw words, the affine scale for `i8`).
+    /// The backend metadata (nothing for `f32`, the storage format for raw
+    /// words, the affine scale for `i8`).
     pub fn net_meta(&self) -> &E::NetMeta {
         &self.meta
     }
@@ -407,7 +407,6 @@ impl<E: Element> NetworkBase<E> {
                 current = out;
             }
             std::mem::swap(&mut shape, &mut next_shape);
-            E::quantize_activations(&mut current, &self.meta);
             hooks.on_activation(i, layer.kind(), &mut current);
         }
         let meta = E::tensor_meta(&self.meta);
@@ -466,10 +465,9 @@ impl<E: Element> NetworkBase<E> {
             assert_eq!(input.shape(), input_shape, "all batch inputs must share one shape");
             E::check_input(input.meta(), &self.meta);
         }
-        let meta = self.meta;
         crate::engine::forward_batch_engine(
             &self.layers,
-            E::kernel_ctx(&meta),
+            E::kernel_ctx(&self.meta),
             input_shape,
             inputs.iter().map(|t| t.borrow().data()),
             scratch,
@@ -477,8 +475,7 @@ impl<E: Element> NetworkBase<E> {
             |event, row| match event {
                 SweepEvent::Input { row: b } => hooks.on_batch_input(b, row),
                 SweepEvent::Activation { row: b, layer, kind } => {
-                    E::quantize_activations(row, &meta);
-                    hooks.on_batch_activation(b, layer, kind, row);
+                    hooks.on_batch_activation(b, layer, kind, row)
                 }
             },
         );
@@ -488,19 +485,7 @@ impl<E: Element> NetworkBase<E> {
 impl Network {
     /// Builds a network from a stack of layers.
     pub fn new(layers: Vec<Layer>) -> Network {
-        NetworkBase::from_parts(layers, None)
-    }
-
-    /// Quantizes every activation buffer to `format` after each layer,
-    /// emulating a fixed-point accelerator datapath.
-    pub fn with_activation_format(mut self, format: QFormat) -> Network {
-        self.meta = Some(format);
-        self
-    }
-
-    /// The activation quantization format, if any.
-    pub fn activation_format(&self) -> Option<QFormat> {
-        self.meta
+        NetworkBase::from_parts(layers, ())
     }
 
     /// Copies all weights into one concatenated buffer (layer order).
@@ -540,21 +525,6 @@ impl Network {
         });
     }
 
-    /// Snaps every weight *and bias* to `format` and quantizes activations —
-    /// the complete `f32` simulation of the fixed-point datapath, parameter
-    /// for parameter identical to what [`Network::to_quantized`] compiles.
-    pub fn quantize_params(mut self, format: QFormat) -> Network {
-        self.quantize_weights(format);
-        for layer in &mut self.layers {
-            if let Some(bias) = layer.biases_mut() {
-                for v in bias.iter_mut() {
-                    *v = navft_qformat::QValue::quantize(*v, format).to_f32();
-                }
-            }
-        }
-        self.with_activation_format(format)
-    }
-
     /// Compiles this network into the native fixed-point backend
     /// ([`crate::QNetwork`]): parameters quantized into raw `format` words,
     /// every forward pass in integer arithmetic end to end.
@@ -572,9 +542,8 @@ impl Network {
     /// Linear and convolution layers run on the batched engine's blocked,
     /// SIMD-dispatched GEMM (a convolution through its patch panel) at a
     /// batch of one, so every recorded value is bit-identical to the naive
-    /// kernels by the GEMM contract. Unlike the inference passes, the trace
-    /// records unquantized activations even when the network simulates a
-    /// fixed-point datapath.
+    /// kernels by the GEMM contract: the trace records exactly the
+    /// activations [`NetworkBase::forward_with`] produces.
     pub fn forward_traced_into(&self, input: &Tensor, trace: &mut ForwardTrace) {
         let ForwardTrace { values, cols } = trace;
         if values.len() != self.layers.len() + 1 {
@@ -866,17 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn activation_format_quantizes_outputs() {
-        let mut rng = SmallRng::seed_from_u64(5);
-        let net = crate::mlp(&[2, 2], &mut rng).with_activation_format(QFormat::Q3_4);
-        assert_eq!(net.activation_format(), Some(QFormat::Q3_4));
-        let out = net.forward(&Tensor::from_vec(&[2], vec![0.33, 0.77]));
-        for &v in out.data() {
-            assert_eq!(v, navft_qformat::QValue::quantize(v, QFormat::Q3_4).to_f32());
-        }
-    }
-
-    #[test]
     fn weight_ranges_cover_parametric_layers() {
         let net = tiny_mlp(6);
         let ranges = net.weight_ranges();
@@ -957,15 +915,6 @@ mod tests {
         for (input, out) in inputs.iter().zip(batched.iter()) {
             assert_eq!(out.as_slice(), net.forward(input).data());
         }
-    }
-
-    #[test]
-    fn forward_batch_respects_activation_format() {
-        let mut rng = SmallRng::seed_from_u64(12);
-        let net = crate::mlp(&[2, 3, 2], &mut rng).with_activation_format(QFormat::Q3_4);
-        let inputs = vec![Tensor::from_vec(&[2], vec![0.33, 0.77])];
-        let batched = batch_rows(&net, &inputs, &mut NoHooks);
-        assert_eq!(batched[0].as_slice(), net.forward(&inputs[0]).data());
     }
 
     #[test]

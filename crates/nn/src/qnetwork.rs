@@ -2,21 +2,19 @@
 //! `f32` network and its stored-word instantiations, written once for both
 //! integer backends.
 //!
-//! The `f32` backend *simulates* a fixed-point datapath by requantizing
-//! activations after every layer; the integer backends *are* the datapath.
-//! [`QNetwork`] is [`NetworkBase`]`<i32>` (raw two's-complement Q-format
-//! words) and [`I8Network`](crate::I8Network) is [`NetworkBase`]`<i8>`
-//! (per-network symmetric affine bytes) — the same generic layers, engine
-//! and blocked GEMM as the float backend, with the [`Element`] impls
-//! supplying the arithmetic: a widened accumulator and one saturating,
-//! round-to-nearest requantize per output element — exactly an integer MAC
-//! array. The live buffers a fault campaign corrupts (weights, inputs,
+//! The `f32` backend is plain float arithmetic; the integer backends *are*
+//! the fixed-point datapath. [`QNetwork`] is [`NetworkBase`]`<i32>` (raw
+//! two's-complement Q-format words) and [`I8Network`](crate::I8Network) is
+//! [`NetworkBase`]`<i8>` (per-network symmetric affine bytes) — the same
+//! generic layers, engine and blocked GEMM as the float backend, with the
+//! [`Element`] impls supplying the arithmetic: a widened accumulator and
+//! one saturating, round-to-nearest requantize per output element — exactly
+//! an integer MAC array. The live buffers a fault campaign corrupts (weights, inputs,
 //! activations) therefore exist as stored words at inference time, and
 //! corrupting them is a single integer operation.
 //!
 //! What differs between the two integer backends at compile time — how an
-//! `f32` parameter snaps onto the grid, which activation format the float
-//! simulation runs, how wide a stored word is — is the
+//! `f32` parameter snaps onto the grid, how wide a stored word is — is the
 //! [`QuantizedElement`] trait; everything else here is one generic body.
 
 use std::fmt;
@@ -28,7 +26,7 @@ use crate::engine::EngineConfig;
 use crate::layer::{Conv2dBase, LayerBase, LinearBase};
 use crate::network::{ForwardHooks, NetworkBase};
 use crate::tensor::TensorBase;
-use crate::{LayerKind, Network, QTensor, Scratch};
+use crate::{LayerKind, Network, Scratch};
 
 /// Activation storage for the native fixed-point backend: a [`Scratch`] over
 /// raw Q-format words.
@@ -69,10 +67,6 @@ pub trait QuantizedElement: Element + Into<i32> {
     /// word's extremes.
     fn quantize_value(value: f32, net: &Self::NetMeta) -> Self;
 
-    /// The activation format the `f32` simulation of a network runs with
-    /// (`None` when the backend has no binary-point format to simulate).
-    fn simulation_format(net: &Self::NetMeta) -> Option<QFormat>;
-
     /// A format as wide as one stored word, which is all bit-population
     /// statistics need.
     fn bit_format(net: &Self::NetMeta) -> QFormat;
@@ -86,10 +80,6 @@ impl QuantizedElement for i32 {
 
     fn quantize_value(value: f32, net: &QFormat) -> i32 {
         QValue::quantize(value, *net).raw()
-    }
-
-    fn simulation_format(net: &QFormat) -> Option<QFormat> {
-        Some(*net)
     }
 
     fn bit_format(net: &QFormat) -> QFormat {
@@ -106,10 +96,6 @@ impl QuantizedElement for i8 {
 
     fn quantize_value(value: f32, net: &I8Affine) -> i8 {
         net.quantize(value)
-    }
-
-    fn simulation_format(_net: &I8Affine) -> Option<QFormat> {
-        None
     }
 
     fn bit_format(_net: &I8Affine) -> QFormat {
@@ -135,19 +121,15 @@ impl<E: QuantizedElement> NetworkBase<E> {
         NetworkBase::from_parts(layers, meta)
     }
 
-    /// Decompiles back into an `f32` [`Network`] whose parameters sit exactly
-    /// on this network's grid — with the activation format set where the
-    /// backend has one — the float *simulation* the equivalence suites
-    /// compare against.
+    /// Decompiles back into a plain `f32` [`Network`] whose parameters sit
+    /// exactly on this network's grid. The equivalence suites forward it
+    /// with a test hook that requantizes every activation, which gives the
+    /// float oracle of the native datapath.
     pub fn dequantize(&self) -> Network {
         let meta = *self.net_meta();
         let layers =
             self.layers().iter().map(|layer| layer.map_params(|w| w.value_to_f32(&meta))).collect();
-        let network = Network::new(layers);
-        match E::simulation_format(&meta) {
-            Some(format) => network.with_activation_format(format),
-            None => network,
-        }
+        Network::new(layers)
     }
 
     /// Bit-population statistics over the network's parameter words and —
@@ -242,32 +224,33 @@ impl QNetwork {
     }
 }
 
-/// Bit-population statistics over an `f32` network's whole fault surface in
-/// one call: every weight and bias buffer plus — when `calibration` inputs
-/// are given — every activation buffer (input included) a forward pass
-/// produces, all quantized into `format`.
-///
-/// This is the network-level [`BitStats`] sweep behind the zero/one
-/// bit-ratio analysis of the data-type experiment; the native equivalent for
-/// an already-quantized network is [`NetworkBase::bit_stats`].
-pub fn network_bit_stats(
-    network: &Network,
-    format: QFormat,
-    calibration: &[crate::Tensor],
-) -> BitStats {
-    let qnet = QNetwork::quantize(network, format);
-    let inputs: Vec<QTensor> = calibration.iter().map(|t| QTensor::quantize(t, format)).collect();
-    let mut scratch = QScratch::new();
-    qnet.bit_stats(&inputs, &mut scratch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Kernels;
-    use crate::{NoHooks, Tensor};
+    use crate::{NoHooks, QTensor, Tensor};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// Requantizes every activation into `format` before `inner` sees it:
+    /// forwarding a dequantized network under this hook is the float oracle
+    /// of the native fixed-point datapath.
+    struct Requantize<H> {
+        format: QFormat,
+        inner: H,
+    }
+
+    impl<H: ForwardHooks> ForwardHooks for Requantize<H> {
+        fn on_input(&mut self, values: &mut [f32]) {
+            self.inner.on_input(values);
+        }
+        fn on_activation(&mut self, layer: usize, kind: LayerKind, values: &mut [f32]) {
+            for v in values.iter_mut() {
+                *v = QValue::quantize(*v, self.format).to_f32();
+            }
+            self.inner.on_activation(layer, kind, values);
+        }
+    }
 
     fn tiny_qnet(seed: u64, format: QFormat) -> QNetwork {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -295,7 +278,8 @@ mod tests {
         let reference = qnet.dequantize();
         let input = QTensor::quantize(&Tensor::from_vec(&[3], vec![0.5, -0.25, 1.0]), format);
         let native = qnet.forward(&input);
-        let simulated = reference.forward(&input.dequantize());
+        let mut oracle = Requantize { format, inner: NoHooks };
+        let simulated = reference.forward_with(&input.dequantize(), &mut oracle);
         for (n, s) in native.dequantize().data().iter().zip(simulated.data().iter()) {
             assert!(
                 (n - s).abs() <= format.resolution(),
@@ -389,19 +373,6 @@ mod tests {
         let with_acts = qnet.bit_stats(std::slice::from_ref(&input), &mut scratch);
         // input (3) + linear (8) + relu (8) + linear (2) activation words.
         assert_eq!(with_acts.total_bits(), weights_only.total_bits() + 21 * 8);
-    }
-
-    #[test]
-    fn network_bit_stats_matches_native_sweep() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let net = crate::mlp(&[3, 8, 2], &mut rng);
-        let format = QFormat::Q4_11;
-        let calibration = vec![Tensor::full(&[3], 0.25)];
-        let via_f32 = network_bit_stats(&net, format, &calibration);
-        let qnet = QNetwork::quantize(&net, format);
-        let qcal: Vec<QTensor> = calibration.iter().map(|t| QTensor::quantize(t, format)).collect();
-        let mut scratch = QScratch::new();
-        assert_eq!(via_f32, qnet.bit_stats(&qcal, &mut scratch));
     }
 
     #[test]

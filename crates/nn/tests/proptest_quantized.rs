@@ -1,12 +1,16 @@
 //! Property tests pinning the native fixed-point kernels: for *arbitrary*
 //! layer stacks the native forward pass must stay within the format's
-//! resolution of the `f32` fixed-point simulation, batched and serial native
+//! resolution of the `f32` fixed-point simulation (the dequantized network
+//! forwarded under the [`Requantize`] hook), batched and serial native
 //! passes must agree bit for bit, and for parameters and inputs already on
 //! the quantization grid (where `f32` arithmetic is exact) the two backends
 //! must agree *exactly*.
 
 use navft_nn::layer::{Conv2d, Linear, MaxPool2d};
-use navft_nn::{mlp, EngineConfig, Layer, Network, NoHooks, QNetwork, QScratch, QTensor, Tensor};
+use navft_nn::{
+    mlp, EngineConfig, ForwardHooks, Layer, LayerKind, Network, NoHooks, QNetwork, QScratch,
+    QTensor, Tensor,
+};
 use navft_qformat::{QFormat, QValue};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -56,6 +60,27 @@ fn arbitrary_mlp(seed: u64) -> (Network, usize) {
     (mlp(&sizes, &mut rng), input)
 }
 
+/// The `f32` oracle of the native datapath: requantizes every activation
+/// into `format` before `inner` sees it, as a fixed-point MAC array stores
+/// each layer's output.
+struct Requantize<H> {
+    format: QFormat,
+    inner: H,
+}
+
+impl<H: ForwardHooks> ForwardHooks for Requantize<H> {
+    fn on_input(&mut self, values: &mut [f32]) {
+        self.inner.on_input(values);
+    }
+
+    fn on_activation(&mut self, layer: usize, kind: LayerKind, values: &mut [f32]) {
+        for v in values.iter_mut() {
+            *v = QValue::quantize(*v, self.format).to_f32();
+        }
+        self.inner.on_activation(layer, kind, values);
+    }
+}
+
 /// Asserts every native output word is within one quantization step of the
 /// `f32` simulation's output.
 fn assert_within_resolution(native: &QTensor, simulated: &Tensor, format: QFormat, tag: &str) {
@@ -81,7 +106,8 @@ proptest! {
         let input = Tensor::uniform(&[input_len], 1.0, &mut rng);
         let qinput = QTensor::quantize(&input, format);
         let native = qnet.forward(&qinput);
-        let simulated = reference.forward(&qinput.dequantize());
+        let mut oracle = Requantize { format, inner: NoHooks };
+        let simulated = reference.forward_with(&qinput.dequantize(), &mut oracle);
         assert_within_resolution(&native, &simulated, format, "mlp");
     }
 
@@ -95,7 +121,8 @@ proptest! {
         let input = Tensor::uniform(&in_shape, 1.0, &mut rng);
         let qinput = QTensor::quantize(&input, format);
         let native = qnet.forward(&qinput);
-        let simulated = reference.forward(&qinput.dequantize());
+        let mut oracle = Requantize { format, inner: NoHooks };
+        let simulated = reference.forward_with(&qinput.dequantize(), &mut oracle);
         assert_within_resolution(&native, &simulated, format, "conv");
     }
 

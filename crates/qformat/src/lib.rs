@@ -21,9 +21,10 @@
 //! # The numeric domain of two backends
 //!
 //! This crate defines the quantized domain both inference backends of
-//! `navft-nn` compute in. The `f32` backend *simulates* a fixed-point
-//! datapath by round-tripping every value through [`QValue::quantize`]; the
-//! native backend stores raw two's-complement words and leans on the
+//! `navft-nn` compute in. Compiling a trained `f32` network snaps its
+//! parameters onto a format's grid with [`QValue::quantize`] (the
+//! equivalence suites' float oracle requantizes activations the same way);
+//! the native backend stores raw two's-complement words and leans on the
 //! integer-only primitives here: [`QFormat::requantize_product_sum`]
 //! (widened-accumulator requantization with saturation and
 //! round-to-nearest-away-from-zero, matching `f32::round`) and

@@ -347,7 +347,7 @@ mod tests {
                 ServeConfig::default().with_max_batch(3).with_flush_after(Duration::from_millis(1));
             let server = Server::start(policy, &[states], config);
             let sessions: Vec<_> = (0..5)
-                .map(|i| server.open_session(Box::new(SessionHook::<f32>::new(None, i))))
+                .map(|i| server.open_session(Box::new(SessionHook::<f32>::new((), i))))
                 .collect();
             let mut envs: Vec<GridWorld> = (0..5).map(|_| world.clone()).collect();
             let mut latency = LatencyWindow::new();

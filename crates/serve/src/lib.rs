@@ -55,7 +55,7 @@
 //! let mut rng = SmallRng::seed_from_u64(0);
 //! let policy = mlp(&[4, 8, 2], &mut rng);
 //! let server = Server::start(policy, &[4], ServeConfig::default());
-//! let session = server.open_session(Box::new(SessionHook::new(None, 7)));
+//! let session = server.open_session(Box::new(SessionHook::new((), 7)));
 //! let ticket = server
 //!     .submit(session, navft_nn::Tensor::full(&[4], 0.25))
 //!     .expect("request queued");

@@ -98,7 +98,7 @@ mod tests {
     fn fault_streams_are_seed_deterministic_per_session() {
         let spec = FaultSpec::new(0.05, FaultKind::BitFlip, QFormat::Q4_11);
         let run = |seed: u64| {
-            let mut hook: SessionHook<f32> = SessionHook::new(None, seed).with_faults(spec);
+            let mut hook: SessionHook<f32> = SessionHook::new((), seed).with_faults(spec);
             let mut rows = Vec::new();
             for _ in 0..4 {
                 let mut values = vec![0.5f32; 32];
@@ -118,7 +118,7 @@ mod tests {
             QFormat::Q4_11,
             RangeGuardConfig::paper(),
         ));
-        let mut hook: SessionHook<f32> = SessionHook::new(None, 0).with_guard(guard);
+        let mut hook: SessionHook<f32> = SessionHook::new((), 0).with_guard(guard);
         let mut values = vec![0.5f32, 40.0, -40.0];
         ForwardHooks::<f32>::on_activation(&mut hook, 0, LayerKind::Linear, &mut values);
         assert_eq!(values, vec![0.5, 0.0, 0.0]);
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn clean_hook_is_a_no_op_on_every_backend() {
-        let mut f = SessionHook::<f32>::new(None, 0);
+        let mut f = SessionHook::<f32>::new((), 0);
         let mut values = vec![0.25f32; 8];
         ForwardHooks::<f32>::on_input(&mut f, &mut values);
         ForwardHooks::<f32>::on_activation(&mut f, 0, LayerKind::Relu, &mut values);

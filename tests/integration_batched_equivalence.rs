@@ -38,12 +38,6 @@ fn models() -> Vec<(&'static str, Network, Vec<usize>, &'static [usize])> {
             &BATCH_SIZES,
         ),
         (
-            "c3f2_scaled_quantized",
-            C3f2Config::scaled().build(&mut rng).with_activation_format(QFormat::Q4_11),
-            C3f2Config::scaled().input_shape().to_vec(),
-            &BATCH_SIZES,
-        ),
-        (
             "c3f2_paper",
             C3f2Config::paper().build(&mut rng),
             C3f2Config::paper().input_shape().to_vec(),

@@ -1,5 +1,7 @@
 //! Integration test: the native fixed-point backend is equivalent to the
-//! `f32` simulation of the fixed-point datapath.
+//! `f32` simulation of the fixed-point datapath — its dequantized network
+//! forwarded under the [`Requantize`] hook, which rounds every activation
+//! onto the format's grid.
 //!
 //! For every model in `nn::models` (the Grid World MLP and the paper's C3F2
 //! drone policy, full-size and scaled) and the formats of the data-type
@@ -26,7 +28,7 @@ use navft_nn::{
     LayerKind, Network, NetworkBase, NoHooks, QNetwork, QScratch, QTensor, Scratch, Tensor,
     TensorBase,
 };
-use navft_qformat::QFormat;
+use navft_qformat::{QFormat, QValue};
 use navft_rl::{corrupt_network_weights, corrupt_policy_weights, InferenceFaultMode};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -61,6 +63,27 @@ fn batch_rows<E: Element>(
     (0..scratch.rows()).map(|b| scratch.row(b).to_vec()).collect()
 }
 
+/// The `f32` oracle of the native datapath: requantizes every activation
+/// into `format` before `inner` sees it, as a fixed-point MAC array stores
+/// each layer's output.
+struct Requantize<H> {
+    format: QFormat,
+    inner: H,
+}
+
+impl<H: ForwardHooks> ForwardHooks for Requantize<H> {
+    fn on_input(&mut self, values: &mut [f32]) {
+        self.inner.on_input(values);
+    }
+
+    fn on_activation(&mut self, layer: usize, kind: LayerKind, values: &mut [f32]) {
+        for v in values.iter_mut() {
+            *v = QValue::quantize(*v, self.format).to_f32();
+        }
+        self.inner.on_activation(layer, kind, values);
+    }
+}
+
 #[derive(Default)]
 struct CaptureF32 {
     layers: Vec<Vec<f32>>,
@@ -93,8 +116,9 @@ fn every_model_runs_natively_within_one_lsb_per_layer() {
             let reference = qnet.dequantize();
             let qinput = QTensor::quantize(&input, format);
 
-            let mut f32_capture = CaptureF32::default();
-            let _ = reference.forward_with(&qinput.dequantize(), &mut f32_capture);
+            let mut oracle = Requantize { format, inner: CaptureF32::default() };
+            let _ = reference.forward_with(&qinput.dequantize(), &mut oracle);
+            let f32_capture = oracle.inner;
             let mut raw_capture = CaptureRaw::default();
             let _ = qnet.forward_with(&qinput, &mut raw_capture);
 
@@ -320,7 +344,8 @@ fn fault_injection_corrupts_live_words_and_agrees_with_the_f32_backend() {
         let corrupted_f32 = corrupt_network_weights(&qnet.dequantize(), &mode);
         let qinput = QTensor::quantize(&input, format);
         let native = corrupted_q.forward(&qinput).dequantize();
-        let simulated = corrupted_f32.forward(&qinput.dequantize());
+        let mut oracle = Requantize { format, inner: NoHooks };
+        let simulated = corrupted_f32.forward_with(&qinput.dequantize(), &mut oracle);
         let lsb = format.resolution();
         for (n, s) in native.data().iter().zip(simulated.data().iter()) {
             assert!(

@@ -345,19 +345,6 @@ fn discrete_rollouts_are_config_invariant_at_any_batch_width() {
     }
 }
 
-/// The drone vision policies: the scaled C3F2 topology in plain `f32` and
-/// with quantized activations.
-fn vision_policies() -> Vec<(&'static str, Network)> {
-    let mut rng = SmallRng::seed_from_u64(0x7151);
-    vec![
-        ("c3f2_scaled", C3f2Config::scaled().build(&mut rng)),
-        (
-            "c3f2_scaled_quantized",
-            C3f2Config::scaled().build(&mut rng).with_activation_format(QFormat::Q4_11),
-        ),
-    ]
-}
-
 /// Vision counterpart of [`assert_discrete_matches_serial`].
 fn assert_vision_matches_serial<W: EvalElement>(
     sim: &DroneSim,
@@ -395,20 +382,19 @@ fn vision_rollouts_match_serial_bit_for_bit_on_all_three_backends() {
     // while still re-seeding rows mid-batch (episodes > width for the small
     // widths) and draining the final wave ragged.
     let budget = (5, 6);
-    for (model, network) in vision_policies() {
-        let sim = DroneSim::new(world.clone(), DepthCamera::scaled(), budget.1);
-        let qnet = QNetwork::quantize(&network, QFormat::Q4_11);
-        let inet = I8Network::quantize(&network);
-        for (mode, fault) in fault_modes(network.weight_count(), 0xF1) {
-            for batch in [1usize, 3] {
-                let context = format!("{model}/{mode} x{batch}");
-                let f32_context = format!("{context}/f32");
-                assert_vision_matches_serial(&sim, &network, budget, &fault, batch, &f32_context);
-                let q_context = format!("{context}/q4.11");
-                assert_vision_matches_serial(&sim, &qnet, budget, &fault, batch, &q_context);
-                let i8_context = format!("{context}/i8");
-                assert_vision_matches_serial(&sim, &inet, budget, &fault, batch, &i8_context);
-            }
+    let network = C3f2Config::scaled().build(&mut SmallRng::seed_from_u64(0x7151));
+    let sim = DroneSim::new(world, DepthCamera::scaled(), budget.1);
+    let qnet = QNetwork::quantize(&network, QFormat::Q4_11);
+    let inet = I8Network::quantize(&network);
+    for (mode, fault) in fault_modes(network.weight_count(), 0xF1) {
+        for batch in [1usize, 3] {
+            let context = format!("c3f2_scaled/{mode} x{batch}");
+            let f32_context = format!("{context}/f32");
+            assert_vision_matches_serial(&sim, &network, budget, &fault, batch, &f32_context);
+            let q_context = format!("{context}/q4.11");
+            assert_vision_matches_serial(&sim, &qnet, budget, &fault, batch, &q_context);
+            let i8_context = format!("{context}/i8");
+            assert_vision_matches_serial(&sim, &inet, budget, &fault, batch, &i8_context);
         }
     }
 }
