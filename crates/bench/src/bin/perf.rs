@@ -60,8 +60,8 @@ use navft_bench::parse_jobs;
 use navft_core::sweep::json::Json;
 use navft_gridworld::GridWorld;
 use navft_nn::{
-    c3f2_scaled, mlp, simd_kernel_name, Element, EngineConfig, I8Network, I8Scratch, I8Tensor,
-    Kernels, Network, NetworkBase, NoHooks, QNetwork, QScratch, QTensor, Scratch, Tensor,
+    c3f2_scaled, mlp, simd_kernel_name, Element, EngineConfig, ForwardHooks, I8Network, I8Scratch,
+    I8Tensor, Kernels, Network, NetworkBase, NoHooks, QNetwork, QScratch, QTensor, Scratch, Tensor,
 };
 use navft_qformat::QFormat;
 use navft_rl::{
@@ -323,9 +323,19 @@ const ROLLOUT_BATCHES: [usize; 3] = [1, 16, 64];
 const ROLLOUT_EPISODES: usize = 64;
 const ROLLOUT_MAX_STEPS: usize = 32;
 
+/// A hook that does nothing yet keeps the default
+/// [`ForwardHooks::observes`] `== true`, so the rollout gives every row its
+/// own sweep row instead of sharing one among bit-identical inputs.
+struct OwnSweepRow;
+
+impl<E: Element> ForwardHooks<E> for OwnSweepRow {}
+
 /// Times vectorized rollouts of `network` over Grid World rows at one batch
 /// width and returns the campaign JSON row. Throughput is environment steps
 /// per second — every step is one row of a `forward_batch_into_cfg` sweep.
+/// All rows start from the fixed source and fly the same path, so each row
+/// carries an [`OwnSweepRow`] hook: with [`NoHooks`] the rollout would sweep
+/// one row per tick and the row would measure that sharing, not the width.
 fn bench_rollout<W>(
     model: &str,
     backend: &str,
@@ -349,7 +359,7 @@ where
             ROLLOUT_MAX_STEPS,
             &InferenceFaultMode::None,
             &mut rng,
-            |_| NoHooks,
+            |_| OwnSweepRow,
             EngineConfig::default(),
         );
         steps = tapes.iter().map(|tape| tape.rewards.len()).sum();

@@ -10,10 +10,10 @@
 //! * [`Layer`] — convolution, max-pooling, ReLU, flatten and fully-connected
 //!   layers ([`layer`] module).
 //! * [`Network`] — an ordered layer stack with per-layer weight access,
-//!   forward hooks over every activation buffer ([`ForwardHooks`]), optional
-//!   fixed-point activation quantization, range instrumentation
-//!   ([`RangeRecorder`]) and SGD training of the fully-connected tail
-//!   ([`Network::backward_tail`]) used for transfer-learning fine-tuning.
+//!   forward hooks over every activation buffer ([`ForwardHooks`]), range
+//!   instrumentation ([`RangeRecorder`]) and SGD training of the
+//!   fully-connected tail ([`Network::backward_tail`]) used for
+//!   transfer-learning fine-tuning.
 //! * [`models`] — the Grid World MLP ([`mlp`]) and the paper's C3F2 drone
 //!   policy topology ([`C3f2Config`], Fig. 6b).
 //! * [`Scratch`] — a reusable, double-buffered activation arena behind the
@@ -148,6 +148,9 @@
 //! methods, so existing hooks (range recording, dynamic fault injection)
 //! work unchanged; [`DynRowHooks`] gives each row its own stateful hook,
 //! reproducing per-episode fault injection bit-exactly on the batched path.
+//! [`ForwardHooks::observes`] lets a hook declare that it does nothing at
+//! all (of the library's hooks, only [`NoHooks`] does), which lets a caller
+//! compute bit-identical rows once.
 //!
 //! # Examples
 //!

@@ -71,6 +71,17 @@ pub trait ForwardHooks<E: Element = f32> {
         let _ = batch_row;
         self.on_activation(layer_index, kind, values);
     }
+
+    /// Whether this hook observes the pass at all. `false` declares that
+    /// every method above is a no-op for this hook's whole lifetime — it
+    /// neither reads nor writes a buffer nor changes its own state — so a
+    /// caller may skip calling it, and a row it rides may share its forward
+    /// pass with another row whose staged input is bit-identical (the
+    /// vectorized rollout does). Defaults to `true`, so a hook merges with
+    /// nothing unless it says so; [`NoHooks`] returns `false`.
+    fn observes(&self) -> bool {
+        true
+    }
 }
 
 /// Routes each batch row of a batched forward pass to its own dynamically
@@ -146,7 +157,11 @@ impl<E: Element> ForwardHooks<E> for DynRowHooks<'_, E> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoHooks;
 
-impl<E: Element> ForwardHooks<E> for NoHooks {}
+impl<E: Element> ForwardHooks<E> for NoHooks {
+    fn observes(&self) -> bool {
+        false
+    }
+}
 
 /// Records the observed value range of every activation buffer.
 ///

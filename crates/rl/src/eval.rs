@@ -90,6 +90,12 @@ pub trait EvalElement: Element + StoredWord {
     /// bitwise copy for `f32`, a quantization for raw words. The vectorized
     /// rollout calls it once per observation, as the observation arrives.
     fn encode_into(observation: &navft_nn::Tensor, buf: &mut TensorBase<Self>);
+
+    /// The stored word's bit pattern as a `u32` (an `i8` byte
+    /// zero-extended). Two staged inputs are the same input exactly when
+    /// their words' bit patterns match, so `+0.0` and `-0.0`, or two NaN
+    /// payloads, stay apart.
+    fn word_bits(self) -> u32;
 }
 
 impl EvalElement for f32 {
@@ -104,6 +110,10 @@ impl EvalElement for f32 {
 
     fn encode_into(observation: &navft_nn::Tensor, buf: &mut navft_nn::Tensor) {
         buf.assign(observation.shape(), observation.data());
+    }
+
+    fn word_bits(self) -> u32 {
+        self.to_bits()
     }
 }
 
@@ -121,6 +131,10 @@ impl EvalElement for i32 {
     fn encode_into(observation: &navft_nn::Tensor, buf: &mut navft_nn::QTensor) {
         buf.quantize_from(observation);
     }
+
+    fn word_bits(self) -> u32 {
+        self as u32
+    }
 }
 
 impl EvalElement for i8 {
@@ -136,6 +150,10 @@ impl EvalElement for i8 {
 
     fn encode_into(observation: &navft_nn::Tensor, buf: &mut navft_nn::I8Tensor) {
         buf.quantize_from(observation);
+    }
+
+    fn word_bits(self) -> u32 {
+        u32::from(self as u8)
     }
 }
 

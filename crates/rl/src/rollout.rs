@@ -15,6 +15,15 @@
 //! reassigned to the next pending episode (auto-reset) until no episodes
 //! remain, after which the batch drains raggedly.
 //!
+//! A sweep computes each **distinct** input once. Rows whose hooks observe
+//! nothing ([`ForwardHooks::observes`] is `false`, as for [`NoHooks`]) are
+//! fingerprinted at ingest; a row whose fingerprint matches an earlier row
+//! of its group, and whose staged input then matches that row's bit for
+//! bit, reads its action from that row's output instead of adding a row to
+//! the sweep. Under a static fault (or none) on a reset-deterministic
+//! environment every row flies the same trajectory, so a tick sweeps one
+//! row, not B.
+//!
 //! # Bit-exactness contract
 //!
 //! For reset-deterministic environments (see [`crate::vecenv`]), the
@@ -26,6 +35,13 @@
 //!
 //! * the engine guarantees each batch row equals a standalone pass at any
 //!   [`EngineConfig`] (enforced by the `nn` equivalence suites);
+//! * hence rows whose hooks observe nothing and whose staged inputs are
+//!   bit-identical may share one sweep row: engine rows are independent,
+//!   so the shared row's output is each of those rows' own output. Sharing
+//!   is decided on bit patterns ([`EvalElement::word_bits`]), never on `==`,
+//!   so `+0.0`/`-0.0` and distinct NaN payloads stay apart. It changes no
+//!   row's hooks, RNG draw, tape or environment step — only how many rows
+//!   the sweep computes;
 //! * shared-RNG draws (the per-episode fault onset) happen in strict
 //!   episode order: rows are assigned episodes in increasing order and
 //!   each assignment performs exactly the serial loop's draw-then-
@@ -88,7 +104,108 @@ struct RowState<H> {
     onset: usize,
     step: usize,
     hooks: H,
+    /// Fingerprint of the row's staged input, taken at ingest; `None` when
+    /// the row's hooks observe, so the row never shares its sweep row.
+    key: Option<u64>,
     tape: EpisodeTape,
+}
+
+/// The sharing key of a freshly staged input: its fingerprint if `hooks`
+/// observe nothing, else `None`.
+fn share_key<W: EvalElement, H: ForwardHooks<W>>(hooks: &H, staged: &TensorBase<W>) -> Option<u64> {
+    (!hooks.observes()).then(|| fingerprint(staged.data()))
+}
+
+/// A 64-bit fingerprint of a staged input's word bit patterns. Words are
+/// packed in pairs into `u64`s, and each of four lanes folds its pairs
+/// through `lane ↦ (lane ^ bits) · K` with an odd `K`: a bijection for each
+/// pair, so two inputs that differ in a single word always differ in a lane
+/// (and the final fold keeps that difference). Equal fingerprints are only
+/// a hint: [`SweepGroup::join`] confirms them word by word.
+fn fingerprint<W: EvalElement>(words: &[W]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |lane: u64, bits: u64| (lane ^ bits).wrapping_mul(K);
+    let pair_bits =
+        |pair: &[W]| pair.iter().rev().fold(0u64, |bits, w| bits << 32 | u64::from(w.word_bits()));
+    let mut lanes = [0u64; 4];
+    let mut chunks = words.chunks_exact(2 * lanes.len());
+    for chunk in &mut chunks {
+        for (lane, pair) in lanes.iter_mut().zip(chunk.chunks_exact(2)) {
+            *lane = mix(*lane, pair_bits(pair));
+        }
+    }
+    for (lane, pair) in lanes.iter_mut().zip(chunks.remainder().chunks(2)) {
+        *lane = mix(*lane, pair_bits(pair));
+    }
+    lanes.iter().fold(words.len() as u64, |hash, &lane| mix(hash, lane).rotate_left(29))
+}
+
+/// Whether two staged inputs hold the same words, bit for bit.
+fn same_bits<W: EvalElement>(a: &TensorBase<W>, b: &TensorBase<W>) -> bool {
+    a.shape() == b.shape()
+        && a.data().iter().zip(b.data()).all(|(&x, &y)| x.word_bits() == y.word_bits())
+}
+
+/// One tick's clean or faulty row group and the sweep that serves it. Rows
+/// whose hooks observe nothing and whose staged inputs are bit-identical
+/// share one sweep row; every other row gets its own.
+struct SweepGroup<'a, W: EvalElement> {
+    /// Each member row, the sweep row it reads its action from and its
+    /// sharing key (`None`: its hooks observe), in row order.
+    members: Vec<(usize, usize, Option<u64>)>,
+    /// The sweep's inputs, one per sweep row.
+    inputs: Vec<&'a TensorBase<W>>,
+    /// Each sweep row's hooks.
+    hooks: Vec<&'a mut dyn ForwardHooks<W>>,
+}
+
+impl<'a, W: EvalElement> SweepGroup<'a, W> {
+    fn new() -> SweepGroup<'a, W> {
+        SweepGroup { members: Vec::new(), inputs: Vec::new(), hooks: Vec::new() }
+    }
+
+    /// Adds `row` to the group. With a sharing key it reuses the sweep row
+    /// of an earlier member whose key matches and whose input is
+    /// bit-identical (its own hooks, which observe nothing, are then never
+    /// called); otherwise it opens a sweep row of its own.
+    fn join(
+        &mut self,
+        row: usize,
+        input: &'a TensorBase<W>,
+        key: Option<u64>,
+        hooks: &'a mut dyn ForwardHooks<W>,
+    ) {
+        let shared = key.and_then(|key| {
+            let mut earlier = self.members.iter();
+            let same = earlier.find(|m| m.2 == Some(key) && same_bits(input, self.inputs[m.1]));
+            same.map(|m| m.1)
+        });
+        let sweep_row = shared.unwrap_or_else(|| {
+            self.inputs.push(input);
+            self.hooks.push(hooks);
+            self.inputs.len() - 1
+        });
+        self.members.push((row, sweep_row, key));
+    }
+
+    /// Runs the group's one batched sweep on `network` and writes every
+    /// member row's argmax action.
+    fn sweep(
+        self,
+        network: &NetworkBase<W>,
+        scratch: &mut Scratch<W>,
+        config: EngineConfig,
+        actions: &mut [usize],
+    ) {
+        if self.members.is_empty() {
+            return;
+        }
+        let mut hooks = DynRowHooks::new(self.hooks);
+        network.forward_batch_into_cfg(&self.inputs, scratch, &mut hooks, config);
+        for (row, sweep_row, _) in self.members {
+            actions[row] = argmax(scratch.row(sweep_row));
+        }
+    }
 }
 
 /// Rolls `episodes` greedy episodes of `venv` under `network`, evaluating
@@ -138,9 +255,10 @@ where
     let shape = venv.obs_shape();
 
     // Quantize-on-ingest staging: each row owns one backend-native input
-    // buffer, written exactly once per observation the moment it arrives.
-    // One shared scratch serves every tick; once warm, a tick performs no
-    // heap allocation beyond tape pushes and the per-tick group vectors.
+    // buffer, written (and, for rows whose hooks observe nothing,
+    // fingerprinted) exactly once per observation the moment it arrives.
+    // One shared scratch serves every tick; once warm, a tick's heap
+    // allocations are its tape pushes and the two sweep groups' vectors.
     let mut staged: Vec<TensorBase<W>> =
         (0..width).map(|_| W::input_buffer(&shape, network)).collect();
     let mut scratch = Scratch::new();
@@ -165,7 +283,8 @@ where
         let onset = rng.gen_range(0..max_steps);
         let hooks = make_hooks(episode);
         venv.reset_row(row).encode(buf);
-        RowState { episode, onset, step: 0, hooks, tape: EpisodeTape::default() }
+        let key = share_key(&hooks, buf);
+        RowState { episode, onset, step: 0, hooks, key, tape: EpisodeTape::default() }
     };
 
     let mut rows: Vec<Option<RowState<H>>> = Vec::with_capacity(width);
@@ -178,42 +297,22 @@ where
         // Partition the tick into its clean and faulty row groups, gather
         // each group's staged input buffers by reference, and collect each
         // group's hooks — one pass, in row order, so group-internal order
-        // matches row order. No observation is (re-)encoded here.
-        let mut clean_rows: Vec<usize> = Vec::new();
-        let mut faulty_rows: Vec<usize> = Vec::new();
-        let mut clean_inputs: Vec<&TensorBase<W>> = Vec::new();
-        let mut faulty_inputs: Vec<&TensorBase<W>> = Vec::new();
-        let mut clean_hooks: Vec<&mut dyn ForwardHooks<W>> = Vec::new();
-        let mut faulty_hooks: Vec<&mut dyn ForwardHooks<W>> = Vec::new();
+        // matches row order. No observation is (re-)encoded here. Within a
+        // group, rows whose hooks observe nothing and whose staged inputs
+        // are bit-identical share one sweep row.
+        let mut clean = SweepGroup::new();
+        let mut faulty = SweepGroup::new();
         for ((row, slot), buf) in rows.iter_mut().enumerate().zip(staged.iter()) {
             let Some(state) = slot.as_mut() else { continue };
-            if fault.faulty_at(state.step, state.onset) {
-                faulty_rows.push(row);
-                faulty_inputs.push(buf);
-                faulty_hooks.push(&mut state.hooks);
-            } else {
-                clean_rows.push(row);
-                clean_inputs.push(buf);
-                clean_hooks.push(&mut state.hooks);
-            }
+            let group =
+                if fault.faulty_at(state.step, state.onset) { &mut faulty } else { &mut clean };
+            group.join(row, buf, state.key, &mut state.hooks);
         }
 
         // One batched sweep per group; actions are read out of the shared
         // scratch before the second sweep reuses it.
-        if !clean_rows.is_empty() {
-            let mut hooks = DynRowHooks::new(clean_hooks);
-            network.forward_batch_into_cfg(&clean_inputs, &mut scratch, &mut hooks, config);
-            for (k, &row) in clean_rows.iter().enumerate() {
-                actions[row] = argmax(scratch.row(k));
-            }
-        }
-        if !faulty_rows.is_empty() {
-            let mut hooks = DynRowHooks::new(faulty_hooks);
-            corrupted.forward_batch_into_cfg(&faulty_inputs, &mut scratch, &mut hooks, config);
-            for (k, &row) in faulty_rows.iter().enumerate() {
-                actions[row] = argmax(scratch.row(k));
-            }
-        }
+        clean.sweep(network, &mut scratch, config, &mut actions);
+        faulty.sweep(&corrupted, &mut scratch, config, &mut actions);
 
         // Step every active row in row order, ingesting each new
         // observation into the row's staging buffer as it arrives; finished
@@ -224,6 +323,7 @@ where
             state.tape.rewards.push(outcome.reward);
             state.tape.distances.push(outcome.distance);
             outcome.observation.encode(buf);
+            state.key = share_key(&state.hooks, buf);
             state.step += 1;
             if outcome.terminal || state.step == max_steps {
                 if outcome.terminal {
@@ -369,11 +469,15 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::tests::Line;
-    use crate::vecenv::DummyVecEnv;
-    use navft_nn::mlp;
+    use crate::eval::tests::{Line, StraightHall};
+    use crate::vecenv::{DummyVecEnv, DummyVisionVecEnv, RowStep};
+    use navft_fault::{BitFault, FaultKind, FaultMap, FaultSite, FaultTarget, Injector};
+    use navft_nn::{mlp, I8Network, QNetwork};
+    use navft_qformat::QFormat;
     use rand::rngs::SmallRng;
     use rand::{RngCore, SeedableRng};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn go_right_policy() -> navft_nn::Network {
         let mut rng = SmallRng::seed_from_u64(4);
@@ -435,5 +539,181 @@ mod tests {
             assert_eq!(tape.rewards.len(), 1, "go-right reaches the goal in one step");
             assert!(tape.reached_goal);
         }
+    }
+
+    /// What a probed rollout did, in call order.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Event {
+        /// A sweep fed one input row to a probe.
+        Swept,
+        /// The rollout stepped one row's environment.
+        Stepped,
+    }
+
+    type Log = Rc<RefCell<Vec<Event>>>;
+
+    /// Clones of [`StraightHall`] (a constant frame, five steps whatever
+    /// the policy does), logging every row step.
+    struct LoggedHall {
+        inner: DummyVisionVecEnv<StraightHall>,
+        log: Log,
+    }
+
+    impl VecEnv for LoggedHall {
+        type Obs = Tensor;
+        fn width(&self) -> usize {
+            self.inner.width()
+        }
+        fn num_actions(&self) -> usize {
+            self.inner.num_actions()
+        }
+        fn obs_shape(&self) -> Vec<usize> {
+            self.inner.obs_shape()
+        }
+        fn reset_row(&mut self, row: usize) -> Tensor {
+            self.inner.reset_row(row)
+        }
+        fn step_row(&mut self, row: usize, action: usize) -> RowStep<Tensor> {
+            self.log.borrow_mut().push(Event::Stepped);
+            self.inner.step_row(row, action)
+        }
+    }
+
+    /// Logs every input row a sweep feeds it, and declares `observes` as
+    /// told — so with `observes == false` it counts the rows the rollout
+    /// actually sweeps.
+    struct Probe {
+        observes: bool,
+        log: Log,
+    }
+
+    impl ForwardHooks for Probe {
+        fn on_input(&mut self, _values: &mut [f32]) {
+            self.log.borrow_mut().push(Event::Swept);
+        }
+        fn observes(&self) -> bool {
+            self.observes
+        }
+    }
+
+    /// Rolls 16 five-step episodes at width 8 under `fault` with one probe
+    /// per episode and returns the number of rows swept at each tick.
+    fn swept_rows_per_tick(fault: &InferenceFaultMode, observes: bool) -> Vec<usize> {
+        let log = Log::default();
+        let mut venv = LoggedHall {
+            inner: DummyVisionVecEnv::from_prototype(&StraightHall { remaining: 5 }, 8),
+            log: log.clone(),
+        };
+        let net = mlp(&[4, 2], &mut SmallRng::seed_from_u64(6));
+        let tapes = rollout(
+            &mut venv,
+            &net,
+            16,
+            10,
+            fault,
+            &mut SmallRng::seed_from_u64(8),
+            |_| Probe { observes, log: log.clone() },
+            EngineConfig::default(),
+        );
+        assert!(tapes.iter().all(|tape| tape.rewards.len() == 5));
+        let events = log.borrow();
+        // A tick is its sweeps followed by its row steps.
+        events
+            .split(|event| *event == Event::Stepped)
+            .map(<[Event]>::len)
+            .filter(|&n| n > 0)
+            .collect()
+    }
+
+    fn weight_injector() -> Injector {
+        let map =
+            FaultMap::from_faults(vec![BitFault { word: 0, bit: 7, kind: FaultKind::BitFlip }]);
+        Injector::new(FaultTarget::new(FaultSite::WeightBuffer), QFormat::Q3_4, map)
+    }
+
+    #[test]
+    fn inert_rows_with_identical_inputs_share_one_sweep_row() {
+        // Two waves of eight five-step episodes: ten ticks, and every row's
+        // staged frame is the same at every tick.
+        let none = InferenceFaultMode::None;
+        assert_eq!(swept_rows_per_tick(&none, false), vec![1; 10], "none");
+        let whole = InferenceFaultMode::TransientWholeEpisode(weight_injector());
+        assert_eq!(swept_rows_per_tick(&whole, false), vec![1; 10], "whole-episode");
+
+        // A single-step fault splits a tick into a clean and a faulty group,
+        // each sweeping one row.
+        let single = InferenceFaultMode::TransientSingleStep(weight_injector());
+        let per_tick = swept_rows_per_tick(&single, false);
+        assert_eq!(per_tick.len(), 10);
+        assert!(per_tick.iter().all(|&rows| rows == 1 || rows == 2), "{per_tick:?}");
+        assert!(per_tick.contains(&2), "some tick must sweep both groups: {per_tick:?}");
+    }
+
+    #[test]
+    fn observing_rows_never_share_a_sweep_row() {
+        for fault in [
+            InferenceFaultMode::None,
+            InferenceFaultMode::TransientSingleStep(weight_injector()),
+            InferenceFaultMode::TransientWholeEpisode(weight_injector()),
+        ] {
+            assert_eq!(swept_rows_per_tick(&fault, true), vec![8; 10], "{fault:?}");
+        }
+    }
+
+    /// How many sweep rows `rows` occupy when joined into one group, each
+    /// with the sharing key `key` gives it.
+    fn sweep_rows<W: EvalElement>(
+        rows: &[TensorBase<W>],
+        key: impl Fn(&TensorBase<W>) -> Option<u64>,
+    ) -> usize {
+        let mut hooks = vec![NoHooks; rows.len()];
+        let mut group = SweepGroup::new();
+        for (row, (input, hooks)) in rows.iter().zip(hooks.iter_mut()).enumerate() {
+            group.join(row, input, key(input), hooks);
+        }
+        assert_eq!(group.members.len(), rows.len());
+        group.inputs.len()
+    }
+
+    /// Two-word staged inputs of `network`'s backend holding `words`.
+    fn staged<W: EvalElement>(network: &NetworkBase<W>, words: &[[W; 2]]) -> Vec<TensorBase<W>> {
+        words
+            .iter()
+            .map(|pair| {
+                let mut buf = W::input_buffer(&[2], network);
+                buf.data_mut().copy_from_slice(pair);
+                buf
+            })
+            .collect()
+    }
+
+    /// Asserts `rows` occupy `expected` sweep rows under their real
+    /// fingerprints, and still do when every fingerprint collides (so the
+    /// word-by-word confirmation alone must keep them apart).
+    fn assert_sweep_rows<W: EvalElement>(rows: &[TensorBase<W>], expected: usize, context: &str) {
+        let fingerprinted = sweep_rows(rows, |input| Some(fingerprint(input.data())));
+        assert_eq!(fingerprinted, expected, "{context}: fingerprinted");
+        assert_eq!(sweep_rows(rows, |_| Some(0)), expected, "{context}: colliding keys");
+    }
+
+    #[test]
+    fn sweep_rows_are_shared_on_bit_patterns_not_equality() {
+        let net = mlp(&[2, 2], &mut SmallRng::seed_from_u64(1));
+        let quiet_nan = f32::from_bits(0x7FC0_0000);
+        let other_nan = f32::from_bits(0x7FC0_0001);
+        assert_sweep_rows(&staged(&net, &[[0.5, 1.0], [0.5, 1.0]]), 1, "identical f32");
+        assert_sweep_rows(&staged(&net, &[[0.0, 1.0], [-0.0, 1.0]]), 2, "signed zeros");
+        assert_sweep_rows(&staged(&net, &[[quiet_nan, 1.0], [other_nan, 1.0]]), 2, "NaN payloads");
+        assert_sweep_rows(&staged(&net, &[[quiet_nan, 1.0], [quiet_nan, 1.0]]), 1, "same NaN");
+
+        let qnet = QNetwork::quantize(&net, QFormat::Q4_11);
+        assert_sweep_rows(&staged(&qnet, &[[7, -3], [7, -3]]), 1, "identical i32");
+        assert_sweep_rows(&staged(&qnet, &[[7, -3], [7, -2], [7, -3]]), 2, "one i32 word");
+        let inet = I8Network::quantize(&net);
+        assert_sweep_rows(&staged(&inet, &[[7, -3], [7, -3]]), 1, "identical i8");
+        assert_sweep_rows(&staged(&inet, &[[7, -3], [-7, -3]]), 2, "one i8 word");
+
+        // Rows whose hooks observe carry no key and never share.
+        assert_eq!(sweep_rows(&staged(&net, &[[0.5, 1.0], [0.5, 1.0]]), |_| None), 2);
     }
 }

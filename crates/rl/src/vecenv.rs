@@ -11,7 +11,12 @@
 //! (the `dummy_vec_env` shape of RL libraries): a `Vec` of cloned
 //! single-environment instances, one per row, stepped serially. They exist
 //! to batch the *policy evaluation*, not the environment physics — the
-//! environments here are cheap; the forward pass is the cost.
+//! environments here are cheap; the forward pass of each *distinct* row is
+//! the cost. Rows whose hooks observe nothing and whose staged inputs are
+//! bit-identical share one sweep row (see the [`rollout`](mod@crate::rollout)
+//! module), so when every row flies the same trajectory — a static fault,
+//! or none, on a reset-deterministic environment — a tick costs one forward
+//! row plus `width` environment steps, and the steps dominate.
 //!
 //! # Reset determinism
 //!

@@ -1,7 +1,9 @@
 //! Vectorized-rollout equivalence suite: the batch-width rollout driver must
 //! be **bit-exact** against a serial per-episode loop for every policy
 //! family, numeric backend (`f32`, native Q-format, `i8` affine), batch
-//! width in {1, 2, 7, 64}, inference fault mode and per-episode hook.
+//! width in {1, 2, 7, 64}, inference fault mode and per-episode hook —
+//! including batches that mix inert rows, which may share sweep rows, with
+//! hooked rows, which may not.
 //!
 //! This is the contract that lets the figure campaigns evaluate their episode
 //! repetitions as batch rows without re-validating a single artifact: if
@@ -19,8 +21,8 @@ use navft_dronesim::{DepthCamera, DroneSim, DroneWorld};
 use navft_fault::{BitFault, FaultKind, FaultMap, FaultSite, FaultTarget, Injector};
 use navft_gridworld::{GridWorld, ObstacleDensity};
 use navft_nn::{
-    argmax, mlp, C3f2Config, EngineConfig, ForwardHooks, I8Network, Kernels, Network, NetworkBase,
-    NoHooks, QNetwork, RangeRecorder, Scratch, Tensor,
+    argmax, mlp, C3f2Config, Element, EngineConfig, ForwardHooks, I8Network, Kernels, LayerKind,
+    Network, NetworkBase, NoHooks, QNetwork, RangeRecorder, Scratch, Tensor,
 };
 use navft_qformat::QFormat;
 use navft_rl::{
@@ -474,6 +476,147 @@ fn hooked_vision_rollouts_match_serial_under_fault_and_guard_hooks() {
             EngineConfig::default(),
         );
         assert_bit_identical(&serial, &batched, &format!("range-guard x{batch}"));
+    }
+}
+
+/// Inert on even episodes and a fault hook on odd ones. The inert rows
+/// observe nothing, so the rollout may let them share sweep rows; the
+/// hooked rows must keep their own rows and their own fault streams.
+enum MixedHook<H> {
+    Inert,
+    Faulty(H),
+}
+
+impl<W: Element, H: ForwardHooks<W>> ForwardHooks<W> for MixedHook<H> {
+    fn on_input(&mut self, values: &mut [W]) {
+        if let MixedHook::Faulty(hook) = self {
+            hook.on_input(values);
+        }
+    }
+
+    fn on_activation(&mut self, layer_index: usize, kind: LayerKind, values: &mut [W]) {
+        if let MixedHook::Faulty(hook) = self {
+            hook.on_activation(layer_index, kind, values);
+        }
+    }
+
+    fn observes(&self) -> bool {
+        match self {
+            MixedHook::Inert => false,
+            MixedHook::Faulty(hook) => hook.observes(),
+        }
+    }
+}
+
+/// Flips one seeded random bit in one random word of every input and
+/// activation buffer: the integer backends' stand-in for
+/// [`BufferFaultHook`], which corrupts `f32` buffers only.
+struct WordFlipHook {
+    rng: SmallRng,
+}
+
+impl WordFlipHook {
+    fn flip<W: EvalElement>(&mut self, values: &mut [W]) {
+        let word = self.rng.gen_range(0..values.len());
+        let fault = BitFault { word, bit: self.rng.gen_range(0..8), kind: FaultKind::BitFlip };
+        if let Some(corrupted) = values[word].apply_fault(&fault, QFormat::Q4_11) {
+            values[word] = corrupted;
+        }
+    }
+}
+
+impl<W: EvalElement> ForwardHooks<W> for WordFlipHook {
+    fn on_input(&mut self, values: &mut [W]) {
+        self.flip(values);
+    }
+
+    fn on_activation(&mut self, _layer_index: usize, _kind: LayerKind, values: &mut [W]) {
+        self.flip(values);
+    }
+}
+
+/// Runs the oracle and the rollout at width `batch` with [`MixedHook`]s
+/// whose odd episodes carry `faulty(episode)`, and asserts the results
+/// are identical.
+fn assert_mixed_hooks_match_serial<W, H>(
+    sim: &DroneSim,
+    network: &NetworkBase<W>,
+    fault: &InferenceFaultMode,
+    batch: usize,
+    faulty: impl Fn(usize) -> H + Copy,
+    context: &str,
+) where
+    W: EvalElement,
+    H: ForwardHooks<W>,
+{
+    let make_hooks = |episode: usize| {
+        if episode.is_multiple_of(2) {
+            MixedHook::Inert
+        } else {
+            MixedHook::Faulty(faulty(episode))
+        }
+    };
+    let serial = serial_vision_hooked(
+        &mut sim.clone(),
+        network,
+        EPISODES,
+        MAX_STEPS,
+        fault,
+        &mut SmallRng::seed_from_u64(19),
+        make_hooks,
+    );
+    let mut venv = DummyVisionVecEnv::from_prototype(sim, batch);
+    let batched = evaluate_policy_vision_hooked_batched(
+        &mut venv,
+        network,
+        EPISODES,
+        MAX_STEPS,
+        fault,
+        &mut SmallRng::seed_from_u64(19),
+        make_hooks,
+        EngineConfig::default(),
+    );
+    assert_bit_identical(&serial, &batched, context);
+}
+
+#[test]
+fn mixed_inert_and_hooked_rollouts_match_serial_on_all_three_backends() {
+    // Inert rows on a reset-deterministic drone share sweep rows; the hooked
+    // rows between them must see exactly the serial oracle's traffic, and
+    // the onset draws must stay in episode order.
+    let sim = DroneSim::new(DroneWorld::indoor_long(), DepthCamera::scaled(), MAX_STEPS);
+    let network = C3f2Config::scaled().build(&mut SmallRng::seed_from_u64(0x3A1));
+    let qnet = QNetwork::quantize(&network, QFormat::Q4_11);
+    let inet = I8Network::quantize(&network);
+    let buffer_fault = |episode: usize| {
+        BufferFaultHook::new(
+            HookTarget::Activations,
+            HookPersistence::Transient,
+            0.02,
+            FaultKind::BitFlip,
+            QFormat::Q4_11,
+            0x3A1 ^ (episode as u64) << 8,
+        )
+    };
+    let word_flip =
+        |episode: usize| WordFlipHook { rng: SmallRng::seed_from_u64(0x3A1 ^ episode as u64) };
+    for (mode, fault) in fault_modes(network.weight_count(), 0xF3) {
+        for batch in BATCHES {
+            let context = format!("mixed-hooks/{mode} x{batch}");
+            let f32_context = format!("{context}/f32");
+            assert_mixed_hooks_match_serial(
+                &sim,
+                &network,
+                &fault,
+                batch,
+                buffer_fault,
+                &f32_context,
+            );
+            let q_context = format!("{context}/q4.11");
+            assert_mixed_hooks_match_serial(&sim, &qnet, &fault, batch, word_flip, &q_context);
+            let i8_context = format!("{context}/i8");
+            assert_mixed_hooks_match_serial(&sim, &inet, &fault, batch, word_flip, &i8_context);
+        }
     }
 }
 
