@@ -15,14 +15,15 @@
 //! reassigned to the next pending episode (auto-reset) until no episodes
 //! remain, after which the batch drains raggedly.
 //!
-//! A sweep computes each **distinct** input once. Rows whose hooks observe
-//! nothing ([`ForwardHooks::observes`] is `false`, as for [`NoHooks`]) are
-//! fingerprinted at ingest; a row whose fingerprint matches an earlier row
-//! of its group, and whose staged input then matches that row's bit for
-//! bit, reads its action from that row's output instead of adding a row to
-//! the sweep. Under a static fault (or none) on a reset-deterministic
-//! environment every row flies the same trajectory, so a tick sweeps one
-//! row, not B.
+//! A sweep computes each **distinct** input once. A row whose hooks observe
+//! nothing ([`ForwardHooks::observes`] is `false`, as for [`NoHooks`]) and
+//! whose staged input matches, bit for bit, that of an earlier such row of
+//! its group reads its action from that row's output instead of adding a
+//! row to the sweep. The search visits only the group's earlier inert sweep
+//! rows and stops each compare at the first block of words that differs.
+//! Under a static fault (or none) on a reset-deterministic environment
+//! every row flies the same trajectory, so a tick sweeps one row, not B;
+//! when inert rows all differ, a tick pays up to B²/2 compares.
 //!
 //! # Bit-exactness contract
 //!
@@ -104,88 +105,67 @@ struct RowState<H> {
     onset: usize,
     step: usize,
     hooks: H,
-    /// Fingerprint of the row's staged input, taken at ingest; `None` when
-    /// the row's hooks observe, so the row never shares its sweep row.
-    key: Option<u64>,
     tape: EpisodeTape,
 }
 
-/// The sharing key of a freshly staged input: its fingerprint if `hooks`
-/// observe nothing, else `None`.
-fn share_key<W: EvalElement, H: ForwardHooks<W>>(hooks: &H, staged: &TensorBase<W>) -> Option<u64> {
-    (!hooks.observes()).then(|| fingerprint(staged.data()))
-}
-
-/// A 64-bit fingerprint of a staged input's word bit patterns. Words are
-/// packed in pairs into `u64`s, and each of four lanes folds its pairs
-/// through `lane ↦ (lane ^ bits) · K` with an odd `K`: a bijection for each
-/// pair, so two inputs that differ in a single word always differ in a lane
-/// (and the final fold keeps that difference). Equal fingerprints are only
-/// a hint: [`SweepGroup::join`] confirms them word by word.
-fn fingerprint<W: EvalElement>(words: &[W]) -> u64 {
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mix = |lane: u64, bits: u64| (lane ^ bits).wrapping_mul(K);
-    let pair_bits =
-        |pair: &[W]| pair.iter().rev().fold(0u64, |bits, w| bits << 32 | u64::from(w.word_bits()));
-    let mut lanes = [0u64; 4];
-    let mut chunks = words.chunks_exact(2 * lanes.len());
-    for chunk in &mut chunks {
-        for (lane, pair) in lanes.iter_mut().zip(chunk.chunks_exact(2)) {
-            *lane = mix(*lane, pair_bits(pair));
-        }
-    }
-    for (lane, pair) in lanes.iter_mut().zip(chunks.remainder().chunks(2)) {
-        *lane = mix(*lane, pair_bits(pair));
-    }
-    lanes.iter().fold(words.len() as u64, |hash, &lane| mix(hash, lane).rotate_left(29))
-}
-
-/// Whether two staged inputs hold the same words, bit for bit.
+/// Whether two staged inputs hold the same words, bit for bit. Words are
+/// compared a block at a time (an OR of XORs, which vectorizes), and the
+/// compare stops at the first block that differs.
 fn same_bits<W: EvalElement>(a: &TensorBase<W>, b: &TensorBase<W>) -> bool {
-    a.shape() == b.shape()
-        && a.data().iter().zip(b.data()).all(|(&x, &y)| x.word_bits() == y.word_bits())
+    const BLOCK: usize = 64;
+    let differs = |(x, y): (&[W], &[W])| {
+        x.iter().zip(y).fold(0, |diff, (&p, &q)| diff | (p.word_bits() ^ q.word_bits())) != 0
+    };
+    a.shape() == b.shape() && !a.data().chunks(BLOCK).zip(b.data().chunks(BLOCK)).any(differs)
 }
 
 /// One tick's clean or faulty row group and the sweep that serves it. Rows
 /// whose hooks observe nothing and whose staged inputs are bit-identical
 /// share one sweep row; every other row gets its own.
 struct SweepGroup<'a, W: EvalElement> {
-    /// Each member row, the sweep row it reads its action from and its
-    /// sharing key (`None`: its hooks observe), in row order.
-    members: Vec<(usize, usize, Option<u64>)>,
+    /// Each member row and the sweep row it reads its action from, in row
+    /// order.
+    members: Vec<(usize, usize)>,
     /// The sweep's inputs, one per sweep row.
     inputs: Vec<&'a TensorBase<W>>,
     /// Each sweep row's hooks.
     hooks: Vec<&'a mut dyn ForwardHooks<W>>,
+    /// The sweep rows opened by rows whose hooks observe nothing: the only
+    /// sweep rows a later member may share.
+    shareable: Vec<usize>,
 }
 
 impl<'a, W: EvalElement> SweepGroup<'a, W> {
     fn new() -> SweepGroup<'a, W> {
-        SweepGroup { members: Vec::new(), inputs: Vec::new(), hooks: Vec::new() }
+        SweepGroup {
+            members: Vec::new(),
+            inputs: Vec::new(),
+            hooks: Vec::new(),
+            shareable: Vec::new(),
+        }
     }
 
-    /// Adds `row` to the group. With a sharing key it reuses the sweep row
-    /// of an earlier member whose key matches and whose input is
-    /// bit-identical (its own hooks, which observe nothing, are then never
-    /// called); otherwise it opens a sweep row of its own.
-    fn join(
-        &mut self,
-        row: usize,
-        input: &'a TensorBase<W>,
-        key: Option<u64>,
-        hooks: &'a mut dyn ForwardHooks<W>,
-    ) {
-        let shared = key.and_then(|key| {
-            let mut earlier = self.members.iter();
-            let same = earlier.find(|m| m.2 == Some(key) && same_bits(input, self.inputs[m.1]));
-            same.map(|m| m.1)
-        });
+    /// Adds `row` to the group. If its hooks observe nothing it reuses the
+    /// first shareable sweep row whose input is bit-identical to its own
+    /// (its hooks are then never called); otherwise it opens a sweep row of
+    /// its own.
+    fn join(&mut self, row: usize, input: &'a TensorBase<W>, hooks: &'a mut dyn ForwardHooks<W>) {
+        let inert = !hooks.observes();
+        let shared = if inert {
+            self.shareable.iter().copied().find(|&s| same_bits(input, self.inputs[s]))
+        } else {
+            None
+        };
         let sweep_row = shared.unwrap_or_else(|| {
+            let opened = self.inputs.len();
+            if inert {
+                self.shareable.push(opened);
+            }
             self.inputs.push(input);
             self.hooks.push(hooks);
-            self.inputs.len() - 1
+            opened
         });
-        self.members.push((row, sweep_row, key));
+        self.members.push((row, sweep_row));
     }
 
     /// Runs the group's one batched sweep on `network` and writes every
@@ -202,7 +182,7 @@ impl<'a, W: EvalElement> SweepGroup<'a, W> {
         }
         let mut hooks = DynRowHooks::new(self.hooks);
         network.forward_batch_into_cfg(&self.inputs, scratch, &mut hooks, config);
-        for (row, sweep_row, _) in self.members {
+        for (row, sweep_row) in self.members {
             actions[row] = argmax(scratch.row(sweep_row));
         }
     }
@@ -255,8 +235,7 @@ where
     let shape = venv.obs_shape();
 
     // Quantize-on-ingest staging: each row owns one backend-native input
-    // buffer, written (and, for rows whose hooks observe nothing,
-    // fingerprinted) exactly once per observation the moment it arrives.
+    // buffer, written exactly once per observation the moment it arrives.
     // One shared scratch serves every tick; once warm, a tick's heap
     // allocations are its tape pushes and the two sweep groups' vectors.
     let mut staged: Vec<TensorBase<W>> =
@@ -283,8 +262,7 @@ where
         let onset = rng.gen_range(0..max_steps);
         let hooks = make_hooks(episode);
         venv.reset_row(row).encode(buf);
-        let key = share_key(&hooks, buf);
-        RowState { episode, onset, step: 0, hooks, key, tape: EpisodeTape::default() }
+        RowState { episode, onset, step: 0, hooks, tape: EpisodeTape::default() }
     };
 
     let mut rows: Vec<Option<RowState<H>>> = Vec::with_capacity(width);
@@ -306,7 +284,7 @@ where
             let Some(state) = slot.as_mut() else { continue };
             let group =
                 if fault.faulty_at(state.step, state.onset) { &mut faulty } else { &mut clean };
-            group.join(row, buf, state.key, &mut state.hooks);
+            group.join(row, buf, &mut state.hooks);
         }
 
         // One batched sweep per group; actions are read out of the shared
@@ -323,7 +301,6 @@ where
             state.tape.rewards.push(outcome.reward);
             state.tape.distances.push(outcome.distance);
             outcome.observation.encode(buf);
-            state.key = share_key(&state.hooks, buf);
             state.step += 1;
             if outcome.terminal || state.step == max_steps {
                 if outcome.terminal {
@@ -472,7 +449,7 @@ mod tests {
     use crate::eval::tests::{Line, StraightHall};
     use crate::vecenv::{DummyVecEnv, DummyVisionVecEnv, RowStep};
     use navft_fault::{BitFault, FaultKind, FaultMap, FaultSite, FaultTarget, Injector};
-    use navft_nn::{mlp, I8Network, QNetwork};
+    use navft_nn::{mlp, Element, I8Network, QNetwork};
     use navft_qformat::QFormat;
     use rand::rngs::SmallRng;
     use rand::{RngCore, SeedableRng};
@@ -660,16 +637,22 @@ mod tests {
         }
     }
 
-    /// How many sweep rows `rows` occupy when joined into one group, each
-    /// with the sharing key `key` gives it.
-    fn sweep_rows<W: EvalElement>(
-        rows: &[TensorBase<W>],
-        key: impl Fn(&TensorBase<W>) -> Option<u64>,
-    ) -> usize {
-        let mut hooks = vec![NoHooks; rows.len()];
+    /// A hook that does nothing yet keeps the default `observes() == true`.
+    #[derive(Clone)]
+    struct Opaque;
+
+    impl<E: Element> ForwardHooks<E> for Opaque {}
+
+    /// How many sweep rows `rows` occupy when joined into one group in
+    /// order, row `i` riding an observing hook exactly when `observing[i]`.
+    fn sweep_rows<W: EvalElement>(rows: &[TensorBase<W>], observing: &[bool]) -> usize {
+        let mut inert = vec![NoHooks; rows.len()];
+        let mut opaque = vec![Opaque; rows.len()];
         let mut group = SweepGroup::new();
-        for (row, (input, hooks)) in rows.iter().zip(hooks.iter_mut()).enumerate() {
-            group.join(row, input, key(input), hooks);
+        let hooks = inert.iter_mut().zip(opaque.iter_mut()).zip(observing);
+        for (row, (input, ((inert, opaque), &observes))) in rows.iter().zip(hooks).enumerate() {
+            let hooks: &mut dyn ForwardHooks<W> = if observes { opaque } else { inert };
+            group.join(row, input, hooks);
         }
         assert_eq!(group.members.len(), rows.len());
         group.inputs.len()
@@ -687,13 +670,9 @@ mod tests {
             .collect()
     }
 
-    /// Asserts `rows` occupy `expected` sweep rows under their real
-    /// fingerprints, and still do when every fingerprint collides (so the
-    /// word-by-word confirmation alone must keep them apart).
+    /// Asserts `rows`, all riding inert hooks, occupy `expected` sweep rows.
     fn assert_sweep_rows<W: EvalElement>(rows: &[TensorBase<W>], expected: usize, context: &str) {
-        let fingerprinted = sweep_rows(rows, |input| Some(fingerprint(input.data())));
-        assert_eq!(fingerprinted, expected, "{context}: fingerprinted");
-        assert_eq!(sweep_rows(rows, |_| Some(0)), expected, "{context}: colliding keys");
+        assert_eq!(sweep_rows(rows, &vec![false; rows.len()]), expected, "{context}");
     }
 
     #[test]
@@ -706,6 +685,15 @@ mod tests {
         assert_sweep_rows(&staged(&net, &[[quiet_nan, 1.0], [other_nan, 1.0]]), 2, "NaN payloads");
         assert_sweep_rows(&staged(&net, &[[quiet_nan, 1.0], [quiet_nan, 1.0]]), 1, "same NaN");
 
+        // A difference past the first block of words still keeps rows apart.
+        let long = |last: f32| {
+            let mut buf = f32::input_buffer(&[130], &net);
+            buf.data_mut()[129] = last;
+            buf
+        };
+        assert_sweep_rows(&[long(0.0), long(0.0)], 1, "identical long f32");
+        assert_sweep_rows(&[long(0.0), long(-0.0)], 2, "last word's sign");
+
         let qnet = QNetwork::quantize(&net, QFormat::Q4_11);
         assert_sweep_rows(&staged(&qnet, &[[7, -3], [7, -3]]), 1, "identical i32");
         assert_sweep_rows(&staged(&qnet, &[[7, -3], [7, -2], [7, -3]]), 2, "one i32 word");
@@ -713,7 +701,11 @@ mod tests {
         assert_sweep_rows(&staged(&inet, &[[7, -3], [7, -3]]), 1, "identical i8");
         assert_sweep_rows(&staged(&inet, &[[7, -3], [-7, -3]]), 2, "one i8 word");
 
-        // Rows whose hooks observe carry no key and never share.
-        assert_eq!(sweep_rows(&staged(&net, &[[0.5, 1.0], [0.5, 1.0]]), |_| None), 2);
+        // Rows whose hooks observe never share, and no inert row shares an
+        // observing row's sweep row.
+        let same = staged(&net, &[[0.5, 1.0], [0.5, 1.0], [0.5, 1.0]]);
+        assert_eq!(sweep_rows(&same, &[true, true, true]), 3);
+        assert_eq!(sweep_rows(&same, &[true, false, false]), 2);
+        assert_eq!(sweep_rows(&same, &[false, true, false]), 2);
     }
 }
