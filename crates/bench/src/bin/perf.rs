@@ -386,7 +386,7 @@ const REQUANT_ROUNDS: usize = 64;
 /// are bit-identical by contract; the row records each in elements/s.
 fn bench_requantize<E: Element>(
     backend: &str,
-    ctx: E::Ctx,
+    ctx: E::Meta,
     accs: &[E::Acc],
     repeats: usize,
 ) -> Json {

@@ -144,25 +144,6 @@ pub fn drone_agent(network: Network, steady_episodes: usize) -> DqnAgent {
     )
 }
 
-/// Measures how well the heuristic pilot itself flies in `world` (an upper
-/// reference for cloned policies).
-pub fn heuristic_flight_distance(world: &DroneWorld, max_steps: usize, episodes: usize) -> f64 {
-    let mut sim = DroneSim::new(world.clone(), DepthCamera::scaled(), max_steps);
-    let mut total = 0.0f64;
-    for _ in 0..episodes {
-        let mut frame = sim.reset();
-        for _ in 0..max_steps {
-            let transition = sim.step(heuristic_action(&frame));
-            total += f64::from(transition.distance);
-            frame = transition.observation;
-            if transition.terminal {
-                break;
-            }
-        }
-    }
-    total / episodes.max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,8 +182,21 @@ mod tests {
 
     #[test]
     fn heuristic_pilot_flies_a_reasonable_distance() {
-        let world = DroneWorld::indoor_long();
-        let distance = heuristic_flight_distance(&world, 200, 2);
+        let max_steps = 200;
+        let mut sim = DroneSim::new(DroneWorld::indoor_long(), DepthCamera::scaled(), max_steps);
+        let mut total = 0.0f64;
+        for _ in 0..2 {
+            let mut frame = sim.reset();
+            for _ in 0..max_steps {
+                let transition = sim.step(heuristic_action(&frame));
+                total += f64::from(transition.distance);
+                frame = transition.observation;
+                if transition.terminal {
+                    break;
+                }
+            }
+        }
+        let distance = total / 2.0;
         assert!(distance > 10.0, "heuristic pilot flew only {distance} m");
     }
 

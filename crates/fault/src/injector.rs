@@ -44,11 +44,6 @@ impl Injector {
         Injector { target, format, map }
     }
 
-    /// Creates an injector that injects no faults (the fault-free baseline).
-    pub fn fault_free(target: FaultTarget, format: QFormat) -> Injector {
-        Injector { target, format, map: FaultMap::new() }
-    }
-
     /// Samples a fresh fault pattern at the given bit error rate.
     pub fn sample<R: Rng + ?Sized>(
         target: FaultTarget,
@@ -128,8 +123,8 @@ mod tests {
 
     #[test]
     fn fault_free_injector_is_a_no_op() {
-        let injector =
-            Injector::fault_free(FaultTarget::new(FaultSite::WeightBuffer), QFormat::Q4_11);
+        let target = FaultTarget::new(FaultSite::WeightBuffer);
+        let injector = Injector::new(target, QFormat::Q4_11, FaultMap::new());
         let mut buf = vec![0.5f32; 16];
         injector.corrupt(&mut buf);
         injector.enforce(&mut buf);

@@ -134,25 +134,6 @@ impl FaultMap {
         FaultMap { faults }
     }
 
-    /// Samples exactly `count` faults over the buffer (used when the paper
-    /// reports an absolute number of faults rather than a rate).
-    pub fn sample_count<R: Rng + ?Sized>(
-        num_words: usize,
-        format: QFormat,
-        count: usize,
-        kind: FaultKind,
-        rng: &mut R,
-    ) -> FaultMap {
-        let word_bits = usize::from(format.total_bits());
-        let total_bits = num_words * word_bits;
-        let count = count.min(total_bits);
-        let faults = sample(rng, total_bits, count)
-            .into_iter()
-            .map(|flat| BitFault { word: flat / word_bits, bit: (flat % word_bits) as u8, kind })
-            .collect();
-        FaultMap { faults }
-    }
-
     /// Number of faulty bits in the map.
     pub fn len(&self) -> usize {
         self.faults.len()

@@ -233,11 +233,6 @@ impl GridWorld {
         self.goal
     }
 
-    /// The agent's current state index.
-    pub fn agent_state(&self) -> usize {
-        self.agent
-    }
-
     /// Number of hell (obstacle) cells.
     pub fn obstacle_count(&self) -> usize {
         self.cells.iter().filter(|&&c| c == Cell::Hell).count()

@@ -132,7 +132,7 @@ impl RangeGuard {
         &self,
         layer: usize,
         value: E,
-        meta: &E::NetMeta,
+        meta: &E::Meta,
     ) -> bool {
         let Some(&(_, lo, hi)) = self.bounds.iter().find(|(l, _, _)| *l == layer) else {
             return false;
@@ -184,7 +184,7 @@ impl RangeGuard {
         &self,
         layer: usize,
         values: &mut [E],
-        meta: &E::NetMeta,
+        meta: &E::Meta,
     ) -> usize {
         let Some(&(_, lo, hi)) = self.bounds.iter().find(|(l, _, _)| *l == layer) else {
             return 0;
@@ -243,7 +243,7 @@ pub trait GuardedElement: Element {
         hi: f32,
         format: QFormat,
         config: &RangeGuardConfig,
-        meta: &Self::NetMeta,
+        meta: &Self::Meta,
     ) -> Self::Bounds;
 
     /// Whether this stored weight falls outside the guarded range.

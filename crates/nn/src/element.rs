@@ -5,8 +5,9 @@
 //! everything that actually differs between them is collected in
 //! [`Element`]: the widened accumulator a MAC sweep uses, how a bias enters
 //! it, how an accumulator is folded back into a storable element, what ReLU
-//! means, and what metadata a network and a tensor carry (nothing for
-//! `f32`, the storage format for raw words, the affine scale for `i8`).
+//! means, how an `f32` value converts to and from a stored word, and the one
+//! metadata type networks, tensors and kernels share (nothing for `f32`, the
+//! storage format for raw words, the affine scale for `i8`).
 //!
 //! Adding a further backend (say, a `bf16` software model) is one
 //! `impl Element for NewType` — the generic [`Network`](crate::Network)
@@ -22,12 +23,12 @@ use navft_qformat::{round_half_away, QFormat, QValue};
 ///
 /// The three shipped implementations:
 ///
-/// * **`f32`** — plain float arithmetic (`Acc = f32`), no kernel context and
-///   no network metadata.
+/// * **`f32`** — plain float arithmetic (`Acc = f32`), no metadata
+///   (`Meta = ()`).
 /// * **`i32`** — raw Q-format words. Kernels accumulate word products in a
 ///   widened `i64` (products carry `2 × frac_bits` fractional bits) and
 ///   perform one saturating round-to-nearest requantize per output element;
-///   networks and tensors carry their storage [`QFormat`].
+///   the metadata is the storage [`QFormat`].
 /// * **`i8`** — per-network symmetric affine bytes (`value = word · scale`,
 ///   [`I8Affine`]). Kernels accumulate exact byte products in a widened
 ///   `i32` and perform one rounding, saturating requantize per output
@@ -52,23 +53,11 @@ pub trait Element:
     /// accumulation order is fixed regardless of the tile shape.
     const GEMM_TILE: (usize, usize) = (4, 4);
 
-    /// Context the MAC kernels need: nothing for `f32`, the [`QFormat`] for
-    /// raw words.
-    type Ctx: Copy + fmt::Debug + Send + Sync;
-
-    /// Metadata a network of this element type carries: nothing for `f32`,
-    /// the storage format for raw words, the affine scale for `i8`.
-    type NetMeta: Copy + fmt::Debug + PartialEq + Send + Sync;
-
-    /// Metadata a tensor of this element type carries: nothing for `f32`,
-    /// the storage format for raw words.
+    /// The backend's metadata: nothing for `f32`, the storage [`QFormat`]
+    /// for raw words, the affine scale for `i8`. A network carries it, every
+    /// tensor it produces or accepts carries the same value, and the MAC
+    /// kernels take it by value.
     type Meta: Copy + fmt::Debug + PartialEq + Send + Sync;
-
-    /// Derives the kernel context from a network's metadata.
-    fn kernel_ctx(net: &Self::NetMeta) -> Self::Ctx;
-
-    /// Derives the metadata of tensors a network of this backend produces.
-    fn tensor_meta(net: &Self::NetMeta) -> Self::Meta;
 
     /// Validates an input tensor's metadata against a network's.
     ///
@@ -76,17 +65,17 @@ pub trait Element:
     ///
     /// Panics if the input cannot feed the network (a raw-word tensor in a
     /// different format).
-    fn check_input(input: &Self::Meta, net: &Self::NetMeta);
+    fn check_input(input: &Self::Meta, net: &Self::Meta);
 
     /// Seeds an accumulator with a bias element.
-    fn acc_init(bias: Self, ctx: Self::Ctx) -> Self::Acc;
+    fn acc_init(bias: Self, ctx: Self::Meta) -> Self::Acc;
 
     /// One multiply-accumulate step.
     fn mac(acc: Self::Acc, a: Self, b: Self) -> Self::Acc;
 
     /// Folds an accumulator back into a storable element (the saturating
     /// requantize of the fixed-point backend; the identity for `f32`).
-    fn finish(acc: Self::Acc, ctx: Self::Ctx) -> Self;
+    fn finish(acc: Self::Acc, ctx: Self::Meta) -> Self;
 
     /// Folds a whole slice of accumulators — the batched **epilogue seam**
     /// of the GEMM path. `out[i]` must equal `Self::finish(accs[i], ctx)`
@@ -109,7 +98,7 @@ pub trait Element:
     ///
     /// Implementations may assume `accs.len() == out.len()`; the provided
     /// default panics if the lengths differ.
-    fn finish_tile(ctx: Self::Ctx, accs: &[Self::Acc], out: &mut [Self]) {
+    fn finish_tile(ctx: Self::Meta, accs: &[Self::Acc], out: &mut [Self]) {
         assert_eq!(accs.len(), out.len(), "accumulator and output tiles must match");
         for (value, &acc) in out.iter_mut().zip(accs.iter()) {
             *value = Self::finish(acc, ctx);
@@ -123,9 +112,23 @@ pub trait Element:
     /// saturate at the format's raw extremes; `f32` is unconstrained).
     fn sanitize(self, meta: &Self::Meta) -> Self;
 
-    /// The element's numeric value as `f32` (dequantization for raw words),
-    /// used for range instrumentation.
-    fn value_to_f32(self, net: &Self::NetMeta) -> f32;
+    /// The element's numeric value as `f32`: the identity for `f32`, the
+    /// dequantization of a stored word otherwise.
+    fn value_to_f32(self, meta: &Self::Meta) -> f32;
+
+    /// Snaps an `f32` value onto the backend's grid — the inverse of
+    /// [`Element::value_to_f32`] on grid values. The identity for `f32`
+    /// (every bit kept, `-0.0` and NaN payloads included); raw words and
+    /// bytes round to nearest and saturate at the word's extremes.
+    fn from_f32(value: f32, meta: &Self::Meta) -> Self;
+
+    /// Appends `values`, each converted by [`Element::from_f32`], to `out`
+    /// — the whole-buffer form the tensor surface ingests observations
+    /// with. `f32` overrides it with a plain copy, which the per-element
+    /// loop of the default does not compile to.
+    fn extend_from_f32(out: &mut Vec<Self>, values: &[f32], meta: &Self::Meta) {
+        out.extend(values.iter().map(|&value| Self::from_f32(value, meta)));
+    }
 
     /// Offers a whole `M × N` GEMM sweep to an explicit SIMD microkernel:
     /// `c` (`[M, N]` row-major) receives `bias[m] + Σ_k a[m][k] · b[k][n]`
@@ -142,7 +145,7 @@ pub trait Element:
     /// without SIMD support.
     #[allow(clippy::too_many_arguments)]
     fn gemm_simd(
-        ctx: Self::Ctx,
+        ctx: Self::Meta,
         a: &[Self],
         bias: &[Self],
         m: usize,
@@ -199,15 +202,7 @@ impl I8Affine {
 
 impl Element for f32 {
     type Acc = f32;
-    type Ctx = ();
-    type NetMeta = ();
     type Meta = ();
-
-    #[inline]
-    fn kernel_ctx(_net: &()) {}
-
-    #[inline]
-    fn tensor_meta(_net: &()) {}
 
     #[inline]
     fn check_input(_input: &(), _net: &()) {}
@@ -238,8 +233,18 @@ impl Element for f32 {
     }
 
     #[inline]
-    fn value_to_f32(self, _net: &()) -> f32 {
+    fn value_to_f32(self, _meta: &()) -> f32 {
         self
+    }
+
+    #[inline]
+    fn from_f32(value: f32, _meta: &()) -> f32 {
+        value
+    }
+
+    #[inline]
+    fn extend_from_f32(out: &mut Vec<f32>, values: &[f32], _meta: &()) {
+        out.extend_from_slice(values);
     }
 
     fn gemm_simd(
@@ -258,21 +263,9 @@ impl Element for f32 {
 
 impl Element for i32 {
     type Acc = i64;
-    type Ctx = QFormat;
-    type NetMeta = QFormat;
     type Meta = QFormat;
 
     const GEMM_TILE: (usize, usize) = (8, 1);
-
-    #[inline]
-    fn kernel_ctx(net: &QFormat) -> QFormat {
-        *net
-    }
-
-    #[inline]
-    fn tensor_meta(net: &QFormat) -> QFormat {
-        *net
-    }
 
     #[inline]
     fn check_input(input: &QFormat, net: &QFormat) {
@@ -310,8 +303,13 @@ impl Element for i32 {
     }
 
     #[inline]
-    fn value_to_f32(self, net: &QFormat) -> f32 {
-        self as f32 * net.resolution()
+    fn value_to_f32(self, meta: &QFormat) -> f32 {
+        self as f32 * meta.resolution()
+    }
+
+    #[inline]
+    fn from_f32(value: f32, meta: &QFormat) -> i32 {
+        QValue::quantize(value, *meta).raw()
     }
 
     fn gemm_simd(
@@ -330,21 +328,9 @@ impl Element for i32 {
 
 impl Element for i8 {
     type Acc = i32;
-
-    const GEMM_TILE: (usize, usize) = (8, 1);
-    type Ctx = I8Affine;
-    type NetMeta = I8Affine;
     type Meta = I8Affine;
 
-    #[inline]
-    fn kernel_ctx(net: &I8Affine) -> I8Affine {
-        *net
-    }
-
-    #[inline]
-    fn tensor_meta(net: &I8Affine) -> I8Affine {
-        *net
-    }
+    const GEMM_TILE: (usize, usize) = (8, 1);
 
     #[inline]
     fn check_input(input: &I8Affine, net: &I8Affine) {
@@ -385,8 +371,13 @@ impl Element for i8 {
     }
 
     #[inline]
-    fn value_to_f32(self, net: &I8Affine) -> f32 {
-        f32::from(self) * net.scale
+    fn value_to_f32(self, meta: &I8Affine) -> f32 {
+        meta.dequantize(self)
+    }
+
+    #[inline]
+    fn from_f32(value: f32, meta: &I8Affine) -> i8 {
+        meta.quantize(value)
     }
 
     fn gemm_simd(

@@ -82,7 +82,7 @@ pub(crate) enum SweepEvent {
 /// order. The outputs are left in the scratch's front slab.
 pub(crate) fn forward_batch_engine<'a, E, I, F>(
     layers: &[LayerBase<E>],
-    ctx: E::Ctx,
+    ctx: E::Meta,
     input_shape: &[usize],
     rows: I,
     scratch: &mut Scratch<E>,

@@ -136,7 +136,7 @@ pub(crate) fn transpose_runs<E: Copy + 'static>(
 /// pressure differs), as documented on [`Element::GEMM_TILE`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_bias<E: Element>(
-    ctx: E::Ctx,
+    ctx: E::Meta,
     simd: bool,
     a: &[E],
     bias: &[E],
@@ -175,7 +175,7 @@ pub(crate) fn gemm_bias<E: Element>(
 /// scalar baseline stays epilogue-free.
 #[allow(clippy::too_many_arguments)]
 fn gemm_tiled<E: Element, const MR: usize, const NR: usize>(
-    ctx: E::Ctx,
+    ctx: E::Meta,
     simd: bool,
     a: &[E],
     bias: &[E],
@@ -257,7 +257,7 @@ mod tests {
     /// Runs `linear` over `n` batch rows through the K-major contract —
     /// transpose in, GEMM, transpose out — on the SIMD (`simd`) or scalar
     /// tiles, and checks every row against the naive kernel bit for bit.
-    fn check_linear<E: Element>(linear: &LinearBase<E>, rows: &[E], n: usize, ctx: E::Ctx) {
+    fn check_linear<E: Element>(linear: &LinearBase<E>, rows: &[E], n: usize, ctx: E::Meta) {
         let (m, k) = (linear.out_features, linear.in_features);
         let mut panel = vec![E::default(); k * n];
         transpose_runs(rows, n, k, 1, &mut panel);

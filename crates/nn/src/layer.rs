@@ -16,7 +16,6 @@ use std::fmt;
 use rand::Rng;
 
 use crate::element::Element;
-use crate::Tensor;
 
 /// The kind of a layer, used by experiments that sweep fault sensitivity per
 /// layer type (Fig. 7d).
@@ -116,7 +115,7 @@ impl<E: Element> Conv2dBase<E> {
     /// # Panics
     ///
     /// Panics if the shapes are invalid or `out` has the wrong length.
-    pub fn forward_naive(&self, data: &[E], in_shape: &[usize], out: &mut [E], ctx: E::Ctx) {
+    pub fn forward_naive(&self, data: &[E], in_shape: &[usize], out: &mut [E], ctx: E::Meta) {
         let [_, oh, ow] = self.output_shape(in_shape);
         let (h, w) = (in_shape[1], in_shape[2]);
         assert_eq!(data.len(), self.in_channels * h * w, "conv2d input buffer length mismatch");
@@ -162,28 +161,6 @@ impl Conv2d {
         let weights = (0..out_channels * fan_in).map(|_| rng.gen_range(-scale..=scale)).collect();
         Conv2d { in_channels, out_channels, kernel, stride, weights, bias: vec![0.0; out_channels] }
     }
-
-    /// Runs the convolution on a `[C, H, W]` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not 3-dimensional with `in_channels` channels or
-    /// is smaller than the kernel.
-    pub fn forward(&self, input: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(&self.output_shape(input.shape()));
-        self.forward_into(input.data(), input.shape(), out.data_mut());
-        out
-    }
-
-    /// Runs the convolution on a flat `[C, H, W]` buffer, writing every output
-    /// element into the caller-provided `out` buffer (no allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes are invalid or `out` has the wrong length.
-    pub fn forward_into(&self, data: &[f32], in_shape: &[usize], out: &mut [f32]) {
-        self.forward_naive(data, in_shape, out, ());
-    }
 }
 
 /// A 2-D max-pooling layer over `[C, H, W]` inputs.
@@ -217,17 +194,6 @@ impl MaxPool2d {
         let (c, h, w) = (in_shape[0], in_shape[1], in_shape[2]);
         assert!(h >= self.kernel && w >= self.kernel, "maxpool2d input smaller than window");
         [c, self.output_size(h), self.output_size(w)]
-    }
-
-    /// Runs the pooling on a `[C, H, W]` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not 3-dimensional or is smaller than the window.
-    pub fn forward(&self, input: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(&self.output_shape(input.shape()));
-        self.forward_into(input.data(), input.shape(), out.data_mut());
-        out
     }
 
     /// Runs the pooling on a flat `[C, H, W]` buffer, writing every output
@@ -353,7 +319,7 @@ impl<E: Element> LinearBase<E> {
     ///
     /// Panics if the input length differs from `in_features` or `out` from
     /// `out_features`.
-    pub fn forward_naive(&self, x: &[E], _in_shape: &[usize], out: &mut [E], ctx: E::Ctx) {
+    pub fn forward_naive(&self, x: &[E], _in_shape: &[usize], out: &mut [E], ctx: E::Meta) {
         assert_eq!(x.len(), self.in_features, "linear input length mismatch");
         assert_eq!(out.len(), self.out_features, "linear output buffer length mismatch");
         for (o, out_v) in out.iter_mut().enumerate() {
@@ -374,28 +340,6 @@ impl Linear {
         let weights =
             (0..in_features * out_features).map(|_| rng.gen_range(-scale..=scale)).collect();
         Linear { in_features, out_features, weights, bias: vec![0.0; out_features] }
-    }
-
-    /// Runs the layer on a flat input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input length differs from `in_features`.
-    pub fn forward(&self, input: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(&[self.out_features]);
-        self.forward_into(input.data(), input.shape(), out.data_mut());
-        out
-    }
-
-    /// Runs the layer on a flat buffer, writing every output element into the
-    /// caller-provided `out` buffer (no allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input length differs from `in_features` or `out` from
-    /// `out_features`.
-    pub fn forward_into(&self, x: &[f32], in_shape: &[usize], out: &mut [f32]) {
-        self.forward_naive(x, in_shape, out, ());
     }
 }
 
@@ -465,7 +409,7 @@ impl<E: Element> LayerBase<E> {
     /// # Panics
     ///
     /// Panics if the shapes are invalid or `out` has the wrong length.
-    pub fn forward_naive(&self, data: &[E], in_shape: &[usize], out: &mut [E], ctx: E::Ctx) {
+    pub fn forward_naive(&self, data: &[E], in_shape: &[usize], out: &mut [E], ctx: E::Meta) {
         match self {
             LayerBase::Conv2d(conv) => conv.forward_naive(data, in_shape, out, ctx),
             LayerBase::MaxPool2d(pool) => pool.forward_into(data, in_shape, out),
@@ -554,19 +498,6 @@ impl<E: Element> LayerBase<E> {
     }
 }
 
-impl Layer {
-    /// Runs the layer.
-    pub fn forward(&self, input: &Tensor) -> Tensor {
-        match self {
-            Layer::Conv2d(conv) => conv.forward(input),
-            Layer::MaxPool2d(pool) => pool.forward(input),
-            Layer::Relu => input.map(|v| v.max(0.0)),
-            Layer::Flatten => input.reshape(&[input.len()]),
-            Layer::Linear(linear) => linear.forward(input),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,10 +514,13 @@ mod tests {
             weights: vec![1.0],
             bias: vec![0.0],
         };
-        let input = Tensor::from_vec(&[1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(conv.forward(&input).data(), input.data());
+        let input = [1.0, 2.0, 3.0, 4.0];
+        let mut out = [0.0; 4];
+        conv.forward_naive(&input, &[1, 2, 2], &mut out, ());
+        assert_eq!(out, input);
         conv.bias = vec![1.0];
-        assert_eq!(conv.forward(&input).data(), &[2.0, 3.0, 4.0, 5.0]);
+        conv.forward_naive(&input, &[1, 2, 2], &mut out, ());
+        assert_eq!(out, [2.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]
@@ -599,10 +533,10 @@ mod tests {
             weights: vec![1.0; 8],
             bias: vec![0.0],
         };
-        let input = Tensor::full(&[2, 3, 3], 1.0);
-        let out = conv.forward(&input);
-        assert_eq!(out.shape(), &[1, 2, 2]);
-        assert!(out.data().iter().all(|&v| v == 8.0));
+        assert_eq!(conv.output_shape(&[2, 3, 3]), [1, 2, 2]);
+        let mut out = [0.0; 4];
+        conv.forward_naive(&[1.0; 18], &[2, 3, 3], &mut out, ());
+        assert!(out.iter().all(|&v| v == 8.0));
     }
 
     #[test]
@@ -610,8 +544,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let conv = Conv2d::new(1, 4, 3, 2, &mut rng);
         assert_eq!(conv.output_size(7), 3);
-        let out = conv.forward(&Tensor::zeros(&[1, 7, 7]));
-        assert_eq!(out.shape(), &[4, 3, 3]);
+        assert_eq!(conv.output_shape(&[1, 7, 7]), [4, 3, 3]);
+        let mut out = [1.0; 36];
+        conv.forward_naive(&[0.0; 49], &[1, 7, 7], &mut out, ());
+        assert_eq!(out, [0.0; 36]);
     }
 
     #[test]
@@ -619,28 +555,31 @@ mod tests {
     fn conv_rejects_wrong_channel_count() {
         let mut rng = SmallRng::seed_from_u64(0);
         let conv = Conv2d::new(3, 4, 3, 1, &mut rng);
-        let _ = conv.forward(&Tensor::zeros(&[1, 5, 5]));
+        conv.forward_naive(&[0.0; 25], &[1, 5, 5], &mut [0.0; 36], ());
     }
 
     #[test]
     fn maxpool_takes_window_maximum() {
         let pool = MaxPool2d::new(2, 2);
-        let input = Tensor::from_vec(&[1, 2, 4], vec![1.0, 5.0, 2.0, 0.0, 3.0, 4.0, -1.0, 7.0]);
-        let out = pool.forward(&input);
-        assert_eq!(out.shape(), &[1, 1, 2]);
-        assert_eq!(out.data(), &[5.0, 7.0]);
+        let input = [1.0, 5.0, 2.0, 0.0, 3.0, 4.0, -1.0, 7.0];
+        assert_eq!(pool.output_shape(&[1, 2, 4]), [1, 1, 2]);
+        let mut out = [0.0; 2];
+        pool.forward_into(&input, &[1, 2, 4], &mut out);
+        assert_eq!(out, [5.0, 7.0]);
     }
 
     #[test]
     fn maxpool_skips_nan_like_f32_max() {
         let pool = MaxPool2d::new(2, 1);
-        let input = Tensor::from_vec(&[1, 2, 2], vec![f32::NAN, 1.0, 0.5, -2.0]);
-        assert_eq!(pool.forward(&input).data(), &[1.0]);
-        let trailing_nan = Tensor::from_vec(&[1, 2, 2], vec![0.5, -2.0, 1.0, f32::NAN]);
-        assert_eq!(pool.forward(&trailing_nan).data(), &[1.0]);
+        let pooled = |input: [f32; 4]| {
+            let mut out = [0.0f32];
+            pool.forward_into(&input, &[1, 2, 2], &mut out);
+            out[0]
+        };
+        assert_eq!(pooled([f32::NAN, 1.0, 0.5, -2.0]), 1.0);
+        assert_eq!(pooled([0.5, -2.0, 1.0, f32::NAN]), 1.0);
         // Ties keep the first element seen: `-0.0` then `0.0` pools to `-0.0`.
-        let signed_zeros = Tensor::from_vec(&[1, 2, 2], vec![-0.0, 0.0, -1.0, 0.0]);
-        assert_eq!(pool.forward(&signed_zeros).data()[0].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(pooled([-0.0, 0.0, -1.0, 0.0]).to_bits(), (-0.0f32).to_bits());
     }
 
     /// The branchy max-pool fold [`MaxPool2d::forward_into`] ran before its
@@ -737,8 +676,9 @@ mod tests {
             weights: vec![1.0, 2.0, 3.0, 4.0],
             bias: vec![0.5, -0.5],
         };
-        let out = linear.forward(&Tensor::from_vec(&[2], vec![1.0, 1.0]));
-        assert_eq!(out.data(), &[3.5, 6.5]);
+        let mut out = [0.0; 2];
+        linear.forward_naive(&[1.0, 1.0], &[2], &mut out, ());
+        assert_eq!(out, [3.5, 6.5]);
     }
 
     #[test]
@@ -746,15 +686,17 @@ mod tests {
     fn linear_rejects_wrong_input_length() {
         let mut rng = SmallRng::seed_from_u64(0);
         let linear = Linear::new(4, 2, &mut rng);
-        let _ = linear.forward(&Tensor::zeros(&[3]));
+        linear.forward_naive(&[0.0; 3], &[3], &mut [0.0; 2], ());
     }
 
     #[test]
     fn relu_and_flatten() {
-        let input = Tensor::from_vec(&[1, 2, 2], vec![-1.0, 2.0, -3.0, 4.0]);
-        assert_eq!(Layer::Relu.forward(&input).data(), &[0.0, 2.0, 0.0, 4.0]);
-        let flat = Layer::Flatten.forward(&input);
-        assert_eq!(flat.shape(), &[4]);
+        let mut values = [-1.0, 2.0, -3.0, 4.0];
+        Layer::relu_in_place(&mut values);
+        assert_eq!(values, [0.0, 2.0, 0.0, 4.0]);
+        let mut flat = Vec::new();
+        Layer::Flatten.output_shape(&[1, 2, 2], &mut flat);
+        assert_eq!(flat, [4]);
     }
 
     #[test]

@@ -24,9 +24,13 @@
 //!
 //! The crate's central abstraction is the [`Element`] trait: everything that
 //! distinguishes the numeric backends — the widened MAC accumulator, how a
-//! bias seeds it, the per-output requantize, what ReLU means, and the
-//! metadata networks and tensors carry — lives behind it. The tensor, layer
-//! and network types are *aliases of shared generic types*:
+//! bias seeds it, the per-output requantize, what ReLU means, the one
+//! conversion pair between `f32` values and stored words
+//! ([`Element::from_f32`], [`Element::value_to_f32`]), and the one metadata
+//! type ([`Element::Meta`]: `()`, a [`navft_qformat::QFormat`] or an
+//! [`I8Affine`]) that a network, every tensor it accepts or produces, and
+//! its kernels share — lives behind it. The tensor, layer and network types
+//! are *aliases of shared generic types*:
 //!
 //! | generic | `f32` backend | native fixed-point | `i8` affine |
 //! |---|---|---|---|
@@ -41,9 +45,11 @@
 //! backends cannot drift because they are the same code. There is also one
 //! hook trait, [`ForwardHooks`]`<E>`, over whichever buffers the backend
 //! stores (`f32` values, live raw words, live bytes; [`HooksFor`] is the
-//! same trait under the name generic bounds spell), and one quantized-network
-//! path ([`QuantizedElement`]) that compiles a trained network into either
-//! integer backend, decompiles it, and counts its bits.
+//! same trait under the name generic bounds spell), one tensor surface
+//! ([`TensorBase::quantize_from`] for every backend; zeroed construction,
+//! dequantization and word access written once over [`QuantizedElement`]),
+//! and one quantized-network path that compiles a trained network into
+//! either integer backend, decompiles it, and counts its bits.
 //!
 //! The forward surface is four entry points, one per concern:
 //!
@@ -178,8 +184,6 @@ pub mod simd;
 mod element;
 mod engine;
 mod gemm;
-mod i8network;
-mod i8tensor;
 mod network;
 mod qnetwork;
 mod qtensor;
@@ -188,8 +192,6 @@ mod tensor;
 
 pub use element::{Element, I8Affine};
 pub use engine::{EngineConfig, Kernels};
-pub use i8network::{I8Network, I8Scratch};
-pub use i8tensor::I8Tensor;
 pub use layer::{Conv2d, Linear};
 pub use layer::{Layer, LayerBase, LayerKind};
 pub use models::{c3f2, c3f2_scaled, mlp, parametric_layer_names, C3f2Config};
@@ -198,9 +200,10 @@ pub use network::{
     NoHooks, RangeRecorder,
 };
 pub use qnetwork::{
-    I8Conv2d, I8Layer, I8Linear, QConv2d, QLayer, QLinear, QNetwork, QScratch, QuantizedElement,
+    I8Conv2d, I8Layer, I8Linear, I8Network, I8Scratch, QConv2d, QLayer, QLinear, QNetwork,
+    QScratch, QuantizedElement,
 };
-pub use qtensor::QTensor;
+pub use qtensor::{I8Tensor, QTensor};
 pub use scratch::Scratch;
 pub use simd::simd_kernel_name;
 pub use tensor::{argmax, Tensor, TensorBase};

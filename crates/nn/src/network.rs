@@ -267,7 +267,7 @@ thread_local! {
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkBase<E: Element> {
     layers: Vec<LayerBase<E>>,
-    meta: E::NetMeta,
+    meta: E::Meta,
 }
 
 /// A feed-forward `f32` network: the trainable backend, in plain float
@@ -278,13 +278,13 @@ impl Eq for NetworkBase<i32> {}
 
 impl<E: Element> NetworkBase<E> {
     /// Builds a network from parts (the per-alias constructors).
-    pub(crate) fn from_parts(layers: Vec<LayerBase<E>>, meta: E::NetMeta) -> NetworkBase<E> {
+    pub(crate) fn from_parts(layers: Vec<LayerBase<E>>, meta: E::Meta) -> NetworkBase<E> {
         NetworkBase { layers, meta }
     }
 
     /// The backend metadata (nothing for `f32`, the storage format for raw
     /// words, the affine scale for `i8`).
-    pub fn net_meta(&self) -> &E::NetMeta {
+    pub fn net_meta(&self) -> &E::Meta {
         &self.meta
     }
 
@@ -405,7 +405,6 @@ impl<E: Element> NetworkBase<E> {
         hooks: &mut H,
     ) -> TensorBase<E> {
         E::check_input(input.meta(), &self.meta);
-        let ctx = E::kernel_ctx(&self.meta);
         let mut shape = input.shape().to_vec();
         let mut next_shape = Vec::with_capacity(4);
         let mut current = input.data().to_vec();
@@ -418,15 +417,14 @@ impl<E: Element> NetworkBase<E> {
                 }
             } else {
                 let mut out = vec![E::default(); next_shape.iter().product()];
-                layer.forward_naive(&current, &shape, &mut out, ctx);
+                layer.forward_naive(&current, &shape, &mut out, self.meta);
                 current = out;
             }
             std::mem::swap(&mut shape, &mut next_shape);
             hooks.on_activation(i, layer.kind(), &mut current);
         }
-        let meta = E::tensor_meta(&self.meta);
-        let data = current.into_iter().map(|v| v.sanitize(&meta)).collect();
-        TensorBase::from_parts(shape, data, meta)
+        let data = current.into_iter().map(|v| v.sanitize(&self.meta)).collect();
+        TensorBase::from_parts(shape, data, self.meta)
     }
 
     /// The batched engine: all `inputs` advance through the network one
@@ -482,7 +480,7 @@ impl<E: Element> NetworkBase<E> {
         }
         crate::engine::forward_batch_engine(
             &self.layers,
-            E::kernel_ctx(&self.meta),
+            self.meta,
             input_shape,
             inputs.iter().map(|t| t.borrow().data()),
             scratch,

@@ -4,7 +4,7 @@
 //!
 //! The `f32` backend is plain float arithmetic; the integer backends *are*
 //! the fixed-point datapath. [`QNetwork`] is [`NetworkBase`]`<i32>` (raw
-//! two's-complement Q-format words) and [`I8Network`](crate::I8Network) is
+//! two's-complement Q-format words) and [`I8Network`] is
 //! [`NetworkBase`]`<i8>` (per-network symmetric affine bytes) — the same
 //! generic layers, engine and blocked GEMM as the float backend, with the
 //! [`Element`] impls supplying the arithmetic: a widened accumulator and
@@ -13,13 +13,15 @@
 //! activations) therefore exist as stored words at inference time, and
 //! corrupting them is a single integer operation.
 //!
-//! What differs between the two integer backends at compile time — how an
-//! `f32` parameter snaps onto the grid, how wide a stored word is — is the
-//! [`QuantizedElement`] trait; everything else here is one generic body.
+//! How an `f32` parameter snaps onto the grid is [`Element::from_f32`]; what
+//! else differs between the two integer backends — how wide a stored word is
+//! and how the metadata prints — is the [`QuantizedElement`] trait.
+//! Everything else here is one generic body, apart from the choice of the
+//! `i8` scale ([`I8Network::quantize`]).
 
 use std::fmt;
 
-use navft_qformat::{bitstats::BitStats, QFormat, QValue};
+use navft_qformat::{bitstats::BitStats, QFormat};
 
 use crate::element::{Element, I8Affine};
 use crate::engine::EngineConfig;
@@ -57,30 +59,22 @@ pub type I8Linear = LinearBase<i8>;
 pub type I8Layer = LayerBase<i8>;
 
 /// A stored-word element a trained `f32` network compiles into: the
-/// per-backend facts the generic quantize, dequantize, bit-statistics and
-/// display paths need on top of [`Element`].
+/// per-backend facts the generic bit-statistics and display paths of
+/// networks and tensors need on top of [`Element`].
 pub trait QuantizedElement: Element + Into<i32> {
     /// The network type's display name.
     const NETWORK_NAME: &'static str;
 
-    /// Snaps one `f32` parameter onto the network's grid, saturating at the
-    /// word's extremes.
-    fn quantize_value(value: f32, net: &Self::NetMeta) -> Self;
-
     /// A format as wide as one stored word, which is all bit-population
     /// statistics need.
-    fn bit_format(net: &Self::NetMeta) -> QFormat;
+    fn bit_format(meta: &Self::Meta) -> QFormat;
 
-    /// Writes the network metadata's part of the display string.
-    fn fmt_meta(net: &Self::NetMeta, f: &mut fmt::Formatter<'_>) -> fmt::Result;
+    /// Writes the metadata's part of a display string.
+    fn fmt_meta(meta: &Self::Meta, f: &mut fmt::Formatter<'_>) -> fmt::Result;
 }
 
 impl QuantizedElement for i32 {
     const NETWORK_NAME: &'static str = "QNetwork";
-
-    fn quantize_value(value: f32, net: &QFormat) -> i32 {
-        QValue::quantize(value, *net).raw()
-    }
 
     fn bit_format(net: &QFormat) -> QFormat {
         *net
@@ -93,10 +87,6 @@ impl QuantizedElement for i32 {
 
 impl QuantizedElement for i8 {
     const NETWORK_NAME: &'static str = "I8Network";
-
-    fn quantize_value(value: f32, net: &I8Affine) -> i8 {
-        net.quantize(value)
-    }
 
     fn bit_format(_net: &I8Affine) -> QFormat {
         // Any 8-bit format: only the word width matters for bit counts.
@@ -111,12 +101,12 @@ impl QuantizedElement for i8 {
 impl<E: QuantizedElement> NetworkBase<E> {
     /// Compiles `network` onto an explicit grid (post-training quantization
     /// of weights and biases): a [`QFormat`] for [`QNetwork`], an
-    /// [`I8Affine`] for [`I8Network`](crate::I8Network).
-    pub fn quantize_with(network: &Network, meta: E::NetMeta) -> NetworkBase<E> {
+    /// [`I8Affine`] for [`I8Network`].
+    pub fn quantize_with(network: &Network, meta: E::Meta) -> NetworkBase<E> {
         let layers = network
             .layers()
             .iter()
-            .map(|layer| layer.map_params(|v| E::quantize_value(v, &meta)))
+            .map(|layer| layer.map_params(|v| E::from_f32(v, &meta)))
             .collect();
         NetworkBase::from_parts(layers, meta)
     }
@@ -224,11 +214,62 @@ impl QNetwork {
     }
 }
 
+/// Activation storage for the `i8` backend: a [`Scratch`] over affine bytes.
+pub type I8Scratch = Scratch<i8>;
+
+/// A feed-forward network executing natively on `i8` affine bytes — the
+/// byte instantiation of the generic [`NetworkBase`].
+///
+/// An `I8Network` is the Int8 compilation of a [`Network`]: same topology,
+/// one per-network symmetric scale chosen from the parameters' maximum
+/// magnitude ([`I8Affine`], the serving-style Int8 scheme of inference
+/// runtimes), every buffer stored as live bytes, and every forward pass
+/// runs in integer arithmetic with one requantize per output element
+/// through the same generic engine as the other backends.
+///
+/// # Examples
+///
+/// ```
+/// use navft_nn::{mlp, I8Network, I8Tensor, Tensor};
+/// use rand::{rngs::SmallRng, SeedableRng};
+///
+/// let mut rng = SmallRng::seed_from_u64(0);
+/// let net = mlp(&[4, 8, 2], &mut rng);
+/// let i8net = I8Network::quantize(&net);
+/// let input = I8Tensor::quantize(&Tensor::zeros(&[4]), i8net.affine());
+/// let out = i8net.forward(&input);
+/// assert_eq!(out.len(), 2);
+/// ```
+pub type I8Network = NetworkBase<i8>;
+
+impl I8Network {
+    /// Compiles `network` into an `i8` affine network, choosing the
+    /// symmetric per-network scale from the largest parameter magnitude
+    /// (post-training quantization of weights and biases).
+    pub fn quantize(network: &Network) -> I8Network {
+        let mut max_abs = 0.0f32;
+        for layer in network.layers() {
+            for buffer in [layer.weights(), layer.biases()].into_iter().flatten() {
+                for &v in buffer {
+                    max_abs = max_abs.max(v.abs());
+                }
+            }
+        }
+        I8Network::quantize_with(network, I8Affine::from_max_abs(max_abs))
+    }
+
+    /// The affine every buffer of this network is stored in.
+    pub fn affine(&self) -> I8Affine {
+        *self.net_meta()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Kernels;
-    use crate::{NoHooks, QTensor, Tensor};
+    use crate::{I8Tensor, NoHooks, QTensor, Tensor};
+    use navft_qformat::QValue;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -360,19 +401,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bit_stats_cover_parameters_and_activations() {
-        let format = QFormat::Q3_4;
-        let qnet = tiny_qnet(6, format);
-        let mut scratch = QScratch::new();
-        let weights_only = qnet.bit_stats(&[], &mut scratch);
-        let param_words: usize = qnet.weight_count()
-            + qnet.layers().iter().filter_map(|l| l.biases().map(<[i32]>::len)).sum::<usize>();
+    /// Bit statistics count eight bits per parameter word, plus eight per
+    /// activation word once an input is given.
+    fn check_bit_stats<E: QuantizedElement>(network: &NetworkBase<E>) {
+        let mut scratch = Scratch::new();
+        let weights_only = network.bit_stats(&[], &mut scratch);
+        let param_words: usize = network.weight_count()
+            + network.layers().iter().filter_map(|l| l.biases().map(<[E]>::len)).sum::<usize>();
         assert_eq!(weights_only.total_bits(), (param_words * 8) as u64);
-        let input = QTensor::quantize(&Tensor::full(&[3], 0.5), format);
-        let with_acts = qnet.bit_stats(std::slice::from_ref(&input), &mut scratch);
+        let input = TensorBase::quantize(&Tensor::full(&[3], 0.5), *network.net_meta());
+        let with_acts = network.bit_stats(std::slice::from_ref(&input), &mut scratch);
         // input (3) + linear (8) + relu (8) + linear (2) activation words.
         assert_eq!(with_acts.total_bits(), weights_only.total_bits() + 21 * 8);
+    }
+
+    #[test]
+    fn bit_stats_cover_parameters_and_activations() {
+        check_bit_stats(&tiny_qnet(6, QFormat::Q3_4));
+    }
+
+    #[test]
+    fn i8_bit_stats_cover_parameters_and_activations() {
+        check_bit_stats(&tiny_i8net(8));
     }
 
     #[test]
@@ -407,5 +457,158 @@ mod tests {
         for b in 0..inputs.len() {
             assert_eq!(blocked.row(b), naive.row(b), "row {b} diverged");
         }
+    }
+
+    fn tiny_i8net(seed: u64) -> I8Network {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        I8Network::quantize(&crate::mlp(&[3, 8, 2], &mut rng))
+    }
+
+    #[test]
+    fn i8_quantize_preserves_topology_and_spans() {
+        let mut rng = SmallRng::seed_from_u64(0);
+        let net = crate::mlp(&[3, 8, 2], &mut rng);
+        let i8net = I8Network::quantize(&net);
+        assert_eq!(i8net.num_layers(), net.num_layers());
+        assert_eq!(i8net.parametric_layers(), net.parametric_layers());
+        assert_eq!(i8net.weight_count(), net.weight_count());
+        for index in i8net.parametric_layers() {
+            assert_eq!(i8net.weight_span(index), net.weight_span(index));
+        }
+        assert!(i8net.affine().scale > 0.0);
+    }
+
+    #[test]
+    fn quantize_scale_covers_the_largest_parameter() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let net = crate::mlp(&[3, 8, 2], &mut rng);
+        let i8net = I8Network::quantize(&net);
+        let mut max_abs = 0.0f32;
+        for layer in net.layers() {
+            for buffer in [layer.weights(), layer.biases()].into_iter().flatten() {
+                for &v in buffer {
+                    max_abs = max_abs.max(v.abs());
+                }
+            }
+        }
+        // The extreme parameter quantizes to ±127, i.e. nothing saturated.
+        assert!((i8net.affine().scale - max_abs / 127.0).abs() < 1e-9);
+        let extreme = i8net
+            .layers()
+            .iter()
+            .flat_map(|l| [l.weights(), l.biases()])
+            .flatten()
+            .flat_map(|buf| buf.iter().map(|&b| i32::from(b).abs()))
+            .max()
+            .expect("parameters");
+        assert_eq!(extreme, 127);
+    }
+
+    #[test]
+    fn dequantize_round_trips_onto_the_affine_grid() {
+        let i8net = tiny_i8net(2);
+        let float = i8net.dequantize();
+        let again = I8Network::quantize_with(&float, i8net.affine());
+        for index in i8net.parametric_layers() {
+            assert_eq!(
+                i8net.layer_weights(index),
+                again.layer_weights(index),
+                "layer {index} bytes must survive the round trip"
+            );
+        }
+    }
+
+    #[test]
+    fn batched_i8_pass_is_bit_identical_to_serial() {
+        let i8net = tiny_i8net(3);
+        let affine = i8net.affine();
+        let inputs: Vec<I8Tensor> = (0..5)
+            .map(|i| {
+                I8Tensor::quantize(
+                    &Tensor::from_vec(&[3], vec![0.3 * i as f32 - 0.5, 0.25, -0.1 * i as f32]),
+                    affine,
+                )
+            })
+            .collect();
+        let mut scratch = I8Scratch::new();
+        i8net.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, EngineConfig::default());
+        for (b, input) in inputs.iter().enumerate() {
+            assert_eq!(scratch.row(b), i8net.forward(input).words());
+        }
+    }
+
+    #[test]
+    fn naive_and_blocked_i8_paths_are_bit_identical() {
+        let i8net = tiny_i8net(4);
+        let affine = i8net.affine();
+        let mut rng = SmallRng::seed_from_u64(5);
+        let inputs: Vec<I8Tensor> = (0..7)
+            .map(|_| I8Tensor::quantize(&Tensor::uniform(&[3], 1.0, &mut rng), affine))
+            .collect();
+        let mut blocked = I8Scratch::new();
+        i8net.forward_batch_into_cfg(&inputs, &mut blocked, &mut NoHooks, EngineConfig::default());
+        let mut naive = I8Scratch::new();
+        let naive_cfg = EngineConfig { kernels: Kernels::Naive };
+        i8net.forward_batch_into_cfg(&inputs, &mut naive, &mut NoHooks, naive_cfg);
+        for b in 0..inputs.len() {
+            assert_eq!(blocked.row(b), naive.row(b), "row {b} diverged");
+        }
+    }
+
+    #[test]
+    fn hooks_can_corrupt_live_bytes() {
+        struct ZeroFirstActivation;
+        impl ForwardHooks<i8> for ZeroFirstActivation {
+            fn on_activation(&mut self, layer: usize, _k: LayerKind, words: &mut [i8]) {
+                if layer == 0 {
+                    words.iter_mut().for_each(|w| *w = 0);
+                }
+            }
+        }
+        let i8net = tiny_i8net(6);
+        let input = I8Tensor::quantize(&Tensor::full(&[3], 1.0), i8net.affine());
+        let clean = i8net.forward(&input);
+        let hooked = i8net.forward_with(&input, &mut ZeroFirstActivation);
+        // Zeroing the first linear layer's output leaves only fc2's bias,
+        // lifted into the accumulator and requantized once.
+        let ctx = i8net.affine();
+        let expected: Vec<i8> = i8net.layers()[2]
+            .biases()
+            .expect("fc2 bias")
+            .iter()
+            .map(|&b| <i8 as crate::Element>::finish(<i8 as crate::Element>::acc_init(b, ctx), ctx))
+            .collect();
+        assert_eq!(hooked.words(), expected.as_slice());
+        assert_ne!(clean.words(), hooked.words());
+    }
+
+    #[test]
+    fn i8_batched_steady_state_does_not_grow_the_scratch() {
+        let i8net = tiny_i8net(7);
+        let inputs = vec![I8Tensor::quantize(&Tensor::full(&[3], 0.5), i8net.affine()); 4];
+        let mut scratch = I8Scratch::new();
+        let config = EngineConfig::default();
+        i8net.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, config);
+        let warm = scratch.grow_events();
+        for _ in 0..20 {
+            i8net.forward_batch_into_cfg(&inputs, &mut scratch, &mut NoHooks, config);
+        }
+        assert_eq!(scratch.grow_events(), warm, "warm i8 passes must not allocate");
+    }
+
+    #[test]
+    fn display_lists_layers_and_scale() {
+        let i8net = tiny_i8net(9);
+        let text = i8net.to_string();
+        assert!(text.contains("linear"));
+        assert!(text.contains("scale"));
+    }
+
+    #[test]
+    #[should_panic(expected = "scale does not match")]
+    fn forward_rejects_mismatched_input_scale() {
+        let i8net = tiny_i8net(10);
+        let input = I8Tensor::quantize(&Tensor::zeros(&[3]), I8Affine { scale: 123.0 });
+        let _ = i8net.forward(&input);
     }
 }

@@ -1186,7 +1186,7 @@ mod tests {
 
     /// Runs one `[m, k] × [k, n]` sweep on the dispatched kernels and on
     /// the scalar tiles and checks they agree element for element.
-    fn check_shape<E: Element>(ctx: E::Ctx, a: &[E], bias: &[E], m: usize, k: usize, b: &[E]) {
+    fn check_shape<E: Element>(ctx: E::Meta, a: &[E], bias: &[E], m: usize, k: usize, b: &[E]) {
         let n = b.len() / k;
         let mut simd = vec![E::default(); m * n];
         let mut scalar = vec![E::default(); m * n];

@@ -2,10 +2,13 @@
 //!
 //! [`TensorBase`] carries a shape, a flat element buffer and the element
 //! type's metadata ([`Element::Meta`]: nothing for `f32`, the storage
-//! [`QFormat`](navft_qformat::QFormat) for raw words). The two backends are
-//! aliases of the same struct — [`Tensor`] (`f32`) and
-//! [`QTensor`](crate::QTensor) (`i32` raw words) — so the generic network
-//! stack moves one tensor type through one engine regardless of backend.
+//! [`QFormat`](navft_qformat::QFormat) for raw words, the
+//! [`I8Affine`](crate::I8Affine) scale for bytes). The backends are aliases
+//! of the same struct — [`Tensor`] (`f32`), [`QTensor`](crate::QTensor)
+//! (`i32` raw words) and [`I8Tensor`](crate::I8Tensor) (`i8` bytes) — so the
+//! generic network stack moves one tensor type through one engine regardless
+//! of backend, and an `f32` observation enters any of them through one
+//! conversion, [`TensorBase::quantize_from`].
 
 use std::fmt;
 
@@ -22,7 +25,7 @@ use crate::element::Element;
 /// weights and activations.
 ///
 /// Use the aliases: [`Tensor`] for `f32` values, [`QTensor`](crate::QTensor)
-/// for raw Q-format words.
+/// for raw Q-format words, [`I8Tensor`](crate::I8Tensor) for affine bytes.
 ///
 /// # Examples
 ///
@@ -52,15 +55,30 @@ impl<E: Element> TensorBase<E> {
         TensorBase { shape, data, meta }
     }
 
-    /// The tensor's metadata (nothing for `f32`, the storage format for raw
-    /// words).
-    pub(crate) fn meta(&self) -> &E::Meta {
-        &self.meta
+    /// Converts an `f32` tensor into this backend's words on the grid
+    /// `meta` describes ([`Element::from_f32`]: rounding to nearest and
+    /// saturating for the integer backends, a bitwise copy for `f32`).
+    pub fn quantize(tensor: &Tensor, meta: E::Meta) -> TensorBase<E> {
+        let mut converted = TensorBase { shape: Vec::new(), data: Vec::new(), meta };
+        converted.quantize_from(tensor);
+        converted
     }
 
-    /// The shape and data buffers, mutably (in-place requantization).
-    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<usize>, &mut Vec<E>) {
-        (&mut self.shape, &mut self.data)
+    /// Converts an `f32` tensor into this tensor in place, reusing the
+    /// existing allocations — the zero-allocation entry point of episode
+    /// loops that feed float observations to any backend.
+    ///
+    /// The tensor takes `tensor`'s shape; its metadata is unchanged.
+    pub fn quantize_from(&mut self, tensor: &Tensor) {
+        self.shape.clear();
+        self.shape.extend_from_slice(tensor.shape());
+        self.data.clear();
+        E::extend_from_f32(&mut self.data, tensor.data(), &self.meta);
+    }
+
+    /// The tensor's metadata: the [`Element::Meta`] of the network it feeds.
+    pub fn meta(&self) -> &E::Meta {
+        &self.meta
     }
 
     /// The tensor's shape.

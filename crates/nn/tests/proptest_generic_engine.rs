@@ -3,7 +3,7 @@
 //!
 //! * arbitrary layer stacks through the generic batched engine are
 //!   **bit-identical** to the pre-refactor per-sample `f32` kernels (the
-//!   naive conv/linear loop bodies, still callable as `Layer::forward`);
+//!   naive conv/linear loop bodies, still callable as `LayerBase::forward_naive`);
 //! * for parameters and inputs on the quantization grid the two backends
 //!   agree **exactly** through the generic engine;
 //! * the blocked im2col/im2row GEMM path equals the naive kernel path **bit

@@ -167,11 +167,6 @@ impl DqnAgent {
         &mut self.online
     }
 
-    /// The target network used to compute bootstrap targets.
-    pub fn target_network(&self) -> &Network {
-        &self.target
-    }
-
     /// The replay buffer.
     pub fn replay(&self) -> &ReplayBuffer {
         &self.replay
@@ -481,7 +476,7 @@ mod tests {
             a.end_episode();
         }
         assert!(a.epsilon.epsilon() < initial_epsilon);
-        assert_eq!(a.target_network().layer_weights(0).expect("weights")[0], 42.0);
+        assert_eq!(a.target.layer_weights(0).expect("weights")[0], 42.0);
     }
 
     #[test]

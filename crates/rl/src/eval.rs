@@ -27,9 +27,9 @@ use rand::Rng;
 
 use navft_fault::{Injector, StoredWord};
 use navft_nn::{argmax, Element, EngineConfig, ForwardHooks, NetworkBase, Scratch};
-use navft_nn::{Network, QNetwork, TensorBase};
+use navft_nn::{Network, Tensor, TensorBase};
 
-use crate::{one_hot_into, DiscreteEnvironment, EvalResult, QTable};
+use crate::{DiscreteEnvironment, EvalResult, QTable};
 
 /// How inference-time faults afflict the policy storage during evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,21 +75,36 @@ impl InferenceFaultMode {
 }
 
 /// Backend glue the generic evaluators need on top of [`Element`]: how task
-/// observations become the policy's input storage. Implemented for `f32`
-/// (bitwise copies), `i32` (quantization into the policy's format) and `i8`
-/// (quantization onto the policy's affine grid).
+/// observations become the policy's input storage, written once over
+/// [`Element::from_f32`] (a bitwise copy for `f32`, a quantization into the
+/// policy's format for `i32`, onto its affine grid for `i8`). A backend
+/// supplies only [`EvalElement::word_bits`].
 pub trait EvalElement: Element + StoredWord {
     /// A zeroed input buffer of `shape` compatible with `network`.
-    fn input_buffer(shape: &[usize], network: &NetworkBase<Self>) -> TensorBase<Self>;
+    fn input_buffer(shape: &[usize], network: &NetworkBase<Self>) -> TensorBase<Self> {
+        TensorBase::quantize(&Tensor::zeros(shape), *network.net_meta())
+    }
 
     /// Writes a one-hot encoding of `state` into `buf` (the value `1.0` in
-    /// the backend's representation).
-    fn one_hot(state: usize, buf: &mut TensorBase<Self>);
+    /// the backend's representation; every other word zero).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is not an index of `buf`.
+    fn one_hot(state: usize, buf: &mut TensorBase<Self>) {
+        let one = Self::from_f32(1.0, buf.meta());
+        let words = buf.data_mut();
+        assert!(state < words.len(), "state {state} out of range for {} states", words.len());
+        words.fill(Self::default());
+        words[state] = one;
+    }
 
-    /// Writes an `f32` observation into `buf` as this backend's input: a
-    /// bitwise copy for `f32`, a quantization for raw words. The vectorized
-    /// rollout calls it once per observation, as the observation arrives.
-    fn encode_into(observation: &navft_nn::Tensor, buf: &mut TensorBase<Self>);
+    /// Writes an `f32` observation into `buf` as this backend's input
+    /// ([`TensorBase::quantize_from`]). The vectorized rollout calls it once
+    /// per observation, as the observation arrives.
+    fn encode_into(observation: &Tensor, buf: &mut TensorBase<Self>) {
+        buf.quantize_from(observation);
+    }
 
     /// The stored word's bit pattern as a `u32` (an `i8` byte
     /// zero-extended). Two staged inputs are the same input exactly when
@@ -99,59 +114,18 @@ pub trait EvalElement: Element + StoredWord {
 }
 
 impl EvalElement for f32 {
-    fn input_buffer(shape: &[usize], _network: &Network) -> navft_nn::Tensor {
-        navft_nn::Tensor::zeros(shape)
-    }
-
-    fn one_hot(state: usize, buf: &mut navft_nn::Tensor) {
-        let num_states = buf.len();
-        one_hot_into(state, num_states, buf);
-    }
-
-    fn encode_into(observation: &navft_nn::Tensor, buf: &mut navft_nn::Tensor) {
-        buf.assign(observation.shape(), observation.data());
-    }
-
     fn word_bits(self) -> u32 {
         self.to_bits()
     }
 }
 
 impl EvalElement for i32 {
-    fn input_buffer(shape: &[usize], network: &QNetwork) -> navft_nn::QTensor {
-        navft_nn::QTensor::zeros(shape, network.format())
-    }
-
-    fn one_hot(state: usize, buf: &mut navft_nn::QTensor) {
-        let one = navft_qformat::QValue::quantize(1.0, buf.format()).raw();
-        buf.words_mut().fill(0);
-        buf.words_mut()[state] = one;
-    }
-
-    fn encode_into(observation: &navft_nn::Tensor, buf: &mut navft_nn::QTensor) {
-        buf.quantize_from(observation);
-    }
-
     fn word_bits(self) -> u32 {
         self as u32
     }
 }
 
 impl EvalElement for i8 {
-    fn input_buffer(shape: &[usize], network: &navft_nn::I8Network) -> navft_nn::I8Tensor {
-        navft_nn::I8Tensor::zeros(shape, network.affine())
-    }
-
-    fn one_hot(state: usize, buf: &mut navft_nn::I8Tensor) {
-        let one = buf.affine().quantize(1.0);
-        buf.words_mut().fill(0);
-        buf.words_mut()[state] = one;
-    }
-
-    fn encode_into(observation: &navft_nn::Tensor, buf: &mut navft_nn::I8Tensor) {
-        buf.quantize_from(observation);
-    }
-
     fn word_bits(self) -> u32 {
         u32::from(self as u8)
     }
@@ -286,7 +260,7 @@ pub(crate) mod tests {
         VisionEnvironment, VisionTransition,
     };
     use navft_fault::{BitFault, FaultKind, FaultMap, FaultSite, FaultTarget};
-    use navft_nn::{mlp, NoHooks, Tensor};
+    use navft_nn::{mlp, NoHooks};
     use navft_qformat::QFormat;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -377,6 +351,33 @@ pub(crate) mod tests {
         assert_eq!(result.success_rate, 1.0);
         assert_eq!(result.episodes, 50);
         assert!(result.mean_reward > 0.9);
+    }
+
+    #[test]
+    fn f32_inputs_are_bitwise_copies_through_the_generic_encoding() {
+        let net = mlp(&[4, 2], &mut SmallRng::seed_from_u64(0));
+        let bits = |t: &Tensor| {
+            (t.shape().to_vec(), t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        let nan_payload = f32::from_bits(0x7FC0_1234);
+        let observation =
+            Tensor::from_vec(&[2, 2], vec![-0.0, nan_payload, f32::NEG_INFINITY, 1.5]);
+        let mut encoded = f32::input_buffer(&[4], &net);
+        assert_eq!(bits(&encoded), bits(&Tensor::zeros(&[4])));
+        f32::encode_into(&observation, &mut encoded);
+        let mut assigned = Tensor::zeros(&[4]);
+        assigned.assign(observation.shape(), observation.data());
+        assert_eq!(bits(&encoded), bits(&assigned));
+
+        let mut hot = f32::input_buffer(&[4], &net);
+        let mut reference = Tensor::zeros(&[4]);
+        for state in 0..4 {
+            hot.data_mut().fill(-0.0);
+            reference.data_mut().fill(nan_payload);
+            f32::one_hot(state, &mut hot);
+            crate::one_hot_into(state, 4, &mut reference);
+            assert_eq!(bits(&hot), bits(&reference), "state {state}");
+        }
     }
 
     fn flip_decision_injector() -> Injector {

@@ -19,11 +19,13 @@
 //! nothing ([`ForwardHooks::observes`] is `false`, as for [`NoHooks`]) and
 //! whose staged input matches, bit for bit, that of an earlier such row of
 //! its group reads its action from that row's output instead of adding a
-//! row to the sweep. The search visits only the group's earlier inert sweep
-//! rows and stops each compare at the first block of words that differs.
-//! Under a static fault (or none) on a reset-deterministic environment
-//! every row flies the same trajectory, so a tick sweeps one row, not B;
-//! when inert rows all differ, a tick pays up to B²/2 compares.
+//! row to the sweep. The search visits only two of the group's earlier
+//! inert sweep rows, the first and the most recent, and stops each compare
+//! at the first block of words that differs, so a tick pays at most two
+//! compares per row. Under a static fault (or none) on a
+//! reset-deterministic environment every row flies the same trajectory, so
+//! a tick sweeps one row, not B; a row whose twin is some other earlier
+//! sweep row opens its own, which costs a sweep row and changes no result.
 //!
 //! # Bit-exactness contract
 //!
@@ -130,36 +132,35 @@ struct SweepGroup<'a, W: EvalElement> {
     inputs: Vec<&'a TensorBase<W>>,
     /// Each sweep row's hooks.
     hooks: Vec<&'a mut dyn ForwardHooks<W>>,
-    /// The sweep rows opened by rows whose hooks observe nothing: the only
-    /// sweep rows a later member may share.
-    shareable: Vec<usize>,
+    /// The first and the most recent sweep rows opened by rows whose hooks
+    /// observe nothing: the only sweep rows a later member compares with,
+    /// so a row costs at most two compares.
+    shareable: Option<(usize, usize)>,
 }
 
 impl<'a, W: EvalElement> SweepGroup<'a, W> {
     fn new() -> SweepGroup<'a, W> {
-        SweepGroup {
-            members: Vec::new(),
-            inputs: Vec::new(),
-            hooks: Vec::new(),
-            shareable: Vec::new(),
-        }
+        SweepGroup { members: Vec::new(), inputs: Vec::new(), hooks: Vec::new(), shareable: None }
     }
 
     /// Adds `row` to the group. If its hooks observe nothing it reuses the
-    /// first shareable sweep row whose input is bit-identical to its own
-    /// (its hooks are then never called); otherwise it opens a sweep row of
-    /// its own.
+    /// group's first or most recent shareable sweep row when that row's
+    /// input is bit-identical to its own (its hooks are then never called);
+    /// otherwise it opens a sweep row of its own. A miss only costs a sweep
+    /// row, so bounding the search changes no result.
     fn join(&mut self, row: usize, input: &'a TensorBase<W>, hooks: &'a mut dyn ForwardHooks<W>) {
         let inert = !hooks.observes();
-        let shared = if inert {
-            self.shareable.iter().copied().find(|&s| same_bits(input, self.inputs[s]))
-        } else {
-            None
+        let same = |s: usize| same_bits(input, self.inputs[s]);
+        let shared = match self.shareable {
+            Some((first, _)) if inert && same(first) => Some(first),
+            Some((first, last)) if inert && last != first && same(last) => Some(last),
+            _ => None,
         };
         let sweep_row = shared.unwrap_or_else(|| {
             let opened = self.inputs.len();
             if inert {
-                self.shareable.push(opened);
+                let first = self.shareable.map_or(opened, |(first, _)| first);
+                self.shareable = Some((first, opened));
             }
             self.inputs.push(input);
             self.hooks.push(hooks);
@@ -707,5 +708,21 @@ mod tests {
         assert_eq!(sweep_rows(&same, &[true, true, true]), 3);
         assert_eq!(sweep_rows(&same, &[true, false, false]), 2);
         assert_eq!(sweep_rows(&same, &[false, true, false]), 2);
+    }
+
+    #[test]
+    fn the_sharing_search_compares_only_the_first_and_latest_rows() {
+        let net = mlp(&[2, 2], &mut SmallRng::seed_from_u64(1));
+        // The fourth row's twin is the middle shareable row, which the
+        // search does not visit: it opens its own sweep row.
+        let rows = staged(&net, &[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [2.0, 0.0]]);
+        assert_sweep_rows(&rows, 4, "middle twin");
+        // Twins of the first and the most recent shareable rows still share.
+        let rows = staged(&net, &[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [1.0, 0.0], [3.0, 0.0]]);
+        assert_sweep_rows(&rows, 3, "first and latest twins");
+        // An observing row's sweep row is never a candidate, even when it is
+        // the most recent one.
+        let rows = staged(&net, &[[1.0, 0.0], [2.0, 0.0], [2.0, 0.0]]);
+        assert_eq!(sweep_rows(&rows, &[false, true, false]), 3);
     }
 }

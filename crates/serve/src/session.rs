@@ -30,7 +30,7 @@ pub struct SessionHook<W: Element> {
     faults: Option<FaultSpec>,
     rng: SmallRng,
     guard: Option<Arc<RangeGuard>>,
-    meta: W::NetMeta,
+    meta: W::Meta,
     struck: usize,
     scrubbed: usize,
 }
@@ -38,7 +38,7 @@ pub struct SessionHook<W: Element> {
 impl<W: Element> SessionHook<W> {
     /// A hook with no faults and no guard, seeded for later fault sampling.
     /// `meta` is the served network's `net_meta()`.
-    pub fn new(meta: W::NetMeta, seed: u64) -> SessionHook<W> {
+    pub fn new(meta: W::Meta, seed: u64) -> SessionHook<W> {
         SessionHook {
             faults: None,
             rng: SmallRng::seed_from_u64(seed),
