@@ -37,6 +37,15 @@
 //!   integer backends never round-trip through `f32` and steady-state
 //!   ingest performs no allocation. Either returns a [`Ticket`], whose
 //!   [`Ticket::wait`] blocks and [`Ticket::poll`] does not.
+//! * **One reply cell per session slot.** A ticket reads the reply cell its
+//!   session got at open, tagged with the request's generation, so a
+//!   request allocates no channel: `poll` is one atomic load until the
+//!   reply is ready, and after warm-up a served request allocates only its
+//!   [`Decision::values`]. Every accepted ticket resolves exactly once; a
+//!   reply the batcher drops unsent resolves `Err(ServeError::ShuttingDown)`.
+//!   The cell holds the session's newest reply only, so a ticket left
+//!   untaken until the session's next request is served resolves
+//!   `ShuttingDown`, never the newer decision.
 //!
 //! [`client`] ships the lockstep grid-world episode driver the determinism
 //! suite uses, plus a bursty open-loop generator

@@ -1,9 +1,11 @@
 //! The serving daemon: one session table and one bounded request queue
-//! behind one lock, served by one dynamic-batcher thread.
+//! behind one lock, served by one dynamic-batcher thread that answers each
+//! request through its session slot's reply cell.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -100,10 +102,93 @@ pub struct Decision<W: Element> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SessionId(usize);
 
+/// What a request resolves to.
+type Outcome<W> = Result<Decision<W>, ServeError>;
+
+/// A session slot's reply cell, created when the session opens and shared
+/// by every request of the session and their tickets. Each request carries
+/// the slot's next generation; the batcher stores its reply tagged with that
+/// generation, replacing any older reply still untaken.
+struct ReplyCell<W: Element> {
+    /// Generation of the newest stored reply (0 before the first). Written
+    /// under `slot`'s lock, so a ticket can check for its reply with one
+    /// load.
+    ready: AtomicU64,
+    slot: Mutex<CellSlot<W>>,
+    /// Wakes [`Ticket::wait`] callers blocked on this cell.
+    resolved: Condvar,
+}
+
+struct CellSlot<W: Element> {
+    /// The newest reply and its generation, until its ticket takes it.
+    reply: Option<(u64, Outcome<W>)>,
+    /// Whether a [`Ticket::wait`] may be blocked on the cell; a reply skips
+    /// the wake-up otherwise.
+    waiting: bool,
+}
+
+impl<W: Element> ReplyCell<W> {
+    fn new() -> Arc<ReplyCell<W>> {
+        Arc::new(ReplyCell {
+            ready: AtomicU64::new(0),
+            slot: Mutex::new(CellSlot { reply: None, waiting: false }),
+            resolved: Condvar::new(),
+        })
+    }
+
+    /// Locks the cell. No code panics while holding it, and the drop path of
+    /// [`Reply`] must not panic, so a poisoned cell is used as it is.
+    fn lock(&self) -> MutexGuard<'_, CellSlot<W>> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Stores the reply for `generation` and wakes blocked waiters. The one
+    /// batcher stores a slot's replies in generation order.
+    fn store(&self, generation: u64, outcome: Outcome<W>) {
+        let mut slot = self.lock();
+        slot.reply = Some((generation, outcome));
+        self.ready.store(generation, Ordering::Release);
+        if std::mem::take(&mut slot.waiting) {
+            self.resolved.notify_all();
+        }
+    }
+}
+
+/// The batcher's half of a request's reply. Dropped unsent (a request the
+/// fail-closed drain discards, or a row of an unwinding sweep), it resolves
+/// its ticket `Err(ServeError::ShuttingDown)`, so every accepted ticket
+/// resolves exactly once.
+struct Reply<W: Element> {
+    cell: Arc<ReplyCell<W>>,
+    generation: u64,
+    sent: bool,
+}
+
+impl<W: Element> Reply<W> {
+    fn send(mut self, outcome: Outcome<W>) {
+        self.cell.store(self.generation, outcome);
+        self.sent = true;
+    }
+}
+
+impl<W: Element> Drop for Reply<W> {
+    fn drop(&mut self) {
+        if !self.sent {
+            self.cell.store(self.generation, Err(ServeError::ShuttingDown));
+        }
+    }
+}
+
 /// A pending reply to a submitted request; resolves via [`Ticket::wait`] or
 /// non-blocking [`Ticket::poll`].
+///
+/// A ticket reads its session slot's reply cell, which holds one reply: the
+/// session's newest. Take a decision before the session's next request is
+/// served. A ticket whose reply a newer request's reply has replaced
+/// resolves `Err(ServeError::ShuttingDown)`, never the newer decision.
 pub struct Ticket<W: Element> {
-    rx: mpsc::Receiver<Result<Decision<W>, ServeError>>,
+    cell: Arc<ReplyCell<W>>,
+    generation: u64,
 }
 
 impl<W: Element> std::fmt::Debug for Ticket<W> {
@@ -115,19 +200,32 @@ impl<W: Element> std::fmt::Debug for Ticket<W> {
 impl<W: Element> Ticket<W> {
     /// Blocks until the batcher serves this request (or refuses it).
     pub fn wait(self) -> Result<Decision<W>, ServeError> {
-        self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
+        let mut slot = self.cell.lock();
+        while self.cell.ready.load(Ordering::Acquire) < self.generation {
+            slot.waiting = true;
+            slot = self.cell.resolved.wait(slot).unwrap_or_else(PoisonError::into_inner);
+        }
+        self.take(&mut slot)
     }
 
     /// Checks for the decision without blocking: `None` while the request is
-    /// still queued or sweeping, `Some(result)` exactly once when it has
-    /// resolved. The reply is consumed here: the batcher drops its sender
-    /// after replying, so a later [`Ticket::wait`] (or poll) returns
+    /// still queued or sweeping (one atomic load), `Some(result)` exactly
+    /// once when it has resolved. The reply is consumed here: the cell
+    /// keeps no copy, so a later [`Ticket::wait`] (or poll) returns
     /// `Err(ServeError::ShuttingDown)`.
     pub fn poll(&self) -> Option<Result<Decision<W>, ServeError>> {
-        match self.rx.try_recv() {
-            Ok(result) => Some(result),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::ShuttingDown)),
+        if self.cell.ready.load(Ordering::Acquire) < self.generation {
+            return None;
+        }
+        Some(self.take(&mut self.cell.lock()))
+    }
+
+    /// Takes this ticket's reply from the locked cell; a reply already taken
+    /// or replaced by a newer one resolves `Err(ServeError::ShuttingDown)`.
+    fn take(&self, slot: &mut CellSlot<W>) -> Outcome<W> {
+        match slot.reply.take_if(|(generation, _)| *generation == self.generation) {
+            Some((_, outcome)) => outcome,
+            None => Err(ServeError::ShuttingDown),
         }
     }
 }
@@ -145,9 +243,6 @@ pub struct ServeStats {
     pub max_rows_per_batch: usize,
 }
 
-/// The channel half a batcher sweep answers a request on.
-type ReplySender<W> = mpsc::Sender<Result<Decision<W>, ServeError>>;
-
 /// A session's forward hooks; every request of the session runs under them.
 type SessionHooks<W> = Box<dyn ForwardHooks<W> + Send>;
 
@@ -156,12 +251,16 @@ struct SessionState<W: Element> {
     /// them for a sweep (the slot's `in_flight` flag is set for that span).
     hooks: Option<SessionHooks<W>>,
     in_flight: bool,
+    /// The reply cell every request of this session answers through.
+    cell: Arc<ReplyCell<W>>,
+    /// Generation of the session's newest accepted request.
+    generation: u64,
 }
 
 struct Request<W: Element> {
     session: SessionId,
     input: TensorBase<W>,
-    reply: ReplySender<W>,
+    reply: Reply<W>,
 }
 
 /// Everything the submitters and the batcher share, guarded by one lock.
@@ -216,8 +315,9 @@ impl<W: Element> Shared<W> {
     }
 
     /// The one critical section of a submission: checks the session,
-    /// shutdown and the queue bound, then marks the session in flight and
-    /// queues the request. A refused input is handed back.
+    /// shutdown and the queue bound, then marks the session in flight, bumps
+    /// its generation and queues the request. A refused input is handed
+    /// back.
     fn enqueue(
         &self,
         state: &mut State<W>,
@@ -234,13 +334,16 @@ impl<W: Element> Shared<W> {
             }
             Some(Some(slot)) => {
                 slot.in_flight = true;
+                slot.generation += 1;
+                let generation = slot.generation;
+                let ticket = Ticket { cell: Arc::clone(&slot.cell), generation };
+                let reply = Reply { cell: Arc::clone(&slot.cell), generation, sent: false };
                 if state.pending.is_empty() {
                     state.oldest = Some(Instant::now());
                 }
-                let (reply, rx) = mpsc::channel();
                 state.pending.push_back(Request { session, input, reply });
                 self.wake.notify_one();
-                return Ok(Ticket { rx });
+                return Ok(ticket);
             }
         };
         Err((error, input))
@@ -306,7 +409,12 @@ impl<W: Element> Server<W> {
     /// scrub) every forward pass this session's requests ride in — the
     /// per-tenant fault-injection and mitigation surface.
     pub fn open_session(&self, hooks: Box<dyn ForwardHooks<W> + Send>) -> SessionId {
-        let session = SessionState { hooks: Some(hooks), in_flight: false };
+        let session = SessionState {
+            hooks: Some(hooks),
+            in_flight: false,
+            cell: ReplyCell::new(),
+            generation: 0,
+        };
         let mut state = self.shared.lock();
         let slot = match state.free.pop() {
             Some(slot) => {
@@ -449,14 +557,15 @@ impl<W: Element> Drop for Server<W> {
 struct Batch<W: Element> {
     inputs: Vec<TensorBase<W>>,
     hooks: Vec<SessionHooks<W>>,
-    replies: Vec<(SessionId, ReplySender<W>)>,
+    replies: Vec<(SessionId, Reply<W>)>,
 }
 
 /// Fails the server closed when the batcher exits. After a normal drain
 /// this changes nothing; when a panicking session hook unwinds the batcher,
 /// it marks the server shut down, so later submissions are refused, and
-/// drops the queued requests, whose tickets then resolve
-/// `Err(ServeError::ShuttingDown)` instead of waiting forever.
+/// drops the queued requests, whose unsent replies then resolve their
+/// tickets `Err(ServeError::ShuttingDown)` instead of leaving them waiting
+/// forever.
 struct FailClosed<'a, W: Element>(&'a Shared<W>);
 
 impl<W: Element> Drop for FailClosed<'_, W> {
@@ -479,7 +588,7 @@ fn worker_loop<W: Element>(shared: &Shared<W>) {
     let mut scratch = Scratch::new();
     let mut batch = Batch { inputs: Vec::new(), hooks: Vec::new(), replies: Vec::new() };
     // Declared after `batch`, so an unwinding sweep drops it first: the
-    // server is already shut down by the time the reply senders held in
+    // server is already shut down by the time the unsent replies held in
     // `batch` drop and wake their callers.
     let _fail_closed = FailClosed(shared);
     while take_batch(shared, &mut batch) {
@@ -533,6 +642,10 @@ fn take_batch<W: Element>(shared: &Shared<W>, batch: &mut Batch<W>) -> bool {
 
 /// Sweeps `batch` through the engine with each row under its session's
 /// hooks, then settles the batch and replies.
+///
+/// Lock order: the state lock is taken before a reply cell's lock (the
+/// `FailClosed` drain drops unsent replies while it holds the state lock),
+/// and no cell lock is ever held while taking the state lock.
 fn serve_batch<W: Element>(shared: &Shared<W>, scratch: &mut Scratch<W>, batch: &mut Batch<W>) {
     let rows = batch.inputs.len();
     let row_hooks: Vec<&mut dyn ForwardHooks<W>> =
@@ -543,17 +656,12 @@ fn serve_batch<W: Element>(shared: &Shared<W>, scratch: &mut Scratch<W>, batch: 
         &mut DynRowHooks::new(row_hooks),
         EngineConfig::default(),
     );
-    let decisions: Vec<Decision<W>> = (0..rows)
-        .map(|row| {
-            let values = scratch.row(row);
-            Decision { action: argmax(values), values: values.to_vec() }
-        })
-        .collect();
 
     // Return the hooks, release the in-flight slots, recycle the inputs
     // into the ingest pool and count the sweep *before* replying: once a
     // client sees its decision it may immediately resubmit, so its slot
-    // must already be free by then.
+    // must already be free by then. The scratch rows stay untouched until
+    // the replies read them.
     {
         let mut state = shared.lock();
         let state = &mut *state;
@@ -569,8 +677,9 @@ fn serve_batch<W: Element>(shared: &Shared<W>, scratch: &mut Scratch<W>, batch: 
         state.stats.batches += 1;
         state.stats.max_rows_per_batch = state.stats.max_rows_per_batch.max(rows);
     }
-    for ((_, reply), decision) in batch.replies.drain(..).zip(decisions) {
-        let _ = reply.send(Ok(decision));
+    for (row, (_, reply)) in batch.replies.drain(..).enumerate() {
+        let values = scratch.row(row);
+        reply.send(Ok(Decision { action: argmax(values), values: values.to_vec() }));
     }
 }
 
@@ -735,8 +844,102 @@ mod tests {
                 std::thread::yield_now();
             };
             assert!(polled.is_ok());
-            // The poll consumed the reply and the batcher dropped its sender.
+            // The poll took the reply out of the cell: every later poll or
+            // wait resolves ShuttingDown.
+            assert_eq!(ticket.poll(), Some(Err(ServeError::ShuttingDown)));
             assert_eq!(ticket.wait().expect_err("reply already taken"), ServeError::ShuttingDown);
+        });
+    }
+
+    /// The decision the library forward gives for `input`.
+    fn library_decision(net: &navft_nn::Network, input: &Tensor) -> Decision<f32> {
+        let values = net.forward(input).data().to_vec();
+        Decision { action: argmax(&values), values }
+    }
+
+    #[test]
+    fn requests_the_fail_closed_drain_drops_resolve_shutting_down() {
+        within_timeout(|| {
+            let config = ServeConfig::default().with_flush_after(Duration::from_secs(5));
+            let server = Server::start(policy(), &[4], config);
+            let polled = server.open_clean_session();
+            let waited = server.open_clean_session();
+            let polled_ticket = server.submit(polled, obs(0.1)).expect("submit");
+            let waited_ticket = server.submit(waited, obs(0.2)).expect("submit");
+            let cell =
+                Arc::clone(&server.shared.lock().slots[waited.0].as_ref().expect("open").cell);
+            let waiter = std::thread::spawn(move || waited_ticket.wait());
+            while !cell.lock().waiting {
+                std::thread::yield_now();
+            }
+            // The batcher is stalled on the 5 s deadline; the drain a dying
+            // batcher runs discards both queued requests, and the unsent
+            // replies wake the blocked waiter.
+            drop(FailClosed(&*server.shared));
+            assert_eq!(polled_ticket.poll(), Some(Err(ServeError::ShuttingDown)));
+            assert_eq!(waiter.join().expect("waiter"), Err(ServeError::ShuttingDown));
+            assert_eq!(polled_ticket.poll(), Some(Err(ServeError::ShuttingDown)));
+        });
+    }
+
+    #[test]
+    fn a_stale_ticket_never_gets_its_sessions_newer_decision() {
+        within_timeout(|| {
+            let net = policy();
+            let (a, b) = (obs(0.1), obs(0.9));
+            let (want_a, want_b) = (library_decision(&net, &a), library_decision(&net, &b));
+            assert_ne!(want_a, want_b, "a leaked decision must be visible");
+            // Batches flush only when full, so the batcher serves a
+            // session's request exactly when the helper session fills its
+            // batch. Rows reply in submission order, so the helper's
+            // resolved ticket shows the session's reply is stored.
+            let config =
+                ServeConfig::default().with_max_batch(2).with_flush_after(Duration::from_secs(5));
+            let server = Server::start(net, &[4], config);
+            let session = server.open_clean_session();
+            let helper = server.open_clean_session();
+            let serve_with_helper = || {
+                let ticket = server.submit(helper, obs(0.5)).expect("helper submit");
+                ticket.wait().expect("helper decision");
+            };
+
+            // Served, then kept unpolled while the session's next request is
+            // accepted: the ticket still takes its own decision.
+            let first = server.submit(session, a.clone()).expect("submit");
+            serve_with_helper();
+            let second = server.submit(session, b).expect("resubmit after the reply");
+            assert_eq!(first.wait(), Ok(want_a.clone()));
+
+            // Kept unpolled until the next request's reply replaced its own:
+            // it resolves ShuttingDown, never the newer decision.
+            serve_with_helper();
+            let third = server.submit(session, a).expect("resubmit after the reply");
+            serve_with_helper();
+            assert_eq!(second.poll(), Some(Err(ServeError::ShuttingDown)));
+            assert_eq!(third.wait(), Ok(want_a));
+            assert_eq!(second.wait(), Err(ServeError::ShuttingDown));
+        });
+    }
+
+    #[test]
+    fn a_reopened_slot_does_not_share_replies_with_the_closed_session() {
+        within_timeout(|| {
+            let net = policy();
+            let (a, b) = (obs(0.1), obs(0.9));
+            let (want_a, want_b) = (library_decision(&net, &a), library_decision(&net, &b));
+            let server = Server::start(net, &[4], ServeConfig::default().with_max_batch(1));
+            let old = server.open_clean_session();
+            let old_ticket = server.submit(old, a).expect("submit");
+            // Closing succeeds once the request is served; its reply stays
+            // with the old session's ticket.
+            while server.close_session(old) == Err(ServeError::InFlight) {
+                std::thread::yield_now();
+            }
+            let new = server.open_clean_session();
+            assert_eq!(new, old, "the freed slot is reused");
+            let new_ticket = server.submit(new, b).expect("submit");
+            assert_eq!(new_ticket.wait(), Ok(want_b));
+            assert_eq!(old_ticket.wait(), Ok(want_a));
         });
     }
 
