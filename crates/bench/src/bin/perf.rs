@@ -42,9 +42,9 @@
 //! p50/p99/p99.9 tail).
 //!
 //! A fifth, `training` section times the DQN learning loop itself: `learn`
-//! steps per second on the Grid World MLP at minibatch 32 and 128, once with
-//! the f32 bootstrap target and once with the quantized int8 target snapshot
-//! ([`DqnAgent::with_i8_target`]).
+//! steps per second on the Grid World MLP at minibatch 32 and 128. Training
+//! runs on `f32` only (the agent's online and target networks), so every
+//! row's backend is `f32`.
 //!
 //! The JSON is rendered with `navft_core::sweep::json` — the same
 //! deterministic writer the campaign artifacts use — so snapshots diff
@@ -265,24 +265,13 @@ const TRAIN_MINIBATCHES: [usize; 2] = [32, 128];
 const TRAIN_STEPS_PER_PASS: usize = 32;
 
 /// Times the DQN learning loop on the Grid World MLP: `learn` steps per
-/// second at one minibatch size, with the bootstrap target either on the
-/// f32 target network (`backend == "f32"`) or on the quantized int8
-/// snapshot (`backend == "i8"`, via [`DqnAgent::with_i8_target`]).
-fn bench_training(
-    model: &str,
-    backend: &str,
-    i8_target: bool,
-    minibatch: usize,
-    repeats: usize,
-) -> Json {
+/// second at one minibatch size.
+fn bench_training(model: &str, minibatch: usize, repeats: usize) -> Json {
     let states = 100usize;
     let network = mlp(&[states, 32, 4], &mut SmallRng::seed_from_u64(0xD92));
     let config = DqnConfig { batch_size: minibatch, ..DqnConfig::default() };
     let mut agent =
         DqnAgent::new(network, &[states], EpsilonSchedule::new(1.0, 0.05, 0.99), config);
-    if i8_target {
-        agent = agent.with_i8_target();
-    }
 
     // Fill the replay buffer with random transitions so every timed `learn`
     // call samples a full minibatch.
@@ -303,12 +292,10 @@ fn bench_training(
         }
     });
     let steps_per_s = TRAIN_STEPS_PER_PASS as f64 / secs;
-    eprintln!(
-        "[perf] training {model}/{backend} minibatch {minibatch}: {steps_per_s:.0} learn steps/s"
-    );
+    eprintln!("[perf] training {model}/f32 minibatch {minibatch}: {steps_per_s:.0} learn steps/s");
     Json::obj([
         ("model", Json::Str(model.to_string())),
-        ("backend", Json::Str(backend.to_string())),
+        ("backend", Json::Str("f32".to_string())),
         ("minibatch", Json::num(minibatch as f64)),
         ("learn_steps_per_s", Json::num(steps_per_s)),
     ])
@@ -481,13 +468,12 @@ fn run_benchmarks(rev: &str, repeats: usize, scale_sessions: usize) -> Json {
         })
         .collect();
 
-    // Training section: DQN `learn` steps/s on the Grid World MLP, f32 and
-    // int8 bootstrap targets at both minibatch sizes.
-    let mut training = Vec::new();
-    for &minibatch in &TRAIN_MINIBATCHES {
-        training.push(bench_training("grid-mlp", "f32", false, minibatch, repeats));
-        training.push(bench_training("grid-mlp", "i8", true, minibatch, repeats));
-    }
+    // Training section: DQN `learn` steps/s on the Grid World MLP at both
+    // minibatch sizes.
+    let training = TRAIN_MINIBATCHES
+        .iter()
+        .map(|&minibatch| bench_training("grid-mlp", minibatch, repeats))
+        .collect();
 
     // Campaign section: vectorized environment rollouts (steps/s per backend
     // and batch width).

@@ -1,19 +1,21 @@
 //! Fig. 10 — the effectiveness of range-based anomaly detection during
 //! inference: success rate (Grid World) and flight distance (drone) with and
 //! without the mitigation, plus the headline improvement factors and the
-//! runtime-overhead measurement.
+//! guard's cost.
 //!
-//! The overhead measurement is wall-clock dependent, so it lives in the
-//! sweep's *fold* — it reaches the rendered tables but never the
-//! machine-readable artifacts, which must be bit-identical across runs.
+//! The cost is counted, not timed: the guarded weight words the scrub checks
+//! per inference (amortised over [`SCRUB_INTERVAL`] inferences) and that
+//! count as a share of the inference's multiply-accumulates, both functions
+//! of the policy's topology alone. Like every fold, this one is a pure
+//! function of its cell summaries.
 
 use std::sync::Arc;
 
 use navft_dronesim::{DepthCamera, DroneSim, DroneWorld};
 use navft_fault::{FaultKind, FaultSite, FaultTarget, Injector};
 use navft_gridworld::{GridWorld, ObstacleDensity};
-use navft_mitigation::{measure_overhead, RangeGuard, RangeGuardConfig};
-use navft_nn::{EngineConfig, Network, Tensor};
+use navft_mitigation::{RangeGuard, RangeGuardConfig};
+use navft_nn::{EngineConfig, Network};
 use navft_qformat::QFormat;
 use navft_rl::{
     corrupt_network_weights, evaluate_policy_discrete_batched, evaluate_policy_vision_batched,
@@ -113,6 +115,31 @@ fn drone_distance_with_guard(
 
 const ARMS: [(bool, &str); 2] = [(false, "base"), (true, "guarded")];
 
+/// Inferences one weight scrub is amortised over: a deployment scans weight
+/// memory periodically rather than before every frame.
+pub const SCRUB_INTERVAL: usize = 50;
+
+/// The guard's cost on `network` for inputs of `input_shape`:
+/// `(guarded weight words one scrub checks, multiply-accumulates of one
+/// inference)`. A parametric layer's MACs are its weight count times its
+/// output positions (`H × W` for a convolution, 1 for a linear layer).
+pub fn guard_cost(network: &Network, input_shape: &[usize], guard: &RangeGuard) -> (usize, usize) {
+    let words = guard
+        .bounds()
+        .iter()
+        .filter_map(|&(layer, _, _)| network.layer_weights(layer).map(<[f32]>::len))
+        .sum();
+    let (mut macs, mut shape, mut out) = (0, input_shape.to_vec(), Vec::new());
+    for layer in network.layers() {
+        layer.output_shape(&shape, &mut out);
+        if let Some(weights) = layer.weights() {
+            macs += weights.len() * out[1..].iter().product::<usize>();
+        }
+        std::mem::swap(&mut shape, &mut out);
+    }
+    (words, macs)
+}
+
 fn grid_id(arm: &str, ber: f64) -> String {
     format!("grid/{arm}/ber={ber}")
 }
@@ -122,7 +149,7 @@ fn drone_id(arm: &str, ber: f64) -> String {
 }
 
 /// Fig. 10 as a declarative sweep: (task × mitigation arm × BER) cells; the
-/// improvement factors and the wall-clock overhead are computed in the fold.
+/// improvement factors and the guard's cost are computed in the fold.
 pub fn sweep(scale: Scale) -> Sweep {
     let grid_params = Arc::new(scale.grid());
     let drone_params = Arc::new(scale.drone());
@@ -189,8 +216,7 @@ pub fn sweep(scale: Scale) -> Sweep {
         ];
 
         // Headline facts: improvement factors at the highest BER and the
-        // runtime overhead of the protected inference path (wall-clock, so
-        // fold-only: it never reaches the JSONL artifacts).
+        // guard's cost per inference.
         let improvement = |base: &[(f64, f64)], guarded: &[(f64, f64)]| -> f64 {
             let (mut best, mut found) = (1.0f64, false);
             for ((_, b), (_, g)) in base.iter().zip(guarded.iter()) {
@@ -205,15 +231,14 @@ pub fn sweep(scale: Scale) -> Sweep {
                 1.0
             }
         };
-        // The overhead is a function of the topology and the guard's integer
-        // comparisons, not of the learned weights, so it is timed on an
-        // untrained probe of the same architecture — a fully resumed run
-        // must not train the policy just to time it.
+        // The cost is a function of the topology and the guard's layers, not
+        // of the learned weights, so it is counted on an untrained probe of
+        // the same architecture — a fully resumed run must not train the
+        // policy just to count it.
         let probe = navft_nn::C3f2Config::scaled().build(&mut SmallRng::seed_from_u64(0x10C));
         let guard = RangeGuard::from_network(&probe, QFormat::Q4_11, RangeGuardConfig::paper());
-        let camera = DepthCamera::scaled();
-        let frame = Tensor::zeros(&camera.frame_shape());
-        let overhead = measure_overhead(&probe, &guard, &frame, 60, 50);
+        let (words, macs) = guard_cost(&probe, &DepthCamera::scaled().frame_shape(), &guard);
+        let words_per_inference = words as f64 / SCRUB_INTERVAL as f64;
         figures.push(FigureData::facts(
             "fig10-headline",
             "headline mitigation results",
@@ -226,9 +251,10 @@ pub fn sweep(scale: Scale) -> Sweep {
                     "drone flight-distance improvement (x)".to_string(),
                     improvement(&drone_unmitigated, &drone_mitigated),
                 ),
+                ("range-guard words checked per inference".to_string(), words_per_inference),
                 (
-                    "anomaly-detection runtime overhead (%)".to_string(),
-                    overhead.relative_overhead() * 100.0,
+                    "range-guard checks per MAC (%)".to_string(),
+                    words_per_inference / macs as f64 * 100.0,
                 ),
             ],
         ));
@@ -240,6 +266,7 @@ pub fn sweep(scale: Scale) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use navft_nn::{Conv2d, Layer, Linear};
 
     #[test]
     fn sweep_declares_both_arms_for_both_tasks() {
@@ -247,5 +274,24 @@ mod tests {
         let drone = Scale::Smoke.drone();
         let sweep = sweep(Scale::Smoke);
         assert_eq!(sweep.len(), 2 * (grid.bit_error_rates.len() + drone.bit_error_rates.len()));
+    }
+
+    #[test]
+    fn guard_cost_counts_guarded_words_and_macs() {
+        // 4·8 + 8·2 weights, each used once per inference by a linear layer.
+        let net = navft_nn::mlp(&[4, 8, 2], &mut SmallRng::seed_from_u64(3));
+        let guard = RangeGuard::from_network(&net, QFormat::Q4_11, RangeGuardConfig::paper());
+        assert_eq!(guard_cost(&net, &[4], &guard), (48, 48));
+
+        // A 3×3 conv (1 → 2 channels) over 4×4 has 2×2 output positions:
+        // 18 weights, 72 MACs; the 8 → 3 linear head adds 24 of each.
+        let rng = &mut SmallRng::seed_from_u64(4);
+        let net = Network::new(vec![
+            Layer::Conv2d(Conv2d::new(1, 2, 3, 1, rng)),
+            Layer::Flatten,
+            Layer::Linear(Linear::new(8, 3, rng)),
+        ]);
+        let guard = RangeGuard::from_network(&net, QFormat::Q4_11, RangeGuardConfig::paper());
+        assert_eq!(guard_cost(&net, &[1, 4, 4], &guard), (42, 96));
     }
 }

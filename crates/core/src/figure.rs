@@ -21,11 +21,6 @@ impl Series {
     pub fn new(label: impl Into<String>, points: Vec<(f64, f64)>) -> Series {
         Series { label: label.into(), points }
     }
-
-    /// The y value at the given x, if present.
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points.iter().find(|(px, _)| (*px - x).abs() < 1e-12).map(|(_, y)| *y)
-    }
 }
 
 /// A labelled matrix of values (a heatmap).
@@ -179,13 +174,6 @@ impl fmt::Display for FigureData {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn series_lookup_by_x() {
-        let s = Series::new("clean", vec![(0.0, 98.0), (0.01, 60.0)]);
-        assert_eq!(s.y_at(0.01), Some(60.0));
-        assert_eq!(s.y_at(0.5), None);
-    }
 
     #[test]
     fn heatmap_shape_is_validated() {

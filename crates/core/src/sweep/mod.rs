@@ -21,9 +21,10 @@
 //! repetition index, and each cell's metrics are folded in repetition order,
 //! so results are bit-identical to serial execution regardless of thread
 //! count. Trials must be pure functions of `(seed, rep)` and their captured
-//! immutable state; anything wall-clock dependent (e.g. the runtime-overhead
-//! measurement of Fig. 10) belongs in the fold, where it only reaches the
-//! rendered tables, never the machine-readable artifacts.
+//! immutable state, and folds are pure too: a fold is a function of its
+//! cell summaries (plus captured immutable state) and reads no clock, so
+//! the rendered `<figure>.txt` tables are as reproducible as the JSONL
+//! artifacts, at any thread count and after `--resume`.
 //!
 //! # Artifacts and resume
 //!
@@ -204,8 +205,8 @@ impl Sweep {
     }
 
     /// Sets the fold from cell summaries to figure data. Runs on the calling
-    /// thread after every cell completed; wall-clock-dependent measurements
-    /// belong here, not in cells.
+    /// thread after every cell completed, and must be a deterministic
+    /// function of the summaries (plus captured immutable state).
     pub fn fold<F>(&mut self, fold: F)
     where
         F: FnOnce(&SweepResults) -> Vec<FigureData> + 'static,

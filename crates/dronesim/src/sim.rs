@@ -71,7 +71,6 @@ pub struct DroneSim {
     position: Vec2,
     heading: f32,
     steps: usize,
-    flown: f32,
     crashed: bool,
 }
 
@@ -81,16 +80,7 @@ impl DroneSim {
     pub fn new(world: DroneWorld, camera: DepthCamera, max_steps: usize) -> DroneSim {
         let position = world.start();
         let heading = world.start_heading();
-        DroneSim {
-            world,
-            camera,
-            max_steps,
-            position,
-            heading,
-            steps: 0,
-            flown: 0.0,
-            crashed: false,
-        }
+        DroneSim { world, camera, max_steps, position, heading, steps: 0, crashed: false }
     }
 
     /// The simulator over the `indoor-long` world with the scaled camera —
@@ -124,11 +114,6 @@ impl DroneSim {
         self.heading
     }
 
-    /// Total distance flown this episode, in metres.
-    pub fn distance_flown(&self) -> f32 {
-        self.flown
-    }
-
     /// Whether the current episode ended in a collision.
     pub fn crashed(&self) -> bool {
         self.crashed
@@ -148,7 +133,6 @@ impl VisionEnvironment for DroneSim {
         self.position = self.world.start();
         self.heading = self.world.start_heading();
         self.steps = 0;
-        self.flown = 0.0;
         self.crashed = false;
         self.camera.render(&self.world, self.position, self.heading)
     }
@@ -159,7 +143,6 @@ impl VisionEnvironment for DroneSim {
         let direction = Vec2::from_heading(self.heading);
         let (position, travelled, collided) = self.world.sweep(self.position, direction, travel);
         self.position = position;
-        self.flown += travelled;
         self.steps += 1;
         self.crashed = collided;
 
@@ -206,10 +189,8 @@ mod tests {
         let mut sim = DroneSim::indoor_long();
         sim.step(12);
         sim.step(12);
-        assert!(sim.distance_flown() > 0.0);
         let obs = sim.reset();
         assert_eq!(obs.shape(), &sim.observation_shape());
-        assert_eq!(sim.distance_flown(), 0.0);
         assert!(!sim.crashed());
         assert_eq!(sim.position(), sim.world().start());
     }
@@ -228,7 +209,6 @@ mod tests {
             }
         }
         assert!(total > 3.0, "flew {total} m");
-        assert!((sim.distance_flown() - total).abs() < 1e-5);
     }
 
     #[test]

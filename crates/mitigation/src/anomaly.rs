@@ -10,7 +10,7 @@
 //! high-order bit flipped is far more likely to be a fault than a legitimate
 //! large value.
 
-use navft_nn::{Element, ForwardHooks, I8Affine, LayerKind, Network, NetworkBase, QNetwork};
+use navft_nn::{Element, I8Affine, Network, NetworkBase, QNetwork};
 use navft_qformat::{QFormat, QValue};
 
 /// Parameters of the range-based anomaly detector.
@@ -28,11 +28,6 @@ impl RangeGuardConfig {
     /// The paper's configuration: 10 % margin, sign+integer-bit comparison.
     pub fn paper() -> RangeGuardConfig {
         RangeGuardConfig { margin: 0.1, integer_bits_only: true }
-    }
-
-    /// Full-precision comparison (used by the ablation study).
-    pub fn full_precision(margin: f64) -> RangeGuardConfig {
-        RangeGuardConfig { margin, integer_bits_only: false }
     }
 }
 
@@ -391,52 +386,10 @@ fn compare_integer_bits(value: f32, format: QFormat) -> i32 {
     word.raw() >> format.frac_bits()
 }
 
-/// An activation guard: clamps activation values that escape the range
-/// observed during fault-free calibration.
-///
-/// Attach it as [`ForwardHooks`] during inference to protect the activation
-/// buffers in addition to the weight scrub.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ActivationGuard {
-    /// Per-layer `(lower, upper)` bounds after the margin is applied.
-    bounds: Vec<(f32, f32)>,
-    /// Number of values clamped so far.
-    clamped: usize,
-}
-
-impl ActivationGuard {
-    /// Builds a guard from per-layer activation ranges (e.g. from
-    /// [`navft_nn::RangeRecorder`]) and a detection margin.
-    pub fn new(ranges: &[(f32, f32)], margin: f64) -> ActivationGuard {
-        let bounds = ranges.iter().map(|&(lo, hi)| widen(lo, hi, margin)).collect();
-        ActivationGuard { bounds, clamped: 0 }
-    }
-
-    /// Number of activation values clamped so far.
-    pub fn clamped(&self) -> usize {
-        self.clamped
-    }
-}
-
-impl ForwardHooks for ActivationGuard {
-    fn on_activation(&mut self, layer_index: usize, _kind: LayerKind, values: &mut [f32]) {
-        let Some(&(lo, hi)) = self.bounds.get(layer_index) else { return };
-        if !lo.is_finite() || !hi.is_finite() {
-            return;
-        }
-        for v in values.iter_mut() {
-            if *v > hi || *v < lo {
-                *v = 0.0;
-                self.clamped += 1;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use navft_nn::{mlp, RangeRecorder, Tensor};
+    use navft_nn::{mlp, Tensor};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -487,7 +440,7 @@ mod tests {
         let precise = RangeGuard::from_bounds(
             [(0, -1.0, 1.0)],
             QFormat::Q4_11,
-            RangeGuardConfig::full_precision(0.1),
+            RangeGuardConfig { margin: 0.1, integer_bits_only: false },
         );
         assert!(!cheap.is_anomalous_in(0, 1.4, &()));
         assert!(precise.is_anomalous_in(0, 1.4, &()));
@@ -544,7 +497,9 @@ mod tests {
 
     #[test]
     fn raw_and_f32_detection_agree_on_grid_values() {
-        for config in [RangeGuardConfig::paper(), RangeGuardConfig::full_precision(0.1)] {
+        for config in
+            [RangeGuardConfig::paper(), RangeGuardConfig { margin: 0.1, integer_bits_only: false }]
+        {
             let format = QFormat::Q3_4;
             let guard = RangeGuard::from_bounds([(0, -1.3, 1.7)], format, config);
             for raw in format.min_raw()..=format.max_raw() {
@@ -655,28 +610,11 @@ mod tests {
     }
 
     #[test]
-    fn activation_guard_zeroes_escaped_activations() {
-        let net = network(4);
-        let mut recorder = RangeRecorder::new();
-        for i in 0..8 {
-            net.forward_with(&Tensor::full(&[8], i as f32 * 0.1), &mut recorder);
-        }
-        let mut guard = ActivationGuard::new(recorder.ranges(), 0.1);
-        // Feed an absurdly large input, simulating a corrupted input buffer:
-        // activations escape the calibrated range and get clamped.
-        let wild = Tensor::full(&[8], 500.0);
-        let out = net.forward_with(&wild, &mut guard);
-        assert!(guard.clamped() > 0);
-        assert!(out.data().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
     fn guard_config_accessors() {
         let guard =
             RangeGuard::from_bounds([(0, 0.0, 1.0)], QFormat::Q3_4, RangeGuardConfig::paper());
         assert_eq!(guard.config(), RangeGuardConfig::paper());
         assert_eq!(RangeGuardConfig::default(), RangeGuardConfig::paper());
-        assert!(!RangeGuardConfig::full_precision(0.2).integer_bits_only);
     }
 
     #[test]

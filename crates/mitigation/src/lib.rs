@@ -11,10 +11,12 @@
 //!    exploration schedule with a slowed decay (permanent faults), so the
 //!    agent can learn around the fault pattern.
 //! 2. **Range-based anomaly detection** during inference (§5.2,
-//!    [`RangeGuard`] and [`ActivationGuard`]): instrument per-layer value
-//!    ranges after training, flag values whose sign/integer bits escape the
-//!    10 %-widened range, and skip (zero) them, exploiting the sparsity of
-//!    trained policies.
+//!    [`RangeGuard`]): instrument per-layer value ranges after training,
+//!    flag values whose sign/integer bits escape the 10 %-widened range, and
+//!    skip (zero) them, exploiting the sparsity of trained policies.
+//!    [`RangeGuard::scrub`] cleans a weight buffer in place;
+//!    [`RangeGuard::scrub_buffer`] applies the same comparison to an
+//!    activation or input row on any backend.
 //!
 //! # Examples
 //!
@@ -41,8 +43,6 @@
 
 mod anomaly;
 mod exploration;
-mod overhead;
 
-pub use anomaly::{ActivationGuard, GuardedElement, RangeGuard, RangeGuardConfig, ValueBounds};
+pub use anomaly::{GuardedElement, RangeGuard, RangeGuardConfig, ValueBounds};
 pub use exploration::{ExplorationAdjuster, ExplorationAdjusterConfig, MitigationEvent};
-pub use overhead::{measure_overhead, OverheadReport};

@@ -198,15 +198,6 @@ impl Tensor {
         self.data[i] = value;
     }
 
-    /// Returns a tensor with the same data and a new shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new shape has a different element count.
-    pub fn reshape(&self, shape: &[usize]) -> Tensor {
-        Tensor::from_vec(shape, self.data.clone())
-    }
-
     /// Overwrites this tensor in place with `shape` and `data`, reusing the
     /// existing allocations whenever their capacity suffices.
     ///
@@ -337,14 +328,6 @@ mod tests {
     #[should_panic(expected = "does not match shape")]
     fn from_vec_length_mismatch_panics() {
         let _ = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(&[2, 3], (0..6).map(|i| i as f32).collect());
-        let r = t.reshape(&[6]);
-        assert_eq!(r.shape(), &[6]);
-        assert_eq!(r.data(), t.data());
     }
 
     #[test]

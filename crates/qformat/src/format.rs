@@ -146,19 +146,6 @@ impl QFormat {
         -self.max_raw() - 1
     }
 
-    /// Mask covering the sign bit and the integer bits of the word.
-    ///
-    /// Range-based anomaly detection (the paper's inference mitigation) only
-    /// compares these bits because faults confined to the fractional part
-    /// cause deviations smaller than the detection margin.
-    #[inline]
-    pub fn sign_and_integer_mask(&self) -> u32 {
-        let total = u32::from(self.total_bits());
-        let frac = u32::from(self.frac_bits);
-        let word_mask = if total == 32 { u32::MAX } else { (1u32 << total) - 1 };
-        word_mask & !((1u32 << frac) - 1)
-    }
-
     /// Index of the sign bit (the most significant bit of the word).
     #[inline]
     pub fn sign_bit(&self) -> u8 {
@@ -271,11 +258,7 @@ mod tests {
     #[test]
     fn sign_and_integer_mask_covers_top_bits() {
         let f = QFormat::Q3_4; // 8 bits: sssi iiff -> 1 sign + 3 int + 4 frac
-        assert_eq!(f.sign_and_integer_mask(), 0b1111_0000);
         assert_eq!(f.sign_bit(), 7);
-
-        let f = QFormat::Q4_11;
-        assert_eq!(f.sign_and_integer_mask(), 0b1111_1000_0000_0000);
     }
 
     #[test]

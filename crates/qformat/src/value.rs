@@ -153,26 +153,6 @@ impl QValue {
         QValue::from_raw(self.raw().saturating_sub(other.raw()), self.format)
     }
 
-    /// Saturating multiplication of two words in the same format (the result
-    /// is rescaled back into the format).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two operands use different formats.
-    pub fn saturating_mul(&self, other: &QValue) -> QValue {
-        assert_eq!(self.format, other.format, "operands must share a format");
-        let wide = i64::from(self.raw()) * i64::from(other.raw());
-        let rescaled = wide >> self.format.frac_bits();
-        let clamped =
-            rescaled.clamp(i64::from(self.format.min_raw()), i64::from(self.format.max_raw()));
-        QValue::from_raw(clamped as i32, self.format)
-    }
-
-    /// Re-encodes this value into another format (dequantize then quantize).
-    pub fn convert(&self, format: QFormat) -> QValue {
-        QValue::quantize(self.to_f32(), format)
-    }
-
     /// Number of `1` bits in the word.
     #[inline]
     pub fn count_ones(&self) -> u32 {
@@ -323,19 +303,7 @@ mod tests {
         assert_eq!(a.saturating_add(&b).to_f32(), fmt.max_value());
         let c = QValue::quantize(-7.0, fmt);
         assert_eq!(c.saturating_add(&c).to_f32(), fmt.min_value());
-        let d = QValue::quantize(1.5, fmt);
-        let e = QValue::quantize(2.0, fmt);
-        assert_eq!(d.saturating_mul(&e).to_f32(), 3.0);
         assert_eq!(a.saturating_sub(&c).to_f32(), fmt.max_value());
-    }
-
-    #[test]
-    fn convert_between_formats() {
-        let v = QValue::quantize(1.5, QFormat::Q4_11);
-        let w = v.convert(QFormat::Q10_5);
-        assert_eq!(w.to_f32(), 1.5);
-        let narrow = QValue::quantize(100.0, QFormat::Q10_5).convert(QFormat::Q4_11);
-        assert_eq!(narrow.to_f32(), QFormat::Q4_11.max_value());
     }
 
     #[test]
@@ -564,14 +532,6 @@ mod proptests {
             let v = QValue::from_raw(raw, fmt);
             let w = QValue::from_bits(v.bits(), fmt);
             prop_assert_eq!(v.raw(), w.raw());
-        }
-
-        #[test]
-        fn conversion_to_wider_format_is_lossless(raw in -128i32..=127) {
-            let narrow = QFormat::Q3_4;
-            let wide = QFormat::Q4_11;
-            let v = QValue::from_raw(raw, narrow);
-            prop_assert_eq!(v.convert(wide).to_f32(), v.to_f32());
         }
     }
 }

@@ -43,12 +43,6 @@ pub fn episodes_to_converge(
     None
 }
 
-/// Returns the first episode index at which the recorded exploration rate
-/// reaches its floor (`steady exploitation`), or `None` if it never does.
-pub fn episode_of_steady_exploitation(trace: &TrainingTrace, floor: f64) -> Option<usize> {
-    trace.epsilons.iter().position(|&e| e <= floor + 1e-9)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,12 +81,5 @@ mod tests {
     fn zero_window_is_treated_as_one() {
         let trace = trace_with_success_from(10, 0);
         assert_eq!(episodes_to_converge(&trace, 0, 0, 1.0), Some(1));
-    }
-
-    #[test]
-    fn steady_exploitation_episode_matches_epsilon_floor() {
-        let trace = trace_with_success_from(100, 0);
-        assert_eq!(episode_of_steady_exploitation(&trace, 0.05), Some(50));
-        assert_eq!(episode_of_steady_exploitation(&trace, 0.01), None);
     }
 }

@@ -1,11 +1,8 @@
 use rand::Rng;
 
-use navft_nn::{
-    argmax, EngineConfig, ForwardTrace, I8Network, I8Scratch, I8Tensor, Network, NoHooks, Scratch,
-    Tensor,
-};
+use navft_nn::{argmax, EngineConfig, ForwardTrace, Network, NoHooks, Scratch, Tensor};
 
-use crate::{EpsilonSchedule, EvalElement, ReplayBuffer};
+use crate::{EpsilonSchedule, ReplayBuffer};
 
 /// Hyper-parameters of the (Double) DQN agent.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,12 +86,6 @@ pub struct DqnAgent {
     target_q: Vec<f32>,
     state_buf: Tensor,
     grad: Vec<f32>,
-    // The optional int8 affine snapshot of the target network (see
-    // [`DqnAgent::with_i8_target`]): refreshed at every target sync, swept
-    // for the bootstrap targets in place of the f32 target network.
-    i8_target: Option<I8Network>,
-    i8_scratch: I8Scratch,
-    i8_next_batch: Vec<I8Tensor>,
 }
 
 impl DqnAgent {
@@ -122,39 +113,12 @@ impl DqnAgent {
             target_q: Vec::new(),
             state_buf: Tensor::zeros(&[1]),
             grad: Vec::new(),
-            i8_target: None,
-            i8_scratch: I8Scratch::new(),
-            i8_next_batch: Vec::new(),
         }
     }
 
     /// The agent's configuration.
     pub fn config(&self) -> DqnConfig {
         self.config
-    }
-
-    /// Switches the bootstrap targets onto an **int8 affine snapshot** of
-    /// the target network: every target sync also compiles the online
-    /// network to an [`I8Network`], and `learn()` sweeps the minibatch of
-    /// next states through that quantized network (dequantizing its output
-    /// row per transition) instead of the f32 target.
-    ///
-    /// This trains against the serving-style Int8 policy the agent will
-    /// actually be deployed as — the quantization error of the target's
-    /// Q-values is folded into the TD error rather than discovered after
-    /// export. Gradients, the online network, and Double-DQN action
-    /// selection stay f32; only the frozen bootstrap evaluation is
-    /// quantized. Training remains deterministic: the quantized sweep is
-    /// bit-exact, so identically-seeded runs stay bit-identical.
-    pub fn with_i8_target(mut self) -> DqnAgent {
-        self.i8_target = Some(I8Network::quantize(&self.target));
-        self
-    }
-
-    /// The int8 target snapshot, when [`DqnAgent::with_i8_target`] enabled
-    /// it.
-    pub fn i8_target_network(&self) -> Option<&I8Network> {
-        self.i8_target.as_ref()
     }
 
     /// The online (behaviour) network.
@@ -257,9 +221,7 @@ impl DqnAgent {
     /// the target network over the whole minibatch of next states (the
     /// target is frozen for the duration of a learning step, so this is
     /// bit-identical to the per-transition passes it replaced — pinned by
-    /// the golden-digest regression test). Under
-    /// [`DqnAgent::with_i8_target`] that sweep runs on the int8 snapshot
-    /// instead, dequantizing each output row. With Double DQN the online
+    /// the golden-digest regression test). With Double DQN the online
     /// network's action selection still runs per transition, because the
     /// online weights evolve within the loop; it reuses the agent's scratch
     /// instead of allocating.
@@ -272,55 +234,27 @@ impl DqnAgent {
         self.state_buf.resize_to(&self.input_shape);
 
         // Batched bootstrap: target Q-values of every next state in one
-        // layer-sweeping pass through the preallocated scratch — on the int8
-        // target snapshot when enabled, the f32 target network otherwise.
+        // layer-sweeping pass through the preallocated scratch.
         let rows = self.batch.len();
-        let actions = if let Some(i8net) = self.i8_target.as_ref() {
-            while self.i8_next_batch.len() < rows {
-                self.i8_next_batch
-                    .push(<i8 as EvalElement>::input_buffer(&self.input_shape, i8net));
-            }
-            self.i8_next_batch.truncate(rows);
-            for (slot, &index) in self.i8_next_batch.iter_mut().zip(self.batch.iter()) {
-                self.replay.decode_next_state(index, self.state_buf.data_mut());
-                <i8 as EvalElement>::encode_into(&self.state_buf, slot);
-            }
-            i8net.forward_batch_into_cfg(
-                &self.i8_next_batch,
-                &mut self.i8_scratch,
-                &mut NoHooks,
-                EngineConfig::default(),
-            );
-            let affine = i8net.affine();
-            let actions = self.i8_scratch.row_len();
-            self.target_q.clear();
-            for row in 0..rows {
-                self.target_q
-                    .extend(self.i8_scratch.row(row).iter().map(|&word| affine.dequantize(word)));
-            }
-            actions
-        } else {
-            for _ in self.next_batch.len()..rows {
-                self.next_batch.push(Tensor::zeros(&[1]));
-            }
-            self.next_batch.truncate(rows);
-            for (slot, &index) in self.next_batch.iter_mut().zip(self.batch.iter()) {
-                slot.resize_to(&self.input_shape);
-                self.replay.decode_next_state(index, slot.data_mut());
-            }
-            self.target.forward_batch_into_cfg(
-                &self.next_batch,
-                &mut self.scratch,
-                &mut NoHooks,
-                EngineConfig::default(),
-            );
-            let actions = self.scratch.row_len();
-            self.target_q.clear();
-            for row in 0..rows {
-                self.target_q.extend_from_slice(self.scratch.row(row));
-            }
-            actions
-        };
+        for _ in self.next_batch.len()..rows {
+            self.next_batch.push(Tensor::zeros(&[1]));
+        }
+        self.next_batch.truncate(rows);
+        for (slot, &index) in self.next_batch.iter_mut().zip(self.batch.iter()) {
+            slot.resize_to(&self.input_shape);
+            self.replay.decode_next_state(index, slot.data_mut());
+        }
+        self.target.forward_batch_into_cfg(
+            &self.next_batch,
+            &mut self.scratch,
+            &mut NoHooks,
+            EngineConfig::default(),
+        );
+        let actions = self.scratch.row_len();
+        self.target_q.clear();
+        for row in 0..rows {
+            self.target_q.extend_from_slice(self.scratch.row(row));
+        }
 
         for (row, &index) in self.batch.iter().enumerate() {
             let (action, reward) = (self.replay.action(index), self.replay.reward(index));
@@ -368,16 +302,9 @@ impl DqnAgent {
         }
     }
 
-    /// Copies the online network into the target network (and refreshes the
-    /// int8 target snapshot when [`DqnAgent::with_i8_target`] enabled it).
+    /// Copies the online network into the target network.
     pub fn sync_target(&mut self) {
         self.target = self.online.clone();
-        if self.i8_target.is_some() {
-            self.i8_target = Some(I8Network::quantize(&self.target));
-            // The staged input buffers carry the previous snapshot's affine
-            // scale; drop them so the next learn() re-stages at the new one.
-            self.i8_next_batch.clear();
-        }
         self.episodes_since_sync = 0;
     }
 }
@@ -477,62 +404,6 @@ mod tests {
         }
         assert!(a.epsilon.epsilon() < initial_epsilon);
         assert_eq!(a.target.layer_weights(0).expect("weights")[0], 42.0);
-    }
-
-    #[test]
-    fn i8_target_snapshot_refreshes_on_sync() {
-        let mut a = agent(20).with_i8_target();
-        assert!(a.i8_target_network().is_some());
-        // Corrupt the online net, sync, and check the snapshot re-quantized
-        // from the new weights.
-        a.network_mut().layer_weights_mut(0).expect("weights")[0] = 3.0;
-        a.sync_target();
-        let snapshot = a.i8_target_network().expect("snapshot");
-        let affine = snapshot.affine();
-        let word = snapshot.dequantize().layer_weights(0).expect("weights")[0];
-        assert!(
-            (word - 3.0).abs() <= affine.scale,
-            "snapshot weight {word} should be within one quantization step of 3.0"
-        );
-    }
-
-    #[test]
-    fn learn_with_i8_target_bootstraps_and_improves_q() {
-        let mut a = agent(21).with_i8_target();
-        let state = Tensor::from_vec(&[4], vec![1.0, 0.0, 0.0, 0.0]);
-        // Non-terminal self-loop with reward 1: the target value is
-        // reward + γ·bootstrap, so learning must route through the int8
-        // sweep and still drive Q(s, 0) upward.
-        for _ in 0..64 {
-            a.observe(&state, 0, 1.0, &state, false);
-        }
-        let before = a.q_values(&state).data()[0];
-        let mut rng = SmallRng::seed_from_u64(22);
-        for _ in 0..50 {
-            a.learn(&mut rng);
-        }
-        let after = a.q_values(&state).data()[0];
-        assert!(after.is_finite());
-        assert!(after > before, "Q(s, 0) should grow toward the return: {before} -> {after}");
-    }
-
-    #[test]
-    fn i8_target_training_is_deterministic() {
-        let run = || {
-            let mut a = agent(23).with_i8_target();
-            let state = Tensor::from_vec(&[4], vec![0.2, 0.4, 0.6, 0.8]);
-            let next = Tensor::from_vec(&[4], vec![0.8, 0.6, 0.4, 0.2]);
-            for i in 0..64 {
-                a.observe(&state, i % 2, 0.5, &next, i % 8 == 0);
-            }
-            let mut rng = SmallRng::seed_from_u64(24);
-            for _ in 0..20 {
-                a.learn(&mut rng);
-                a.end_episode();
-            }
-            a.network().flat_weights()
-        };
-        assert_eq!(run(), run(), "identically-seeded i8-target runs must be bit-identical");
     }
 
     #[test]

@@ -109,19 +109,6 @@ impl EpsilonSchedule {
     pub fn decay_slowdown(&self) -> f64 {
         self.decay_slowdown
     }
-
-    /// Estimated number of episodes until the schedule reaches steady
-    /// exploitation from its current ε.
-    pub fn episodes_until_steady(&self) -> usize {
-        if self.is_steady() {
-            return 0;
-        }
-        let effective = 1.0 - (1.0 - self.decay) / self.decay_slowdown;
-        if effective >= 1.0 {
-            return usize::MAX;
-        }
-        ((self.floor / self.current).ln() / effective.ln()).ceil() as usize
-    }
 }
 
 impl Default for EpsilonSchedule {
@@ -205,18 +192,6 @@ mod tests {
 
         slow.reset_to_initial();
         assert_eq!(slow.epsilon(), slow.initial());
-    }
-
-    #[test]
-    fn episodes_until_steady_estimates_the_decay_horizon() {
-        let eps = EpsilonSchedule::for_training(100);
-        let estimate = eps.episodes_until_steady();
-        assert!((95..=105).contains(&estimate));
-        let mut steady = eps.clone();
-        for _ in 0..200 {
-            steady.advance_episode();
-        }
-        assert_eq!(steady.episodes_until_steady(), 0);
     }
 
     #[test]

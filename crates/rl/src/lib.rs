@@ -90,7 +90,7 @@ mod metrics;
 mod replay;
 mod tabular;
 
-pub use convergence::{episode_of_steady_exploitation, episodes_to_converge};
+pub use convergence::episodes_to_converge;
 pub use dqn::{DqnAgent, DqnConfig};
 pub use env::{
     one_hot, one_hot_into, DiscreteEnvironment, DiscreteTransition, VisionEnvironment,

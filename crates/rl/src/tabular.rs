@@ -2,7 +2,7 @@ use rand::Rng;
 
 use navft_qformat::{QFormat, QValue};
 
-use crate::{DiscreteEnvironment, EpisodeOutcome, EpsilonSchedule};
+use crate::EpsilonSchedule;
 
 /// A quantized Q-table of `|S| × |A|` action values.
 ///
@@ -232,44 +232,13 @@ impl TabularAgent {
             .collect();
         ties[rng.gen_range(0..ties.len())]
     }
-
-    /// Runs one training episode on `env`, updating the table online.
-    pub fn train_episode<E: DiscreteEnvironment, R: Rng + ?Sized>(
-        &mut self,
-        env: &mut E,
-        max_steps: usize,
-        rng: &mut R,
-    ) -> EpisodeOutcome {
-        let mut state = env.reset();
-        let mut outcome = EpisodeOutcome::empty();
-        for _ in 0..max_steps {
-            let action = self.act(state, rng);
-            let transition = env.step(action);
-            self.table.update(
-                state,
-                action,
-                transition.reward,
-                transition.next_state,
-                transition.terminal,
-                self.alpha,
-                self.gamma,
-            );
-            outcome.cumulative_reward += transition.reward;
-            outcome.steps += 1;
-            state = transition.next_state;
-            if transition.terminal {
-                outcome.reached_goal = transition.reached_goal;
-                break;
-            }
-        }
-        outcome
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DiscreteTransition;
+    use crate::trainer::{no_mitigation, train_tabular, TrainingConfig};
+    use crate::{DiscreteEnvironment, DiscreteTransition, FaultPlan};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -361,10 +330,8 @@ mod tests {
         let mut env = TwoStep { state: 0 };
         let mut agent = TabularAgent::for_grid_world(2, 2);
         let mut rng = SmallRng::seed_from_u64(0);
-        for _ in 0..200 {
-            agent.train_episode(&mut env, 20, &mut rng);
-            agent.epsilon.advance_episode();
-        }
+        let config = TrainingConfig::new(200, 20);
+        train_tabular(&mut env, &mut agent, config, &FaultPlan::none(), &mut rng, no_mitigation());
         assert_eq!(agent.table.best_action(0), 1);
         assert!(agent.table.q(0, 1) > 0.5);
     }

@@ -66,12 +66,6 @@ impl LatencyWindow {
         self.percentile(99.9)
     }
 
-    /// Folds another window's samples into this one — how per-driver windows
-    /// aggregate into one run-wide tail distribution.
-    pub fn merge(&mut self, other: &LatencyWindow) {
-        self.samples_us.extend_from_slice(&other.samples_us);
-    }
-
     /// Summarizes the window plus a row count and wall-clock span as a JSON
     /// object: `requests`, `rows`, `p50_us`, `p99_us`, `p999_us`,
     /// `rows_per_s`. Non-finite entries (empty window, zero elapsed time)
@@ -109,16 +103,13 @@ mod tests {
 
     #[test]
     fn merge_folds_samples_and_p999_tracks_the_extreme_tail() {
-        // 299 fast samples in one window, one slow outlier in another: after
-        // the merge, p99's nearest rank stays in the fast cluster while
-        // p999's lands on the outlier.
+        // 299 fast samples and one slow outlier: p99's nearest rank stays in
+        // the fast cluster while p999's lands on the outlier.
         let mut fast = LatencyWindow::new();
         for _ in 0..299 {
             fast.record(Duration::from_micros(100));
         }
-        let mut slow = LatencyWindow::new();
-        slow.record(Duration::from_micros(50_000));
-        fast.merge(&slow);
+        fast.record(Duration::from_micros(50_000));
         assert_eq!(fast.len(), 300);
         assert_eq!(fast.p99(), 100.0);
         assert_eq!(fast.p999(), 50_000.0);

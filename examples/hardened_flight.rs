@@ -7,11 +7,12 @@
 //! ```
 
 use navft_core::drone_policy::train_drone_policy;
+use navft_core::experiments::fig10::{guard_cost, SCRUB_INTERVAL};
 use navft_core::Scale;
 use navft_dronesim::{DepthCamera, DroneSim, DroneWorld};
 use navft_fault::{FaultKind, FaultSite, FaultTarget, Injector};
-use navft_mitigation::{measure_overhead, RangeGuard, RangeGuardConfig};
-use navft_nn::{EngineConfig, Tensor};
+use navft_mitigation::{RangeGuard, RangeGuardConfig};
+use navft_nn::EngineConfig;
 use navft_qformat::QFormat;
 use navft_rl::{
     corrupt_network_weights, evaluate_policy_vision_batched, DummyVisionVecEnv, InferenceFaultMode,
@@ -80,10 +81,11 @@ fn main() {
         );
     }
 
-    let frame = Tensor::zeros(&DepthCamera::scaled().frame_shape());
-    let overhead = measure_overhead(&policy, &guard, &frame, 50, 25);
+    let (words, macs) = guard_cost(&policy, &DepthCamera::scaled().frame_shape(), &guard);
+    let per_inference = words as f64 / SCRUB_INTERVAL as f64;
     println!(
-        "\nrange-guard runtime overhead (scrub amortised over 25 inferences): {:.2}%",
-        overhead.relative_overhead() * 100.0
+        "\nrange-guard cost (scrub amortised over {SCRUB_INTERVAL} inferences): \
+         {per_inference:.1} guarded words checked per inference, {:.4}% of its {macs} MACs",
+        per_inference / macs as f64 * 100.0
     );
 }

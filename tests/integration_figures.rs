@@ -66,5 +66,13 @@ fn fig10_reports_headline_facts() {
     assert!(figures.iter().any(|f| f.id == "fig10b"));
     let headline = figures.iter().find(|f| f.id == "fig10-headline").expect("headline facts");
     let FigureContent::Facts(facts) = &headline.content else { panic!("expected facts") };
-    assert_eq!(facts.len(), 3);
+    assert_eq!(facts.len(), 4);
+    // The guard's cost is counted from the topology, so it is the same on
+    // every run and strictly positive.
+    let names: Vec<&str> = facts[2..].iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        names,
+        ["range-guard words checked per inference", "range-guard checks per MAC (%)"]
+    );
+    assert!(facts[2..].iter().all(|&(_, value)| value > 0.0));
 }
