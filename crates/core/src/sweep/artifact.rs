@@ -16,8 +16,8 @@
 //!   after the run in *declaration* order with deterministic rendering, so
 //!   two runs of the same campaign produce byte-identical files regardless
 //!   of thread count. Alongside it, `<figure>.txt` holds the rendered
-//!   plain-text tables (which may include wall-clock measurements and are
-//!   therefore *not* byte-comparable).
+//!   plain-text tables; folds read no clock, so these are byte-identical
+//!   across runs too.
 //!
 //! Record schema (`metrics[k]` is the summary of the cell's `k`-th metric):
 //!
