@@ -16,8 +16,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use navft_dronesim::{ActionSpace, DepthCamera, DroneSim, DroneWorld};
-use navft_nn::{C3f2Config, ForwardTrace, Network, Tensor};
-use navft_rl::{DqnAgent, DqnConfig, EpsilonSchedule, VisionEnvironment};
+use navft_nn::{C3f2Config, EngineConfig, ForwardTrace, Network, NetworkBase, Tensor};
+use navft_rl::{
+    evaluate_policy_vision_batched, DqnAgent, DqnConfig, DummyVisionVecEnv, EpsilonSchedule,
+    EvalElement, InferenceFaultMode, VisionEnvironment,
+};
 
 use crate::DroneParams;
 
@@ -144,11 +147,37 @@ pub fn drone_agent(network: Network, steady_episodes: usize) -> DqnAgent {
     )
 }
 
+/// A batch of independent simulators over `world`, one row per evaluation
+/// episode up to 64 rows. The width is derived from the parameters alone,
+/// so results and artifacts never depend on the engine config.
+pub(crate) fn drone_venv(world: &DroneWorld, params: &DroneParams) -> DummyVisionVecEnv<DroneSim> {
+    let sim = DroneSim::new(world.clone(), DepthCamera::scaled(), params.max_steps);
+    DummyVisionVecEnv::from_prototype(&sim, params.eval_episodes.clamp(1, 64))
+}
+
+/// The mean safe flight distance of `network` in `world` over
+/// [`DroneParams::eval_episodes`] episodes under the given weight fault
+/// mode, drawing the episodes' randomness from `rng`. Any backend flies: a
+/// quantized or `i8` policy runs natively on its stored words. The episodes
+/// run as one vectorized rollout, one row per episode up to 64 rows,
+/// bit-identical to a serial per-episode loop at any width or engine config.
+pub fn flight_distance<W: EvalElement>(
+    network: &NetworkBase<W>,
+    world: &DroneWorld,
+    params: &DroneParams,
+    fault: &InferenceFaultMode,
+    rng: &mut SmallRng,
+    engine: EngineConfig,
+) -> f64 {
+    let mut venv = drone_venv(world, params);
+    let (episodes, max_steps) = (params.eval_episodes, params.max_steps);
+    evaluate_policy_vision_batched(&mut venv, network, episodes, max_steps, fault, rng, engine)
+        .mean_distance
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use navft_nn::EngineConfig;
-    use navft_rl::{evaluate_policy_vision_batched, DummyVisionVecEnv, InferenceFaultMode};
 
     #[test]
     fn heuristic_prefers_to_steer_away_from_the_blocked_side() {

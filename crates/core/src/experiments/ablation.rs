@@ -5,20 +5,14 @@
 
 use std::sync::Arc;
 
-use navft_fault::{FaultKind, FaultSite, FaultTarget, InjectionSchedule, Injector};
-use navft_gridworld::ObstacleDensity;
-use navft_mitigation::{
-    ExplorationAdjuster, ExplorationAdjusterConfig, RangeGuard, RangeGuardConfig,
-};
+use navft_fault::FaultKind;
+use navft_mitigation::{ExplorationAdjuster, ExplorationAdjusterConfig, RangeGuardConfig};
 use navft_nn::EngineConfig;
 use navft_qformat::QFormat;
-use navft_rl::FaultPlan;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
-use crate::experiments::fig2::policy_words;
+use crate::experiments::fig10::grid_success_with_guard;
 use crate::experiments::fig7;
-use crate::grid_policies::{train_clean_policy, train_grid_policy, PolicyKind};
+use crate::grid_policies::{train_under_fault, PolicyKind};
 use crate::sweep::{CellSpec, Sweep};
 use crate::{FigureData, GridParams, Scale, Series};
 
@@ -32,26 +26,10 @@ fn mitigated_success_with(
     engine: EngineConfig,
 ) -> f64 {
     let injection = (params.training_episodes as f64 * 0.9) as usize;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let injector = Injector::sample(
-        FaultTarget::new(FaultSite::TabularBuffer),
-        policy_words(PolicyKind::Tabular),
-        QFormat::Q3_4,
-        ber,
-        FaultKind::BitFlip,
-        &mut rng,
-    );
-    let plan = FaultPlan::new(injector, InjectionSchedule::at_episode(injection));
     let mut adjuster = ExplorationAdjuster::new(config);
-    let run = train_grid_policy(
-        PolicyKind::Tabular,
-        ObstacleDensity::Middle,
-        params,
-        &plan,
-        seed ^ 0xAB1,
-        |episode, trace, epsilon| adjuster.observe(episode, trace, epsilon),
-        engine,
-    );
+    let observer = |episode, trace: &_, epsilon: &mut _| adjuster.observe(episode, trace, epsilon);
+    let (kind, fault) = (PolicyKind::Tabular, FaultKind::BitFlip);
+    let run = train_under_fault(kind, params, fault, ber, injection, seed, 0xAB1, observer, engine);
     run.final_success_rate * 100.0
 }
 
@@ -114,7 +92,8 @@ pub fn sweep(scale: Scale) -> Sweep {
                 .with_label("margin", margin.to_string());
             let params = Arc::clone(&params);
             sweep.cell(spec, move |seed, _rep, cfg| {
-                guarded_success_with_margin(margin, integer_only, ber, &params, seed, cfg)
+                let guard = RangeGuardConfig { margin, integer_bits_only: integer_only };
+                grid_success_with_guard(Some(guard), ber, &params, seed, 0xAB3, cfg)
             });
         }
     }
@@ -168,52 +147,6 @@ pub fn sweep(scale: Scale) -> Sweep {
         figures
     });
     sweep
-}
-
-/// Success rate (%) of the guarded Grid World NN policy with a custom
-/// anomaly-detection configuration.
-fn guarded_success_with_margin(
-    margin: f64,
-    integer_only: bool,
-    ber: f64,
-    params: &GridParams,
-    seed: u64,
-    engine: EngineConfig,
-) -> f64 {
-    use navft_rl::{
-        corrupt_policy_weights, evaluate_policy_discrete_batched, DummyVecEnv, InferenceFaultMode,
-    };
-
-    let run =
-        train_clean_policy(PolicyKind::Network, ObstacleDensity::Middle, params, seed, engine);
-    let clean = run.network.as_ref().expect("network policy").network();
-    let config = RangeGuardConfig { margin, integer_bits_only: integer_only };
-    let guard = RangeGuard::from_network(clean, QFormat::Q3_4, config);
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xAB3);
-    let injector = Injector::sample(
-        FaultTarget::new(FaultSite::WeightBuffer),
-        clean.weight_count(),
-        QFormat::Q3_4,
-        ber,
-        FaultKind::BitFlip,
-        &mut rng,
-    );
-    let mut corrupted =
-        corrupt_policy_weights(clean, &InferenceFaultMode::TransientWholeEpisode(injector));
-    guard.scrub(&mut corrupted);
-    let world = navft_gridworld::GridWorld::with_density(ObstacleDensity::Middle);
-    let mut venv = DummyVecEnv::from_prototype(&world, params.eval_episodes.clamp(1, 64));
-    evaluate_policy_discrete_batched(
-        &mut venv,
-        &corrupted,
-        params.eval_episodes,
-        params.max_steps,
-        &InferenceFaultMode::None,
-        &mut rng,
-        engine,
-    )
-    .success_rate
-        * 100.0
 }
 
 #[cfg(test)]

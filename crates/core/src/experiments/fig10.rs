@@ -11,66 +11,63 @@
 
 use std::sync::Arc;
 
-use navft_dronesim::{DepthCamera, DroneSim, DroneWorld};
+use navft_dronesim::{DepthCamera, DroneWorld};
 use navft_fault::{FaultKind, FaultSite, FaultTarget, Injector};
-use navft_gridworld::{GridWorld, ObstacleDensity};
+use navft_gridworld::ObstacleDensity;
 use navft_mitigation::{RangeGuard, RangeGuardConfig};
 use navft_nn::{EngineConfig, Network};
 use navft_qformat::QFormat;
-use navft_rl::{
-    corrupt_network_weights, evaluate_policy_discrete_batched, evaluate_policy_vision_batched,
-    DummyVecEnv, DummyVisionVecEnv, InferenceFaultMode,
-};
+use navft_rl::{corrupt_network_weights, InferenceFaultMode};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::drone_policy::train_drone_policy;
-use crate::grid_policies::{train_clean_policy, PolicyKind};
+use crate::drone_policy::{flight_distance, train_drone_policy};
+use crate::grid_policies::{evaluate_grid_network, train_clean_policy, PolicyKind};
 use crate::sweep::{CellSpec, Lazy, Sweep};
 use crate::{FigureData, GridParams, Scale, Series};
 
-/// Success rate (%) of the NN Grid World policy under weight bit flips, with
-/// or without the range guard scrubbing the corrupted weights first. The
-/// evaluation episodes run as one vectorized rollout under `engine`.
-pub fn grid_success_with_guard(
+/// A copy of `policy` under weight bit flips at `ber` on its words in
+/// `format`, sampled from `rng`; with a `guard` configuration, a range guard
+/// built from the clean policy then scrubs the corrupted weights.
+fn corrupted_weights(
+    policy: &Network,
+    format: QFormat,
     ber: f64,
-    mitigated: bool,
+    guard: Option<RangeGuardConfig>,
+    rng: &mut SmallRng,
+) -> Network {
+    let target = FaultTarget::new(FaultSite::WeightBuffer);
+    let words = policy.weight_count();
+    let injector = Injector::sample(target, words, format, ber, FaultKind::BitFlip, rng);
+    let fault = InferenceFaultMode::TransientWholeEpisode(injector);
+    let mut corrupted = corrupt_network_weights(policy, &fault);
+    if let Some(config) = guard {
+        RangeGuard::from_network(policy, format, config).scrub(&mut corrupted);
+    }
+    corrupted
+}
+
+/// Success rate (%) of a freshly trained NN Grid World policy under weight
+/// bit flips, scrubbed first by a range guard of the given configuration
+/// when there is one: Fig. 10a's two arms and the margin ablation. Faults
+/// and evaluation draw from a generator seeded with `seed ^ salt`, the
+/// caller's figure constant; the evaluation episodes run as one vectorized
+/// rollout under `engine`.
+pub fn grid_success_with_guard(
+    guard: Option<RangeGuardConfig>,
+    ber: f64,
     params: &GridParams,
     seed: u64,
+    salt: u64,
     engine: EngineConfig,
 ) -> f64 {
-    let run =
-        train_clean_policy(PolicyKind::Network, ObstacleDensity::Middle, params, seed, engine);
-    let agent = run.network.as_ref().expect("network policy");
-    let clean = agent.network();
-    let guard = RangeGuard::from_network(clean, QFormat::Q3_4, RangeGuardConfig::paper());
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x10A);
-    let injector = Injector::sample(
-        FaultTarget::new(FaultSite::WeightBuffer),
-        clean.weight_count(),
-        QFormat::Q3_4,
-        ber,
-        FaultKind::BitFlip,
-        &mut rng,
-    );
-    let mut corrupted =
-        corrupt_network_weights(clean, &InferenceFaultMode::TransientWholeEpisode(injector));
-    if mitigated {
-        guard.scrub(&mut corrupted);
-    }
-    let world = GridWorld::with_density(ObstacleDensity::Middle);
-    let mut venv = DummyVecEnv::from_prototype(&world, params.eval_episodes.clamp(1, 64));
-    evaluate_policy_discrete_batched(
-        &mut venv,
-        &corrupted,
-        params.eval_episodes,
-        params.max_steps,
-        &InferenceFaultMode::None,
-        &mut rng,
-        engine,
-    )
-    .success_rate
-        * 100.0
+    let density = ObstacleDensity::Middle;
+    let run = train_clean_policy(PolicyKind::Network, density, params, seed, engine);
+    let clean = run.network.as_ref().expect("network policy").network();
+    let mut rng = SmallRng::seed_from_u64(seed ^ salt);
+    let corrupted = corrupted_weights(clean, QFormat::Q3_4, ber, guard, &mut rng);
+    let none = InferenceFaultMode::None;
+    evaluate_grid_network(&corrupted, density, params, &none, &mut rng, engine).success_rate * 100.0
 }
 
 /// Mean safe flight distance of the drone policy under weight bit flips, with
@@ -84,33 +81,10 @@ fn drone_distance_with_guard(
     seed: u64,
     engine: EngineConfig,
 ) -> f64 {
-    let guard = RangeGuard::from_network(policy, QFormat::Q4_11, RangeGuardConfig::paper());
+    let guard = mitigated.then(RangeGuardConfig::paper);
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x10B);
-    let injector = Injector::sample(
-        FaultTarget::new(FaultSite::WeightBuffer),
-        policy.weight_count(),
-        QFormat::Q4_11,
-        ber,
-        FaultKind::BitFlip,
-        &mut rng,
-    );
-    let mut corrupted =
-        corrupt_network_weights(policy, &InferenceFaultMode::TransientWholeEpisode(injector));
-    if mitigated {
-        guard.scrub(&mut corrupted);
-    }
-    let sim = DroneSim::new(world.clone(), DepthCamera::scaled(), params.max_steps);
-    let mut venv = DummyVisionVecEnv::from_prototype(&sim, params.eval_episodes.clamp(1, 64));
-    evaluate_policy_vision_batched(
-        &mut venv,
-        &corrupted,
-        params.eval_episodes,
-        params.max_steps,
-        &InferenceFaultMode::None,
-        &mut rng,
-        engine,
-    )
-    .mean_distance
+    let corrupted = corrupted_weights(policy, QFormat::Q4_11, ber, guard, &mut rng);
+    flight_distance(&corrupted, world, params, &InferenceFaultMode::None, &mut rng, engine)
 }
 
 const ARMS: [(bool, &str); 2] = [(false, "base"), (true, "guarded")];
@@ -169,7 +143,8 @@ pub fn sweep(scale: Scale) -> Sweep {
                 .with_label("ber", ber.to_string());
             let params = Arc::clone(&grid_params);
             sweep.cell(spec, move |seed, _rep, cfg| {
-                grid_success_with_guard(ber, mitigated, &params, seed, cfg)
+                let guard = mitigated.then(RangeGuardConfig::paper);
+                grid_success_with_guard(guard, ber, &params, seed, 0x10A, cfg)
             });
         }
         for &ber in &drone_params.bit_error_rates {

@@ -5,32 +5,21 @@
 
 use std::sync::Arc;
 
-use navft_fault::{FaultKind, FaultSite, FaultTarget, InjectionSchedule, Injector};
+use navft_fault::FaultKind;
 use navft_gridworld::ObstacleDensity;
 use navft_nn::EngineConfig;
 use navft_qformat::bitstats::{BitStats, ValueHistogram};
 use navft_qformat::{QFormat, QValue};
-use navft_rl::{trainer, FaultPlan};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use navft_rl::trainer;
 
 use crate::experiments::ber_label;
-use crate::grid_policies::{train_clean_policy, train_grid_policy, PolicyKind};
+use crate::grid_policies::{train_clean_policy, train_under_fault, PolicyKind};
 use crate::sweep::{CellSpec, Sweep};
-use crate::{FigureData, Heatmap, Scale, Series};
+use crate::{FigureData, GridParams, Heatmap, Scale, Series};
 
 /// The two policy families and their figure panel ids.
 const PANELS: [(PolicyKind, &str); 2] =
     [(PolicyKind::Tabular, "fig2a"), (PolicyKind::Network, "fig2c")];
-
-/// The number of policy-storage words for a Grid World policy of `kind`
-/// (before training, which is when campaign fault maps are sized).
-pub fn policy_words(kind: PolicyKind) -> usize {
-    match kind {
-        PolicyKind::Tabular => 10 * 10 * 4,
-        PolicyKind::Network => crate::grid_policies::grid_mlp(100, 4, 0).weight_count(),
-    }
-}
 
 /// Trains a Grid World policy of `kind` under a fault of `fault_kind` at
 /// `ber`, injected at `episode`, and returns the final success rate in
@@ -40,60 +29,53 @@ pub fn faulty_training_success(
     fault_kind: FaultKind,
     ber: f64,
     episode: usize,
-    params: &crate::GridParams,
+    params: &GridParams,
     seed: u64,
     engine: EngineConfig,
 ) -> f64 {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let words = policy_words(kind);
-    let injector = Injector::sample(
-        FaultTarget::new(match kind {
-            PolicyKind::Tabular => FaultSite::TabularBuffer,
-            PolicyKind::Network => FaultSite::WeightBuffer,
-        }),
-        words,
-        QFormat::Q3_4,
-        ber,
-        fault_kind,
-        &mut rng,
-    );
-    let schedule = if fault_kind.is_permanent() {
-        InjectionSchedule::from_start()
-    } else {
-        InjectionSchedule::at_episode(episode)
-    };
-    let plan = FaultPlan::new(injector, schedule);
-    let run = train_grid_policy(
-        kind,
-        ObstacleDensity::Middle,
-        params,
-        &plan,
-        seed ^ 0xF162,
-        trainer::no_mitigation(),
-        engine,
-    );
+    let observer = trainer::no_mitigation();
+    let run =
+        train_under_fault(kind, params, fault_kind, ber, episode, seed, 0xF162, observer, engine);
     run.final_success_rate * 100.0
-}
-
-/// Cell id of a transient-heatmap cell (shared with the mirrored Fig. 8
-/// grid so the two figures can never diverge on their id scheme).
-pub(crate) fn transient_id(panel: &str, ber: f64, episode: usize) -> String {
-    format!("{panel}/transient/ber={ber}/ep={episode}")
-}
-
-/// Cell id of a stuck-at sweep cell (shared with Fig. 8, see
-/// [`transient_id`]).
-pub(crate) fn stuck_id(panel: &str, fault_kind: FaultKind, ber: f64) -> String {
-    format!("{panel}/{fault_kind}/ber={ber}")
 }
 
 /// Fig. 2a / 2c as a declarative sweep: transient (BER × injection episode)
 /// heatmap cells plus stuck-at BER rows, for both policy families.
 pub fn training_sweep(scale: Scale) -> Sweep {
+    heatmap_sweep(scale, "fig2", PANELS, faulty_training_success, "transient bit flips", "")
+}
+
+/// A training-fault trial of a heatmap sweep: (policy, fault kind, BER,
+/// injection episode, parameters, seed, engine) → final success rate (%).
+pub(crate) type TrainingTrial =
+    fn(PolicyKind, FaultKind, f64, usize, &GridParams, u64, EngineConfig) -> f64;
+
+fn transient_id(panel: &str, ber: f64, episode: usize) -> String {
+    format!("{panel}/transient/ber={ber}/ep={episode}")
+}
+
+fn stuck_id(panel: &str, fault_kind: FaultKind, ber: f64) -> String {
+    format!("{panel}/{fault_kind}/ber={ber}")
+}
+
+/// The training-fault heatmap sweep of Fig. 2 and Fig. 8: per panel, the
+/// transient (BER × injection episode) cells of `trial` plus its stuck-at
+/// BER rows, folded into one heatmap titled "{kind} training under
+/// {transient_title}" and one line figure per stuck-at kind titled "{kind}
+/// training under {fault kind} faults{stuck_suffix}". Both figures declare
+/// the same cells in the same order, so they compare cell for cell.
+pub(crate) fn heatmap_sweep(
+    scale: Scale,
+    id: &'static str,
+    panels: [(PolicyKind, &'static str); 2],
+    trial: TrainingTrial,
+    transient_title: &'static str,
+    stuck_suffix: &'static str,
+) -> Sweep {
     let params = Arc::new(scale.grid());
     let episodes = params.injection_episodes();
-    let mut sweep = Sweep::new("fig2", scale);
-    for (kind, panel) in PANELS {
+    let mut sweep = Sweep::new(id, scale);
+    for (kind, panel) in panels {
         for &ber in &params.bit_error_rates {
             for &episode in &episodes {
                 let spec = CellSpec::new(transient_id(panel, ber, episode), params.repetitions)
@@ -102,8 +84,7 @@ pub fn training_sweep(scale: Scale) -> Sweep {
                     .with_label("episode", episode.to_string());
                 let params = Arc::clone(&params);
                 sweep.cell(spec, move |seed, _rep, cfg| {
-                    let fault = FaultKind::BitFlip;
-                    faulty_training_success(kind, fault, ber, episode, &params, seed, cfg)
+                    trial(kind, FaultKind::BitFlip, ber, episode, &params, seed, cfg)
                 });
             }
             for fault_kind in [FaultKind::StuckAt0, FaultKind::StuckAt1] {
@@ -112,14 +93,14 @@ pub fn training_sweep(scale: Scale) -> Sweep {
                     .with_label("ber", ber.to_string());
                 let params = Arc::clone(&params);
                 sweep.cell(spec, move |seed, _rep, cfg| {
-                    faulty_training_success(kind, fault_kind, ber, 0, &params, seed, cfg)
+                    trial(kind, fault_kind, ber, 0, &params, seed, cfg)
                 });
             }
         }
     }
     sweep.fold(move |results| {
         let mut figures = Vec::new();
-        for (kind, panel) in PANELS {
+        for (kind, panel) in panels {
             let rows = params
                 .bit_error_rates
                 .iter()
@@ -132,7 +113,7 @@ pub fn training_sweep(scale: Scale) -> Sweep {
                 .collect();
             figures.push(FigureData::heatmap(
                 format!("{panel}-transient"),
-                format!("{kind} training under transient bit flips"),
+                format!("{kind} training under {transient_title}"),
                 "final success rate (%) vs (BER, fault-injection episode)",
                 Heatmap::new(
                     params.bit_error_rates.iter().map(|&b| ber_label(b)).collect(),
@@ -148,7 +129,7 @@ pub fn training_sweep(scale: Scale) -> Sweep {
                     .collect();
                 figures.push(FigureData::lines(
                     format!("{panel}-{fault_kind}"),
-                    format!("{kind} training under {fault_kind} faults"),
+                    format!("{kind} training under {fault_kind} faults{stuck_suffix}"),
                     "final success rate (%) vs BER",
                     vec![Series::new(fault_kind.to_string(), points)],
                 ));
@@ -232,12 +213,6 @@ pub fn histogram_sweep(scale: Scale) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn policy_word_counts_are_plausible() {
-        assert_eq!(policy_words(PolicyKind::Tabular), 400);
-        assert!(policy_words(PolicyKind::Network) > 3000);
-    }
 
     #[test]
     fn training_sweep_covers_transient_and_stuck_at_cells() {

@@ -4,16 +4,11 @@
 
 use std::sync::Arc;
 
-use navft_fault::{FaultKind, FaultSite, FaultTarget, InjectionSchedule, Injector};
-use navft_gridworld::ObstacleDensity;
+use navft_fault::FaultKind;
 use navft_nn::EngineConfig;
-use navft_qformat::QFormat;
-use navft_rl::{trainer, FaultPlan};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use navft_rl::trainer;
 
-use crate::experiments::fig2::policy_words;
-use crate::grid_policies::{train_grid_policy, PolicyKind};
+use crate::grid_policies::{train_under_fault, PolicyKind};
 use crate::sweep::{CellSpec, Sweep};
 use crate::{FigureData, Scale, Series};
 
@@ -66,32 +61,9 @@ fn curve_metrics(
 ) -> Vec<f64> {
     let episode = ((spec.injection_fraction * params.training_episodes as f64) as usize)
         .min(params.training_episodes - 1);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let injector = Injector::sample(
-        FaultTarget::new(match kind {
-            PolicyKind::Tabular => FaultSite::TabularBuffer,
-            PolicyKind::Network => FaultSite::WeightBuffer,
-        }),
-        policy_words(kind),
-        QFormat::Q3_4,
-        spec.ber,
-        spec.kind,
-        &mut rng,
-    );
-    let schedule = if spec.kind.is_permanent() {
-        InjectionSchedule::from_start()
-    } else {
-        InjectionSchedule::at_episode(episode)
-    };
-    let plan = FaultPlan::new(injector, schedule);
-    let run = train_grid_policy(
-        kind,
-        ObstacleDensity::Middle,
-        params,
-        &plan,
-        seed ^ 0x316_5EED,
-        trainer::no_mitigation(),
-        engine,
+    let observer = trainer::no_mitigation();
+    let run = train_under_fault(
+        kind, params, spec.kind, spec.ber, episode, seed, 0x316_5EED, observer, engine,
     );
     smoothed_rewards(&run.trace.rewards, 10).into_iter().map(|(_, y)| y).collect()
 }
@@ -140,13 +112,7 @@ pub fn sweep(scale: Scale) -> Sweep {
                 .collect();
             figures.push(FigureData::lines(
                 panel,
-                format!(
-                    "{} cumulative return during training under faults",
-                    match kind {
-                        PolicyKind::Tabular => "tabular",
-                        PolicyKind::Network => "NN",
-                    }
-                ),
+                format!("{kind} cumulative return during training under faults"),
                 "cumulative return (10-episode moving average) vs training episode",
                 series,
             ));

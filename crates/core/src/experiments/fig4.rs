@@ -4,17 +4,12 @@
 
 use std::sync::Arc;
 
-use navft_fault::{FaultKind, FaultSite, FaultTarget, InjectionSchedule, Injector};
-use navft_gridworld::ObstacleDensity;
+use navft_fault::FaultKind;
 use navft_nn::EngineConfig;
-use navft_qformat::QFormat;
-use navft_rl::{episodes_to_converge, trainer, FaultPlan};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use navft_rl::{episodes_to_converge, trainer};
 
 use crate::experiments::ber_label;
-use crate::experiments::fig2::policy_words;
-use crate::grid_policies::{train_grid_policy, PolicyKind};
+use crate::grid_policies::{train_under_fault, PolicyKind};
 use crate::sweep::{CellSpec, Sweep};
 use crate::{FigureData, GridParams, Scale, Series};
 
@@ -22,13 +17,6 @@ const PANELS: [(PolicyKind, &str, &str); 2] =
     [(PolicyKind::Tabular, "fig4a", "fig4b"), (PolicyKind::Network, "fig4c", "fig4d")];
 
 const EI_MULTIPLIERS: [(usize, &str); 2] = [(1, "EI=1x"), (2, "EI=2x")];
-
-fn fault_site(kind: PolicyKind) -> FaultTarget {
-    FaultTarget::new(match kind {
-        PolicyKind::Tabular => FaultSite::TabularBuffer,
-        PolicyKind::Network => FaultSite::WeightBuffer,
-    })
-}
 
 /// Trains with a late transient fault and reports how many episodes after the
 /// injection the sliding-window success rate returns above 95 % (the
@@ -44,23 +32,16 @@ fn recovery_episodes(
     let mut extended = params.clone();
     extended.training_episodes = params.training_episodes * 2;
     let injection = (params.training_episodes as f64 * 0.9) as usize;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let injector = Injector::sample(
-        fault_site(kind),
-        policy_words(kind),
-        QFormat::Q3_4,
-        ber,
-        FaultKind::BitFlip,
-        &mut rng,
-    );
-    let plan = FaultPlan::new(injector, InjectionSchedule::at_episode(injection));
-    let run = train_grid_policy(
+    let observer = trainer::no_mitigation();
+    let run = train_under_fault(
         kind,
-        ObstacleDensity::Middle,
         &extended,
-        &plan,
-        seed ^ 0x41,
-        trainer::no_mitigation(),
+        FaultKind::BitFlip,
+        ber,
+        injection,
+        seed,
+        0x41,
+        observer,
         engine,
     );
     let window = 20.min(params.training_episodes / 4).max(5);
@@ -81,25 +62,8 @@ fn permanent_success_after_extra_training(
 ) -> f64 {
     let mut extended = params.clone();
     extended.training_episodes = params.training_episodes * (ei_multiplier + 1);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let injector = Injector::sample(
-        fault_site(kind),
-        policy_words(kind),
-        QFormat::Q3_4,
-        ber,
-        fault_kind,
-        &mut rng,
-    );
-    let plan = FaultPlan::new(injector, InjectionSchedule::from_start());
-    let run = train_grid_policy(
-        kind,
-        ObstacleDensity::Middle,
-        &extended,
-        &plan,
-        seed ^ 0x4B,
-        trainer::no_mitigation(),
-        engine,
-    );
+    let observer = trainer::no_mitigation();
+    let run = train_under_fault(kind, &extended, fault_kind, ber, 0, seed, 0x4B, observer, engine);
     run.final_success_rate * 100.0
 }
 
@@ -206,12 +170,6 @@ pub fn sweep(scale: Scale) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fault_sites_follow_policy_kind() {
-        assert_eq!(fault_site(PolicyKind::Tabular).site(), FaultSite::TabularBuffer);
-        assert_eq!(fault_site(PolicyKind::Network).site(), FaultSite::WeightBuffer);
-    }
 
     #[test]
     fn sweep_uses_the_trimmed_repetition_count() {

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use navft_fault::{FaultKind, FaultSite, FaultTarget, Injector};
+use navft_fault::{FaultKind, Injector};
 use navft_gridworld::ObstacleDensity;
 use navft_nn::EngineConfig;
 use navft_qformat::QFormat;
@@ -12,9 +12,7 @@ use navft_rl::InferenceFaultMode;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::grid_policies::{
-    evaluate_grid_policy, policy_word_count, train_clean_policy, PolicyKind,
-};
+use crate::grid_policies::{evaluate_grid_policy, train_clean_policy, PolicyKind};
 use crate::sweep::{CellSpec, Sweep};
 use crate::{FigureData, Scale, Series};
 
@@ -85,21 +83,12 @@ pub fn inference_success(
     engine: EngineConfig,
 ) -> f64 {
     let run = train_clean_policy(kind, ObstacleDensity::Middle, params, seed, engine);
-    let words = policy_word_count(&run);
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x515);
-    let injector = Injector::sample(
-        FaultTarget::new(match kind {
-            PolicyKind::Tabular => FaultSite::TabularBuffer,
-            PolicyKind::Network => FaultSite::WeightBuffer,
-        }),
-        words,
-        QFormat::Q3_4,
-        ber,
-        mode.fault_kind(),
-        &mut rng,
-    );
+    let (target, words) = (kind.fault_target(), kind.stored_words());
+    let injector = Injector::sample(target, words, QFormat::Q3_4, ber, mode.fault_kind(), &mut rng);
     let fault = mode.to_fault(injector);
-    evaluate_grid_policy(&run, ObstacleDensity::Middle, params, &fault, seed ^ 0xE7A1, engine)
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xE7A1);
+    evaluate_grid_policy(&run, ObstacleDensity::Middle, params, &fault, &mut rng, engine)
         .success_rate
         * 100.0
 }

@@ -15,13 +15,13 @@ use navft_nn::{
 };
 use navft_qformat::QFormat;
 use navft_rl::{
-    evaluate_policy_vision_batched, evaluate_policy_vision_hooked_batched, trainer,
-    DummyVisionVecEnv, EvalElement, FaultPlan, InferenceFaultMode, VisionEnvironment,
+    evaluate_policy_vision_hooked_batched, trainer, EvalElement, FaultPlan, InferenceFaultMode,
+    VisionEnvironment,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::drone_policy::{drone_agent, train_drone_policy};
+use crate::drone_policy::{drone_agent, drone_venv, flight_distance, train_drone_policy};
 use crate::experiments::ber_label;
 use crate::hooks::{BufferFaultHook, HookPersistence, HookTarget};
 use crate::sweep::{CellSpec, Lazy, Sweep, SweepResults};
@@ -75,47 +75,6 @@ fn layer_injector(network: &Network, layer: usize, ber: f64, seed: u64) -> Injec
     Injector::new(FaultTarget::layer(FaultSite::WeightBuffer, layer), DRONE_FORMAT, shifted)
 }
 
-/// The rollout batch width for drone evaluation: one row per evaluation
-/// episode up to a fixed cap, derived from the parameters alone so results
-/// and artifacts never depend on the engine config.
-fn eval_width(params: &DroneParams) -> usize {
-    params.eval_episodes.clamp(1, 64)
-}
-
-/// A batch of independent simulators over `world`, one row per evaluation
-/// episode (capped by [`eval_width`]).
-fn drone_venv(world: &DroneWorld, params: &DroneParams) -> DummyVisionVecEnv<DroneSim> {
-    let sim = DroneSim::new(world.clone(), DepthCamera::scaled(), params.max_steps);
-    DummyVisionVecEnv::from_prototype(&sim, eval_width(params))
-}
-
-/// Evaluates the mean safe flight distance of `network` in `world` under the
-/// given weight fault mode, on any backend: a quantized or `i8` policy runs
-/// natively on its stored words. The episodes run as one vectorized
-/// rollout — bit-identical to a serial per-episode loop at any width or
-/// engine config.
-fn flight_distance<W: EvalElement>(
-    network: &NetworkBase<W>,
-    world: &DroneWorld,
-    params: &DroneParams,
-    fault: &InferenceFaultMode,
-    seed: u64,
-    engine: EngineConfig,
-) -> f64 {
-    let mut venv = drone_venv(world, params);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    evaluate_policy_vision_batched(
-        &mut venv,
-        network,
-        params.eval_episodes,
-        params.max_steps,
-        fault,
-        &mut rng,
-        engine,
-    )
-    .mean_distance
-}
-
 /// Runs one online fine-tuning session under the given weight fault and
 /// reports the recent mean safe flight distance.
 fn finetune_distance(
@@ -138,12 +97,7 @@ fn finetune_distance(
     );
     let episode = ((fraction * params.finetune_episodes as f64) as usize)
         .min(params.finetune_episodes.saturating_sub(1));
-    let schedule = if kind.is_permanent() {
-        InjectionSchedule::from_start()
-    } else {
-        InjectionSchedule::at_episode(episode)
-    };
-    let plan = FaultPlan::new(injector, schedule);
+    let plan = FaultPlan::new(injector, InjectionSchedule::for_fault(kind, episode));
     let mut agent = drone_agent(base_policy.clone(), params.finetune_episodes / 2);
     let mut sim = DroneSim::new(world.clone(), DepthCamera::scaled(), params.max_steps);
     let trace = trainer::train_dqn_vision(
@@ -275,7 +229,7 @@ pub fn environment_sweep(scale: Scale) -> Sweep {
                     &world,
                     &params,
                     &InferenceFaultMode::TransientWholeEpisode(injector),
-                    seed ^ 0xF11,
+                    &mut SmallRng::seed_from_u64(seed ^ 0xF11),
                     cfg,
                 )
             });
@@ -406,7 +360,7 @@ pub fn location_sweep(scale: Scale) -> Sweep {
                             &world,
                             &params,
                             &InferenceFaultMode::TransientWholeEpisode(injector),
-                            seed ^ 0xAC,
+                            &mut SmallRng::seed_from_u64(seed ^ 0xAC),
                             cfg,
                         )
                     }
@@ -487,7 +441,7 @@ pub fn layer_sweep(scale: Scale) -> Sweep {
                     &world,
                     &params,
                     &InferenceFaultMode::TransientWholeEpisode(injector),
-                    seed ^ 0x7D,
+                    &mut SmallRng::seed_from_u64(seed ^ 0x7D),
                     cfg,
                 )
             });
@@ -605,7 +559,7 @@ fn add_data_type_column<W: QuantizedElement + EvalElement>(
                 &world,
                 &params,
                 &InferenceFaultMode::TransientWholeEpisode(injector),
-                seed ^ 0x7E,
+                &mut SmallRng::seed_from_u64(seed ^ 0x7E),
                 cfg,
             )
         });

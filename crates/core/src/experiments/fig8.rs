@@ -1,23 +1,15 @@
 //! Fig. 8 — Grid World training heatmaps with the adaptive exploration-rate
 //! adjustment (the training-time mitigation) enabled, for direct comparison
-//! against Fig. 2.
+//! against Fig. 2: the cells are Fig. 2's, declared by the same
+//! `fig2::heatmap_sweep`, with this module's mitigated trial.
 
-use std::sync::Arc;
-
-use navft_fault::{FaultKind, FaultSite, FaultTarget, InjectionSchedule, Injector};
-use navft_gridworld::ObstacleDensity;
-use navft_mitigation::ExplorationAdjuster;
+use navft_fault::FaultKind;
 use navft_nn::EngineConfig;
-use navft_qformat::QFormat;
-use navft_rl::FaultPlan;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
-use crate::experiments::ber_label;
-use crate::experiments::fig2::{policy_words, stuck_id, transient_id};
-use crate::grid_policies::{train_grid_policy, PolicyKind};
-use crate::sweep::{CellSpec, Sweep};
-use crate::{FigureData, GridParams, Heatmap, Scale, Series};
+use crate::experiments::fig2;
+use crate::grid_policies::{train_under_fault, PolicyKind};
+use crate::sweep::Sweep;
+use crate::{GridParams, Scale};
 
 const PANELS: [(PolicyKind, &str); 2] =
     [(PolicyKind::Tabular, "fig8a"), (PolicyKind::Network, "fig8b")];
@@ -34,117 +26,24 @@ pub fn mitigated_training_success(
     seed: u64,
     engine: EngineConfig,
 ) -> f64 {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let injector = Injector::sample(
-        FaultTarget::new(match kind {
-            PolicyKind::Tabular => FaultSite::TabularBuffer,
-            PolicyKind::Network => FaultSite::WeightBuffer,
-        }),
-        policy_words(kind),
-        QFormat::Q3_4,
-        ber,
-        fault_kind,
-        &mut rng,
-    );
-    let schedule = if fault_kind.is_permanent() {
-        InjectionSchedule::from_start()
-    } else {
-        InjectionSchedule::at_episode(episode)
-    };
-    let plan = FaultPlan::new(injector, schedule);
-    let mut adjuster = match kind {
-        PolicyKind::Tabular => ExplorationAdjuster::for_tabular(),
-        PolicyKind::Network => ExplorationAdjuster::for_network(),
-    };
-    let run = train_grid_policy(
-        kind,
-        ObstacleDensity::Middle,
-        params,
-        &plan,
-        seed ^ 0xF18,
-        |episode, trace, epsilon| adjuster.observe(episode, trace, epsilon),
-        engine,
-    );
+    let mut adjuster = kind.exploration_adjuster();
+    let observer = |episode, trace: &_, epsilon: &mut _| adjuster.observe(episode, trace, epsilon);
+    let run =
+        train_under_fault(kind, params, fault_kind, ber, episode, seed, 0xF18, observer, engine);
     run.final_success_rate * 100.0
 }
 
-/// Fig. 8 as a declarative sweep: the Fig. 2 grid (same cell-id scheme,
-/// shared helpers) with the mitigation attached to every training run.
+/// Fig. 8 as a declarative sweep: the Fig. 2 grid with the mitigation
+/// attached to every training run.
 pub fn sweep(scale: Scale) -> Sweep {
-    let params = Arc::new(scale.grid());
-    let episodes = params.injection_episodes();
-    let mut sweep = Sweep::new("fig8", scale);
-    for (kind, panel) in PANELS {
-        for &ber in &params.bit_error_rates {
-            for &episode in &episodes {
-                let spec = CellSpec::new(transient_id(panel, ber, episode), params.repetitions)
-                    .with_label("figure", format!("{panel}-transient"))
-                    .with_label("ber", ber.to_string())
-                    .with_label("episode", episode.to_string());
-                let params = Arc::clone(&params);
-                sweep.cell(spec, move |seed, _rep, cfg| {
-                    mitigated_training_success(
-                        kind,
-                        FaultKind::BitFlip,
-                        ber,
-                        episode,
-                        &params,
-                        seed,
-                        cfg,
-                    )
-                });
-            }
-            for fault_kind in [FaultKind::StuckAt0, FaultKind::StuckAt1] {
-                let spec = CellSpec::new(stuck_id(panel, fault_kind, ber), params.repetitions)
-                    .with_label("figure", format!("{panel}-{fault_kind}"))
-                    .with_label("ber", ber.to_string());
-                let params = Arc::clone(&params);
-                sweep.cell(spec, move |seed, _rep, cfg| {
-                    mitigated_training_success(kind, fault_kind, ber, 0, &params, seed, cfg)
-                });
-            }
-        }
-    }
-    sweep.fold(move |results| {
-        let mut figures = Vec::new();
-        for (kind, panel) in PANELS {
-            let rows = params
-                .bit_error_rates
-                .iter()
-                .map(|&ber| {
-                    episodes
-                        .iter()
-                        .map(|&episode| results.mean(&transient_id(panel, ber, episode)))
-                        .collect()
-                })
-                .collect();
-            figures.push(FigureData::heatmap(
-                format!("{panel}-transient"),
-                format!("{kind} training under transient faults with exploration-rate mitigation"),
-                "final success rate (%) vs (BER, fault-injection episode)",
-                Heatmap::new(
-                    params.bit_error_rates.iter().map(|&b| ber_label(b)).collect(),
-                    episodes.iter().map(|e| e.to_string()).collect(),
-                    rows,
-                ),
-            ));
-            for fault_kind in [FaultKind::StuckAt0, FaultKind::StuckAt1] {
-                let points = params
-                    .bit_error_rates
-                    .iter()
-                    .map(|&ber| (ber, results.mean(&stuck_id(panel, fault_kind, ber))))
-                    .collect();
-                figures.push(FigureData::lines(
-                    format!("{panel}-{fault_kind}"),
-                    format!("{kind} training under {fault_kind} faults with mitigation"),
-                    "final success rate (%) vs BER",
-                    vec![Series::new(fault_kind.to_string(), points)],
-                ));
-            }
-        }
-        figures
-    });
-    sweep
+    fig2::heatmap_sweep(
+        scale,
+        "fig8",
+        PANELS,
+        mitigated_training_success,
+        "transient faults with exploration-rate mitigation",
+        " with mitigation",
+    )
 }
 
 #[cfg(test)]
@@ -153,8 +52,21 @@ mod tests {
 
     #[test]
     fn sweep_mirrors_the_fig2_cell_grid() {
-        let fig2 = crate::experiments::fig2::training_sweep(Scale::Smoke);
+        // Fig. 8 declares exactly Fig. 2's cells, ids and labels in the same
+        // order, with only the panel prefix and the sweep id changed — the
+        // contract that lets the two figures compare cell for cell.
+        let fig2 = fig2::training_sweep(Scale::Smoke);
         let fig8 = sweep(Scale::Smoke);
+        assert_eq!((fig2.id(), fig8.id()), ("fig2", "fig8"));
         assert_eq!(fig2.len(), fig8.len());
+        let renamed = |text: &str| text.replace("fig2a", "fig8a").replace("fig2c", "fig8b");
+        for (ours, theirs) in fig8.cell_specs().zip(fig2.cell_specs()) {
+            assert_ne!(ours.id(), theirs.id());
+            assert_eq!(ours.id(), renamed(theirs.id()));
+            let expected: Vec<(String, String)> =
+                theirs.labels().iter().map(|(key, value)| (key.clone(), renamed(value))).collect();
+            assert_eq!(ours.labels(), expected.as_slice());
+            assert_eq!(ours.repetitions(), theirs.repetitions());
+        }
     }
 }

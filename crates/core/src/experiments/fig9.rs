@@ -10,17 +10,11 @@
 
 use std::sync::Arc;
 
-use navft_fault::{FaultKind, FaultSite, FaultTarget, InjectionSchedule, Injector};
-use navft_gridworld::ObstacleDensity;
-use navft_mitigation::ExplorationAdjuster;
+use navft_fault::FaultKind;
 use navft_nn::EngineConfig;
-use navft_qformat::QFormat;
-use navft_rl::{episodes_to_converge, FaultPlan};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use navft_rl::episodes_to_converge;
 
-use crate::experiments::fig2::policy_words;
-use crate::grid_policies::{train_grid_policy, PolicyKind};
+use crate::grid_policies::{train_under_fault, PolicyKind};
 use crate::sweep::{CellSpec, Sweep};
 use crate::{FigureData, GridParams, Scale, Series};
 
@@ -51,36 +45,10 @@ fn run_mitigated(
     } else {
         (params.training_episodes as f64 * 0.9) as usize
     };
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let injector = Injector::sample(
-        FaultTarget::new(match kind {
-            PolicyKind::Tabular => FaultSite::TabularBuffer,
-            PolicyKind::Network => FaultSite::WeightBuffer,
-        }),
-        policy_words(kind),
-        QFormat::Q3_4,
-        ber,
-        fault_kind,
-        &mut rng,
-    );
-    let schedule = if fault_kind.is_permanent() {
-        InjectionSchedule::from_start()
-    } else {
-        InjectionSchedule::at_episode(injection)
-    };
-    let plan = FaultPlan::new(injector, schedule);
-    let mut adjuster = match kind {
-        PolicyKind::Tabular => ExplorationAdjuster::for_tabular(),
-        PolicyKind::Network => ExplorationAdjuster::for_network(),
-    };
-    let run = train_grid_policy(
-        kind,
-        ObstacleDensity::Middle,
-        &extended,
-        &plan,
-        seed ^ 0xF19,
-        |episode, trace, epsilon| adjuster.observe(episode, trace, epsilon),
-        engine,
+    let mut adjuster = kind.exploration_adjuster();
+    let observer = |episode, trace: &_, epsilon: &mut _| adjuster.observe(episode, trace, epsilon);
+    let run = train_under_fault(
+        kind, &extended, fault_kind, ber, injection, seed, 0xF19, observer, engine,
     );
 
     let post_fault =

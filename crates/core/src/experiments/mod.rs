@@ -8,6 +8,22 @@
 //! ([`crate::sweep::run_sweeps`]) with resumable JSONL artifacts; to run one
 //! figure standalone, collect its sweep
 //! (`fig5::sweep(scale).collect(scale.threads())`, see [`Sweep::collect`]).
+//!
+//! Each trial recipe is written once and shared:
+//!
+//! * [`crate::grid_policies::train_under_fault`] — the Grid World
+//!   training-fault run (fault site and word count from
+//!   [`crate::grid_policies::PolicyKind`], schedule from
+//!   [`navft_fault::InjectionSchedule::for_fault`]) behind every trial of
+//!   fig2, fig3, fig4, fig8, fig9 and the mitigation ablations;
+//! * `fig2::heatmap_sweep` — the transient-heatmap and stuck-at cells of
+//!   fig2 and fig8, which differ only in their trial and titles;
+//! * [`fig10::grid_success_with_guard`] — guarded (or unguarded) Grid World
+//!   inference, for fig10a and the margin ablation;
+//! * [`crate::grid_policies::evaluate_grid_network`] and
+//!   [`crate::drone_policy::flight_distance`] — the one Grid World network
+//!   evaluator and the one drone flight evaluator, each holding its batch
+//!   width rule.
 
 pub mod ablation;
 pub mod fig10;

@@ -23,9 +23,8 @@
 //!   round trip. The span variant ([`Injector::corrupt_span`]) addresses one
 //!   layer's buffer within a map sampled over a whole network's
 //!   concatenated weight space.
-//! * [`InjectionSchedule`] — *when* the fault strikes (which training episode
-//!   or inference step) and whether it is injected statically (before
-//!   execution) or dynamically (during execution).
+//! * [`InjectionSchedule`] — *when* the fault strikes: the training episode
+//!   of a transient flip, or episode 0 for a permanent defect.
 //! * [`campaign`] — repetition/seeding machinery plus one-pass summary
 //!   statistics for large fault-injection campaigns, and the work-stealing
 //!   [`campaign::run_cells`] scheduler that executes every (cell, repetition)
@@ -61,5 +60,5 @@ mod schedule;
 pub use injector::Injector;
 pub use location::{FaultSite, FaultTarget};
 pub use map::{BitFault, FaultMap, StoredWord};
-pub use model::{FaultKind, FaultSpec, TransientScope};
-pub use schedule::{InjectionMode, InjectionSchedule};
+pub use model::{FaultKind, FaultSpec};
+pub use schedule::InjectionSchedule;

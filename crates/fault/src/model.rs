@@ -67,31 +67,6 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// How long a *transient* fault remains visible during inference.
-///
-/// §4.1.2 of the paper distinguishes two transient modes: a flip in a read
-/// register corrupts only the single decision step that reads it
-/// (*Transient-1*), while a flip in memory corrupts every subsequent step of
-/// the episode (*Transient-M*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TransientScope {
-    /// The corrupted value is consumed by a single action step only.
-    SingleStep,
-    /// The corrupted value persists in memory for the whole episode.
-    #[default]
-    WholeExecution,
-}
-
-impl fmt::Display for TransientScope {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            TransientScope::SingleStep => "transient-1",
-            TransientScope::WholeExecution => "transient-M",
-        };
-        f.write_str(name)
-    }
-}
-
 /// A reusable fault-sampling recipe: the bit error rate, fault kind and
 /// storage format of a fault population, without a concrete word count.
 ///
@@ -185,8 +160,6 @@ mod tests {
         assert_eq!(FaultKind::StuckAt0.to_string(), "stuck-at-0");
         assert_eq!(FaultKind::StuckAt1.to_string(), "stuck-at-1");
         assert_eq!(FaultKind::BitFlip.to_string(), "bit-flip");
-        assert_eq!(TransientScope::SingleStep.to_string(), "transient-1");
-        assert_eq!(TransientScope::WholeExecution.to_string(), "transient-M");
     }
 
     #[test]

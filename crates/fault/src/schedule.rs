@@ -1,78 +1,51 @@
-use std::fmt;
+use crate::FaultKind;
 
-/// Whether a fault pattern is injected before execution or while it runs.
-///
-/// §3.3 of the paper: permanent faults and transient faults in weights are
-/// injected *statically* (they are known before the run starts), while
-/// transient faults in activations are injected *dynamically* because the
-/// corrupted values depend on the input being processed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum InjectionMode {
-    /// The fault pattern is applied to the buffer before the run starts.
-    #[default]
-    Static,
-    /// The fault pattern is applied to values as they are produced during the
-    /// run (implemented as tensor-operation hooks, as in the paper).
-    Dynamic,
-}
-
-impl fmt::Display for InjectionMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            InjectionMode::Static => "static",
-            InjectionMode::Dynamic => "dynamic",
-        })
-    }
-}
-
-/// When, during a training run or flight, the fault strikes.
+/// When, during a training run, the fault strikes.
 ///
 /// Training-time experiments (Fig. 2, Fig. 7a) inject transient faults at a
-/// single episode index and permanent faults from episode 0 onwards; the
-/// schedule captures both.
+/// single episode index and permanent faults from episode 0 onwards;
+/// [`InjectionSchedule::for_fault`] holds that rule.
 ///
 /// # Examples
 ///
 /// ```
-/// use navft_fault::InjectionSchedule;
+/// use navft_fault::{FaultKind, InjectionSchedule};
 ///
 /// let schedule = InjectionSchedule::at_episode(900);
 /// assert!(schedule.triggers_at(900));
 /// assert!(!schedule.triggers_at(899));
 /// assert!(InjectionSchedule::from_start().triggers_at(0));
+/// assert_eq!(
+///     InjectionSchedule::for_fault(FaultKind::StuckAt1, 900),
+///     InjectionSchedule::from_start()
+/// );
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InjectionSchedule {
     episode: usize,
-    mode: InjectionMode,
 }
 
 impl InjectionSchedule {
     /// The fault strikes at the beginning of `episode` (0-based).
     pub fn at_episode(episode: usize) -> InjectionSchedule {
-        InjectionSchedule { episode, mode: InjectionMode::Static }
+        InjectionSchedule { episode }
     }
 
     /// The fault is present from the very first episode (permanent-fault
     /// semantics).
     pub fn from_start() -> InjectionSchedule {
-        InjectionSchedule { episode: 0, mode: InjectionMode::Static }
+        InjectionSchedule::at_episode(0)
     }
 
-    /// Selects dynamic (during-execution) injection for this schedule.
-    pub fn dynamic(mut self) -> InjectionSchedule {
-        self.mode = InjectionMode::Dynamic;
-        self
-    }
-
-    /// The episode (or step) index at which the fault strikes.
-    pub fn episode(&self) -> usize {
-        self.episode
-    }
-
-    /// The injection mode.
-    pub fn mode(&self) -> InjectionMode {
-        self.mode
+    /// The schedule of a fault of `kind` injected at `episode`: a permanent
+    /// (stuck-at) defect is present from the start whatever `episode` says,
+    /// a transient flip strikes at `episode`.
+    pub fn for_fault(kind: FaultKind, episode: usize) -> InjectionSchedule {
+        if kind.is_permanent() {
+            InjectionSchedule::from_start()
+        } else {
+            InjectionSchedule::at_episode(episode)
+        }
     }
 
     /// Whether the fault should be injected when execution reaches
@@ -85,18 +58,6 @@ impl InjectionSchedule {
     /// reaches `episode`.
     pub fn active_at(&self, episode: usize) -> bool {
         episode >= self.episode
-    }
-}
-
-impl Default for InjectionSchedule {
-    fn default() -> Self {
-        InjectionSchedule::from_start()
-    }
-}
-
-impl fmt::Display for InjectionSchedule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} injection at episode {}", self.mode, self.episode)
     }
 }
 
@@ -118,21 +79,19 @@ mod tests {
     #[test]
     fn from_start_is_always_active() {
         let s = InjectionSchedule::from_start();
-        assert_eq!(s.episode(), 0);
+        assert!(!s.triggers_at(1));
         assert!(s.active_at(0));
         assert!(s.triggers_at(0));
     }
 
     #[test]
-    fn dynamic_builder_sets_mode() {
-        let s = InjectionSchedule::at_episode(10).dynamic();
-        assert_eq!(s.mode(), InjectionMode::Dynamic);
-        assert_eq!(InjectionSchedule::default().mode(), InjectionMode::Static);
-    }
-
-    #[test]
-    fn display_is_descriptive() {
-        assert_eq!(InjectionSchedule::at_episode(5).to_string(), "static injection at episode 5");
-        assert_eq!(InjectionMode::Dynamic.to_string(), "dynamic");
+    fn permanent_kinds_start_at_zero_and_flips_at_their_episode() {
+        for kind in [FaultKind::StuckAt0, FaultKind::StuckAt1] {
+            assert_eq!(InjectionSchedule::for_fault(kind, 42), InjectionSchedule::from_start());
+        }
+        assert_eq!(
+            InjectionSchedule::for_fault(FaultKind::BitFlip, 42),
+            InjectionSchedule::at_episode(42)
+        );
     }
 }

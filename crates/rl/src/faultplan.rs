@@ -29,7 +29,11 @@ use navft_nn::{Element, NetworkBase};
 ///     &mut rng,
 /// );
 /// let plan = FaultPlan::new(injector, InjectionSchedule::at_episode(500));
-/// assert!(!plan.is_fault_free());
+/// let mut table = vec![1.0f32; 400];
+/// plan.on_episode_start(499, &mut table);
+/// assert!(table.iter().all(|&v| v == 1.0));
+/// plan.on_episode_start(500, &mut table);
+/// assert!(table.iter().any(|&v| v != 1.0));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -48,24 +52,9 @@ impl FaultPlan {
         FaultPlan { injector: Some(injector), schedule }
     }
 
-    /// Whether the plan injects no faults.
-    pub fn is_fault_free(&self) -> bool {
-        self.injector.as_ref().is_none_or(|i| i.fault_count() == 0)
-    }
-
-    /// The injection schedule.
-    pub fn schedule(&self) -> InjectionSchedule {
-        self.schedule
-    }
-
     /// The injector, if the plan is not fault-free.
     pub fn injector(&self) -> Option<&Injector> {
         self.injector.as_ref()
-    }
-
-    /// Whether the plan carries permanent (stuck-at) faults.
-    pub fn has_permanent(&self) -> bool {
-        self.injector.as_ref().is_some_and(Injector::has_permanent)
     }
 
     /// Applies the plan to a flat policy buffer at the start of `episode`.
@@ -165,8 +154,6 @@ mod tests {
     #[test]
     fn fault_free_plan_changes_nothing() {
         let plan = FaultPlan::none();
-        assert!(plan.is_fault_free());
-        assert!(!plan.has_permanent());
         let mut buf = vec![1.0f32; 4];
         plan.on_episode_start(0, &mut buf);
         plan.after_update(0, &mut buf);
@@ -191,7 +178,6 @@ mod tests {
     #[test]
     fn permanent_fault_is_reasserted_after_updates() {
         let plan = single_fault_plan(FaultKind::StuckAt1, 1, 0);
-        assert!(plan.has_permanent());
         let mut buf = vec![1.0f32; 4];
         plan.on_episode_start(0, &mut buf);
         assert!(buf[1] < 0.0);
